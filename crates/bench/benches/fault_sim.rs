@@ -1,11 +1,9 @@
-//! Criterion benchmarks comparing the five fault-simulation algorithms.
+//! Criterion benchmarks comparing the three fault-simulation algorithms.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsiq_exec::LaneWidth;
 use lsiq_fault::deductive::DeductiveSimulator;
 use lsiq_fault::incremental::IncrementalSimulator;
-use lsiq_fault::parallel::ParallelSimulator;
-use lsiq_fault::ppsfp::PpsfpSimulator;
 use lsiq_fault::serial::SerialSimulator;
 use lsiq_fault::simulator::FaultSimulator;
 use lsiq_fault::universe::FaultUniverse;
@@ -31,9 +29,6 @@ fn bench_fault_sim(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("serial", universe.len()), &(), |b, _| {
         b.iter(|| SerialSimulator::new(&circuit).run(black_box(&universe), black_box(&patterns)))
     });
-    group.bench_with_input(BenchmarkId::new("ppsfp", universe.len()), &(), |b, _| {
-        b.iter(|| PpsfpSimulator::new(&circuit).run(black_box(&universe), black_box(&patterns)))
-    });
     group.bench_with_input(
         BenchmarkId::new("deductive", universe.len()),
         &(),
@@ -54,9 +49,6 @@ fn bench_fault_sim(c: &mut Criterion) {
             })
         },
     );
-    group.bench_with_input(BenchmarkId::new("parallel", universe.len()), &(), |b, _| {
-        b.iter(|| ParallelSimulator::new(&circuit).run(black_box(&universe), black_box(&patterns)))
-    });
     group.bench_with_input(
         BenchmarkId::new("incremental", universe.len()),
         &(),
@@ -82,9 +74,6 @@ fn bench_fault_sim_large(c: &mut Criterion) {
     let universe = FaultUniverse::full(&circuit);
     let patterns = random_patterns(circuit.primary_inputs().len(), 128, 11);
     let mut group = c.benchmark_group("fault_sim_random1200_128_patterns");
-    group.bench_with_input(BenchmarkId::new("ppsfp", universe.len()), &(), |b, _| {
-        b.iter(|| PpsfpSimulator::new(&circuit).run(black_box(&universe), black_box(&patterns)))
-    });
     group.bench_with_input(
         BenchmarkId::new("deductive", universe.len()),
         &(),
@@ -105,9 +94,6 @@ fn bench_fault_sim_large(c: &mut Criterion) {
             })
         },
     );
-    group.bench_with_input(BenchmarkId::new("parallel", universe.len()), &(), |b, _| {
-        b.iter(|| ParallelSimulator::new(&circuit).run(black_box(&universe), black_box(&patterns)))
-    });
     group.bench_with_input(
         BenchmarkId::new("incremental", universe.len()),
         &(),
@@ -125,12 +111,8 @@ fn bench_fault_sim_large(c: &mut Criterion) {
 /// each fault's disturbed cone beats rebuilding per-signal fault lists over
 /// the whole netlist.  The multi-block budget matters: fault dropping makes
 /// the incremental engine's later blocks touch only still-undetected
-/// faults, so its cost is nearly flat in block count (~2 s fixed + a small
-/// per-block tail) while the deductive engine pays a full list pass per
-/// pattern — measured ~4× apart at this size (3.0 s vs 12.2 s
-/// single-threaded).  The packed-parallel engine is omitted: it is two
-/// orders of magnitude off the pace per core at this scale, and lives in
-/// the smaller groups above.
+/// faults, so its cost is nearly flat in block count while the deductive
+/// engine pays a full list pass per pattern.
 fn bench_fault_sim_iscas_scale(c: &mut Criterion) {
     let circuit = random_circuit(&RandomCircuitConfig::industrial(50_000, 1981));
     let universe = FaultUniverse::full(&circuit);
@@ -157,13 +139,10 @@ fn bench_fault_sim_iscas_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lane-width scaling of the packed engines: the same 1024-pattern
-/// workload at every [`LaneWidth`], single-threaded (PPSFP) and sharded
-/// (parallel), plus the widest lane with a warm [`GoodMachineCache`].
-/// Results are byte-identical across all entries — this group measures
-/// pure throughput, and is where the `×8` lanes earn their keep (wide
-/// chunks autovectorize and amortize the per-chunk walk over 512 patterns
-/// instead of 64).
+/// Lane-width scaling of the packed engine: the same 1024-pattern
+/// workload at every [`LaneWidth`], single-threaded, plus the widest lane
+/// with a warm [`GoodMachineCache`].  Results are byte-identical across
+/// all entries — this group measures pure throughput.
 fn bench_fault_sim_lanes(c: &mut Criterion) {
     let circuit = random_circuit(&RandomCircuitConfig {
         inputs: 24,
@@ -175,18 +154,9 @@ fn bench_fault_sim_lanes(c: &mut Criterion) {
     let patterns = random_patterns(circuit.primary_inputs().len(), 1024, 17);
     let mut group = c.benchmark_group("fault_sim_lanes_1024_patterns");
     for lanes in LaneWidth::EXPLICIT {
-        group.bench_with_input(BenchmarkId::new("ppsfp", lanes), &(), |b, _| {
+        group.bench_with_input(BenchmarkId::new("incremental", lanes), &(), |b, _| {
             b.iter(|| {
-                PpsfpSimulator::new(&circuit)
-                    .with_lanes(lanes)
-                    .run(black_box(&universe), black_box(&patterns))
-            })
-        });
-    }
-    for lanes in LaneWidth::EXPLICIT {
-        group.bench_with_input(BenchmarkId::new("parallel", lanes), &(), |b, _| {
-            b.iter(|| {
-                ParallelSimulator::new(&circuit)
+                IncrementalSimulator::new(&circuit)
                     .with_lanes(lanes)
                     .run(black_box(&universe), black_box(&patterns))
             })
@@ -195,9 +165,9 @@ fn bench_fault_sim_lanes(c: &mut Criterion) {
     // A warm cache removes the good-machine pass entirely (every iteration
     // after the first replays it), leaving pure faulty-machine work.
     let cache = GoodMachineCache::new();
-    group.bench_function("ppsfp/8_cached", |b| {
+    group.bench_function("incremental/8_cached", |b| {
         b.iter(|| {
-            PpsfpSimulator::new(&circuit)
+            IncrementalSimulator::new(&circuit)
                 .with_lanes(LaneWidth::X8)
                 .with_cache(&cache)
                 .run(black_box(&universe), black_box(&patterns))

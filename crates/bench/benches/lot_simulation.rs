@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lsiq_fault::dictionary::FaultDictionary;
-use lsiq_fault::parallel::ParallelSimulator;
+use lsiq_fault::incremental::IncrementalSimulator;
 use lsiq_fault::simulator::FaultSimulator;
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_manufacturing::defect::DefectModel;
@@ -44,7 +44,7 @@ fn bench_lot_simulation(c: &mut Criterion) {
     let patterns: PatternSet = (0..256)
         .map(|v| Pattern::from_integer(v * 5 + 1, 10))
         .collect();
-    let list = ParallelSimulator::new(&circuit).run(&universe, &patterns);
+    let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
     let dictionary = FaultDictionary::from_fault_list(&list);
     let lot = ChipLot::from_model(&ModelLotConfig {
         chips: 1_000,

@@ -11,7 +11,7 @@
 //! each measurement instead of relying on `LSIQ_METRICS`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lsiq_fault::ppsfp::PpsfpSimulator;
+use lsiq_fault::incremental::IncrementalSimulator;
 use lsiq_fault::serial::SerialSimulator;
 use lsiq_fault::simulator::FaultSimulator;
 use lsiq_fault::universe::FaultUniverse;
@@ -37,8 +37,10 @@ fn bench_obs_overhead(c: &mut Criterion) {
         // Explicitly pin the process-global mode for this measurement; the
         // registry contents are irrelevant here, only the recording cost.
         lsiq_obs::set_mode(mode);
-        group.bench_with_input(BenchmarkId::new("ppsfp", label), &(), |b, _| {
-            b.iter(|| PpsfpSimulator::new(&circuit).run(black_box(&universe), black_box(&patterns)))
+        group.bench_with_input(BenchmarkId::new("incremental", label), &(), |b, _| {
+            b.iter(|| {
+                IncrementalSimulator::new(&circuit).run(black_box(&universe), black_box(&patterns))
+            })
         });
         // The serial engine takes a span per pattern and counts every drop,
         // so it is the worst case for per-call gating cost.

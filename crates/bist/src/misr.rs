@@ -19,8 +19,9 @@
 //! holds exactly `faulty signature XOR good signature`: a failing readout is
 //! a non-zero error state, and the faulty signature itself is never
 //! materialised.  [`Misr::fold_error_block`] packages that trick for one
-//! register; the signature-dictionary builder inlines the same identity to
-//! drive several widths and mid-block session boundaries at once.
+//! register; the signature-dictionary builder applies the same identity to
+//! sparse per-fault error words, driving several widths and mid-chunk
+//! session boundaries at once.
 
 use crate::lfsr::{maximal_polynomial, DEGREE_GRAMMAR, SUPPORTED_DEGREES};
 use lsiq_exec::ConfigError;
@@ -114,25 +115,38 @@ impl Misr {
         }
     }
 
+    /// The parallel-input bit circuit output `output` drives: output `o`
+    /// lands on register position `o mod width`.
+    #[inline]
+    pub(crate) fn input_bit(&self, output: usize) -> u64 {
+        1u64 << (output as u64 % u64::from(self.width))
+    }
+
     /// Compresses one response (one bit per circuit output, in output
-    /// declaration order) into a parallel-input word: output `o` lands on
-    /// register position `o mod width`.
+    /// declaration order) into a parallel-input word.
     #[inline]
     fn compress(&self, response: impl IntoIterator<Item = bool>) -> u64 {
         let mut incoming = 0u64;
         for (output, bit) in response.into_iter().enumerate() {
             if bit {
-                incoming ^= 1u64 << (output as u32 % self.width);
+                incoming ^= self.input_bit(output);
             }
         }
         incoming
+    }
+
+    /// One clock: a register step, then the XOR of an already compressed
+    /// parallel-input word.
+    #[inline]
+    pub(crate) fn clock(&mut self, incoming: u64) {
+        self.state = Misr::step(self.state, self.polynomial) ^ incoming;
     }
 
     /// Folds one pattern's output response into the signature: one register
     /// step, then the parallel-input XOR.
     pub fn fold(&mut self, response: impl IntoIterator<Item = bool>) {
         let incoming = self.compress(response);
-        self.state = Misr::step(self.state, self.polynomial) ^ incoming;
+        self.clock(incoming);
     }
 
     /// Folds a packed 64-pattern block of output responses — one `u64` per

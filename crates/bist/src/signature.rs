@@ -9,25 +9,33 @@
 //! the signature compare.
 //!
 //! [`SignatureDictionary::build_in`] produces both records for a whole fault
-//! universe in one fault-simulation pass: the fault universe is sharded
-//! across the worker pool ([`ExecutionContext::scope`] via `scope_map`,
-//! exactly like the parallel fault engine), each fault's faulty responses
-//! are simulated 64 patterns at a time, and only the *error* stream
-//! (good XOR faulty) is folded — by the fold's GF(2) linearity (the identity
+//! universe in one fault-simulation pass.  The fault universe is sharded in
+//! contiguous slices across the worker pool
+//! ([`ExecutionContext::scope_map`]), one slice per worker.  Each fault is
+//! propagated through its fanout cone one packed chunk at a time by the
+//! [cone kernel](lsiq_fault::cone) the incremental fault engine runs on,
+//! which returns only the *error* words (good XOR faulty) of the outputs the
+//! fault reaches.  By the fold's GF(2) linearity (the identity
 //! [`Misr::fold_error_block`] packages for a single register) a session
 //! signature mismatches exactly when the error register is non-zero at the
-//! readout.  Faults whose error stream has gone quiet
-//! skip whole blocks without touching the register, and a fault is dropped
-//! from the pass entirely once every requested signature width has resolved
-//! its first failing session.
+//! readout, so only the error stream is folded.
+//!
+//! The fold is transposed: instead of gathering every output's bit per
+//! pattern, each width's parallel-input word of every slot is compressed
+//! from the set error bits alone, then each unresolved register is clocked
+//! once per slot.  Faults whose error stream has gone quiet skip whole
+//! chunks without touching the register, and a fault is dropped from the
+//! pass entirely once every requested signature width has resolved its
+//! first failing session.
 
 use crate::misr::Misr;
 use lsiq_exec::{ExecutionContext, LaneWidth};
-use lsiq_fault::inject::output_chunks_with_fault;
+use lsiq_fault::cone::{good_chunks, ConePropagator, GoodChunk};
+use lsiq_fault::model::Fault;
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::{Counter, Span};
-use lsiq_sim::cache::{circuit_fingerprint, GoodMachineCache};
+use lsiq_sim::cache::GoodMachineCache;
 use lsiq_sim::levelized::CompiledCircuit;
 use lsiq_sim::packed::{gather_chunk_slot, PackedBlock};
 use lsiq_sim::pattern::PatternSet;
@@ -63,50 +71,6 @@ impl Default for BistPlan {
             signature_width: 16,
         }
     }
-}
-
-/// One precomputed lane-wide chunk: packed inputs, good-machine outputs,
-/// valid mask, pattern count.
-struct Block<const L: usize> {
-    inputs: Vec<PackedBlock<L>>,
-    good_outputs: Vec<PackedBlock<L>>,
-    valid: PackedBlock<L>,
-    count: usize,
-}
-
-fn precompute_blocks<const L: usize>(
-    compiled: &CompiledCircuit<'_>,
-    patterns: &PatternSet,
-    cache: Option<&GoodMachineCache>,
-) -> Vec<Block<L>> {
-    let circuit = compiled.circuit();
-    let input_count = circuit.primary_inputs().len();
-    let fingerprint = cache.map(|_| circuit_fingerprint(circuit));
-    let mut blocks = Vec::with_capacity(patterns.chunk_count(L));
-    for chunk in 0..patterns.chunk_count(L) {
-        let (inputs, count) = patterns.pack_chunk::<L>(input_count, chunk);
-        if count == 0 {
-            break;
-        }
-        let good_outputs = match (cache, fingerprint) {
-            (Some(cache), Some(fingerprint)) => {
-                let nodes = cache.node_chunks_keyed(fingerprint, compiled, &inputs, count);
-                circuit
-                    .primary_outputs()
-                    .iter()
-                    .map(|&out| nodes[out.index()])
-                    .collect()
-            }
-            _ => compiled.output_chunks(&inputs),
-        };
-        blocks.push(Block {
-            inputs,
-            good_outputs,
-            valid: PackedBlock::valid_mask(count),
-            count,
-        });
-    }
-    blocks
 }
 
 /// Per-fault first-failing-session and aliasing records for one fault
@@ -324,7 +288,7 @@ impl SignatureDictionary {
         SWEEP_CELLS.add((widths.len() * lengths.len()) as u64);
         let good_timer = GOOD_SIGNATURES.start();
         let compiled = CompiledCircuit::new(circuit);
-        let blocks = precompute_blocks::<L>(&compiled, patterns, cache);
+        let chunks = good_chunks::<L>(&compiled, patterns, cache);
         let mut boundaries: Vec<usize> = lengths.to_vec();
         boundaries.sort_unstable();
         boundaries.dedup();
@@ -338,10 +302,18 @@ impl SignatureDictionary {
         let mut consumed = 0usize;
         let mut in_session = 0usize;
         let mut next_boundary = 0usize;
-        for block in &blocks {
-            for slot in 0..block.count {
+        let mut good_outputs: Vec<PackedBlock<L>> = Vec::new();
+        for chunk in &chunks {
+            good_outputs.clear();
+            good_outputs.extend(
+                circuit
+                    .primary_outputs()
+                    .iter()
+                    .map(|&out| chunk.words[out.index()]),
+            );
+            for slot in 0..chunk.count {
                 for register in good_registers.iter_mut() {
-                    register.fold(gather_chunk_slot(&block.good_outputs, slot));
+                    register.fold(gather_chunk_slot(&good_outputs, slot));
                 }
                 consumed += 1;
                 in_session += 1;
@@ -363,8 +335,7 @@ impl SignatureDictionary {
 
         drop(good_timer);
 
-        // Shard the fault universe across the pool, mirroring the parallel
-        // fault engine's geometry.
+        // Shard the fault universe across the pool in contiguous slices.
         let faults = universe.faults();
         SWEEP_FAULTS.add(faults.len() as u64);
         let shard_count = context
@@ -375,16 +346,16 @@ impl SignatureDictionary {
         let results: Vec<ShardResult> = if shard_count <= 1 {
             vec![simulate_shard(
                 &compiled,
-                &blocks,
+                &chunks,
                 faults,
                 session_len,
                 widths,
                 &boundaries,
             )]
         } else {
-            let shards: Vec<&[lsiq_fault::model::Fault]> = faults.chunks(chunk).collect();
+            let shards: Vec<&[Fault]> = faults.chunks(chunk).collect();
             context.scope_map(shards, |shard| {
-                simulate_shard(&compiled, &blocks, shard, session_len, widths, &boundaries)
+                simulate_shard(&compiled, &chunks, shard, session_len, widths, &boundaries)
             })
         };
 
@@ -590,7 +561,7 @@ impl SignatureDictionary {
 }
 
 /// Minimum faults per shard; below this the scheduling overhead costs more
-/// than the parallelism recovers (mirrors the parallel fault engine).
+/// than the parallelism recovers.
 const MIN_FAULTS_PER_SHARD: usize = 64;
 
 /// One shard's per-fault results, in shard-local fault order.
@@ -607,10 +578,12 @@ struct ShardResult {
     first_error: Vec<Option<usize>>,
 }
 
+/// Simulates one contiguous shard of faults over all chunks and folds each
+/// fault's error stream into one register per width.
 fn simulate_shard<const L: usize>(
     compiled: &CompiledCircuit<'_>,
-    blocks: &[Block<L>],
-    faults: &[lsiq_fault::model::Fault],
+    chunks: &[GoodChunk<L>],
+    faults: &[Fault],
     session_len: usize,
     widths: &[u32],
     boundaries: &[usize],
@@ -621,8 +594,13 @@ fn simulate_shard<const L: usize>(
         partial_fail: vec![Vec::with_capacity(faults.len()); widths.len()],
         first_error: Vec::with_capacity(faults.len()),
     };
+    let mut cone = ConePropagator::<L>::new(compiled);
     let mut registers: Vec<Misr> = widths.iter().map(|&w| Misr::new(w)).collect();
-    let mut error_words: Vec<PackedBlock<L>> = Vec::new();
+    // `incoming[slot * stride + which]`: the compressed parallel-input word
+    // register `which` takes at `slot` of the current chunk.  Every entry is
+    // zero between chunks: the slot loop takes each word as it clocks it.
+    let stride = widths.len();
+    let mut incoming = vec![0u64; PackedBlock::<L>::PATTERNS * stride];
     for fault in faults {
         let mut first_fail: Vec<Option<usize>> = vec![None; widths.len()];
         let mut partial_fail: Vec<Vec<bool>> = vec![vec![false; boundaries.len()]; widths.len()];
@@ -649,31 +627,23 @@ fn simulate_shard<const L: usize>(
                 register.reset();
             }
         };
-        'blocks: for block in blocks {
-            let faulty = output_chunks_with_fault(compiled, &block.inputs, fault);
-            error_words.clear();
-            error_words.extend(
-                block
-                    .good_outputs
-                    .iter()
-                    .zip(&faulty)
-                    .map(|(&good, &bad)| (good ^ bad) & block.valid),
-            );
-            let error_union = error_words
-                .iter()
-                .fold(PackedBlock::<L>::ZERO, |union, &word| union | word);
+        'chunks: for chunk in chunks {
+            let errors = cone.propagate(fault, &chunk.words, chunk.valid);
             if first_error.is_none() {
-                if let Some(slot) = error_union.first_set_slot() {
+                let union = errors
+                    .iter()
+                    .fold(PackedBlock::<L>::ZERO, |union, &(_, error)| union | error);
+                if let Some(slot) = union.first_set_slot() {
                     first_error = Some(consumed + slot);
                 }
             }
-            if error_union.is_zero() && registers.iter().all(|r| r.signature() == 0) {
-                // A quiet block cannot move a zero register; fast-forward
+            if errors.is_empty() && registers.iter().all(|r| r.signature() == 0) {
+                // A quiet chunk cannot move a zero register; fast-forward
                 // the session counters (each readout trivially passes) and
                 // the boundary cursor (each snapshot trivially passes too —
                 // `partial_fail` is already `false`).
-                consumed += block.count;
-                in_session += block.count;
+                consumed += chunk.count;
+                in_session += chunk.count;
                 while in_session >= session_len {
                     in_session -= session_len;
                     session += 1;
@@ -683,12 +653,26 @@ fn simulate_shard<const L: usize>(
                 }
                 continue;
             }
-            for slot in 0..block.count {
+            // Compress: scatter every set error bit onto its register
+            // position, for each width that is still unresolved.
+            for &(position, error) in errors {
+                for slot in error.set_slots() {
+                    let row = &mut incoming[slot * stride..(slot + 1) * stride];
+                    for (which, register) in registers.iter().enumerate() {
+                        if first_fail[which].is_none() {
+                            row[which] ^= register.input_bit(position as usize);
+                        }
+                    }
+                }
+            }
+            for slot in 0..chunk.count {
+                let row = &mut incoming[slot * stride..(slot + 1) * stride];
                 for (which, register) in registers.iter_mut().enumerate() {
+                    let word = std::mem::take(&mut row[which]);
                     // A resolved width's register was reset at its failing
-                    // readout and is never read again; skip its folds.
+                    // readout and is never read again; skip its clocks.
                     if first_fail[which].is_none() {
-                        register.fold(gather_chunk_slot(&error_words, slot));
+                        register.clock(word);
                     }
                 }
                 consumed += 1;
@@ -712,8 +696,10 @@ fn simulate_shard<const L: usize>(
                         // Later boundaries lie in later sessions, so their
                         // dictionaries resolve from `first_fail` alone, and
                         // a signature failure implies a response difference,
-                        // so `first_error` is already set.
-                        break 'blocks;
+                        // so `first_error` is already set.  Leave the
+                        // compression buffer zeroed for the next fault.
+                        incoming[(slot + 1) * stride..chunk.count * stride].fill(0);
+                        break 'chunks;
                     }
                 }
             }
@@ -793,6 +779,48 @@ mod tests {
         (first_fail, raw_detected)
     }
 
+    /// Builds the dictionary at every lane width and checks each against
+    /// the brute-force reference, fault by fault.
+    fn assert_matches_brute_force(
+        circuit: &lsiq_netlist::circuit::Circuit,
+        universe: &FaultUniverse,
+        patterns: &PatternSet,
+        plan: &BistPlan,
+    ) {
+        let (first_fail, raw) = brute_force_first_fail(circuit, universe, patterns, plan);
+        for lanes in LaneWidth::EXPLICIT {
+            let dictionary = SignatureDictionary::build_sweep_cached(
+                &ExecutionContext::new(2),
+                circuit,
+                universe,
+                patterns,
+                plan.session_len,
+                &[plan.signature_width],
+                &[patterns.len()],
+                lanes,
+                None,
+            )
+            .remove(0)
+            .remove(0);
+            for index in 0..universe.len() {
+                assert_eq!(
+                    dictionary.first_failing_session(index),
+                    first_fail[index],
+                    "fault {index}, plan {plan:?}, lanes {lanes}"
+                );
+                assert_eq!(
+                    dictionary.is_raw_detected(index),
+                    raw[index],
+                    "fault {index}, plan {plan:?}, lanes {lanes}"
+                );
+            }
+            assert_eq!(
+                dictionary.sessions(),
+                patterns.len().div_ceil(plan.session_len)
+            );
+        }
+    }
+
     #[test]
     fn matches_brute_force_reference_on_c17() {
         let (circuit, universe, patterns) = c17_fixture();
@@ -807,24 +835,29 @@ mod tests {
                 signature_width: 8,
             },
         ] {
-            let dictionary = SignatureDictionary::build(&circuit, &universe, &patterns, &plan);
-            let (first_fail, raw) = brute_force_first_fail(&circuit, &universe, &patterns, &plan);
-            for index in 0..universe.len() {
-                assert_eq!(
-                    dictionary.first_failing_session(index),
-                    first_fail[index],
-                    "fault {index}, plan {plan:?}"
-                );
-                assert_eq!(
-                    dictionary.is_raw_detected(index),
-                    raw[index],
-                    "fault {index}, plan {plan:?}"
-                );
+            assert_matches_brute_force(&circuit, &universe, &patterns, &plan);
+        }
+    }
+
+    #[test]
+    fn matches_brute_force_reference_on_alu4_and_a_scan_view() {
+        // 100 patterns in 24-pattern sessions: four full sessions and a
+        // trailing partial one, crossing the 64-pattern chunk boundary at
+        // one lane.
+        let scan = lsiq_netlist::scan::insert_scan(&lsiq_netlist::generator::binary_counter(4), 2)
+            .expect("two chains fit four flip-flops");
+        for circuit in [library::alu4(), scan.test_view().clone()] {
+            let universe = FaultUniverse::full(&circuit);
+            let patterns =
+                StumpsGenerator::new(&StumpsConfig::with_width(circuit.primary_inputs().len(), 5))
+                    .generate(100);
+            for signature_width in [4, 16] {
+                let plan = BistPlan {
+                    session_len: 24,
+                    signature_width,
+                };
+                assert_matches_brute_force(&circuit, &universe, &patterns, &plan);
             }
-            assert_eq!(
-                dictionary.sessions(),
-                patterns.len().div_ceil(plan.session_len)
-            );
         }
     }
 

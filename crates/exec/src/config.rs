@@ -46,7 +46,7 @@ pub const MAX_WORKERS: usize = 1024;
 /// chains as scan cells, and the experiments' devices stay well under this.
 pub const MAX_SCAN_CHAINS: usize = 4096;
 
-/// Names one of the five fault-simulation engines, for configuration
+/// Names one of the three fault-simulation engines, for configuration
 /// surfaces that select an engine at run time (test-suite builders, bench
 /// binaries, differential harnesses).
 ///
@@ -55,27 +55,22 @@ pub const MAX_SCAN_CHAINS: usize = 4096;
 /// `lsiq_fault::simulator`, which re-exports this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// One `(pattern, fault)` pair at a time — the reference implementation.
+    /// One `(pattern, fault)` pair at a time — the reference oracle.
     Serial,
-    /// 64 packed patterns, one fault at a time.
-    Ppsfp,
-    /// All faults of one pattern at a time via arena-backed fault lists.
+    /// All faults of one pattern at a time via arena-backed fault lists —
+    /// the independent oracle.
     Deductive,
-    /// Fault-sharded multi-threaded PPSFP — the production default.
+    /// Event-driven fanout-cone propagation over packed pattern chunks —
+    /// the production engine.
     #[default]
-    Parallel,
-    /// Event-driven cone propagation over 64-packed words — the large-circuit
-    /// engine.
     Incremental,
 }
 
 impl EngineKind {
     /// Every engine, in cross-check order (reference first).
-    pub const ALL: [EngineKind; 5] = [
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::Serial,
-        EngineKind::Ppsfp,
         EngineKind::Deductive,
-        EngineKind::Parallel,
         EngineKind::Incremental,
     ];
 
@@ -83,9 +78,7 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Serial => "serial",
-            EngineKind::Ppsfp => "ppsfp",
             EngineKind::Deductive => "deductive",
-            EngineKind::Parallel => "parallel",
             EngineKind::Incremental => "incremental",
         }
     }
@@ -95,27 +88,6 @@ impl EngineKind {
         EngineKind::ALL
             .into_iter()
             .find(|kind| kind.name().eq_ignore_ascii_case(name.trim()))
-    }
-
-    /// The engine an `auto` selection (`LSIQ_ENGINE=auto`,
-    /// [`RunConfig::with_engine_auto`]) resolves to for a circuit of
-    /// `gate_count` gates.
-    ///
-    /// The thresholds follow the measured crossovers of the engine guide
-    /// (`docs/ENGINES.md`): the arena-based deductive engine is the fastest
-    /// single pass on small-to-medium circuits (~1 000-gate scale), the
-    /// fault-sharded parallel engine wins on the LSI-class production
-    /// devices, and event-driven incremental cone propagation pulls ahead
-    /// once circuits grow past tens of thousands of gates.  Every engine is
-    /// byte-identical, so the resolution only changes wall-clock time.
-    pub fn auto_for(gate_count: usize) -> EngineKind {
-        if gate_count >= 20_000 {
-            EngineKind::Incremental
-        } else if gate_count < 1_500 {
-            EngineKind::Deductive
-        } else {
-            EngineKind::Parallel
-        }
     }
 }
 
@@ -130,7 +102,9 @@ impl FromStr for EngineKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         EngineKind::from_name(s).ok_or_else(|| {
-            format!("unknown fault-simulation engine {s:?} (expected serial, ppsfp, deductive, parallel or incremental)")
+            format!(
+                "unknown fault-simulation engine {s:?} (expected serial, deductive or incremental)"
+            )
         })
     }
 }
@@ -302,9 +276,8 @@ impl FromStr for LaneWidth {
 /// // to an invalid value)
 /// if let Err(error) = RunConfig::from_env() {
 ///     eprintln!("{error}");
-///     // e.g. `LSIQ_ENGINE: expected one of serial, ppsfp, deductive,
-///     // parallel or incremental, got "warp"; unset the variable to use
-///     // the default`
+///     // e.g. `LSIQ_ENGINE: expected one of auto, serial, deductive or
+///     // incremental, got "warp"; unset the variable to use the default`
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -416,10 +389,10 @@ impl fmt::Display for ScanPlan {
 /// use lsiq_exec::{EngineKind, RunConfig};
 ///
 /// let config = RunConfig::default()
-///     .with_engine(EngineKind::Ppsfp)
+///     .with_engine(EngineKind::Deductive)
 ///     .with_workers(4)
 ///     .with_base_seed(7);
-/// assert_eq!(config.engine(), EngineKind::Ppsfp);
+/// assert_eq!(config.engine(), EngineKind::Deductive);
 /// assert_eq!(config.workers(), Some(4));
 /// assert_eq!(config.base_seed(), 7);
 /// ```
@@ -436,8 +409,8 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A configuration with every field at its default: the parallel engine,
-    /// automatic worker count, base seed [`DEFAULT_BASE_SEED`].
+    /// A configuration with every field at its default: the incremental
+    /// engine, automatic worker count, base seed [`DEFAULT_BASE_SEED`].
     pub fn new() -> RunConfig {
         RunConfig::default()
     }
@@ -453,13 +426,13 @@ impl RunConfig {
         let mut config = RunConfig::default();
         if let Some(value) = read_var(ENGINE_VAR)? {
             if value.trim().eq_ignore_ascii_case("auto") {
-                config.engine_auto = true;
+                config = config.with_engine_auto();
             } else {
                 config.engine = EngineKind::from_name(&value).ok_or_else(|| {
                     ConfigError::new(
                         ENGINE_VAR,
                         value.clone(),
-                        "one of auto, serial, ppsfp, deductive, parallel or incremental",
+                        "one of auto, serial, deductive or incremental",
                     )
                 })?;
             }
@@ -527,10 +500,12 @@ impl RunConfig {
         self
     }
 
-    /// Selects adaptive engine resolution (the `LSIQ_ENGINE=auto` knob):
-    /// each run picks its engine from the circuit size through
-    /// [`RunConfig::engine_for_size`] instead of using one fixed kind.
+    /// Selects the `auto` engine (the `LSIQ_ENGINE=auto` knob): the
+    /// production default, [`EngineKind::Incremental`], whatever the
+    /// circuit.  The selection is kept for display, so a configuration line
+    /// still reads `engine = auto`.
     pub fn with_engine_auto(mut self) -> RunConfig {
+        self.engine = EngineKind::default();
         self.engine_auto = true;
         self
     }
@@ -576,28 +551,23 @@ impl RunConfig {
         self
     }
 
-    /// The configured fault-simulation engine.  With an `auto` selection
-    /// this is the fallback default; run sites that know their circuit call
-    /// [`RunConfig::engine_for_size`] instead.
+    /// The configured fault-simulation engine (`auto` resolves to the
+    /// default).
     pub fn engine(self) -> EngineKind {
         self.engine
     }
 
-    /// Whether the engine is resolved adaptively per run
-    /// (`LSIQ_ENGINE=auto` / [`RunConfig::with_engine_auto`]).
+    /// Whether the engine was selected as `auto` (`LSIQ_ENGINE=auto` /
+    /// [`RunConfig::with_engine_auto`]).
     pub fn engine_is_auto(self) -> bool {
         self.engine_auto
     }
 
-    /// The engine a run over a circuit of `gate_count` gates should use:
-    /// the explicitly configured kind, or — under an `auto` selection —
-    /// [`EngineKind::auto_for`]`(gate_count)`.
-    pub fn engine_for_size(self, gate_count: usize) -> EngineKind {
-        if self.engine_auto {
-            EngineKind::auto_for(gate_count)
-        } else {
-            self.engine
-        }
+    /// The engine a run over a circuit of `gate_count` gates uses: the
+    /// configured engine, whatever the size (an `auto` selection is the
+    /// incremental engine on every device).
+    pub fn engine_for_size(self, _gate_count: usize) -> EngineKind {
+        self.engine
     }
 
     /// The configured wafer-test mode.
@@ -707,27 +677,25 @@ mod tests {
         );
         assert!(EngineKind::from_name("concurrent").is_none());
         assert!("concurrent".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::default(), EngineKind::Parallel);
+        assert_eq!(EngineKind::default(), EngineKind::Incremental);
+        // The retired engines are no longer accepted names.
+        for retired in ["ppsfp", "parallel"] {
+            assert!(EngineKind::from_name(retired).is_none(), "{retired}");
+        }
     }
 
     #[test]
-    fn auto_engine_resolution_follows_circuit_size() {
-        // Small circuits: deductive (fastest single pass at ~1 000 gates).
-        assert_eq!(EngineKind::auto_for(0), EngineKind::Deductive);
-        assert_eq!(EngineKind::auto_for(1_200), EngineKind::Deductive);
-        // LSI-class production devices: the sharded parallel engine.
-        assert_eq!(EngineKind::auto_for(1_500), EngineKind::Parallel);
-        assert_eq!(EngineKind::auto_for(10_000), EngineKind::Parallel);
-        // Industrial scale: event-driven incremental cone propagation.
-        assert_eq!(EngineKind::auto_for(20_000), EngineKind::Incremental);
-        assert_eq!(EngineKind::auto_for(100_000), EngineKind::Incremental);
-
-        // Config plumbing: auto resolves per size, explicit choices win.
-        let auto = RunConfig::default().with_engine_auto();
+    fn auto_engine_resolves_to_incremental_at_every_size() {
+        // `auto` is the production default for every circuit; explicit
+        // choices win.
+        let auto = RunConfig::default()
+            .with_engine(EngineKind::Serial)
+            .with_engine_auto();
         assert!(auto.engine_is_auto());
-        assert_eq!(auto.engine_for_size(100), EngineKind::Deductive);
-        assert_eq!(auto.engine_for_size(10_000), EngineKind::Parallel);
-        assert_eq!(auto.engine_for_size(50_000), EngineKind::Incremental);
+        assert_eq!(auto.engine(), EngineKind::Incremental);
+        for gates in [0, 100, 1_839, 10_000, 50_000] {
+            assert_eq!(auto.engine_for_size(gates), EngineKind::Incremental);
+        }
         assert!(auto.to_string().contains("engine = auto"), "{auto}");
         let explicit = auto.with_engine(EngineKind::Serial);
         assert!(!explicit.engine_is_auto());
@@ -735,7 +703,7 @@ mod tests {
         assert!(!RunConfig::default().engine_is_auto());
         assert_eq!(
             RunConfig::default().engine_for_size(50_000),
-            EngineKind::Parallel
+            EngineKind::Incremental
         );
     }
 
@@ -813,7 +781,7 @@ mod tests {
         assert_eq!(config.seed_or(7), 1981);
 
         let default = RunConfig::default();
-        assert_eq!(default.engine(), EngineKind::Parallel);
+        assert_eq!(default.engine(), EngineKind::Incremental);
         assert_eq!(default.test_mode(), TestMode::Stored);
         assert_eq!(default.workers(), None);
         assert!(default.effective_workers() >= 1);
@@ -829,7 +797,7 @@ mod tests {
     fn display_names_every_field() {
         let config = RunConfig::new().with_workers(2);
         let rendered = config.to_string();
-        assert!(rendered.contains("engine = parallel"), "{rendered}");
+        assert!(rendered.contains("engine = incremental"), "{rendered}");
         assert!(rendered.contains("workers = 2"), "{rendered}");
         assert!(rendered.contains("base seed = 42"), "{rendered}");
         assert!(rendered.contains("test mode = stored"), "{rendered}");
@@ -886,8 +854,8 @@ mod tests {
         env::set_var(ENGINE_VAR, " AUTO ");
         let config = RunConfig::from_env().expect("auto engine");
         assert!(config.engine_is_auto());
-        assert_eq!(config.engine_for_size(100), EngineKind::Deductive);
-        assert_eq!(config.engine_for_size(50_000), EngineKind::Incremental);
+        assert_eq!(config.engine(), EngineKind::Incremental);
+        assert_eq!(config.engine_for_size(100), EngineKind::Incremental);
 
         env::set_var(ENGINE_VAR, "warp");
         let error = RunConfig::from_env().expect_err("invalid engine");
@@ -896,13 +864,25 @@ mod tests {
         let message = error.to_string();
         assert!(message.contains("LSIQ_ENGINE"), "{message}");
         assert!(
-            message.contains("serial, ppsfp, deductive, parallel or incremental"),
+            message.contains("auto, serial, deductive or incremental"),
             "{message}"
         );
-        assert!(message.contains("auto"), "{message}");
         assert!(message.contains("unset the variable"), "{message}");
 
-        env::set_var(ENGINE_VAR, "parallel");
+        // The retired engine names fail the same way.
+        for retired in ["parallel", "ppsfp"] {
+            env::set_var(ENGINE_VAR, retired);
+            let error = RunConfig::from_env().expect_err("retired engine");
+            assert_eq!(error.value(), retired);
+            assert!(
+                error
+                    .to_string()
+                    .contains("serial, deductive or incremental"),
+                "{error}"
+            );
+        }
+
+        env::set_var(ENGINE_VAR, "incremental");
         env::set_var(WORKERS_VAR, "0");
         let error = RunConfig::from_env().expect_err("zero workers");
         assert_eq!(error.variable(), WORKERS_VAR);

@@ -12,7 +12,7 @@
 //!   a builder or fallibly from the environment in exactly one place
 //!   ([`RunConfig::from_env`], the *only* `LSIQ_*` parsing site in the
 //!   workspace), returning a [`ConfigError`] instead of a panic;
-//! * [`EngineKind`] — the names of the five fault-simulation engines
+//! * [`EngineKind`] — the names of the three fault-simulation engines
 //!   (instantiating them lives in `lsiq-fault`, which this crate does not
 //!   depend on);
 //! * [`ExecutionContext`] — a persistent pool of parked worker threads with

@@ -513,32 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_scopes_and_spawned_jobs() {
-        // Other tests in this binary may run scopes concurrently (inflating
-        // the process-global totals), so assert on deltas being at least
-        // what this test contributed.
-        lsiq_obs::set_mode(lsiq_obs::MetricsMode::Json);
-        let scopes_before = SCOPES.value();
-        let jobs_before = JOBS.value();
-        let context = ExecutionContext::new(2);
-        let mut slots = vec![0u8; 5];
-        context.scope(|scope| {
-            for slot in slots.iter_mut() {
-                scope.spawn(move || *slot = 1);
-            }
-        });
-        assert!(SCOPES.value() > scopes_before);
-        assert!(JOBS.value() >= jobs_before + 5);
-        lsiq_obs::set_mode(lsiq_obs::MetricsMode::Off);
-        assert_eq!(slots, [1, 1, 1, 1, 1]);
-
-        // Disabled mode records nothing further.
-        let jobs_frozen = JOBS.value();
-        context.scope(|scope| scope.spawn(|| {}));
-        assert_eq!(JOBS.value(), jobs_frozen);
-    }
-
-    #[test]
     fn from_config_respects_the_override() {
         let config = RunConfig::default().with_workers(3);
         assert_eq!(ExecutionContext::from_config(&config).workers(), 3);

@@ -10,7 +10,7 @@
 //! circuit-only state it caches) lives here so the two engines cannot
 //! drift apart.
 
-use crate::collapse::{collapse_equivalence, CollapseResult};
+use crate::collapse::collapse_equivalence;
 use crate::universe::{FaultUniverse, SiteTable};
 use lsiq_netlist::circuit::Circuit;
 use std::cell::OnceCell;
@@ -18,20 +18,31 @@ use std::cell::OnceCell;
 /// The circuit-only collapsing state a simulator reuses across `run` calls
 /// (suite builders re-simulate a growing pattern set many times; the
 /// equivalence classes never change).
+///
+/// Only the class of every full-universe position is kept.  Runs on the
+/// full universe — the common case — map faults to classes by position;
+/// any other universe resolves positions through a [`SiteTable`] built on
+/// its first use.
 #[derive(Debug)]
 pub(crate) struct CollapseContext {
-    equivalence: CollapseResult,
-    full: FaultUniverse,
-    table: SiteTable,
+    /// Equivalence class of every full-universe position; classes are
+    /// numbered in order of first appearance.
+    class_of: Vec<u32>,
+    class_count: usize,
+    table: OnceCell<SiteTable>,
 }
 
 impl CollapseContext {
     pub(crate) fn new(circuit: &Circuit) -> CollapseContext {
-        let full = FaultUniverse::full(circuit);
+        let equivalence = collapse_equivalence(circuit);
         CollapseContext {
-            equivalence: collapse_equivalence(circuit),
-            table: SiteTable::new(circuit, &full),
-            full,
+            class_of: equivalence
+                .representative_of
+                .iter()
+                .map(|class| class.expect("equivalence collapsing keeps every class") as u32)
+                .collect(),
+            class_count: equivalence.collapsed.len(),
+            table: OnceCell::new(),
         }
     }
 }
@@ -58,35 +69,29 @@ pub(crate) fn simulation_classes(
         return SimulationClasses::identity(universe.len());
     }
     let context = cache.get_or_init(|| CollapseContext::new(circuit));
-    // The common case is simulating exactly the full universe, where the
-    // fault → full-position mapping is the identity; otherwise resolve
-    // positions through the precomputed O(1) site table.
-    let identical = universe.faults() == context.full.faults();
+    // On the full universe the fault → full-position mapping is the
+    // identity and the classes are already numbered in first-appearance
+    // order.
+    if universe.len() == context.class_of.len() && universe.is_full(circuit) {
+        return SimulationClasses::from_class_of(&context.class_of, context.class_count);
+    }
+    let table = context
+        .table
+        .get_or_init(|| SiteTable::new(circuit, &FaultUniverse::full(circuit)));
     let mut class_of: Vec<u32> = Vec::with_capacity(universe.len());
-    let mut class_of_representative: Vec<Option<u32>> =
-        vec![None; context.equivalence.collapsed.len()];
+    let mut renumbered: Vec<Option<u32>> = vec![None; context.class_count];
     let mut class_count = 0u32;
-    for (index, fault) in universe.iter().enumerate() {
-        let full_position = if identical {
-            Some(index)
-        } else {
-            context.table.position(fault).map(|p| p as usize)
-        };
-        let class = match full_position.and_then(|p| context.equivalence.representative_of[p]) {
-            Some(representative) => {
-                *class_of_representative[representative].get_or_insert_with(|| {
-                    let fresh = class_count;
-                    class_count += 1;
-                    fresh
-                })
-            }
+    let mut fresh = || {
+        class_count += 1;
+        class_count - 1
+    };
+    for fault in universe.iter() {
+        let class = match table.position(fault) {
+            Some(position) => *renumbered[context.class_of[position as usize] as usize]
+                .get_or_insert_with(&mut fresh),
             // A fault outside the full structural universe cannot be
             // collapsed against it; simulate it individually.
-            None => {
-                let fresh = class_count;
-                class_count += 1;
-                fresh
-            }
+            None => fresh(),
         };
         class_of.push(class);
     }

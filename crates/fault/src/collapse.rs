@@ -36,55 +36,6 @@ impl CollapseResult {
             self.collapsed.len() as f64 / self.original_len as f64
         }
     }
-
-    /// Expands a fault list simulated over the *collapsed* universe back to
-    /// the original universe: every original fault inherits its
-    /// representative's first detecting pattern.
-    ///
-    /// For equivalence collapsing this is exact — structurally equivalent
-    /// faults are detected by exactly the same patterns (pinned by this
-    /// module's tests), so the expanded list is byte-identical to a
-    /// full-universe simulation while the simulation itself carried ~40–60
-    /// percent fewer faults.  This is how the suite builder applies
-    /// collapsing on the hot path without changing any reported coverage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `collapsed_list` does not match this result's collapsed
-    /// universe, if `original` does not match the original universe's size,
-    /// or if this result came from [`collapse_dominance`]: a
-    /// dominance-removed fault's detection is *implied* but its first
-    /// detecting pattern is unknown, so expansion would silently
-    /// under-report it — only equivalence-only results can be expanded.
-    pub fn expand_fault_list(
-        &self,
-        collapsed_list: &crate::list::FaultList,
-        original: &FaultUniverse,
-    ) -> crate::list::FaultList {
-        assert_eq!(
-            collapsed_list.len(),
-            self.collapsed.len(),
-            "collapsed list does not match the collapsed universe"
-        );
-        assert_eq!(
-            original.len(),
-            self.original_len,
-            "original universe does not match the collapsing pass"
-        );
-        assert!(
-            self.representative_of.iter().all(|r| r.is_some()),
-            "cannot expand a dominance-collapse result: removed classes have no first-pattern data"
-        );
-        let mut expanded = crate::list::FaultList::new(original);
-        for (index, representative) in self.representative_of.iter().enumerate() {
-            if let Some(representative) = representative {
-                if let Some(pattern) = collapsed_list.state(*representative).first_pattern() {
-                    expanded.mark_detected(index, pattern);
-                }
-            }
-        }
-        expanded
-    }
 }
 
 /// Simple union-find over fault indices.
@@ -266,10 +217,16 @@ pub fn collapse_dominance(circuit: &Circuit) -> CollapseResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ppsfp::PpsfpSimulator;
+    use crate::incremental::IncrementalSimulator;
     use crate::simulator::FaultSimulator;
     use lsiq_netlist::library;
     use lsiq_sim::pattern::{Pattern, PatternSet};
+
+    /// An engine that simulates every requested fault itself, so these
+    /// tests never lean on the collapsing they check.
+    fn uncollapsed(circuit: &Circuit) -> IncrementalSimulator<'_> {
+        IncrementalSimulator::new(circuit).with_collapsing(false)
+    }
 
     #[test]
     fn equivalence_reduces_the_universe() {
@@ -313,31 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn expanding_a_collapsed_run_matches_the_full_run() {
-        let circuit = library::c17();
-        let patterns: PatternSet = (0..20)
-            .map(|v| Pattern::from_integer(v * 3 % 32, 5))
-            .collect();
-        let full = FaultUniverse::full(&circuit);
-        let equivalence = collapse_equivalence(&circuit);
-        let sim = PpsfpSimulator::new(&circuit);
-        let full_list = sim.run(&full, &patterns);
-        let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
-        let expanded = equivalence.expand_fault_list(&collapsed_list, &full);
-        assert_eq!(expanded, full_list);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot expand a dominance-collapse result")]
-    fn expanding_a_dominance_result_panics() {
-        let circuit = library::c17();
-        let patterns: PatternSet = (0..8).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dominance = collapse_dominance(&circuit);
-        let collapsed_list = PpsfpSimulator::new(&circuit).run(&dominance.collapsed, &patterns);
-        let _ = dominance.expand_fault_list(&collapsed_list, &FaultUniverse::full(&circuit));
-    }
-
-    #[test]
     fn dominance_is_at_least_as_small_as_equivalence() {
         let circuit = library::c17();
         let equivalence = collapse_equivalence(&circuit);
@@ -354,7 +286,7 @@ mod tests {
         let circuit = library::c17();
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
         let result = collapse_equivalence(&circuit);
-        let sim = PpsfpSimulator::new(&circuit);
+        let sim = uncollapsed(&circuit);
         let collapsed_list = sim.run(&result.collapsed, &patterns);
         assert_eq!(collapsed_list.detected_count(), result.collapsed.len());
     }
@@ -381,7 +313,7 @@ mod tests {
             let full = FaultUniverse::full(circuit);
             let equivalence = collapse_equivalence(circuit);
             assert!(equivalence.ratio() < 1.0, "{name}: nothing collapsed");
-            let sim = PpsfpSimulator::new(circuit);
+            let sim = uncollapsed(circuit);
             let full_list = sim.run(&full, &patterns);
             let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
             assert_eq!(
@@ -425,7 +357,7 @@ mod tests {
                 .collect();
             let full = FaultUniverse::full(circuit);
             let equivalence = collapse_equivalence(circuit);
-            let sim = PpsfpSimulator::new(circuit);
+            let sim = uncollapsed(circuit);
             let full_list = sim.run(&full, &patterns);
             let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
             for (index, representative) in equivalence.representative_of.iter().enumerate() {
@@ -463,7 +395,7 @@ mod tests {
                 dominance.collapsed.len() < equivalence.collapsed.len(),
                 "{name}: dominance removed nothing"
             );
-            let sim = PpsfpSimulator::new(circuit);
+            let sim = uncollapsed(circuit);
             let dominance_list = sim.run(&dominance.collapsed, &patterns);
             let full_list = sim.run(&FaultUniverse::full(circuit), &patterns);
             assert_eq!(dominance_list.coverage(), 1.0, "{name}");

@@ -121,7 +121,7 @@ impl CoverageCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ppsfp::PpsfpSimulator;
+    use crate::incremental::IncrementalSimulator;
     use crate::simulator::FaultSimulator;
     use crate::universe::FaultUniverse;
     use lsiq_netlist::library;
@@ -131,7 +131,7 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         CoverageCurve::from_fault_list(&list, patterns.len())
     }
 

@@ -4,9 +4,9 @@
 //! the *fault list* of each signal: the set of single stuck-at faults whose
 //! presence would complement that signal's value under this pattern.  Faults
 //! appearing in the list of any primary output are detected by the pattern.
-//! The algorithm simulates all faults of a pattern simultaneously and is the
-//! third, independent implementation used to cross-check the serial and
-//! PPSFP simulators.
+//! The algorithm simulates all faults of a pattern simultaneously and is an
+//! independent oracle the incremental engine is cross-checked against: it
+//! shares nothing with fanout-cone propagation.
 //!
 //! # List representation
 //!
@@ -130,8 +130,8 @@ impl FaultSimulator for DeductiveSimulator<'_> {
         let circuit = self.compiled.circuit();
         let input_count = circuit.primary_inputs().len();
         // Good-machine values are computed 64 patterns at a time with packed
-        // words (shared with the PPSFP engine) and unpacked per pattern; the
-        // word, value and detection buffers are all reused across blocks.
+        // words and unpacked per pattern; the word, value and detection
+        // buffers are all reused across blocks.
         let mut words: Vec<u64> = Vec::new();
         let mut values: Vec<bool> = vec![false; circuit.gate_count()];
         let mut detected: Vec<u32> = Vec::new();
@@ -344,7 +344,6 @@ impl<'a, 'c> Propagation<'a, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ppsfp::PpsfpSimulator;
     use crate::serial::SerialSimulator;
     use lsiq_netlist::generator::{random_circuit, RandomCircuitConfig};
     use lsiq_netlist::library;
@@ -391,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_ppsfp_on_random_logic() {
+    fn matches_serial_on_random_logic() {
         let circuit = random_circuit(&RandomCircuitConfig {
             inputs: 10,
             gates: 80,
@@ -400,9 +399,9 @@ mod tests {
         });
         let universe = FaultUniverse::full(&circuit);
         let patterns = random_patterns(10, 40, 3);
-        let ppsfp = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
         let deductive = DeductiveSimulator::new(&circuit).run(&universe, &patterns);
-        assert_identical(&ppsfp, &deductive, &circuit, &universe);
+        assert_identical(&serial, &deductive, &circuit, &universe);
     }
 
     #[test]

@@ -1,96 +1,59 @@
-//! Event-driven incremental fault simulation.
+//! Event-driven incremental fault simulation — the production engine.
 //!
-//! The four other engines re-evaluate the full circuit per fault
-//! ([serial](crate::serial), [PPSFP](crate::ppsfp),
-//! [parallel](crate::parallel)) or per pattern
-//! ([deductive](crate::deductive)).  This engine exploits the observation
-//! that a single stuck-at fault disturbs only its *fanout cone*: the good
-//! machine is evaluated **once** per 64-pattern block, and each fault then
-//! only seeds its fault site with the faulty word and propagates the
-//! difference event-by-event, level-by-level, through the cone.  The
-//! propagation stops as soon as the event frontier dies (every disturbed
-//! word re-converged with the good machine) or runs out of circuit, so the
-//! per-fault cost is proportional to the size of the *disturbed* cone —
-//! usually a tiny fraction of the netlist — instead of the whole circuit.
-//! On large circuits (tens of thousands of gates and beyond) this is the
-//! fastest engine in the workspace; see `docs/ENGINES.md` for the full
-//! comparison.
-//!
-//! # Event propagation
-//!
-//! Gates are processed in level order through per-level dirty buckets, so
-//! every gate in the cone is evaluated at most once per (fault, block):
-//! when a level-`L` gate is popped, all of its disturbed drivers (levels
-//! `< L`) are final.  The faulty-value and scheduled-gate arrays are
-//! epoch-stamped — bumping one counter invalidates all per-fault state, so
-//! nothing is cleared between faults and, in the spirit of the deductive
-//! engine's `ListArena`, nothing is allocated after warm-up.
+//! The [serial](crate::serial) oracle re-evaluates the full circuit per
+//! fault and pattern, and the [deductive](crate::deductive) oracle per
+//! pattern.  This engine exploits the observation that a single stuck-at
+//! fault disturbs only its *fanout cone*: the good machine is evaluated
+//! **once** per packed pattern chunk, and each fault then only seeds its
+//! fault site and propagates the difference through the cone with the
+//! [cone kernel](crate::cone).  The per-fault cost is proportional to the
+//! size of the *disturbed* cone — usually a tiny fraction of the netlist —
+//! instead of the whole circuit.  See `docs/ENGINES.md` for measurements.
 //!
 //! # Detection semantics
 //!
-//! Whenever a disturbed gate is a primary output, the XOR of its faulty and
-//! good words (masked to the block's valid patterns) is accumulated; the
-//! first set bit of the accumulated word is the fault's earliest detecting
-//! pattern within the block.  This reproduces the PPSFP rule exactly, so
-//! the reported [`FaultList`] is byte-identical to every other engine
+//! The kernel returns the error word of every primary output the fault
+//! reaches; their OR is the chunk's detection word, and its first set bit
+//! is the fault's earliest detecting pattern within the chunk.  The
+//! reported [`FaultList`] is therefore byte-identical to the oracles'
 //! (enforced by `tests/engine_differential.rs`).
 //!
 //! # Collapsing and sharding
 //!
-//! Like the deductive engine, the incremental engine simulates one
-//! representative per structural equivalence class by default (see
-//! [`with_collapsing`](IncrementalSimulator::with_collapsing)).  Runs are
-//! single-threaded by default; binding an
-//! [`ExecutionContext`] via
+//! The engine simulates one representative per structural equivalence
+//! class by default (see
+//! [`with_collapsing`](IncrementalSimulator::with_collapsing)); callers
+//! hand it the universe they report on, and collapsing happens here, once.
+//! Runs are single-threaded by default; binding an [`ExecutionContext`] via
 //! [`with_context`](IncrementalSimulator::with_context) (which
 //! `EngineKind::build_in` does automatically) shards the simulation classes
-//! across the pool's workers, each with its own scratch state, with results
-//! identical at any worker count.
+//! across the pool's workers, each with its own kernel scratch state, with
+//! results identical at any worker count.
 
 use crate::classes::{simulation_classes, CollapseContext, SimulationClasses};
+use crate::cone::{good_chunks, ConePropagator, GoodChunk};
 use crate::list::FaultList;
-use crate::model::{Fault, FaultSite};
+use crate::model::Fault;
 use crate::simulator::FaultSimulator;
 use crate::telemetry;
 use crate::universe::FaultUniverse;
 use lsiq_exec::{ExecutionContext, LaneWidth};
-use lsiq_netlist::circuit::{Circuit, GateId};
-use lsiq_netlist::levelize::Levelization;
+use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::Span;
-use lsiq_sim::cache::{circuit_fingerprint, GoodMachineCache};
-use lsiq_sim::eval::eval_chunk;
+use lsiq_sim::cache::GoodMachineCache;
 use lsiq_sim::levelized::CompiledCircuit;
 use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
 use std::cell::OnceCell;
-use std::sync::Arc;
 
 static GOOD_MACHINE: Span = Span::new("engine.incremental.good_machine");
 static PROPAGATE: Span = Span::new("engine.incremental.propagate");
 
-/// One precomputed lane-wide chunk: the good-machine chunk of every gate
-/// (indexed by gate id) and the valid-slot mask.  The per-gate image is
-/// behind an [`Arc`] so a shared [`GoodMachineCache`] entry can be used
-/// in place without a copy.
-struct Block<const L: usize> {
-    words: Arc<Vec<PackedBlock<L>>>,
-    valid: PackedBlock<L>,
-}
-
-/// One simulation class's seed: the representative fault and the level of
-/// the gate whose evaluation it directly affects.
-#[derive(Clone, Copy)]
-struct Seed {
-    fault: Fault,
-    level: u32,
-}
-
 /// An event-driven incremental fault simulator.
 ///
-/// Good-machine words are computed once per 64-pattern block; each fault
-/// re-evaluates only its disturbed fanout cone.  See the [module
-/// docs](self) for the algorithm and `docs/ENGINES.md` for when to pick
-/// this engine.
+/// Good-machine words are computed once per packed pattern chunk; each
+/// fault re-evaluates only its disturbed fanout cone.  See the [module
+/// docs](self) for the algorithm and `docs/ENGINES.md` for measurements.
 ///
 /// ```
 /// use lsiq_fault::incremental::IncrementalSimulator;
@@ -104,7 +67,7 @@ struct Seed {
 /// let universe = FaultUniverse::full(&circuit);
 /// let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
 /// let incremental = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
-/// // Byte-identical to every other engine; c17 is fully testable.
+/// // Byte-identical to the oracles; c17 is fully testable.
 /// let deductive = DeductiveSimulator::new(&circuit).run(&universe, &patterns);
 /// assert_eq!(incremental, deductive);
 /// assert_eq!(incremental.detected_count(), universe.len());
@@ -150,11 +113,10 @@ impl<'c> IncrementalSimulator<'c> {
         self
     }
 
-    /// Shares a [`GoodMachineCache`] for the per-chunk good-machine images
-    /// (see
-    /// [`PpsfpSimulator::with_cache`](crate::ppsfp::PpsfpSimulator::with_cache)).
-    /// The incremental engine benefits the most: it keeps the *full*
-    /// per-gate image per chunk, exactly what the cache stores.
+    /// Shares a [`GoodMachineCache`] for the per-chunk good-machine images:
+    /// the engine keeps the *full* per-gate image of every chunk, exactly
+    /// what the cache stores, so a hit is used in place.  Results are
+    /// identical with or without a cache.
     pub fn with_cache(mut self, cache: &'c GoodMachineCache) -> Self {
         self.cache = Some(cache);
         self
@@ -209,36 +171,6 @@ impl<'c> IncrementalSimulator<'c> {
         requested.min(useful).max(1)
     }
 
-    /// Packs every lane-wide chunk and evaluates its good machine once —
-    /// through the shared cache when one is bound.
-    ///
-    /// The full per-gate chunk image of every chunk is kept (O(gates ×
-    /// chunks × lanes) words) so class shards can replay chunks
-    /// independently without re-simulating the good machine.
-    fn precompute_blocks<const L: usize>(&self, patterns: &PatternSet) -> Vec<Block<L>> {
-        let circuit = self.compiled.circuit();
-        let input_count = circuit.primary_inputs().len();
-        let fingerprint = self.cache.map(|_| circuit_fingerprint(circuit));
-        let mut blocks = Vec::with_capacity(patterns.chunk_count(L));
-        for chunk in 0..patterns.chunk_count(L) {
-            let (inputs, pattern_count) = patterns.pack_chunk::<L>(input_count, chunk);
-            if pattern_count == 0 {
-                break;
-            }
-            let words = match (self.cache, fingerprint) {
-                (Some(cache), Some(fingerprint)) => {
-                    cache.node_chunks_keyed(fingerprint, &self.compiled, &inputs, pattern_count)
-                }
-                _ => Arc::new(self.compiled.node_chunks(&inputs)),
-            };
-            blocks.push(Block {
-                words,
-                valid: PackedBlock::valid_mask(pattern_count),
-            });
-        }
-        blocks
-    }
-
     /// Partitions the universe's fault indices into groups that provably
     /// share their set of detecting patterns (see
     /// [`classes::simulation_classes`](simulation_classes)).
@@ -259,68 +191,50 @@ impl<'c> IncrementalSimulator<'c> {
         universe: &FaultUniverse,
         patterns: &PatternSet,
     ) -> FaultList {
-        let mut list = FaultList::new(universe);
         if universe.is_empty() || patterns.is_empty() {
-            return list;
+            return FaultList::new(universe);
         }
+        // Classes first: the first run builds the circuit's collapsing
+        // state, and its scratch should not stack on the run's buffers.
         let classes = self.simulation_classes(universe);
-        let circuit = self.compiled.circuit();
-        let levelization = self.compiled.levelization();
-        let blocks = {
-            let _timer = GOOD_MACHINE.start();
-            self.precompute_blocks::<L>(patterns)
-        };
-        if blocks.is_empty() {
-            return list;
-        }
-        telemetry::RUNS.incr();
-        telemetry::FAULTS.add(classes.count() as u64);
-        telemetry::GOOD_EVALS.add(blocks.len() as u64);
-        let seeds: Vec<Seed> = (0..classes.count() as u32)
-            .map(|class| {
-                let fault = *universe
-                    .get(classes.representative(class) as usize)
-                    .expect("class member in range");
-                Seed {
-                    fault,
-                    level: levelization.level(fault.site.affected_gate()) as u32,
-                }
-            })
-            .collect();
-        let mut is_output = vec![false; circuit.gate_count()];
-        for &out in circuit.primary_outputs() {
-            is_output[out.index()] = true;
-        }
-
-        let shards = self.shard_count(seeds.len());
-        let chunk = seeds.len().div_ceil(shards);
+        let shards = self.shard_count(classes.count());
+        let shard_len = classes.count().div_ceil(shards);
         let drop_detected = self.drop_detected;
-        let detections: Vec<Vec<Option<usize>>> = if shards == 1 {
-            vec![simulate_shard(
-                circuit,
-                levelization,
-                &is_output,
-                &blocks,
-                &seeds,
-                drop_detected,
-            )]
-        } else {
-            let shard_seeds: Vec<&[Seed]> = seeds.chunks(chunk).collect();
-            self.execution_context().scope_map(shard_seeds, |shard| {
-                simulate_shard(
-                    circuit,
-                    levelization,
-                    &is_output,
-                    &blocks,
-                    shard,
+        let detections: Vec<Vec<Option<usize>>> = {
+            let chunks = {
+                let _timer = GOOD_MACHINE.start();
+                good_chunks::<L>(&self.compiled, patterns, self.cache)
+            };
+            telemetry::RUNS.incr();
+            telemetry::FAULTS.add(classes.count() as u64);
+            telemetry::GOOD_EVALS.add(chunks.len() as u64);
+            let representatives: Vec<Fault> = (0..classes.count() as u32)
+                .map(|class| {
+                    *universe
+                        .get(classes.representative(class) as usize)
+                        .expect("class member in range")
+                })
+                .collect();
+            let compiled = &self.compiled;
+            if shards == 1 {
+                vec![simulate_shard(
+                    compiled,
+                    &chunks,
+                    &representatives,
                     drop_detected,
-                )
-            })
+                )]
+            } else {
+                let shard_faults: Vec<&[Fault]> = representatives.chunks(shard_len).collect();
+                self.execution_context().scope_map(shard_faults, |shard| {
+                    simulate_shard(compiled, &chunks, shard, drop_detected)
+                })
+            }
         };
 
+        let mut list = FaultList::new(universe);
         let mut drops = 0u64;
         for (shard, shard_detections) in detections.into_iter().enumerate() {
-            let base = shard * chunk;
+            let base = shard * shard_len;
             for (local, detection) in shard_detections.into_iter().enumerate() {
                 if let Some(pattern) = detection {
                     if drop_detected {
@@ -351,132 +265,30 @@ impl FaultSimulator for IncrementalSimulator<'_> {
     }
 }
 
-/// Simulates one contiguous shard of simulation classes over all chunks,
-/// returning the first detecting pattern per class (shard-local order).
-///
-/// All scratch state — faulty chunks, epoch stamps, per-level dirty buckets,
-/// the fanin gather buffer — is allocated once per shard and reused for
-/// every (class, chunk) pair.
+/// Simulates one contiguous shard of class representatives over all
+/// chunks, returning the first detecting pattern per representative
+/// (shard-local order).  One kernel's scratch state serves the whole shard.
 fn simulate_shard<const L: usize>(
-    circuit: &Circuit,
-    levelization: &Levelization,
-    is_output: &[bool],
-    blocks: &[Block<L>],
-    seeds: &[Seed],
+    compiled: &CompiledCircuit<'_>,
+    chunks: &[GoodChunk<L>],
+    faults: &[Fault],
     drop_detected: bool,
 ) -> Vec<Option<usize>> {
     let _timer = PROPAGATE.start();
-    let gate_count = circuit.gate_count();
-    // Faulty chunks and their validity stamp: `faulty[g]` is live iff
-    // `value_stamp[g] == epoch`, so advancing the epoch resets everything.
-    let mut faulty = vec![PackedBlock::<L>::ZERO; gate_count];
-    let mut value_stamp = vec![0u64; gate_count];
-    let mut sched_stamp = vec![0u64; gate_count];
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); levelization.depth() + 1];
-    let mut fanin_words: Vec<PackedBlock<L>> = Vec::new();
-    let mut epoch = 0u64;
-    let mut first_detection: Vec<Option<usize>> = vec![None; seeds.len()];
-
-    for (local, seed) in seeds.iter().enumerate() {
-        let site_id = seed.fault.site.affected_gate();
-        let site = site_id.index();
-        let stuck = PackedBlock::<L>::splat(seed.fault.stuck.as_bool());
-        for (block_index, block) in blocks.iter().enumerate() {
-            if first_detection[local].is_some() && drop_detected {
+    let mut cone = ConePropagator::<L>::new(compiled);
+    let mut first_detection: Vec<Option<usize>> = vec![None; faults.len()];
+    for (fault, first) in faults.iter().zip(first_detection.iter_mut()) {
+        for (index, chunk) in chunks.iter().enumerate() {
+            if first.is_some() && drop_detected {
                 break;
             }
-            epoch += 1;
-            let good: &[PackedBlock<L>] = &block.words;
-            // Seed the fault site: an output fault pins the gate's chunk to
-            // the stuck value; a pin fault re-evaluates the loading gate
-            // with that one pin's chunk replaced.
-            let seeded = match seed.fault.site {
-                FaultSite::Output(_) => stuck,
-                FaultSite::InputPin { gate, pin } => {
-                    let load = circuit.gate(gate);
-                    fanin_words.clear();
-                    for (position, &driver) in load.fanin().iter().enumerate() {
-                        fanin_words.push(if position == pin {
-                            stuck
-                        } else {
-                            good[driver.index()]
-                        });
-                    }
-                    eval_chunk(load.kind(), &fanin_words)
-                }
-            };
-            // Restricting the seeded difference to valid slots keeps every
-            // downstream chunk bitwise equal to the good machine outside the
-            // chunk, killing events earlier and masking nothing (packed
-            // evaluation is slot-independent).
-            let diff = (seeded ^ good[site]) & block.valid;
-            if diff.is_zero() {
-                continue; // fault not excited by any pattern of this chunk
-            }
-            faulty[site] = good[site] ^ diff;
-            value_stamp[site] = epoch;
-            let mut detect = if is_output[site] {
-                diff
-            } else {
-                PackedBlock::ZERO
-            };
-            let mut pending = 0usize;
-            for &load in circuit.fanout(site_id) {
-                let index = load.index();
-                if sched_stamp[index] != epoch {
-                    sched_stamp[index] = epoch;
-                    buckets[levelization.level(load)].push(index as u32);
-                    pending += 1;
-                }
-            }
-            // Drain dirty buckets in level order; a drained gate only ever
-            // schedules strictly higher levels, so each cone gate is
-            // evaluated at most once and its drivers are final when popped.
-            let mut level = seed.level as usize + 1;
-            while pending > 0 {
-                while buckets[level].is_empty() {
-                    level += 1;
-                }
-                let mut bucket = std::mem::take(&mut buckets[level]);
-                for &dirty in &bucket {
-                    pending -= 1;
-                    let dirty_index = dirty as usize;
-                    let id = GateId(dirty_index);
-                    let gate = circuit.gate(id);
-                    fanin_words.clear();
-                    for &driver in gate.fanin() {
-                        let driver_index = driver.index();
-                        fanin_words.push(if value_stamp[driver_index] == epoch {
-                            faulty[driver_index]
-                        } else {
-                            good[driver_index]
-                        });
-                    }
-                    let word = eval_chunk(gate.kind(), &fanin_words);
-                    let delta = word ^ good[dirty_index];
-                    if delta.is_zero() {
-                        continue; // event died: cone re-converged here
-                    }
-                    faulty[dirty_index] = word;
-                    value_stamp[dirty_index] = epoch;
-                    if is_output[dirty_index] {
-                        detect |= delta;
-                    }
-                    for &load in circuit.fanout(id) {
-                        let index = load.index();
-                        if sched_stamp[index] != epoch {
-                            sched_stamp[index] = epoch;
-                            buckets[levelization.level(load)].push(index as u32);
-                            pending += 1;
-                        }
-                    }
-                }
-                bucket.clear();
-                buckets[level] = bucket;
-            }
-            if first_detection[local].is_none() {
+            let detect = cone
+                .propagate(fault, &chunk.words, chunk.valid)
+                .iter()
+                .fold(PackedBlock::ZERO, |detect, &(_, error)| detect | error);
+            if first.is_none() {
                 if let Some(slot) = detect.first_set_slot() {
-                    first_detection[local] = Some(block_index * PackedBlock::<L>::PATTERNS + slot);
+                    *first = Some(index * PackedBlock::<L>::PATTERNS + slot);
                 }
             }
         }
@@ -487,7 +299,6 @@ fn simulate_shard<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ppsfp::PpsfpSimulator;
     use crate::serial::SerialSimulator;
     use lsiq_netlist::generator::{random_circuit, RandomCircuitConfig};
     use lsiq_netlist::library;
@@ -512,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_ppsfp_on_random_logic_across_blocks() {
+    fn matches_serial_on_random_logic_across_blocks() {
         let circuit = random_circuit(&RandomCircuitConfig {
             inputs: 11,
             gates: 140,
@@ -522,9 +333,9 @@ mod tests {
         let universe = FaultUniverse::full(&circuit);
         // More than 64 patterns so detection indices cross block boundaries.
         let patterns = random_patterns(11, 150, 5);
-        let ppsfp = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
         let incremental = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
-        assert_eq!(ppsfp, incremental);
+        assert_eq!(serial, incremental);
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! * [`collapse`] — structural equivalence and dominance collapsing,
 //! * [`list`] — fault lists with detection status and coverage accounting,
 //! * [`simulator`] — the [`FaultSimulator`] trait every engine implements,
-//! * [`serial`], [`ppsfp`], [`deductive`], [`parallel`], [`incremental`] —
-//!   five independent fault-simulation algorithms (serial, 64-pattern-parallel
-//!   single fault propagation, deductive, the multi-threaded sharded engine,
-//!   and event-driven incremental cone propagation), which cross-check each
-//!   other in the test suites; the architecture guide comparing them is
-//!   `docs/ENGINES.md` at the repository root,
+//! * [`incremental`] — the production engine: event-driven propagation of
+//!   each fault through its fanout cone, one packed pattern chunk at a time,
+//!   on the [`cone`] kernel the BIST signature sweep shares,
+//! * [`serial`], [`deductive`] — two independent oracles (one fault and one
+//!   pattern at a time; all faults of a pattern at once via fault lists)
+//!   the production engine is cross-checked against in the test suites;
+//!   the architecture guide is `docs/ENGINES.md` at the repository root,
 //! * [`coverage`] — cumulative fault-coverage curves as a function of the
 //!   number of applied patterns (the paper's `f` axis), and
 //! * [`dictionary`] — per-fault first-failing-pattern records, the raw
@@ -25,13 +26,13 @@
 //! use lsiq_netlist::library;
 //! use lsiq_sim::pattern::{Pattern, PatternSet};
 //! use lsiq_fault::universe::FaultUniverse;
-//! use lsiq_fault::parallel::ParallelSimulator;
+//! use lsiq_fault::incremental::IncrementalSimulator;
 //! use lsiq_fault::simulator::FaultSimulator;
 //!
 //! let circuit = library::c17();
 //! let universe = FaultUniverse::full(&circuit);
 //! let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-//! let result = ParallelSimulator::new(&circuit).run(&universe, &patterns);
+//! let result = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
 //! assert!(result.coverage() > 0.99); // exhaustive patterns detect everything
 //! ```
 
@@ -39,6 +40,7 @@ mod classes;
 mod telemetry;
 
 pub mod collapse;
+pub mod cone;
 pub mod coverage;
 pub mod deductive;
 pub mod dictionary;
@@ -46,8 +48,6 @@ pub mod incremental;
 pub mod inject;
 pub mod list;
 pub mod model;
-pub mod parallel;
-pub mod ppsfp;
 pub mod serial;
 pub mod simulator;
 pub mod universe;
@@ -56,6 +56,5 @@ pub use coverage::CoverageCurve;
 pub use incremental::IncrementalSimulator;
 pub use list::{DetectionState, FaultList, ListArena, ListRef};
 pub use model::{Fault, FaultSite, StuckValue};
-pub use parallel::ParallelSimulator;
 pub use simulator::{BuildEngine, EngineKind, FaultSimulator};
 pub use universe::{FaultUniverse, SiteTable};

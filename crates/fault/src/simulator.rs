@@ -1,19 +1,15 @@
 //! The common interface of every fault-simulation engine.
 //!
-//! Five engines implement [`FaultSimulator`]:
+//! Three engines implement [`FaultSimulator`]:
 //!
-//! * [`SerialSimulator`] — one fault, one
-//!   pattern at a time; the reference implementation,
-//! * [`PpsfpSimulator`] — 64 patterns packed
-//!   into machine words, one fault at a time,
-//! * [`DeductiveSimulator`] — all
-//!   faults of a pattern at once via signal fault lists,
-//! * [`ParallelSimulator`] — the default
-//!   production engine: the fault universe sharded across threads, each shard
-//!   simulating 64-packed pattern words with fault dropping,
-//! * [`IncrementalSimulator`] — event-driven cone propagation: the good
-//!   machine once per 64-pattern block, then per fault only the disturbed
-//!   fanout cone; the large-circuit engine.
+//! * [`IncrementalSimulator`] — the production engine: the good machine
+//!   once per packed pattern chunk, then per fault only the disturbed
+//!   fanout cone (the [cone kernel](crate::cone)), sharded across a worker
+//!   pool, with equivalence collapsing inside the engine,
+//! * [`SerialSimulator`] — one fault, one pattern at a time through the
+//!   whole netlist; the obviously-correct reference,
+//! * [`DeductiveSimulator`] — all faults of a pattern at once via signal
+//!   fault lists; an oracle that shares nothing with cone propagation.
 //!
 //! All engines report *identical* detection results (the first detecting
 //! pattern of every fault, in application order); they differ only in speed.
@@ -22,50 +18,26 @@
 //!
 //! # Choosing an engine
 //!
-//! Pick by workload shape; [`EngineKind`] names the five choices for
-//! configuration knobs (`TestSuiteBuilder::engine`, the `LSIQ_ENGINE`
-//! environment variable of the bench binaries).  The full guide with data
-//! structures, complexity and a decision table is `docs/ENGINES.md`; in
-//! brief:
+//! [`EngineKind`] names the three choices for configuration knobs
+//! (`TestSuiteBuilder::engine`, the `LSIQ_ENGINE` environment variable);
+//! `docs/ENGINES.md` has the data structures and measurements.  Use
+//! `Incremental` (the default) for everything; `Serial` and `Deductive`
+//! exist to cross-check it:
 //!
 //! * **Serial** re-simulates the whole circuit for every `(pattern, fault)`
-//!   pair — `O(patterns × faults × gates)`.  It exists to be obviously
-//!   correct; use it only as a cross-check oracle on small circuits.
-//! * **PPSFP** cuts the pattern dimension by 64 with packed words.  Strong
-//!   when patterns are plentiful and the fault count is moderate, and the
-//!   per-run setup is the cheapest of the fast engines, so it also wins on
-//!   very small circuits.
-//! * **Deductive** removes the fault dimension entirely: one topological
-//!   pass per pattern computes every signal's *fault list* (the set of
-//!   faults that would complement it).  Lists are sorted interned `u32`
-//!   slices in a bump [`ListArena`](crate::list::ListArena) — merges are
-//!   linear scans, handles are shared instead of copied, and all buffers
-//!   are reused across patterns — and by default only one representative
-//!   per structural equivalence class is propagated.  This makes it the
-//!   fastest single-threaded engine by roughly an order of magnitude on
-//!   LSI-scale circuits and the natural *oracle* for differential tests:
-//!   its cost is independent of the fault-universe size regime that slows
-//!   the fault-injection engines down.
-//! * **Parallel** shards the fault universe across hardware threads on top
-//!   of the PPSFP core.  Best wall-clock on large universes with many
-//!   patterns (the production-line Monte-Carlo); pointless for tiny runs
-//!   where thread spawn dominates.
-//! * **Incremental** keeps the good machine per 64-pattern block and
-//!   re-evaluates only each fault's disturbed fanout cone, level by level,
-//!   until the event frontier dies.  Per-fault cost scales with the cone,
-//!   not the circuit, so it pulls ahead of deductive as circuits grow past
-//!   tens of thousands of gates (ISCAS scale and beyond).
-//!
-//! When in doubt: `Parallel` for throughput, `Deductive` for verification
-//! work and single-core latency on small-to-medium circuits, `Incremental`
-//! for very large circuits, `Serial` for debugging a disagreement.
+//!   pair — `O(patterns × faults × gates)`.  Use it to debug a
+//!   disagreement on a small circuit.
+//! * **Deductive** removes the fault dimension: one topological pass per
+//!   pattern computes every signal's *fault list* (the set of faults that
+//!   would complement it), as sorted `u32` slices in a bump
+//!   [`ListArena`](crate::list::ListArena).  Its algorithm shares nothing
+//!   with event-driven propagation, which makes it the natural oracle for
+//!   differential tests.
 
 use crate::coverage::CoverageCurve;
 use crate::deductive::DeductiveSimulator;
 use crate::incremental::IncrementalSimulator;
 use crate::list::FaultList;
-use crate::parallel::ParallelSimulator;
-use crate::ppsfp::PpsfpSimulator;
 use crate::serial::SerialSimulator;
 use crate::universe::FaultUniverse;
 use lsiq_exec::{ExecutionContext, LaneWidth};
@@ -103,35 +75,20 @@ pub trait FaultSimulator {
     }
 }
 
-/// Instantiation of fault-simulation engines from [`EngineKind`] values.
-///
-/// `EngineKind` itself lives in `lsiq_exec` (pure configuration data, so a
-/// `RunConfig` can carry it without a dependency cycle); this extension
-/// trait supplies the constructors and is implemented for `EngineKind`
-/// alone.  Import it alongside the kind:
-///
-/// ```
-/// use lsiq_fault::simulator::{BuildEngine, EngineKind};
-/// use lsiq_netlist::library;
-///
-/// let circuit = library::c17();
-/// let engine = EngineKind::Deductive.build(&circuit);
-/// assert_eq!(engine.name(), "deductive");
-/// ```
 /// Everything an engine build can be configured with, in one bundle.
 ///
 /// Each engine applies the options it understands and ignores the rest:
-/// the serial and deductive engines are word-oriented and single-threaded,
-/// so only `fault_dropping` reaches them; PPSFP adds `lanes` and `cache`;
-/// the parallel and incremental engines honour all four fields.
+/// the serial and deductive oracles are single-threaded and unpacked or
+/// word-oriented, so only `fault_dropping` reaches them; the incremental
+/// engine honours all four fields.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions<'c> {
-    /// Persistent worker pool for the sharding engines (`None` uses the
-    /// process-wide default pool).
+    /// Persistent worker pool for the sharding engine (`None` runs it on
+    /// the calling thread).
     pub context: Option<&'c ExecutionContext>,
-    /// Packed lane width for the chunked engines.
+    /// Packed lane width for the chunked engine.
     pub lanes: LaneWidth,
-    /// Shared good-machine cache for the chunked engines.
+    /// Shared good-machine cache for the chunked engine.
     pub cache: Option<&'c GoodMachineCache>,
     /// Whether detected faults are dropped from further simulation.
     pub fault_dropping: bool,
@@ -148,6 +105,21 @@ impl Default for EngineOptions<'_> {
     }
 }
 
+/// Instantiation of fault-simulation engines from [`EngineKind`] values.
+///
+/// `EngineKind` itself lives in `lsiq_exec` (pure configuration data, so a
+/// `RunConfig` can carry it without a dependency cycle); this extension
+/// trait supplies the constructors and is implemented for `EngineKind`
+/// alone.  Import it alongside the kind:
+///
+/// ```
+/// use lsiq_fault::simulator::{BuildEngine, EngineKind};
+/// use lsiq_netlist::library;
+///
+/// let circuit = library::c17();
+/// let engine = EngineKind::Deductive.build(&circuit);
+/// assert_eq!(engine.name(), "deductive");
+/// ```
 pub trait BuildEngine {
     /// Instantiates the engine for `circuit` with its default settings
     /// (fault dropping on; collapsing on for the deductive engine).
@@ -161,11 +133,10 @@ pub trait BuildEngine {
     ) -> Box<dyn FaultSimulator + 'c>;
 
     /// Instantiates the engine bound to a persistent [`ExecutionContext`]:
-    /// the parallel engine shards its fault universe (and the incremental
-    /// engine its simulation classes) across the context's pooled workers
-    /// instead of the process-wide default pool, and the single-threaded
-    /// engines simply run on the calling thread (which may itself be one of
-    /// the context's workers).
+    /// the incremental engine shards its simulation classes across the
+    /// context's pooled workers, and the single-threaded oracles simply run
+    /// on the calling thread (which may itself be one of the context's
+    /// workers).
     fn build_in<'c>(
         self,
         context: &'c ExecutionContext,
@@ -224,30 +195,9 @@ impl BuildEngine for EngineKind {
             EngineKind::Serial => {
                 Box::new(SerialSimulator::new(circuit).with_fault_dropping(options.fault_dropping))
             }
-            EngineKind::Ppsfp => {
-                let mut engine = PpsfpSimulator::new(circuit)
-                    .with_fault_dropping(options.fault_dropping)
-                    .with_lanes(options.lanes);
-                if let Some(cache) = options.cache {
-                    engine = engine.with_cache(cache);
-                }
-                Box::new(engine)
-            }
             EngineKind::Deductive => Box::new(
                 DeductiveSimulator::new(circuit).with_fault_dropping(options.fault_dropping),
             ),
-            EngineKind::Parallel => {
-                let mut engine = ParallelSimulator::new(circuit)
-                    .with_fault_dropping(options.fault_dropping)
-                    .with_lanes(options.lanes);
-                if let Some(context) = options.context {
-                    engine = engine.with_context(context);
-                }
-                if let Some(cache) = options.cache {
-                    engine = engine.with_cache(cache);
-                }
-                Box::new(engine)
-            }
             EngineKind::Incremental => {
                 let mut engine = IncrementalSimulator::new(circuit)
                     .with_fault_dropping(options.fault_dropping)
@@ -267,8 +217,6 @@ impl BuildEngine for EngineKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::ParallelSimulator;
-    use crate::ppsfp::PpsfpSimulator;
     use crate::serial::SerialSimulator;
     use lsiq_netlist::library;
     use lsiq_sim::pattern::Pattern;
@@ -279,9 +227,9 @@ mod tests {
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
         let serial = SerialSimulator::new(&circuit);
-        let ppsfp = PpsfpSimulator::new(&circuit);
-        let parallel = ParallelSimulator::new(&circuit);
-        let engines: Vec<&dyn FaultSimulator> = vec![&serial, &ppsfp, &parallel];
+        let deductive = DeductiveSimulator::new(&circuit);
+        let incremental = IncrementalSimulator::new(&circuit);
+        let engines: Vec<&dyn FaultSimulator> = vec![&serial, &deductive, &incremental];
         for engine in engines {
             let list = engine.run(&universe, &patterns);
             assert_eq!(list.detected_count(), universe.len(), "{}", engine.name());
@@ -293,7 +241,7 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..8).map(|v| Pattern::from_integer(v, 5)).collect();
-        let engine = PpsfpSimulator::new(&circuit);
+        let engine = IncrementalSimulator::new(&circuit);
         let curve = engine.coverage_curve(&universe, &patterns);
         let manual =
             CoverageCurve::from_fault_list(&engine.run(&universe, &patterns), patterns.len());
@@ -344,7 +292,9 @@ mod tests {
         let patterns: PatternSet = (0..200).map(|v| Pattern::from_integer(v, 10)).collect();
         let reference = EngineKind::Serial.build(&circuit).run(&universe, &patterns);
         for kind in EngineKind::ALL {
-            for lanes in [LaneWidth::Auto, LaneWidth::X1, LaneWidth::X8] {
+            // `Auto` resolves to four lanes at 200 patterns, so the `X4`
+            // build replays its good machine from the cache.
+            for lanes in [LaneWidth::Auto, LaneWidth::X1, LaneWidth::X8, LaneWidth::X4] {
                 let engine = kind.build_configured(
                     &circuit,
                     &EngineOptions {
@@ -362,7 +312,7 @@ mod tests {
                 );
             }
         }
-        // The chunked engines routed their good machines through the cache.
+        // The chunked engine routed its good machines through the cache.
         assert!(cache.misses() > 0);
         assert!(cache.hits() > 0);
     }
@@ -380,6 +330,10 @@ mod tests {
         );
         assert!(EngineKind::from_name("concurrent").is_none());
         assert!("concurrent".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::default(), EngineKind::Parallel);
+        assert_eq!(EngineKind::default(), EngineKind::Incremental);
+        assert_eq!(EngineKind::ALL.len(), 3);
+        for retired in ["ppsfp", "parallel"] {
+            assert!(EngineKind::from_name(retired).is_none(), "{retired}");
+        }
     }
 }

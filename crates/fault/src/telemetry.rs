@@ -1,6 +1,6 @@
 //! Shared engine telemetry counters.
 //!
-//! All five engines record the same four totals, placed at
+//! All three engines record the same four totals, placed at
 //! worker-count-invariant points — per run, per representative fault, per
 //! good-machine evaluation, per drop — so the merged registry totals are
 //! identical at any worker count, lane width or shard layout (the
@@ -14,7 +14,7 @@ use lsiq_obs::Counter;
 pub(crate) static RUNS: Counter = Counter::new("engine.runs");
 
 /// Representative faults entering a run (post-collapse simulation classes
-/// for the collapsing engines, raw universe faults for serial/PPSFP).
+/// for the collapsing engines, raw universe faults for serial).
 pub(crate) static FAULTS: Counter = Counter::new("engine.faults");
 
 /// Faults excluded from further simulation after their first detection.

@@ -25,20 +25,15 @@ impl FaultUniverse {
     /// Builds the uncollapsed fault universe: stuck-at-0 and stuck-at-1 on
     /// every stem (gate or primary-input output) and on every gate input pin.
     pub fn full(circuit: &Circuit) -> FaultUniverse {
-        let mut faults = Vec::new();
-        for (id, gate) in circuit.iter() {
-            if gate.kind() != GateKind::Const0 && gate.kind() != GateKind::Const1 {
-                for stuck in StuckValue::BOTH {
-                    faults.push(Fault::output(id, stuck));
-                }
-            }
-            for pin in 0..gate.fanin_count() {
-                for stuck in StuckValue::BOTH {
-                    faults.push(Fault::input_pin(id, pin, stuck));
-                }
-            }
+        FaultUniverse {
+            faults: full_faults(circuit).collect(),
         }
-        FaultUniverse { faults }
+    }
+
+    /// Whether this universe is exactly [`FaultUniverse::full`] of
+    /// `circuit`, in enumeration order — checked without building it.
+    pub(crate) fn is_full(&self, circuit: &Circuit) -> bool {
+        self.faults.iter().copied().eq(full_faults(circuit))
     }
 
     /// Builds the checkpoint fault universe: stuck faults on primary inputs
@@ -210,6 +205,23 @@ impl SiteTable {
         debug_assert!(pin < (self.pin_offset[gate + 1] as usize - start));
         self.pin[start + pin]
     }
+}
+
+/// The faults of [`FaultUniverse::full`], in enumeration order.
+fn full_faults(circuit: &Circuit) -> impl Iterator<Item = Fault> + '_ {
+    circuit.iter().flat_map(|(id, gate)| {
+        let constant = matches!(gate.kind(), GateKind::Const0 | GateKind::Const1);
+        let stem = StuckValue::BOTH
+            .into_iter()
+            .filter(move |_| !constant)
+            .map(move |stuck| Fault::output(id, stuck));
+        let pins = (0..gate.fanin_count()).flat_map(move |pin| {
+            StuckValue::BOTH
+                .into_iter()
+                .map(move |stuck| Fault::input_pin(id, pin, stuck))
+        });
+        stem.chain(pins)
+    })
 }
 
 impl<'a> IntoIterator for &'a FaultUniverse {

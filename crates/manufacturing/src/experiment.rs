@@ -137,7 +137,7 @@ mod tests {
     use crate::lot::{ChipLot, ModelLotConfig};
     use crate::tester::WaferTester;
     use lsiq_fault::dictionary::FaultDictionary;
-    use lsiq_fault::ppsfp::PpsfpSimulator;
+    use lsiq_fault::incremental::IncrementalSimulator;
     use lsiq_fault::simulator::FaultSimulator;
     use lsiq_fault::universe::FaultUniverse;
     use lsiq_netlist::library;
@@ -149,7 +149,7 @@ mod tests {
         let patterns: PatternSet = (0..256)
             .map(|v| Pattern::from_integer(v * 7 + 3, 10))
             .collect();
-        let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let coverage = CoverageCurve::from_fault_list(&list, patterns.len());
         let dictionary = FaultDictionary::from_fault_list(&list);
         let lot = ChipLot::from_model(&ModelLotConfig {
@@ -194,7 +194,7 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..16).map(|v| Pattern::from_integer(v, 5)).collect();
-        let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let coverage = CoverageCurve::from_fault_list(&list, patterns.len());
         let dictionary = FaultDictionary::from_fault_list(&list);
         let lot = ChipLot::from_model(&ModelLotConfig {

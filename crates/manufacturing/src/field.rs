@@ -101,7 +101,7 @@ mod tests {
         use crate::lot::{ChipLot, ModelLotConfig};
         use crate::tester::WaferTester;
         use lsiq_fault::dictionary::FaultDictionary;
-        use lsiq_fault::ppsfp::PpsfpSimulator;
+        use lsiq_fault::incremental::IncrementalSimulator;
         use lsiq_fault::simulator::FaultSimulator;
         use lsiq_fault::universe::FaultUniverse;
         use lsiq_netlist::library;
@@ -112,7 +112,7 @@ mod tests {
         let patterns: PatternSet = (0..6)
             .map(|v| Pattern::from_integer(v * 5 + 2, 5))
             .collect();
-        let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let dictionary = FaultDictionary::from_fault_list(&list);
         let lot = ChipLot::from_model(&ModelLotConfig {
             chips: 400,

@@ -500,7 +500,7 @@ impl<'ctx> LotSweep<'ctx> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsiq_fault::ppsfp::PpsfpSimulator;
+    use lsiq_fault::incremental::IncrementalSimulator;
     use lsiq_fault::simulator::FaultSimulator;
     use lsiq_fault::universe::FaultUniverse;
     use lsiq_netlist::library;
@@ -510,7 +510,7 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         (
             FaultDictionary::from_fault_list(&list),
             CoverageCurve::from_fault_list(&list, patterns.len()),

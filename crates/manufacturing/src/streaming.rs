@@ -119,7 +119,7 @@ impl LotFold {
 ///
 /// ```
 /// use lsiq_fault::dictionary::FaultDictionary;
-/// use lsiq_fault::ppsfp::PpsfpSimulator;
+/// use lsiq_fault::incremental::IncrementalSimulator;
 /// use lsiq_fault::simulator::FaultSimulator;
 /// use lsiq_fault::universe::FaultUniverse;
 /// use lsiq_fault::coverage::CoverageCurve;
@@ -131,7 +131,7 @@ impl LotFold {
 /// let circuit = library::c17();
 /// let universe = FaultUniverse::full(&circuit);
 /// let patterns: PatternSet = (0..16).map(|v| Pattern::from_integer(v, 5)).collect();
-/// let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+/// let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
 /// let coverage = CoverageCurve::from_fault_list(&list, patterns.len());
 /// let dictionary = FaultDictionary::from_fault_list(&list);
 /// let config = ModelLotConfig {
@@ -320,7 +320,7 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsiq_fault::ppsfp::PpsfpSimulator;
+    use lsiq_fault::incremental::IncrementalSimulator;
     use lsiq_fault::simulator::FaultSimulator;
     use lsiq_fault::universe::FaultUniverse;
     use lsiq_netlist::library;
@@ -332,7 +332,7 @@ mod tests {
         let patterns: PatternSet = (0..96)
             .map(|v| Pattern::from_integer(v * 11 + 5, 10))
             .collect();
-        let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let coverage = CoverageCurve::from_fault_list(&list, patterns.len());
         let dictionary = FaultDictionary::from_fault_list(&list);
         (dictionary, coverage, universe.len())

@@ -81,7 +81,7 @@ impl<'d> WaferTester<'d> {
 mod tests {
     use super::*;
     use crate::lot::ModelLotConfig;
-    use lsiq_fault::ppsfp::PpsfpSimulator;
+    use lsiq_fault::incremental::IncrementalSimulator;
     use lsiq_fault::simulator::FaultSimulator;
     use lsiq_fault::universe::FaultUniverse;
     use lsiq_netlist::library;
@@ -91,7 +91,7 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         (FaultDictionary::from_fault_list(&list), universe.len())
     }
 
@@ -148,7 +148,7 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = [Pattern::zeros(5)].into_iter().collect();
-        let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let dictionary = FaultDictionary::from_fault_list(&list);
         let tester = WaferTester::new(&dictionary);
         let lot = ChipLot::from_model(&ModelLotConfig {

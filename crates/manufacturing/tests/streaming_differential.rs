@@ -5,7 +5,7 @@
 use lsiq_exec::ExecutionContext;
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
-use lsiq_fault::ppsfp::PpsfpSimulator;
+use lsiq_fault::incremental::IncrementalSimulator;
 use lsiq_fault::simulator::FaultSimulator;
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_manufacturing::lot::ModelLotConfig;
@@ -19,7 +19,7 @@ fn suite() -> (FaultDictionary, CoverageCurve, usize) {
     let patterns: PatternSet = (0..128u64)
         .map(|v| Pattern::from_integer(v * 37 + 11, 10))
         .collect();
-    let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+    let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
     let coverage = CoverageCurve::from_fault_list(&list, patterns.len());
     let dictionary = FaultDictionary::from_fault_list(&list);
     (dictionary, coverage, universe.len())

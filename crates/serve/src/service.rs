@@ -164,9 +164,8 @@ impl QueryService {
     /// Opens a service from the environment: the `LSIQ_*` knobs through
     /// [`RunConfig::from_env`], the artifact directory through
     /// `LSIQ_ARTIFACT_DIR`.  When `LSIQ_ENGINE` is unset the service
-    /// defaults to adaptive (`auto`) engine selection — it compiles
-    /// devices of very different sizes, so one fixed engine is rarely
-    /// right for all of them.
+    /// selects the `auto` engine, which resolves to the production
+    /// (incremental) engine on every device it compiles.
     ///
     /// # Errors
     ///

@@ -66,10 +66,12 @@ pub fn circuit_fingerprint(circuit: &Circuit) -> u64 {
 
 /// One cached good-machine image: the evaluated per-gate chunks together
 /// with the exact inputs they were computed from (for hit verification).
+/// The image is shared, never copied: every lookup hands out another
+/// reference to it.
 struct CachedChunk<const L: usize> {
     inputs: Vec<PackedBlock<L>>,
     count: usize,
-    words: Vec<PackedBlock<L>>,
+    words: Arc<Vec<PackedBlock<L>>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -201,23 +203,23 @@ impl GoodMachineCache {
             {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 CACHE_HITS.incr();
-                return Arc::new(cached.words.clone());
+                return Arc::clone(&cached.words);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         CACHE_MISSES.incr();
-        let words = compiled.node_chunks(inputs);
+        let words = Arc::new(compiled.node_chunks(inputs));
         let entry = Arc::new(CachedChunk {
             inputs: inputs.to_vec(),
             count,
-            words: words.clone(),
+            words: Arc::clone(&words),
         });
         let mut entries = self.lock();
         if entries.len() >= self.capacity && !entries.contains_key(&key) {
             entries.clear();
         }
         entries.insert(key, entry);
-        Arc::new(words)
+        words
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Arc<dyn Any + Send + Sync>>> {
@@ -287,6 +289,23 @@ mod tests {
         }
         assert_eq!(cache.hits(), set.chunk_count(1) as u64);
         assert_eq!(cache.misses(), set.chunk_count(1) as u64);
+    }
+
+    #[test]
+    fn lookups_of_one_chunk_share_a_single_image() {
+        let circuit = library::alu4();
+        let compiled = CompiledCircuit::new(&circuit);
+        let width = circuit.primary_inputs().len();
+        let set = patterns(100, width);
+        let (inputs, count) = set.pack_chunk::<4>(width, 0);
+        let cache = GoodMachineCache::new();
+        let miss = cache.node_chunks(&compiled, &inputs, count);
+        let hit = cache.node_chunks(&compiled, &inputs, count);
+        let again = cache.node_chunks(&compiled, &inputs, count);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        // Neither the miss nor the hits copied the image.
+        assert!(Arc::ptr_eq(&miss, &hit));
+        assert!(Arc::ptr_eq(&hit, &again));
     }
 
     #[test]

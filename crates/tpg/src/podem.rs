@@ -306,7 +306,7 @@ impl<'c> Podem<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsiq_fault::ppsfp::PpsfpSimulator;
+    use lsiq_fault::serial::SerialSimulator;
     use lsiq_fault::simulator::FaultSimulator;
     use lsiq_fault::universe::FaultUniverse;
     use lsiq_netlist::library;
@@ -316,7 +316,7 @@ mod tests {
     fn verify_detection(circuit: &lsiq_netlist::Circuit, fault: &Fault, pattern: &Pattern) {
         let universe = FaultUniverse::from_faults(vec![*fault]);
         let patterns: PatternSet = [pattern.clone()].into_iter().collect();
-        let list = PpsfpSimulator::new(circuit).run(&universe, &patterns);
+        let list = SerialSimulator::new(circuit).run(&universe, &patterns);
         assert_eq!(
             list.detected_count(),
             1,

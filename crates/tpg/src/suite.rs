@@ -8,7 +8,6 @@
 use crate::podem::{Podem, TestOutcome};
 use crate::random::RandomPatternGenerator;
 use lsiq_exec::{ExecutionContext, LaneWidth, RunConfig};
-use lsiq_fault::collapse::collapse_equivalence;
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::list::FaultList;
@@ -56,22 +55,13 @@ pub struct TestSuiteBuilder {
     /// Backtrack limit handed to PODEM.
     pub podem_backtracks: usize,
     /// Which fault-simulation engine evaluates the patterns (see
-    /// [`EngineKind`] for guidance; the multi-threaded parallel engine is
-    /// the default).
+    /// [`EngineKind`]; the incremental engine is the default).  The suite
+    /// hands the engine the universe it reports on; the collapsing engines
+    /// simulate one representative per equivalence class internally.
     pub engine: EngineKind,
-    /// Apply structural equivalence collapsing before simulation (default
-    /// `true`): when the supplied universe is the full universe of the
-    /// circuit, only one representative per equivalence class is simulated
-    /// and detections are expanded back to every member.  The reported
-    /// suite — patterns, fault list, coverage curve, dictionary — is
-    /// byte-identical either way (equivalent faults are detected by exactly
-    /// the same patterns), but the hot simulation loop carries ~40–60
-    /// percent fewer faults.  Ignored for non-full universes, whose indices
-    /// the circuit-level collapsing pass cannot map.
-    pub collapse: bool,
-    /// Packed lane width for the chunked engines (see [`LaneWidth`]; the
+    /// Packed lane width for the chunked engine (see [`LaneWidth`]; the
     /// suite is byte-identical at every width, lanes only change
-    /// throughput).  Ignored by the serial and deductive engines.
+    /// throughput).  Ignored by the serial and deductive oracles.
     pub lanes: LaneWidth,
 }
 
@@ -84,8 +74,7 @@ impl Default for TestSuiteBuilder {
             target_coverage: 0.95,
             podem_top_up: true,
             podem_backtracks: 200,
-            engine: EngineKind::Parallel,
-            collapse: true,
+            engine: EngineKind::Incremental,
             lanes: LaneWidth::Auto,
         }
     }
@@ -150,7 +139,7 @@ impl TestSuiteBuilder {
     /// optional persistent worker pool and an optional shared
     /// [`GoodMachineCache`].  The suite build re-simulates a growing
     /// pattern set — each iteration re-evaluates every chunk it has already
-    /// seen — so the chunked engines recover the fault-free simulation of
+    /// seen — so the chunked engine recovers the fault-free simulation of
     /// all previous chunks from the cache.  Results are byte-identical with
     /// or without either resource.
     pub fn build_cached(
@@ -174,7 +163,9 @@ impl TestSuiteBuilder {
     }
 
     /// Builds an ordered test suite using a caller-supplied fault-simulation
-    /// engine (any [`FaultSimulator`]).
+    /// engine (any [`FaultSimulator`]).  The engine sees `universe` itself;
+    /// whether it collapses equivalent faults is its own business and never
+    /// changes the suite.
     pub fn build_with(
         &self,
         simulator: &dyn FaultSimulator,
@@ -184,34 +175,15 @@ impl TestSuiteBuilder {
         let mut generator = RandomPatternGenerator::new(circuit, self.seed);
         let mut patterns = PatternSet::new();
 
-        // Structural collapsing on the hot path: simulate one representative
-        // per equivalence class and expand detections afterwards.  Exact by
-        // construction, so every reported number is unchanged (pinned by
-        // `tests/suite_collapse.rs`); only applicable when the universe is
-        // the circuit's full universe, which the collapsing pass indexes.
-        let collapse = if self.collapse && *universe == FaultUniverse::full(circuit) {
-            Some(collapse_equivalence(circuit))
-        } else {
-            None
-        };
-        let simulate = |patterns: &PatternSet| -> FaultList {
-            match &collapse {
-                Some(result) => {
-                    result.expand_fault_list(&simulator.run(&result.collapsed, patterns), universe)
-                }
-                None => simulator.run(universe, patterns),
-            }
-        };
-
         // Random phase: add chunks until the target coverage or the pattern
         // budget is reached.  The fault list of the final iteration is kept
         // so the later phases never re-simulate an unchanged pattern set.
-        let mut list = simulate(&patterns);
+        let mut list = simulator.run(universe, &patterns);
         while list.coverage() < self.target_coverage && patterns.len() < self.max_random_patterns {
             for _ in 0..self.chunk.max(1) {
                 patterns.push(generator.next_pattern());
             }
-            list = simulate(&patterns);
+            list = simulator.run(universe, &patterns);
         }
 
         // Deterministic phase: target whatever the random phase missed.
@@ -228,7 +200,7 @@ impl TestSuiteBuilder {
         }
 
         let fault_list = if deterministic_patterns > 0 {
-            simulate(&patterns)
+            simulator.run(universe, &patterns)
         } else {
             list
         };
@@ -247,6 +219,7 @@ impl TestSuiteBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsiq_fault::incremental::IncrementalSimulator;
     use lsiq_netlist::library;
 
     #[test]
@@ -331,21 +304,18 @@ mod tests {
     }
 
     #[test]
-    fn collapsing_is_invisible_in_the_built_suite() {
-        // The default-on collapse path must not change a single reported
-        // number, on the full universe (where it applies) and on the
-        // checkpoint universe (where it must disable itself).
+    fn engine_collapsing_is_invisible_in_the_built_suite() {
+        // The engine's default-on collapsing must not change a single
+        // reported number, on the full universe and on the checkpoint
+        // universe (which the engine maps onto the full one by site).
         let circuit = library::alu4();
+        let raw_engine = IncrementalSimulator::new(&circuit).with_collapsing(false);
         for universe in [
             FaultUniverse::full(&circuit),
             FaultUniverse::checkpoint(&circuit),
         ] {
             let collapsed = TestSuiteBuilder::default().build(&circuit, &universe);
-            let raw = TestSuiteBuilder {
-                collapse: false,
-                ..TestSuiteBuilder::default()
-            }
-            .build(&circuit, &universe);
+            let raw = TestSuiteBuilder::default().build_with(&raw_engine, &circuit, &universe);
             assert_eq!(collapsed.patterns.as_slice(), raw.patterns.as_slice());
             assert_eq!(collapsed.fault_list, raw.fault_list);
             assert_eq!(collapsed.coverage_curve, raw.coverage_curve);
@@ -353,9 +323,9 @@ mod tests {
             assert_eq!(collapsed.deterministic_patterns, raw.deterministic_patterns);
         }
 
-        // The PODEM top-up phase reads the expanded list's undetected
-        // indices; starve the random phase so the deterministic phase
-        // actually runs under collapsing.
+        // The PODEM top-up phase reads the list's undetected indices;
+        // starve the random phase so the deterministic phase actually runs
+        // under collapsing.
         let universe = FaultUniverse::full(&circuit);
         let starved = TestSuiteBuilder {
             max_random_patterns: 16,
@@ -363,11 +333,7 @@ mod tests {
             ..TestSuiteBuilder::default()
         };
         let collapsed = starved.build(&circuit, &universe);
-        let raw = TestSuiteBuilder {
-            collapse: false,
-            ..starved
-        }
-        .build(&circuit, &universe);
+        let raw = starved.build_with(&raw_engine, &circuit, &universe);
         assert!(collapsed.deterministic_patterns > 0);
         assert_eq!(collapsed.patterns.as_slice(), raw.patterns.as_slice());
         assert_eq!(collapsed.fault_list, raw.fault_list);
@@ -378,26 +344,23 @@ mod tests {
     fn lane_widths_and_the_shared_cache_build_the_same_suite() {
         let circuit = library::alu4();
         let universe = FaultUniverse::full(&circuit);
-        let reference = TestSuiteBuilder::default().build(&circuit, &universe);
-        for engine in [
-            EngineKind::Ppsfp,
-            EngineKind::Parallel,
-            EngineKind::Incremental,
-        ] {
-            for lanes in LaneWidth::EXPLICIT {
-                let suite = TestSuiteBuilder {
-                    engine,
-                    lanes,
-                    ..TestSuiteBuilder::default()
-                }
-                .build(&circuit, &universe);
-                assert_eq!(
-                    suite.patterns.as_slice(),
-                    reference.patterns.as_slice(),
-                    "{engine}/{lanes}"
-                );
-                assert_eq!(suite.fault_list, reference.fault_list, "{engine}/{lanes}");
+        let reference = TestSuiteBuilder {
+            engine: EngineKind::Deductive,
+            ..TestSuiteBuilder::default()
+        }
+        .build(&circuit, &universe);
+        for lanes in LaneWidth::EXPLICIT {
+            let suite = TestSuiteBuilder {
+                lanes,
+                ..TestSuiteBuilder::default()
             }
+            .build(&circuit, &universe);
+            assert_eq!(
+                suite.patterns.as_slice(),
+                reference.patterns.as_slice(),
+                "{lanes}"
+            );
+            assert_eq!(suite.fault_list, reference.fault_list, "{lanes}");
         }
 
         // The growing random phase re-simulates earlier chunks each

@@ -215,8 +215,7 @@ impl Session {
     /// ([`run_production_line`](Self::run_production_line)): the reference
     /// programme seed, 64-pattern chunks, up to 192 random patterns, no
     /// PODEM top-up — with the session's engine choice resolved for
-    /// `circuit` (an `auto` engine picks by gate count,
-    /// [`EngineKind::auto_for`](lsiq_exec::EngineKind::auto_for)).
+    /// `circuit` ([`RunConfig::engine_for_size`]).
     ///
     /// Exposed so out-of-process services (the `lsiq-serve` artifact store)
     /// can rebuild byte-identical line suites.
@@ -617,13 +616,13 @@ mod tests {
     fn session_bundles_config_and_pool() {
         let session = Session::new(
             RunConfig::default()
-                .with_engine(EngineKind::Ppsfp)
+                .with_engine(EngineKind::Deductive)
                 .with_workers(2)
                 .with_base_seed(7),
         );
-        assert_eq!(session.config().engine(), EngineKind::Ppsfp);
+        assert_eq!(session.config().engine(), EngineKind::Deductive);
         assert_eq!(session.context().workers(), 2);
-        assert_eq!(session.suite_builder().engine, EngineKind::Ppsfp);
+        assert_eq!(session.suite_builder().engine, EngineKind::Deductive);
         assert_eq!(session.lot_runner().threads_for(100_000), 2);
     }
 
@@ -667,7 +666,7 @@ mod tests {
     fn from_env_without_knobs_is_the_default_config() {
         // The test environment sets no LSIQ_* variables.
         let session = Session::from_env().expect("clean environment");
-        assert_eq!(session.config().engine(), EngineKind::Parallel);
+        assert_eq!(session.config().engine(), EngineKind::Incremental);
         assert_eq!(session.config().base_seed(), lsiq_exec::DEFAULT_BASE_SEED);
     }
 

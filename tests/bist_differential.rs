@@ -6,7 +6,7 @@
 //!   and 2×cores workers,
 //! * `SignatureTester` lot outcomes through `ParallelLotRunner::test_lot_bist`
 //!   at the same worker ladder,
-//! * a suite-driven BIST line on alu4 across all five engines (the suite,
+//! * a suite-driven BIST line on alu4 across all three engines (the suite,
 //!   and therefore every signature, must not depend on the engine), and
 //! * (release builds) whole `Session::run_production_line` passes in BIST
 //!   mode across engines and worker counts on the reproduction device.

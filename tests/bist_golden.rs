@@ -13,7 +13,7 @@ use lsi_quality::bist::signature::SignatureDictionary;
 use lsi_quality::bist::stumps::{StumpsConfig, StumpsGenerator};
 use lsi_quality::exec::ExecutionContext;
 use lsi_quality::fault::dictionary::FaultDictionary;
-use lsi_quality::fault::ppsfp::PpsfpSimulator;
+use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::netlist::library;
@@ -157,7 +157,7 @@ fn signature_sessions_never_precede_response_differences() {
     )
     .pop()
     .expect("one width");
-    let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+    let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
     let responses = FaultDictionary::from_fault_list(&list);
 
     let mut equal = 0usize;

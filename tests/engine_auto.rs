@@ -1,35 +1,37 @@
-//! Adaptive (`LSIQ_ENGINE=auto`) engine selection: the resolved engine
-//! follows the documented gate-count thresholds, and a session under
-//! `auto` produces suites and sweeps byte-identical to a session pinned
-//! to the engine `auto` resolves to — engine choice is a speed knob,
-//! never a results knob.
+//! The `auto` engine selection (`LSIQ_ENGINE=auto`,
+//! `RunConfig::with_engine_auto`) resolves to the production engine,
+//! incremental cone propagation, on every device, and a session under
+//! `auto` produces suites and sweeps byte-identical to a session pinned to
+//! that engine — engine choice is a speed knob, never a results knob.
 
 use lsi_quality::{BistSweepSpec, Session};
-use lsiq_exec::{EngineKind, RunConfig};
+use lsiq_exec::{EngineKind, RunConfig, ENGINE_VAR};
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::library;
 
 #[test]
-fn auto_resolution_follows_the_size_thresholds_through_the_session() {
+fn auto_resolves_to_incremental_through_the_session() {
     let session = Session::new(RunConfig::default().with_engine_auto());
     assert!(session.config().engine_is_auto());
-    let alu4 = library::alu4();
-    assert_eq!(
-        session.line_suite_builder(&alu4).engine,
-        EngineKind::auto_for(alu4.gate_count()),
-        "the line builder must resolve auto per device"
-    );
-    let reduced = Session::reproduction_circuit(false);
-    assert_eq!(
-        session.line_suite_builder(&reduced).engine,
-        EngineKind::auto_for(reduced.gate_count())
-    );
-    // The two devices sit in different size bands, so auto genuinely
-    // adapts rather than collapsing to one engine.
-    assert_ne!(
-        EngineKind::auto_for(alu4.gate_count()),
-        EngineKind::auto_for(reduced.gate_count())
-    );
+    assert_eq!(session.config().engine(), EngineKind::Incremental);
+    for circuit in [library::alu4(), Session::reproduction_circuit(false)] {
+        assert_eq!(
+            session.line_suite_builder(&circuit).engine,
+            EngineKind::Incremental,
+            "{} gates",
+            circuit.gate_count()
+        );
+    }
+
+    // The environment knob takes the same path.  (Every test of this file
+    // builds its configuration explicitly, so the variable cannot leak.)
+    std::env::set_var(ENGINE_VAR, "auto");
+    let config = RunConfig::from_env();
+    std::env::remove_var(ENGINE_VAR);
+    let config = config.expect("auto is an accepted engine name");
+    assert!(config.engine_is_auto());
+    assert_eq!(config.engine(), EngineKind::Incremental);
+    assert_eq!(config.engine_for_size(50_000), EngineKind::Incremental);
 }
 
 #[test]
@@ -37,8 +39,7 @@ fn auto_and_pinned_engines_build_byte_identical_suites() {
     let circuit = library::alu4();
     let universe = FaultUniverse::full(&circuit);
     let auto_session = Session::new(RunConfig::default().with_engine_auto());
-    let resolved = EngineKind::auto_for(circuit.gate_count());
-    let pinned_session = Session::new(RunConfig::default().with_engine(resolved));
+    let pinned_session = Session::new(RunConfig::default().with_engine(EngineKind::Incremental));
 
     let build = |session: &Session| {
         session.line_suite_builder(&circuit).build_cached(
@@ -80,8 +81,7 @@ fn auto_and_pinned_engines_agree_on_a_bist_sweep() {
     let auto_sweep = Session::new(RunConfig::default().with_engine_auto())
         .run_bist_sweep_on(&circuit, &spec)
         .expect("auto sweep");
-    let resolved = EngineKind::auto_for(circuit.gate_count());
-    let pinned_sweep = Session::new(RunConfig::default().with_engine(resolved))
+    let pinned_sweep = Session::new(RunConfig::default().with_engine(EngineKind::Incremental))
         .run_bist_sweep_on(&circuit, &spec)
         .expect("pinned sweep");
     assert_eq!(auto_sweep, pinned_sweep);

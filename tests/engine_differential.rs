@@ -2,10 +2,10 @@
 //!
 //! Each case draws a random netlist (`netlist::generator::random`) and a
 //! pattern set from one of two differently structured sources (uniform
-//! random or LFSR), then requires the serial, PPSFP, deductive, parallel and
-//! incremental engines to report *byte-identical* detection results — the
-//! full [`FaultList`], i.e. the first detecting pattern of every fault —
-//! with and without fault dropping, on full, equivalence-collapsed and
+//! random or LFSR), then requires the serial, deductive and incremental
+//! engines to report *byte-identical* detection results — the full
+//! [`FaultList`], i.e. the first detecting pattern of every fault — with
+//! and without fault dropping, on full, equivalence-collapsed and
 //! checkpoint fault universes, and for the deductive and incremental engines
 //! additionally with their internal collapsing disabled.
 //!
@@ -19,7 +19,6 @@ use lsi_quality::fault::deductive::DeductiveSimulator;
 use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::list::FaultList;
 use lsi_quality::fault::model::{Fault, StuckValue};
-use lsi_quality::fault::parallel::ParallelSimulator;
 use lsi_quality::fault::simulator::{BuildEngine, EngineKind, FaultSimulator};
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::netlist::circuit::Circuit;
@@ -165,11 +164,11 @@ fn engines_agree_on_scan_expanded_sequential_devices() {
     // Time-frame-expanded scan devices: scan insertion turns a sequential
     // circuit into its capture-mode *test view*, where one pattern is one
     // full scan-in/capture/scan-out cycle — a combinational circuit every
-    // engine can simulate unchanged.  All five engines (plus the
+    // engine can simulate unchanged.  All three engines (plus the
     // uncollapsed deductive/incremental variants) must stay byte-identical
     // on the expanded universes, including a dedicated scan-path universe
     // of stuck-at faults on the shift/capture multiplexer gates, and the
-    // parallel engine must stay invariant at 1, 2 and 2×cores workers.
+    // incremental engine must stay invariant at 1, 2 and 2×cores workers.
     let contexts: Vec<ExecutionContext> = [1, 2, 2 * cores()].map(ExecutionContext::new).into();
     let devices: Vec<(&str, Circuit, usize)> = vec![
         ("counter8", binary_counter(8), 1),
@@ -213,7 +212,7 @@ fn engines_agree_on_scan_expanded_sequential_devices() {
             case.label
         );
         for context in &contexts {
-            let pooled = EngineKind::Parallel
+            let pooled = EngineKind::Incremental
                 .build_in(context, &case.circuit)
                 .run(&scan_path, &case.patterns);
             assert_eq!(
@@ -228,8 +227,8 @@ fn engines_agree_on_scan_expanded_sequential_devices() {
 }
 
 #[test]
-fn parallel_engine_on_explicit_contexts_matches_the_reference() {
-    // The Session-era API: the parallel engine bound to a persistent
+fn incremental_engine_on_explicit_contexts_matches_the_reference() {
+    // The Session-era API: the incremental engine bound to a persistent
     // ExecutionContext pool must stay byte-identical to the serial
     // reference at 1, 2 and 2×cores workers — the pool is reused across
     // every case, exactly like a session reuses it across sweep points.
@@ -242,7 +241,7 @@ fn parallel_engine_on_explicit_contexts_matches_the_reference() {
             .build(&case.circuit)
             .run(&universe, &case.patterns);
         for context in &contexts {
-            let pooled = ParallelSimulator::new(&case.circuit)
+            let pooled = IncrementalSimulator::new(&case.circuit)
                 .with_context(context)
                 .run(&universe, &case.patterns);
             assert_eq!(
@@ -252,7 +251,7 @@ fn parallel_engine_on_explicit_contexts_matches_the_reference() {
                 case.label,
                 context.workers()
             );
-            let built = EngineKind::Parallel
+            let built = EngineKind::Incremental
                 .build_in(context, &case.circuit)
                 .run(&universe, &case.patterns);
             assert_eq!(
@@ -317,13 +316,13 @@ fn incremental_engine_matches_deductive_everywhere() {
 
 #[test]
 fn lane_widths_and_the_cache_are_invisible_at_every_worker_count() {
-    // The tentpole invariant of the packed-lane layer: every chunked engine
-    // (PPSFP, parallel, incremental) must report byte-identical FaultLists
-    // at lanes 1, 4 and 8, at 1, 2 and 2×cores workers, with a shared
-    // GoodMachineCache bound — all compared against the serial engine,
-    // which knows nothing about lanes or caches.  The cache is shared
-    // across the whole matrix, so later runs replay good-machine chunks
-    // deposited by earlier ones and must still agree.
+    // The invariant of the packed-lane layer: the chunked incremental
+    // engine must report byte-identical FaultLists at lanes 1, 4 and 8, at
+    // 1, 2 and 2×cores workers, with a shared GoodMachineCache bound — all
+    // compared against the serial engine, which knows nothing about lanes
+    // or caches.  The cache is shared across the whole matrix, so later
+    // runs replay good-machine chunks deposited by earlier ones and must
+    // still agree.
     use lsi_quality::exec::LaneWidth;
     use lsi_quality::fault::simulator::EngineOptions;
     use lsi_quality::sim::cache::GoodMachineCache;
@@ -337,32 +336,26 @@ fn lane_widths_and_the_cache_are_invisible_at_every_worker_count() {
             .build(&case.circuit)
             .run(&universe, &case.patterns);
         let cache = GoodMachineCache::new();
-        for engine in [
-            EngineKind::Ppsfp,
-            EngineKind::Parallel,
-            EngineKind::Incremental,
-        ] {
-            for lanes in LaneWidth::EXPLICIT {
-                for context in &contexts {
-                    let list = engine
-                        .build_configured(
-                            &case.circuit,
-                            &EngineOptions {
-                                context: Some(context),
-                                lanes,
-                                cache: Some(&cache),
-                                ..EngineOptions::default()
-                            },
-                        )
-                        .run(&universe, &case.patterns);
-                    assert_eq!(
-                        reference,
-                        list,
-                        "{}, {engine}, lanes={lanes}, {} workers",
-                        case.label,
-                        context.workers()
-                    );
-                }
+        for lanes in LaneWidth::EXPLICIT {
+            for context in &contexts {
+                let list = EngineKind::Incremental
+                    .build_configured(
+                        &case.circuit,
+                        &EngineOptions {
+                            context: Some(context),
+                            lanes,
+                            cache: Some(&cache),
+                            ..EngineOptions::default()
+                        },
+                    )
+                    .run(&universe, &case.patterns);
+                assert_eq!(
+                    reference,
+                    list,
+                    "{}, lanes={lanes}, {} workers",
+                    case.label,
+                    context.workers()
+                );
             }
         }
         assert!(
@@ -379,8 +372,8 @@ fn lane_widths_and_the_cache_are_invisible_at_every_worker_count() {
 #[test]
 fn coverage_curve_default_impl_is_engine_invariant() {
     // FaultSimulator::coverage_curve is a default trait method (run + fold);
-    // every engine must produce the identical curve, including the parallel
-    // engine on explicit pools.
+    // every engine must produce the identical curve, including the
+    // incremental engine on explicit pools.
     let case = build_case(3);
     let universe = FaultUniverse::full(&case.circuit);
     let reference = EngineKind::Serial
@@ -395,10 +388,10 @@ fn coverage_curve_default_impl_is_engine_invariant() {
         assert_eq!(reference, curve, "{kind}");
     }
     let context = ExecutionContext::new(2);
-    let pooled = EngineKind::Parallel
+    let pooled = EngineKind::Incremental
         .build_in(&context, &case.circuit)
         .coverage_curve(&universe, &case.patterns);
-    assert_eq!(reference, pooled, "pooled parallel engine");
+    assert_eq!(reference, pooled, "pooled incremental engine");
 }
 
 #[test]

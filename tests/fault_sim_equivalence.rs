@@ -1,17 +1,15 @@
-//! Property-style cross-check of the five fault-simulation engines.
+//! Property-style cross-check of the three fault-simulation engines.
 //!
-//! Serial, PPSFP, deductive, the multi-threaded parallel engine and the
-//! event-driven incremental engine must report *identical* detected-fault
-//! sets (and identical first detecting patterns) on every circuit, with and
-//! without fault dropping.  A timed check also pins down the performance
-//! contract: the parallel engine must beat the scalar serial reference in
+//! The serial and deductive oracles and the event-driven incremental
+//! production engine must report *identical* detected-fault sets (and
+//! identical first detecting patterns) on every circuit, with and without
+//! fault dropping.  A timed check also pins down the performance contract:
+//! the incremental engine must beat the scalar serial reference in
 //! wall-clock time.
 
 use lsi_quality::fault::deductive::DeductiveSimulator;
 use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::list::FaultList;
-use lsi_quality::fault::parallel::ParallelSimulator;
-use lsi_quality::fault::ppsfp::PpsfpSimulator;
 use lsi_quality::fault::serial::SerialSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
@@ -38,7 +36,7 @@ fn generated_circuit() -> Circuit {
     })
 }
 
-/// Runs all five engines with the given dropping mode and returns
+/// Runs all three engines with the given dropping mode and returns
 /// `(engine name, fault list)` pairs.
 fn run_all_engines(
     circuit: &Circuit,
@@ -47,12 +45,9 @@ fn run_all_engines(
     fault_dropping: bool,
 ) -> Vec<(&'static str, FaultList)> {
     let serial = SerialSimulator::new(circuit).with_fault_dropping(fault_dropping);
-    let ppsfp = PpsfpSimulator::new(circuit).with_fault_dropping(fault_dropping);
     let deductive = DeductiveSimulator::new(circuit).with_fault_dropping(fault_dropping);
-    let parallel = ParallelSimulator::new(circuit).with_fault_dropping(fault_dropping);
     let incremental = IncrementalSimulator::new(circuit).with_fault_dropping(fault_dropping);
-    let engines: Vec<&dyn FaultSimulator> =
-        vec![&serial, &ppsfp, &deductive, &parallel, &incremental];
+    let engines: Vec<&dyn FaultSimulator> = vec![&serial, &deductive, &incremental];
     engines
         .into_iter()
         .map(|engine| (engine.name(), engine.run(universe, patterns)))
@@ -93,7 +88,7 @@ fn all_engines_agree_on_c17_exhaustive() {
 fn all_engines_agree_on_a_generated_circuit() {
     let circuit = generated_circuit();
     let universe = FaultUniverse::full(&circuit);
-    // More than 64 patterns so the packed engines cross block boundaries.
+    // More than 64 patterns so the packed engine crosses chunk boundaries.
     let patterns = random_patterns(13, 150, 7);
     assert_engines_agree(&circuit, &universe, &patterns);
 }
@@ -125,21 +120,22 @@ fn timed<F: FnMut() -> FaultList>(mut run: F) -> Duration {
 }
 
 #[test]
-fn parallel_engine_beats_serial_wall_clock() {
-    // The performance contract behind making ParallelSimulator the default
-    // engine: 64-way packed words plus fault-sharded threads must beat the
-    // scalar one-pattern-at-a-time reference even on a single core.
+fn incremental_engine_beats_serial_wall_clock() {
+    // The performance contract behind making IncrementalSimulator the
+    // production engine: packed pattern chunks plus fanout-cone propagation
+    // must beat the scalar one-pattern-at-a-time reference even on a single
+    // core.
     let circuit = generated_circuit();
     let universe = FaultUniverse::full(&circuit);
     let patterns = random_patterns(13, 192, 99);
 
     let serial_sim = SerialSimulator::new(&circuit);
-    let parallel_sim = ParallelSimulator::new(&circuit);
+    let incremental_sim = IncrementalSimulator::new(&circuit);
     let serial_time = timed(|| serial_sim.run(&universe, &patterns));
-    let parallel_time = timed(|| parallel_sim.run(&universe, &patterns));
+    let incremental_time = timed(|| incremental_sim.run(&universe, &patterns));
 
     assert!(
-        parallel_time < serial_time,
-        "parallel engine ({parallel_time:?}) should beat serial ({serial_time:?})"
+        incremental_time < serial_time,
+        "incremental engine ({incremental_time:?}) should beat serial ({serial_time:?})"
     );
 }

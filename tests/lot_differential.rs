@@ -21,7 +21,7 @@
 use lsi_quality::exec::{ExecutionContext, RunConfig};
 use lsi_quality::fault::coverage::CoverageCurve;
 use lsi_quality::fault::dictionary::FaultDictionary;
-use lsi_quality::fault::ppsfp::PpsfpSimulator;
+use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::manufacturing::defect::DefectModel;
@@ -48,7 +48,7 @@ fn fixture() -> (FaultDictionary, CoverageCurve, usize) {
     let patterns: PatternSet = (0..24)
         .map(|v| Pattern::from_integer(v * 3 + 1, 5))
         .collect();
-    let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+    let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
     (
         FaultDictionary::from_fault_list(&list),
         CoverageCurve::from_fault_list(&list, patterns.len()),

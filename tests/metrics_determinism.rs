@@ -13,12 +13,11 @@
 //! The metrics mode and registry are process-global, so every test in this
 //! file serializes on one lock and restores `Off` before releasing it.
 
+use lsi_quality::bist::signature::SignatureDictionary;
 use lsi_quality::exec::ExecutionContext;
 use lsi_quality::fault::deductive::DeductiveSimulator;
 use lsi_quality::fault::dictionary::FaultDictionary;
 use lsi_quality::fault::incremental::IncrementalSimulator;
-use lsi_quality::fault::parallel::ParallelSimulator;
-use lsi_quality::fault::ppsfp::PpsfpSimulator;
 use lsi_quality::fault::serial::SerialSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
@@ -69,13 +68,14 @@ fn sharded_merge_totals_are_worker_count_invariant() {
     for workers in [1, 2, 2 * cores] {
         let context = ExecutionContext::new(workers);
         obs::reset();
-        let parallel = ParallelSimulator::new(&circuit)
-            .with_context(&context)
-            .run(&universe, &patterns);
         let incremental = IncrementalSimulator::new(&circuit)
             .with_context(&context)
             .run(&universe, &patterns);
-        assert_eq!(parallel.detected_count(), incremental.detected_count());
+        let undropped = IncrementalSimulator::new(&circuit)
+            .with_context(&context)
+            .with_fault_dropping(false)
+            .run(&universe, &patterns);
+        assert_eq!(incremental, undropped);
         let totals = engine_totals(&obs::snapshot());
         assert!(
             totals.iter().all(|&t| t > 0),
@@ -90,6 +90,33 @@ fn sharded_merge_totals_are_worker_count_invariant() {
         }
     }
     obs::set_mode(MetricsMode::Off);
+}
+
+#[test]
+fn the_signature_sweep_records_no_engine_counters() {
+    // The sweep propagates faults with the incremental engine's cone
+    // kernel, but it is not an engine run: its work is counted under
+    // `bist.sweep.*` only.
+    let _guard = lock();
+    let circuit = library::alu4();
+    let universe = FaultUniverse::full(&circuit);
+    let patterns = patterns(circuit.primary_inputs().len(), 96);
+    obs::reset();
+    obs::set_mode(MetricsMode::Json);
+    let sweep = SignatureDictionary::build_sweep_in(
+        &ExecutionContext::new(2),
+        &circuit,
+        &universe,
+        &patterns,
+        32,
+        &[8, 16],
+        &[64, 96],
+    );
+    let recorded = obs::snapshot();
+    obs::set_mode(MetricsMode::Off);
+    assert!(sweep[1][1].raw_detected_count() > 0, "vacuous sweep");
+    assert_eq!(recorded.counter("bist.sweep.faults"), universe.len() as u64);
+    assert_eq!(engine_totals(&recorded), [0; 4]);
 }
 
 #[test]
@@ -117,8 +144,8 @@ fn recording_never_changes_engine_results() {
     assert_eq!(off, json, "fault lists must be byte-identical");
     // The off pass recorded nothing; the json pass recorded every engine.
     assert_eq!(engine_totals(&silent), [0; 4]);
-    assert_eq!(recorded.counter("engine.runs"), 5);
-    assert!(recorded.counter("engine.faults") >= 5 * universe_classes_floor(&universe));
+    assert_eq!(recorded.counter("engine.runs"), 3);
+    assert!(recorded.counter("engine.faults") >= 3 * universe_classes_floor(&universe));
 }
 
 fn universe_classes_floor(universe: &FaultUniverse) -> u64 {
@@ -132,11 +159,9 @@ fn run_all_engines(
     universe: &FaultUniverse,
     patterns: &PatternSet,
 ) -> Vec<Vec<Option<usize>>> {
-    let runs: [Box<dyn Fn() -> lsi_quality::fault::list::FaultList>; 5] = [
+    let runs: [Box<dyn Fn() -> lsi_quality::fault::list::FaultList>; 3] = [
         Box::new(|| SerialSimulator::new(circuit).run(universe, patterns)),
-        Box::new(|| PpsfpSimulator::new(circuit).run(universe, patterns)),
         Box::new(|| DeductiveSimulator::new(circuit).run(universe, patterns)),
-        Box::new(|| ParallelSimulator::new(circuit).run(universe, patterns)),
         Box::new(|| IncrementalSimulator::new(circuit).run(universe, patterns)),
     ];
     runs.iter()
@@ -155,7 +180,7 @@ fn recording_never_changes_lot_results() {
     let circuit = library::c17();
     let universe = FaultUniverse::full(&circuit);
     let patterns = patterns(circuit.primary_inputs().len(), 16);
-    let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+    let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
     let dictionary = FaultDictionary::from_fault_list(&list);
     let config = ModelLotConfig {
         chips: 200,

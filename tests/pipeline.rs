@@ -50,7 +50,8 @@ fn run_pipeline(
         .take(patterns_applied)
         .cloned()
         .collect();
-    let list = lsi_quality::fault::ppsfp::PpsfpSimulator::new(&circuit).run(&universe, &truncated);
+    let list = lsi_quality::fault::incremental::IncrementalSimulator::new(&circuit)
+        .run(&universe, &truncated);
     let dictionary = lsi_quality::fault::dictionary::FaultDictionary::from_fault_list(&list);
     let coverage_curve = CoverageCurve::from_fault_list(&list, truncated.len());
 

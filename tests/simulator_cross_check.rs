@@ -4,7 +4,7 @@
 //! functions.
 
 use lsi_quality::fault::deductive::DeductiveSimulator;
-use lsi_quality::fault::ppsfp::PpsfpSimulator;
+use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::serial::SerialSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
@@ -40,14 +40,14 @@ fn fault_simulators_agree_on_generated_circuits() {
         let universe = FaultUniverse::full(&circuit);
         let patterns = random_patterns(14, 96, seed + 100);
         let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
-        let ppsfp = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let incremental = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let deductive = DeductiveSimulator::new(&circuit).run(&universe, &patterns);
         for index in 0..universe.len() {
             let fault = universe.get(index).expect("valid").describe(&circuit);
             assert_eq!(
                 serial.state(index).first_pattern(),
-                ppsfp.state(index).first_pattern(),
-                "seed {seed}, fault {fault}: serial vs ppsfp"
+                incremental.state(index).first_pattern(),
+                "seed {seed}, fault {fault}: serial vs incremental"
             );
             assert_eq!(
                 serial.state(index).first_pattern(),

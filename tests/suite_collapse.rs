@@ -1,14 +1,16 @@
-//! Golden test for collapse-before-simulation in the suite builder.
+//! Golden test for collapsing inside the suite builder's engine.
 //!
-//! The `table1`/`lsiq-bench` suite-construction path now collapses the full
-//! fault universe structurally and simulates one representative per
-//! equivalence class by default.  Because equivalent faults are detected by
-//! exactly the same patterns, the optimisation must be *invisible*: this
-//! test pins the reported coverages to their pre-collapsing golden values
-//! and requires byte-identity between the collapse-on and collapse-off
-//! builds on every engine.
+//! The collapsing engines (incremental, the default, and deductive)
+//! partition the fault universe they are handed into structural
+//! equivalence classes and simulate one representative per class.  Because
+//! equivalent faults are detected by exactly the same patterns, the
+//! optimisation must be *invisible*: this test pins the reported coverages
+//! to their pre-collapsing golden values and requires byte-identical suites
+//! from each collapsing engine with its collapsing on and off.
 
-use lsi_quality::exec::EngineKind;
+use lsi_quality::fault::deductive::DeductiveSimulator;
+use lsi_quality::fault::incremental::IncrementalSimulator;
+use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::netlist::library;
 use lsi_quality::tpg::suite::TestSuiteBuilder;
@@ -36,21 +38,29 @@ fn collapsed_suite_coverages_match_the_golden_values() {
 #[test]
 fn collapse_on_and_off_agree_on_every_engine() {
     let circuit = library::alu4();
-    let universe = FaultUniverse::full(&circuit);
-    for engine in EngineKind::ALL {
-        let collapsed = TestSuiteBuilder {
-            engine,
-            ..TestSuiteBuilder::default()
+    let builder = TestSuiteBuilder::default();
+    for universe in [
+        FaultUniverse::full(&circuit),
+        FaultUniverse::checkpoint(&circuit),
+    ] {
+        let pairs: [(&dyn FaultSimulator, &dyn FaultSimulator); 2] = [
+            (
+                &IncrementalSimulator::new(&circuit),
+                &IncrementalSimulator::new(&circuit).with_collapsing(false),
+            ),
+            (
+                &DeductiveSimulator::new(&circuit),
+                &DeductiveSimulator::new(&circuit).with_collapsing(false),
+            ),
+        ];
+        for (collapsing, raw) in pairs {
+            let engine = collapsing.name();
+            let collapsed = builder.build_with(collapsing, &circuit, &universe);
+            let raw = builder.build_with(raw, &circuit, &universe);
+            assert_eq!(collapsed.patterns, raw.patterns, "{engine}");
+            assert_eq!(collapsed.fault_list, raw.fault_list, "{engine}");
+            assert_eq!(collapsed.coverage_curve, raw.coverage_curve, "{engine}");
+            assert_eq!(collapsed.dictionary, raw.dictionary, "{engine}");
         }
-        .build(&circuit, &universe);
-        let raw = TestSuiteBuilder {
-            engine,
-            collapse: false,
-            ..TestSuiteBuilder::default()
-        }
-        .build(&circuit, &universe);
-        assert_eq!(collapsed.fault_list, raw.fault_list, "{engine}");
-        assert_eq!(collapsed.coverage_curve, raw.coverage_curve, "{engine}");
-        assert_eq!(collapsed.dictionary, raw.dictionary, "{engine}");
     }
 }
