@@ -3,6 +3,7 @@
 //! pipeline against the serial path on identical inputs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lsiq_exec::ExecutionContext;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::incremental::IncrementalSimulator;
 use lsiq_fault::simulator::FaultSimulator;
@@ -64,11 +65,12 @@ fn bench_lot_simulation(c: &mut Criterion) {
         chips: 10_000,
         ..model_config
     };
-    let serial_runner = ParallelLotRunner::new().with_threads(1);
+    let serial_runner = ParallelLotRunner::default();
     c.bench_function("model_lot_10k_chips_serial", |b| {
         b.iter(|| serial_runner.generate_model_lot(black_box(&big_config)))
     });
-    let parallel_runner = ParallelLotRunner::new();
+    let context = ExecutionContext::new(0);
+    let parallel_runner = ParallelLotRunner::with_context(&context);
     c.bench_function("model_lot_10k_chips_parallel", |b| {
         b.iter(|| parallel_runner.generate_model_lot(black_box(&big_config)))
     });

@@ -14,13 +14,9 @@
 //!   environment knobs, exiting gracefully with the
 //!   [`ConfigError`](lsiq_exec::ConfigError) message on a bad value,
 //! * [`run_line_experiment`] — the full Section 7 production-line pass
-//!   ([`Session::run_production_line`]) with an explicit lot seed,
-//! * [`engine_from_env`] / [`reproduction_circuit`] — thin compatibility
-//!   shims over [`RunConfig::from_env`] and
-//!   [`Session::reproduction_circuit`].
+//!   ([`Session::run_production_line`]) with an explicit lot seed.
 
-use lsiq_exec::{EngineKind, MetricsMode, RunConfig};
-use lsiq_netlist::circuit::Circuit;
+use lsiq_exec::{MetricsMode, RunConfig};
 
 pub use lsi_quality::session::{LineExperiment, LineSpec, Session};
 
@@ -32,12 +28,6 @@ pub fn print_series(title: &str, x_label: &str, y_label: &str, points: &[(f64, f
         println!("{x:>14.6}  {y:>12.6}");
     }
     println!();
-}
-
-/// The circuit every production-line reproduction uses — see
-/// [`Session::reproduction_circuit`].
-pub fn reproduction_circuit(full: bool) -> Circuit {
-    Session::reproduction_circuit(full)
 }
 
 /// Reads the `LSIQ_*` knobs into a [`RunConfig`], exiting the process with
@@ -80,17 +70,6 @@ pub fn print_metrics_report(session: &Session) {
     }
 }
 
-/// The fault-simulation engine selected by the environment.
-///
-/// Compatibility shim over [`RunConfig::from_env`] (the single
-/// `LSIQ_*`-parsing site); prefer [`session_from_env`] and
-/// [`Session::config`].  Exits with the
-/// [`ConfigError`](lsiq_exec::ConfigError) message when any `LSIQ_*`
-/// variable is invalid.
-pub fn engine_from_env() -> EngineKind {
-    run_config_from_env().engine()
-}
-
 /// Runs the standard Section 7 style line experiment with an explicit lot
 /// seed: a [`Session`] is opened from the environment (engine and worker
 /// knobs apply; the seed argument overrides `LSIQ_SEED` because each caller
@@ -118,7 +97,7 @@ mod tests {
 
     #[test]
     fn reproduction_circuit_is_lsi_scale() {
-        let circuit = reproduction_circuit(false);
+        let circuit = Session::reproduction_circuit(false);
         assert!(circuit.transistor_estimate() >= 9_000);
         assert!(!circuit.primary_outputs().is_empty());
     }

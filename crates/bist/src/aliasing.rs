@@ -88,6 +88,7 @@ impl AliasingReport {
 mod tests {
     use super::*;
     use crate::signature::BistPlan;
+    use lsiq_exec::ExecutionContext;
     use lsiq_fault::universe::FaultUniverse;
     use lsiq_netlist::library;
     use lsiq_sim::pattern::{Pattern, PatternSet};
@@ -96,7 +97,13 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dictionary = SignatureDictionary::build(&circuit, &universe, &patterns, &plan);
+        let dictionary = SignatureDictionary::build_in(
+            &ExecutionContext::new(1),
+            &circuit,
+            &universe,
+            &patterns,
+            &plan,
+        );
         AliasingReport::from_dictionary(&dictionary)
     }
 
@@ -137,8 +144,13 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::from_faults(Vec::new());
         let patterns: PatternSet = (0..4).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dictionary =
-            SignatureDictionary::build(&circuit, &universe, &patterns, &BistPlan::default());
+        let dictionary = SignatureDictionary::build_in(
+            &ExecutionContext::new(1),
+            &circuit,
+            &universe,
+            &patterns,
+            &BistPlan::default(),
+        );
         let report = AliasingReport::from_dictionary(&dictionary);
         assert_eq!(report.raw_coverage(), 0.0);
         assert_eq!(report.effective_coverage(), 0.0);

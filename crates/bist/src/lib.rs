@@ -37,14 +37,21 @@
 //! use lsiq_bist::aliasing::AliasingReport;
 //! use lsiq_bist::signature::{BistPlan, SignatureDictionary};
 //! use lsiq_bist::stumps::{StumpsConfig, StumpsGenerator};
+//! use lsiq_exec::ExecutionContext;
 //! use lsiq_fault::universe::FaultUniverse;
 //! use lsiq_netlist::library;
 //!
 //! let circuit = library::c17();
 //! let universe = FaultUniverse::full(&circuit);
 //! let patterns = StumpsGenerator::new(&StumpsConfig::with_width(5, 1981)).generate(64);
-//! let dictionary =
-//!     SignatureDictionary::build(&circuit, &universe, &patterns, &BistPlan::default());
+//! let context = ExecutionContext::new(2);
+//! let dictionary = SignatureDictionary::build_in(
+//!     &context,
+//!     &circuit,
+//!     &universe,
+//!     &patterns,
+//!     &BistPlan::default(),
+//! );
 //! let report = AliasingReport::from_dictionary(&dictionary);
 //! assert!(report.effective_coverage() <= report.raw_coverage());
 //! ```

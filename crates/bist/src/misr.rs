@@ -18,14 +18,13 @@
 //! streams — so a register fed only the *error* stream (good XOR faulty)
 //! holds exactly `faulty signature XOR good signature`: a failing readout is
 //! a non-zero error state, and the faulty signature itself is never
-//! materialised.  [`Misr::fold_error_block`] packages that trick for one
-//! register; the signature-dictionary builder applies the same identity to
-//! sparse per-fault error words, driving several widths and mid-chunk
-//! session boundaries at once.
+//! materialised.  The signature-dictionary builder rests on that identity:
+//! it compresses each fault's sparse error words into parallel-input words
+//! and clocks one error register per signature width, across mid-chunk
+//! session boundaries.
 
 use crate::lfsr::{maximal_polynomial, DEGREE_GRAMMAR, SUPPORTED_DEGREES};
 use lsiq_exec::ConfigError;
-use lsiq_sim::packed::{gather_chunk_slot, gather_slot, PackedBlock};
 
 /// A `width`-bit multiple-input signature register with the built-in
 /// maximal-length feedback polynomial of that width.
@@ -148,64 +147,6 @@ impl Misr {
         let incoming = self.compress(response);
         self.clock(incoming);
     }
-
-    /// Folds a packed 64-pattern block of output responses — one `u64` per
-    /// circuit output, as produced by
-    /// [`CompiledCircuit::output_words`](lsiq_sim::levelized::CompiledCircuit::output_words)
-    /// — in pattern order.  Only the low `pattern_count` slots are folded.
-    pub fn fold_block(&mut self, output_words: &[u64], pattern_count: usize) {
-        for slot in 0..pattern_count {
-            self.fold(gather_slot(output_words, slot));
-        }
-    }
-
-    /// Folds a packed block of *error* words (good XOR faulty responses)
-    /// and returns the resulting error state.
-    ///
-    /// By linearity of the fold, the error state after any prefix of the
-    /// test equals `faulty signature XOR good signature`; it is zero exactly
-    /// when the two signatures agree.  When both the current error state and
-    /// the block's error words are all zero the register provably stays at
-    /// zero, so the slot loop is skipped — the dominant case for the
-    /// undetected and already-resolved faults of a dictionary build.
-    pub fn fold_error_block(&mut self, error_words: &[u64], pattern_count: usize) -> u64 {
-        if self.state == 0 && error_words.iter().all(|&word| word == 0) {
-            return 0;
-        }
-        self.fold_block(error_words, pattern_count);
-        self.state
-    }
-
-    /// Folds a lane-wide packed chunk of output responses — one
-    /// [`PackedBlock`] per circuit output, as produced by
-    /// [`CompiledCircuit::output_chunks`](lsiq_sim::levelized::CompiledCircuit::output_chunks)
-    /// — in pattern order.  Only the low `pattern_count` slots are folded;
-    /// the `L = 1` case is exactly [`fold_block`](Misr::fold_block).
-    pub fn fold_chunk<const L: usize>(
-        &mut self,
-        output_chunks: &[PackedBlock<L>],
-        pattern_count: usize,
-    ) {
-        for slot in 0..pattern_count {
-            self.fold(gather_chunk_slot(output_chunks, slot));
-        }
-    }
-
-    /// Folds a lane-wide packed chunk of *error* responses and returns the
-    /// resulting error state (the chunk analogue of
-    /// [`fold_error_block`](Misr::fold_error_block), with the same
-    /// quiet-chunk skip).
-    pub fn fold_error_chunk<const L: usize>(
-        &mut self,
-        error_chunks: &[PackedBlock<L>],
-        pattern_count: usize,
-    ) -> u64 {
-        if self.state == 0 && error_chunks.iter().all(|chunk| chunk.is_zero()) {
-            return 0;
-        }
-        self.fold_chunk(error_chunks, pattern_count);
-        self.state
-    }
 }
 
 #[cfg(test)]
@@ -218,32 +159,6 @@ mod tests {
         (0..patterns)
             .map(|_| (0..outputs).map(|_| rng.next_bool(0.5)).collect())
             .collect()
-    }
-
-    /// Packs per-pattern responses into one word per output (≤ 64 patterns).
-    fn pack(responses: &[Vec<bool>], outputs: usize) -> Vec<u64> {
-        let mut words = vec![0u64; outputs];
-        for (slot, response) in responses.iter().enumerate() {
-            for (output, &bit) in response.iter().enumerate() {
-                if bit {
-                    words[output] |= 1u64 << slot;
-                }
-            }
-        }
-        words
-    }
-
-    #[test]
-    fn fold_block_matches_serial_fold() {
-        let responses = random_responses(7, 50, 1);
-        let words = pack(&responses, 7);
-        let mut serial = Misr::new(16);
-        for response in &responses {
-            serial.fold(response.iter().copied());
-        }
-        let mut packed = Misr::new(16);
-        packed.fold_block(&words, 50);
-        assert_eq!(serial.signature(), packed.signature());
     }
 
     #[test]
@@ -265,71 +180,6 @@ mod tests {
             .map(|(ra, rb)| ra.iter().zip(rb).map(|(&x, &y)| x ^ y).collect())
             .collect();
         assert_eq!(fold_all(&a) ^ fold_all(&b), fold_all(&xored));
-    }
-
-    #[test]
-    fn fold_error_block_detects_exactly_signature_mismatches() {
-        let good = random_responses(6, 64, 4);
-        let good_words = pack(&good, 6);
-        // Flip one response bit to make a "faulty" stream.
-        let mut faulty = good.clone();
-        faulty[17][2] = !faulty[17][2];
-        let faulty_words = pack(&faulty, 6);
-        let error_words: Vec<u64> = good_words
-            .iter()
-            .zip(&faulty_words)
-            .map(|(&g, &f)| g ^ f)
-            .collect();
-
-        let mut good_misr = Misr::new(8);
-        good_misr.fold_block(&good_words, 64);
-        let mut faulty_misr = Misr::new(8);
-        faulty_misr.fold_block(&faulty_words, 64);
-        let mut error_misr = Misr::new(8);
-        let error = error_misr.fold_error_block(&error_words, 64);
-        assert_eq!(error, good_misr.signature() ^ faulty_misr.signature());
-
-        // An all-zero error stream never leaves the zero state.
-        let mut idle = Misr::new(8);
-        assert_eq!(idle.fold_error_block(&[0, 0, 0, 0, 0, 0], 64), 0);
-        assert_eq!(idle.signature(), 0);
-    }
-
-    #[test]
-    fn chunk_folds_match_word_folds_at_every_lane_width() {
-        fn check<const L: usize>() {
-            let patterns = 64 * L - 7; // partial tail in the last lane
-            let responses = random_responses(6, patterns, L as u64);
-            let mut chunks = vec![PackedBlock::<L>::ZERO; 6];
-            for (slot, response) in responses.iter().enumerate() {
-                for (output, &bit) in response.iter().enumerate() {
-                    if bit {
-                        chunks[output].0[slot / 64] |= 1u64 << (slot % 64);
-                    }
-                }
-            }
-            let mut serial = Misr::new(16);
-            for response in &responses {
-                serial.fold(response.iter().copied());
-            }
-            let mut packed = Misr::new(16);
-            packed.fold_chunk(&chunks, patterns);
-            assert_eq!(serial.signature(), packed.signature(), "L = {L}");
-
-            let mut error = Misr::new(16);
-            assert_eq!(
-                error.fold_error_chunk(&chunks, patterns),
-                serial.signature()
-            );
-            let mut idle = Misr::new(16);
-            assert_eq!(
-                idle.fold_error_chunk(&[PackedBlock::<L>::ZERO; 6], patterns),
-                0
-            );
-        }
-        check::<1>();
-        check::<4>();
-        check::<8>();
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! propagated through its fanout cone one packed chunk at a time by the
 //! [cone kernel](lsiq_fault::cone) the incremental fault engine runs on,
 //! which returns only the *error* words (good XOR faulty) of the outputs the
-//! fault reaches.  By the fold's GF(2) linearity (the identity
-//! [`Misr::fold_error_block`] packages for a single register) a session
-//! signature mismatches exactly when the error register is non-zero at the
-//! readout, so only the error stream is folded.
+//! fault reaches.  By the fold's GF(2) linearity (see the [`misr`](crate::misr)
+//! module) a session signature mismatches exactly when the error register
+//! is non-zero at the readout, so only the error stream is folded.
 //!
 //! The fold is transposed: instead of gathering every output's bit per
 //! pattern, each width's parallel-input word of every slot is compressed
@@ -96,29 +95,14 @@ pub struct SignatureDictionary {
 }
 
 impl SignatureDictionary {
-    /// Builds the dictionary on the process-wide worker pool.
+    /// Builds the dictionary for one [`BistPlan`] with the fault shards
+    /// executing on `context`'s worker pool (a 1-worker context runs on the
+    /// calling thread).  Results are byte-identical at any worker count.
     ///
     /// # Panics
     ///
     /// Panics if `plan.session_len` is 0 or `plan.signature_width` is not a
     /// supported MISR width.
-    pub fn build(
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        plan: &BistPlan,
-    ) -> SignatureDictionary {
-        SignatureDictionary::build_in(
-            ExecutionContext::global(),
-            circuit,
-            universe,
-            patterns,
-            plan,
-        )
-    }
-
-    /// Builds the dictionary with the fault shards executing on `context`'s
-    /// worker pool.  Results are byte-identical at any worker count.
     pub fn build_in(
         context: &ExecutionContext,
         circuit: &Circuit,
@@ -126,98 +110,49 @@ impl SignatureDictionary {
         patterns: &PatternSet,
         plan: &BistPlan,
     ) -> SignatureDictionary {
-        SignatureDictionary::build_many_in(
+        SignatureDictionary::build_sweep_cached(
             context,
             circuit,
             universe,
             patterns,
             plan.session_len,
             &[plan.signature_width],
-        )
-        .pop()
-        .expect("one width in, one dictionary out")
-    }
-
-    /// Builds one dictionary per requested signature width in a *single*
-    /// fault-simulation pass: every fault's responses are simulated once and
-    /// folded into one error register per width.  This is what makes a
-    /// test-length × signature-width sweep affordable — the simulation cost
-    /// is paid per length, not per grid cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session_len` is 0, `widths` is empty, or any width is not
-    /// a supported MISR width.
-    pub fn build_many_in(
-        context: &ExecutionContext,
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        session_len: usize,
-        widths: &[u32],
-    ) -> Vec<SignatureDictionary> {
-        SignatureDictionary::build_sweep_in(
-            context,
-            circuit,
-            universe,
-            patterns,
-            session_len,
-            widths,
             &[patterns.len()],
+            LaneWidth::Auto,
+            None,
         )
-        .pop()
-        .expect("one length in, one dictionary row out")
+        .swap_remove(0)
+        .swap_remove(0)
     }
 
     /// Builds one dictionary per `(test length, signature width)` grid cell
     /// in a *single* fault-simulation pass over the full pattern set.
     ///
-    /// Each requested length is a prefix of `patterns`, and MISR sessions
-    /// are independent (the register resets at every readout), so one
-    /// maximum-length simulation determines every prefix: full-session
+    /// Every fault's responses are simulated once and folded into one error
+    /// register per width, so the simulation cost is paid once, not per
+    /// grid cell.  Each requested length is a prefix of `patterns`, and MISR
+    /// sessions are independent (the register resets at every readout), so
+    /// one maximum-length simulation determines every prefix: full-session
     /// readouts are shared verbatim, and the only extra state a shorter
     /// test needs is the error register's value at its trailing partial
     /// session — captured as a snapshot when the pass crosses that length
     /// boundary.  The result is indexed `[length][width]` (input order) and
     /// each dictionary is byte-identical to what
-    /// [`build_many_in`](SignatureDictionary::build_many_in) produces on the
-    /// truncated pattern set, at a fault-simulation cost paid once instead
-    /// of once per length.
+    /// [`build_in`](SignatureDictionary::build_in) produces for that width
+    /// on the truncated pattern set.
+    ///
+    /// The packed lane width is selectable (results are byte-identical at
+    /// every width) and an optional shared [`GoodMachineCache`] supplies —
+    /// or receives — the per-chunk good-machine images, so a session that
+    /// has already simulated the same circuit over the same patterns (a
+    /// test-suite build, an earlier sweep) never re-runs the fault-free
+    /// machine.
     ///
     /// # Panics
     ///
     /// Panics if `session_len` is 0, `widths` or `lengths` is empty, any
     /// width is not a supported MISR width, or any length exceeds the
     /// pattern set.
-    pub fn build_sweep_in(
-        context: &ExecutionContext,
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        session_len: usize,
-        widths: &[u32],
-        lengths: &[usize],
-    ) -> Vec<Vec<SignatureDictionary>> {
-        SignatureDictionary::build_sweep_cached(
-            context,
-            circuit,
-            universe,
-            patterns,
-            session_len,
-            widths,
-            lengths,
-            LaneWidth::Auto,
-            None,
-        )
-    }
-
-    /// The fully configured form of
-    /// [`build_sweep_in`](SignatureDictionary::build_sweep_in): the packed
-    /// lane width is selectable (results are byte-identical at every width)
-    /// and an optional shared [`GoodMachineCache`] supplies — or receives —
-    /// the per-chunk good-machine images, so a session that has already
-    /// simulated the same circuit over the same patterns (a test-suite
-    /// build, an earlier sweep) never re-runs the fault-free machine.
     #[allow(clippy::too_many_arguments)]
     pub fn build_sweep_cached(
         context: &ExecutionContext,
@@ -723,6 +658,29 @@ mod tests {
     use lsiq_netlist::library;
     use lsiq_sim::pattern::Pattern;
 
+    /// The sweep at the default lane width, without a cache.
+    fn sweep(
+        context: &ExecutionContext,
+        circuit: &Circuit,
+        universe: &FaultUniverse,
+        patterns: &PatternSet,
+        session_len: usize,
+        widths: &[u32],
+        lengths: &[usize],
+    ) -> Vec<Vec<SignatureDictionary>> {
+        SignatureDictionary::build_sweep_cached(
+            context,
+            circuit,
+            universe,
+            patterns,
+            session_len,
+            widths,
+            lengths,
+            LaneWidth::Auto,
+            None,
+        )
+    }
+
     fn c17_fixture() -> (lsiq_netlist::circuit::Circuit, FaultUniverse, PatternSet) {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
@@ -888,20 +846,24 @@ mod tests {
     }
 
     #[test]
-    fn build_many_matches_individual_builds() {
+    fn multi_width_sweep_matches_individual_builds() {
         let (circuit, universe, patterns) = c17_fixture();
         let widths = [4u32, 8, 16];
-        let many = SignatureDictionary::build_many_in(
-            ExecutionContext::global(),
+        let context = ExecutionContext::new(2);
+        let many = sweep(
+            &context,
             &circuit,
             &universe,
             &patterns,
             6,
             &widths,
-        );
+            &[patterns.len()],
+        )
+        .swap_remove(0);
         assert_eq!(many.len(), widths.len());
         for (dictionary, &width) in many.iter().zip(&widths) {
-            let single = SignatureDictionary::build(
+            let single = SignatureDictionary::build_in(
+                &context,
                 &circuit,
                 &universe,
                 &patterns,
@@ -931,7 +893,7 @@ mod tests {
         let session_len = 16;
         let lengths = [48usize, 10, 16, 57, 96];
         let context = ExecutionContext::new(4);
-        let sweep = SignatureDictionary::build_sweep_in(
+        let grid = sweep(
             &context,
             &circuit,
             &universe,
@@ -940,18 +902,19 @@ mod tests {
             &widths,
             &lengths,
         );
-        assert_eq!(sweep.len(), lengths.len());
-        for (row, &length) in sweep.iter().zip(&lengths) {
+        assert_eq!(grid.len(), lengths.len());
+        for (row, &length) in grid.iter().zip(&lengths) {
             let prefix: PatternSet = patterns.iter().take(length).cloned().collect();
-            let reference = SignatureDictionary::build_many_in(
+            let reference = sweep(
                 &ExecutionContext::new(1),
                 &circuit,
                 &universe,
                 &prefix,
                 session_len,
                 &widths,
+                &[length],
             );
-            assert_eq!(*row, reference, "length {length}");
+            assert_eq!(*row, reference[0], "length {length}");
         }
     }
 
@@ -967,7 +930,7 @@ mod tests {
         let widths = [8u32, 16];
         let lengths = [40usize, 96, 160];
         let context = ExecutionContext::new(2);
-        let reference = SignatureDictionary::build_sweep_in(
+        let reference = sweep(
             &context, &circuit, &universe, &patterns, 32, &widths, &lengths,
         );
         let cache = GoodMachineCache::new();
@@ -1012,7 +975,13 @@ mod tests {
             session_len: 8,
             signature_width: 16,
         };
-        let dictionary = SignatureDictionary::build(&circuit, &universe, &patterns, &plan);
+        let dictionary = SignatureDictionary::build_in(
+            &ExecutionContext::new(1),
+            &circuit,
+            &universe,
+            &patterns,
+            &plan,
+        );
         assert_eq!(dictionary.len(), universe.len());
         assert_eq!(dictionary.raw_detected_count(), universe.len());
         assert_eq!(dictionary.signature_detected_count(), universe.len());
@@ -1030,7 +999,8 @@ mod tests {
     #[test]
     fn empty_pattern_set_detects_nothing() {
         let (circuit, universe, _) = c17_fixture();
-        let dictionary = SignatureDictionary::build(
+        let dictionary = SignatureDictionary::build_in(
+            &ExecutionContext::new(1),
             &circuit,
             &universe,
             &PatternSet::new(),

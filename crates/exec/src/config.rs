@@ -4,9 +4,11 @@
 //! [`RunConfig::from_env`] is the single place in the workspace that parses
 //! the `LSIQ_ENGINE`, `LSIQ_LOT_THREADS`, `LSIQ_SEED`, `LSIQ_TEST_MODE`,
 //! `LSIQ_SCAN_CHAINS`, `LSIQ_LANES` and `LSIQ_METRICS` environment
-//! variables; every older knob (`lsiq_bench::engine_from_env`, the
-//! `production_line` example) delegates here, so an invalid value always
-//! produces the same actionable [`ConfigError`] instead of divergent panics.
+//! variables, and only the process entry points call it (`Session::from_env`,
+//! `QueryService::from_env`, `lsiq_bench::run_config_from_env`).  Library
+//! stages never read the environment: they take their configuration and
+//! worker pool as arguments, so an invalid value always surfaces as the
+//! same actionable [`ConfigError`] at start-up, never as a panic mid-run.
 
 use std::env;
 use std::error::Error;
@@ -382,8 +384,8 @@ impl fmt::Display for ScanPlan {
 /// how many worker threads to run, and the base seed every stochastic stage
 /// derives its streams from.
 ///
-/// Build one with the builder methods, or from the environment (the
-/// compatibility layer for the `LSIQ_*` knobs) with [`RunConfig::from_env`]:
+/// Build one with the builder methods, or from the `LSIQ_*` environment
+/// variables with [`RunConfig::from_env`]:
 ///
 /// ```
 /// use lsiq_exec::{EngineKind, RunConfig};

@@ -18,9 +18,10 @@
 //! * [`ExecutionContext`] — a persistent pool of parked worker threads with
 //!   a scoped fork-join API ([`ExecutionContext::scope`]).  Every parallel
 //!   stage of the reproduction — fault-universe sharding, lot generation,
-//!   wafer test, reject tabulation, `(y, n0)` sweeps — runs on one such
-//!   pool, so worker threads are spawned once per session and reused across
-//!   all sweep points instead of respawned per call.
+//!   wafer test, reject tabulation, `(y, n0)` sweeps — runs on the pool its
+//!   caller passes, or on the calling thread when given none, so worker
+//!   threads are spawned once per session and reused across all sweep
+//!   points instead of respawned per call.
 //!
 //! The facade crate bundles a [`RunConfig`] and an [`ExecutionContext`] into
 //! `lsi_quality::Session`, the one-call entry point of the reproduction

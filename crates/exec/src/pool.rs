@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -137,9 +137,8 @@ impl ScopeState {
 /// A persistent pool of parked worker threads with a scoped fork-join API.
 ///
 /// Construct one per session ([`ExecutionContext::new`] /
-/// [`ExecutionContext::from_config`]) and thread it through the parallel
-/// stages; code paths with no context in hand fall back to the shared
-/// process-wide pool ([`ExecutionContext::global`]).
+/// [`ExecutionContext::from_config`]) and pass it to the parallel stages; a
+/// stage given no context runs on the calling thread.
 ///
 /// ```
 /// use lsiq_exec::ExecutionContext;
@@ -217,18 +216,6 @@ impl ExecutionContext {
     /// override, or the available hardware parallelism).
     pub fn from_config(config: &RunConfig) -> ExecutionContext {
         ExecutionContext::new(config.workers().unwrap_or(0))
-    }
-
-    /// The shared process-wide pool, sized to the available hardware
-    /// parallelism and created on first use.
-    ///
-    /// This is the fallback for compatibility entry points that predate the
-    /// typed API (`ParallelLotRunner::new`, engines built without an
-    /// explicit context): even those now reuse persistent workers instead of
-    /// respawning threads per call.
-    pub fn global() -> &'static ExecutionContext {
-        static GLOBAL: OnceLock<ExecutionContext> = OnceLock::new();
-        GLOBAL.get_or_init(|| ExecutionContext::new(0))
     }
 
     /// Total execution lanes of this context (pool threads plus the
@@ -508,7 +495,6 @@ mod tests {
         let context = ExecutionContext::new(2);
         assert_eq!(context.scope(|_| 42), 42);
         assert_eq!(context.workers(), 2);
-        assert!(ExecutionContext::global().workers() >= 1);
         assert!(format!("{context:?}").contains("workers"));
     }
 

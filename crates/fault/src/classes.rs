@@ -39,7 +39,7 @@ impl CollapseContext {
             class_of: equivalence
                 .representative_of
                 .iter()
-                .map(|class| class.expect("equivalence collapsing keeps every class") as u32)
+                .map(|&class| class as u32)
                 .collect(),
             class_count: equivalence.collapsed.len(),
             table: OnceCell::new(),

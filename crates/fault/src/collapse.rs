@@ -2,11 +2,10 @@
 //!
 //! Equivalence collapsing merges faults that no test can distinguish (for
 //! example, any input of an AND gate stuck at 0 is indistinguishable from the
-//! output stuck at 0).  Dominance reduction additionally removes gate-output
-//! faults that are detected by every test of some input fault.  Collapsing
-//! changes the size of the fault universe `N` and therefore the numerical
-//! value of "fault coverage"; the paper's model is agnostic to the choice as
-//! long as it is applied consistently, and the bench harness reports both.
+//! output stuck at 0).  Collapsing changes the size of the fault universe `N`
+//! and therefore the numerical value of "fault coverage"; the paper's model
+//! is agnostic to the choice as long as it is applied consistently.  The
+//! engines collapse internally and report on the caller's universe.
 
 use crate::model::{Fault, StuckValue};
 use crate::universe::{FaultUniverse, SiteTable};
@@ -16,13 +15,11 @@ use lsiq_netlist::GateKind;
 /// The outcome of a collapsing pass.
 #[derive(Debug, Clone)]
 pub struct CollapseResult {
-    /// The collapsed universe (one representative per equivalence class,
-    /// minus any dominance-removed faults).
+    /// The collapsed universe (one representative per equivalence class).
     pub collapsed: FaultUniverse,
     /// For every fault of the original universe, the index of its
-    /// representative in `collapsed`, or `None` if the whole class was
-    /// removed by dominance reduction.
-    pub representative_of: Vec<Option<usize>>,
+    /// representative in `collapsed`.
+    pub representative_of: Vec<usize>,
     /// Size of the original universe.
     pub original_len: usize,
 }
@@ -149,68 +146,12 @@ pub fn collapse_equivalence(circuit: &Circuit) -> CollapseResult {
             collapsed_faults.push(*universe.get(root).expect("root is in range"));
             collapsed_faults.len() - 1
         });
-        representative_of.push(Some(entry));
+        representative_of.push(entry);
     }
     CollapseResult {
         collapsed: FaultUniverse::from_faults(collapsed_faults),
         representative_of,
         original_len: universe.len(),
-    }
-}
-
-/// Performs equivalence collapsing followed by dominance reduction.
-///
-/// Dominance reduction removes, for every multi-input AND/NAND/OR/NOR gate,
-/// the output fault of the *non-equivalent* polarity (for example the output
-/// SA1 of an AND gate), because any test for one of the gate's input SA1
-/// faults also detects it.  The mapping for removed classes is `None`.
-pub fn collapse_dominance(circuit: &Circuit) -> CollapseResult {
-    let equivalence = collapse_equivalence(circuit);
-    let universe = FaultUniverse::full(circuit);
-    let index_of = SiteTable::new(circuit, &universe);
-    let mut removable = vec![false; equivalence.collapsed.len()];
-    for (id, gate) in circuit.iter() {
-        if gate.fanin_count() < 2 {
-            continue;
-        }
-        // Only meaningful when the gate output is not itself a checkpoint
-        // the structure needs: if the gate drives a primary output directly
-        // the fault is kept, because its input tests propagate through anyway.
-        let removable_stuck = match gate.kind() {
-            GateKind::And => StuckValue::One,
-            GateKind::Nand => StuckValue::Zero,
-            GateKind::Or => StuckValue::Zero,
-            GateKind::Nor => StuckValue::One,
-            _ => continue,
-        };
-        let fault = Fault::output(id, removable_stuck);
-        if let Some(original_index) = index_of.position(&fault).map(|i| i as usize) {
-            if let Some(Some(representative)) = equivalence.representative_of.get(original_index) {
-                // Only remove the class if the output fault is its own class
-                // (dominance does not licence removing merged input faults).
-                if equivalence.collapsed.get(*representative) == Some(&fault) {
-                    removable[*representative] = true;
-                }
-            }
-        }
-    }
-    let mut new_index = vec![None; equivalence.collapsed.len()];
-    let mut kept = Vec::new();
-    for (index, fault) in equivalence.collapsed.iter().enumerate() {
-        if !removable[index] {
-            new_index[index] = Some(kept.len());
-            kept.push(*fault);
-        }
-    }
-    let representative_of = equivalence
-        .representative_of
-        .iter()
-        .map(|maybe| maybe.and_then(|rep| new_index[rep]))
-        .collect();
-    CollapseResult {
-        collapsed: FaultUniverse::from_faults(kept),
-        representative_of,
-        original_len: equivalence.original_len,
     }
 }
 
@@ -234,11 +175,10 @@ mod tests {
         let result = collapse_equivalence(&circuit);
         assert!(result.collapsed.len() < result.original_len);
         assert!(result.ratio() < 1.0);
-        // Every original fault maps to a representative.
-        assert!(result.representative_of.iter().all(|r| r.is_some()));
-        // Representatives are themselves members of the collapsed set.
-        for rep in result.representative_of.iter().flatten() {
-            assert!(*rep < result.collapsed.len());
+        // Every original fault maps to a member of the collapsed set.
+        assert_eq!(result.representative_of.len(), result.original_len);
+        for &rep in &result.representative_of {
+            assert!(rep < result.collapsed.len());
         }
     }
 
@@ -267,15 +207,6 @@ mod tests {
             result.representative_of[pin0_sa0],
             result.representative_of[pin1_sa0]
         );
-    }
-
-    #[test]
-    fn dominance_is_at_least_as_small_as_equivalence() {
-        let circuit = library::c17();
-        let equivalence = collapse_equivalence(&circuit);
-        let dominance = collapse_dominance(&circuit);
-        assert!(dominance.collapsed.len() <= equivalence.collapsed.len());
-        assert_eq!(dominance.original_len, equivalence.original_len);
     }
 
     #[test]
@@ -326,8 +257,7 @@ mod tests {
                 full_list.coverage(),
                 "{name}: collapsed-universe coverage differs from full-universe coverage"
             );
-            for (index, representative) in equivalence.representative_of.iter().enumerate() {
-                let representative = representative.expect("equivalence removes nothing");
+            for (index, &representative) in equivalence.representative_of.iter().enumerate() {
                 assert_eq!(
                     full_list.state(index).first_pattern(),
                     collapsed_list.state(representative).first_pattern(),
@@ -360,59 +290,13 @@ mod tests {
             let sim = uncollapsed(circuit);
             let full_list = sim.run(&full, &patterns);
             let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
-            for (index, representative) in equivalence.representative_of.iter().enumerate() {
-                let representative = representative.expect("equivalence removes nothing");
+            for (index, &representative) in equivalence.representative_of.iter().enumerate() {
                 assert_eq!(
                     full_list.state(index).first_pattern(),
                     collapsed_list.state(representative).first_pattern(),
                     "{name}: fault {} disagrees with its class under sparse patterns",
                     full.get(index).expect("valid").describe(circuit)
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn structured_generators_dominance_keeps_full_detectability() {
-        // Dominance reduction may only remove faults whose detection is
-        // implied: when every kept fault is detected, every removed fault is
-        // detected too, so 100 percent collapsed coverage must mean
-        // 100 percent full-universe coverage.
-        use lsiq_netlist::generator;
-        let circuits = [
-            ("adder", generator::ripple_carry_adder(3)),
-            ("mux", generator::mux_tree(2)),
-            ("decoder", generator::decoder(3)),
-        ];
-        for (name, circuit) in &circuits {
-            let width = circuit.primary_inputs().len();
-            let patterns: PatternSet = (0..1u64 << width)
-                .map(|value| Pattern::from_integer(value, width))
-                .collect();
-            let dominance = collapse_dominance(circuit);
-            let equivalence = collapse_equivalence(circuit);
-            assert!(
-                dominance.collapsed.len() < equivalence.collapsed.len(),
-                "{name}: dominance removed nothing"
-            );
-            let sim = uncollapsed(circuit);
-            let dominance_list = sim.run(&dominance.collapsed, &patterns);
-            let full_list = sim.run(&FaultUniverse::full(circuit), &patterns);
-            assert_eq!(dominance_list.coverage(), 1.0, "{name}");
-            assert_eq!(full_list.coverage(), 1.0, "{name}");
-            // Every kept class still detects at its equivalence-class time.
-            for (index, representative) in dominance.representative_of.iter().enumerate() {
-                if let Some(representative) = representative {
-                    assert_eq!(
-                        full_list.state(index).first_pattern(),
-                        dominance_list.state(*representative).first_pattern(),
-                        "{name}: kept fault {} shifted its first detection",
-                        FaultUniverse::full(circuit)
-                            .get(index)
-                            .expect("valid")
-                            .describe(circuit)
-                    );
-                }
             }
         }
     }
@@ -444,7 +328,7 @@ mod tests {
                 .representative_of
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| **r == Some(class))
+                .filter(|(_, r)| **r == class)
                 .map(|(i, _)| i)
                 .collect();
             let first = signatures[members[0]];

@@ -26,9 +26,9 @@
 //! hand it the universe they report on, and collapsing happens here, once.
 //! Runs are single-threaded by default; binding an [`ExecutionContext`] via
 //! [`with_context`](IncrementalSimulator::with_context) (which
-//! `EngineKind::build_in` does automatically) shards the simulation classes
-//! across the pool's workers, each with its own kernel scratch state, with
-//! results identical at any worker count.
+//! `EngineKind::build_configured` does when its options carry one) shards
+//! the simulation classes across the pool's workers, each with its own
+//! kernel scratch state, with results identical at any worker count.
 
 use crate::classes::{simulation_classes, CollapseContext, SimulationClasses};
 use crate::cone::{good_chunks, ConePropagator, GoodChunk};
@@ -77,7 +77,6 @@ pub struct IncrementalSimulator<'c> {
     compiled: CompiledCircuit<'c>,
     drop_detected: bool,
     collapse: bool,
-    threads: usize,
     context: Option<&'c ExecutionContext>,
     lanes: LaneWidth,
     cache: Option<&'c GoodMachineCache>,
@@ -98,7 +97,6 @@ impl<'c> IncrementalSimulator<'c> {
             compiled: CompiledCircuit::new(circuit),
             drop_detected: true,
             collapse: true,
-            threads: 0,
             context: None,
             lanes: LaneWidth::Auto,
             cache: None,
@@ -123,8 +121,8 @@ impl<'c> IncrementalSimulator<'c> {
     }
 
     /// Binds the simulator to a persistent worker pool and shards the
-    /// simulation classes across its workers.  Without this (and without
-    /// [`with_threads`](Self::with_threads)) runs are single-threaded.
+    /// simulation classes across its workers.  Without this runs are
+    /// single-threaded.
     pub fn with_context(mut self, context: &'c ExecutionContext) -> Self {
         self.context = Some(context);
         self
@@ -145,28 +143,10 @@ impl<'c> IncrementalSimulator<'c> {
         self
     }
 
-    /// Overrides the worker-thread count; `0` (the default) means one
-    /// thread, or the bound context's worker count if one is bound.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The worker pool multi-shard runs execute on: the bound context, or
-    /// the process-wide default pool.
-    fn execution_context(&self) -> &ExecutionContext {
-        self.context.unwrap_or_else(|| ExecutionContext::global())
-    }
-
-    /// The shard count a run would use for `class_count` simulation classes.
+    /// The shard count a run would use for `class_count` simulation classes:
+    /// one per worker of the bound context, or one without a context.
     fn shard_count(&self, class_count: usize) -> usize {
-        let requested = if self.threads > 0 {
-            self.threads
-        } else if let Some(context) = self.context {
-            context.workers()
-        } else {
-            1
-        };
+        let requested = self.context.map_or(1, ExecutionContext::workers);
         let useful = class_count.div_ceil(Self::MIN_CLASSES_PER_SHARD);
         requested.min(useful).max(1)
     }
@@ -216,18 +196,19 @@ impl<'c> IncrementalSimulator<'c> {
                 })
                 .collect();
             let compiled = &self.compiled;
-            if shards == 1 {
-                vec![simulate_shard(
+            match self.context {
+                Some(context) if shards > 1 => {
+                    let shard_faults: Vec<&[Fault]> = representatives.chunks(shard_len).collect();
+                    context.scope_map(shard_faults, |shard| {
+                        simulate_shard(compiled, &chunks, shard, drop_detected)
+                    })
+                }
+                _ => vec![simulate_shard(
                     compiled,
                     &chunks,
                     &representatives,
                     drop_detected,
-                )]
-            } else {
-                let shard_faults: Vec<&[Fault]> = representatives.chunks(shard_len).collect();
-                self.execution_context().scope_map(shard_faults, |shard| {
-                    simulate_shard(compiled, &chunks, shard, drop_detected)
-                })
+                )],
             }
         };
 
@@ -444,13 +425,7 @@ mod tests {
         let universe = FaultUniverse::full(&circuit);
         let patterns = random_patterns(12, 100, 31);
         let reference = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
-        for threads in [2, 3, 8] {
-            let sharded = IncrementalSimulator::new(&circuit)
-                .with_threads(threads)
-                .run(&universe, &patterns);
-            assert_eq!(reference, sharded, "threads = {threads}");
-        }
-        for workers in [1, 2, 6] {
+        for workers in [1, 2, 3, 6, 8] {
             let context = ExecutionContext::new(workers);
             // Two runs on one context: the pool is reused, not respawned.
             for _ in 0..2 {
@@ -465,10 +440,12 @@ mod tests {
     #[test]
     fn shard_count_scales_down_for_tiny_universes() {
         let circuit = library::c17();
-        let simulator = IncrementalSimulator::new(&circuit).with_threads(16);
+        let context = ExecutionContext::new(4);
+        let simulator = IncrementalSimulator::new(&circuit).with_context(&context);
         assert_eq!(simulator.shard_count(46), 1);
         assert_eq!(simulator.shard_count(0), 1);
-        assert_eq!(simulator.shard_count(64 * 16), 16);
+        assert_eq!(simulator.shard_count(64 * 4), 4);
+        assert_eq!(simulator.shard_count(64 * 16), 4);
         assert_eq!(simulator.shard_count(65), 2);
         // Default is single-threaded.
         assert_eq!(IncrementalSimulator::new(&circuit).shard_count(10_000), 1);

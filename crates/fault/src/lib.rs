@@ -5,7 +5,7 @@
 //!
 //! * [`model`] — stuck-at faults on gate outputs and input pins,
 //! * [`universe`] — enumeration of the complete fault universe `N`,
-//! * [`collapse`] — structural equivalence and dominance collapsing,
+//! * [`collapse`] — structural equivalence collapsing,
 //! * [`list`] — fault lists with detection status and coverage accounting,
 //! * [`simulator`] — the [`FaultSimulator`] trait every engine implements,
 //! * [`incremental`] — the production engine: event-driven propagation of

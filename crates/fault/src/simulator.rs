@@ -122,30 +122,16 @@ impl Default for EngineOptions<'_> {
 /// ```
 pub trait BuildEngine {
     /// Instantiates the engine for `circuit` with its default settings
-    /// (fault dropping on; collapsing on for the deductive engine).
+    /// (fault dropping on; collapsing on for the collapsing engines; the
+    /// calling thread).
     fn build<'c>(self, circuit: &'c Circuit) -> Box<dyn FaultSimulator + 'c>;
 
-    /// Instantiates the engine with an explicit fault-dropping mode.
-    fn build_with_fault_dropping<'c>(
-        self,
-        circuit: &'c Circuit,
-        fault_dropping: bool,
-    ) -> Box<dyn FaultSimulator + 'c>;
-
-    /// Instantiates the engine bound to a persistent [`ExecutionContext`]:
-    /// the incremental engine shards its simulation classes across the
-    /// context's pooled workers, and the single-threaded oracles simply run
-    /// on the calling thread (which may itself be one of the context's
-    /// workers).
-    fn build_in<'c>(
-        self,
-        context: &'c ExecutionContext,
-        circuit: &'c Circuit,
-    ) -> Box<dyn FaultSimulator + 'c>;
-
-    /// Instantiates the engine with a full [`EngineOptions`] bundle.  The
-    /// other constructors are shorthands for this one; engines apply the
-    /// options they understand and ignore the rest.
+    /// Instantiates the engine with a full [`EngineOptions`] bundle; engines
+    /// apply the options they understand and ignore the rest.  With a
+    /// [`context`](EngineOptions::context) the incremental engine shards its
+    /// simulation classes across the context's pooled workers, and the
+    /// single-threaded oracles simply run on the calling thread (which may
+    /// itself be one of the context's workers).
     fn build_configured<'c>(
         self,
         circuit: &'c Circuit,
@@ -156,34 +142,6 @@ pub trait BuildEngine {
 impl BuildEngine for EngineKind {
     fn build<'c>(self, circuit: &'c Circuit) -> Box<dyn FaultSimulator + 'c> {
         self.build_configured(circuit, &EngineOptions::default())
-    }
-
-    fn build_with_fault_dropping<'c>(
-        self,
-        circuit: &'c Circuit,
-        fault_dropping: bool,
-    ) -> Box<dyn FaultSimulator + 'c> {
-        self.build_configured(
-            circuit,
-            &EngineOptions {
-                fault_dropping,
-                ..EngineOptions::default()
-            },
-        )
-    }
-
-    fn build_in<'c>(
-        self,
-        context: &'c ExecutionContext,
-        circuit: &'c Circuit,
-    ) -> Box<dyn FaultSimulator + 'c> {
-        self.build_configured(
-            circuit,
-            &EngineOptions {
-                context: Some(context),
-                ..EngineOptions::default()
-            },
-        )
     }
 
     fn build_configured<'c>(
@@ -250,14 +208,20 @@ mod tests {
     }
 
     #[test]
-    fn build_in_runs_every_engine_on_an_explicit_context() {
+    fn build_configured_runs_every_engine_on_an_explicit_context() {
         let context = lsiq_exec::ExecutionContext::new(2);
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
         let reference = EngineKind::Serial.build(&circuit).run(&universe, &patterns);
         for kind in EngineKind::ALL {
-            let engine = kind.build_in(&context, &circuit);
+            let engine = kind.build_configured(
+                &circuit,
+                &EngineOptions {
+                    context: Some(&context),
+                    ..EngineOptions::default()
+                },
+            );
             assert_eq!(engine.name(), kind.name());
             assert_eq!(engine.run(&universe, &patterns), reference, "{kind}");
         }
@@ -275,7 +239,13 @@ mod tests {
                 engine.run(&universe, &patterns).detected_count(),
                 universe.len()
             );
-            let undropped = kind.build_with_fault_dropping(&circuit, false);
+            let undropped = kind.build_configured(
+                &circuit,
+                &EngineOptions {
+                    fault_dropping: false,
+                    ..EngineOptions::default()
+                },
+            );
             assert_eq!(
                 undropped.run(&universe, &patterns).detected_count(),
                 universe.len()

@@ -81,10 +81,46 @@ impl RejectExperiment {
         }
     }
 
-    /// Assembles an experiment from already computed rows (the parallel
-    /// runner's merge step).  Rows must be in checkpoint order.
-    pub(crate) fn from_rows(rows: Vec<RejectRow>, total_chips: usize) -> RejectExperiment {
-        RejectExperiment { rows, total_chips }
+    /// Tabulates the experiment from a first-fail histogram of `chips`
+    /// tested chips — `fail_counts[p]` chips first failed at pattern `p` —
+    /// in one prefix-sum pass, `O(patterns + checkpoints)`.  The rows are
+    /// byte-identical to [`tabulate`](Self::tabulate) over the records the
+    /// histogram counts; the parallel runner and the streaming executor
+    /// both finish here.
+    pub(crate) fn from_fail_counts(
+        fail_counts: &[usize],
+        chips: usize,
+        coverage: &CoverageCurve,
+        checkpoints: &[usize],
+    ) -> RejectExperiment {
+        // cumulative_failed[k]: chips whose first failure precedes pattern k.
+        let mut cumulative_failed = Vec::with_capacity(fail_counts.len() + 1);
+        cumulative_failed.push(0usize);
+        let mut running = 0usize;
+        for count in fail_counts {
+            running += count;
+            cumulative_failed.push(running);
+        }
+        let rows = checkpoints
+            .iter()
+            .map(|&patterns_applied| {
+                let chips_failed = cumulative_failed[patterns_applied.min(fail_counts.len())];
+                RejectRow {
+                    patterns_applied,
+                    fault_coverage: coverage.coverage_after(patterns_applied),
+                    chips_failed,
+                    fraction_failed: if chips == 0 {
+                        0.0
+                    } else {
+                        chips_failed as f64 / chips as f64
+                    },
+                }
+            })
+            .collect();
+        RejectExperiment {
+            rows,
+            total_chips: chips,
+        }
     }
 
     /// Tabulates the experiment at every pattern count from 1 to the end of

@@ -26,11 +26,9 @@
 //! * [`pipeline`] — the multi-threaded production line:
 //!   [`ParallelLotRunner`] shards one lot's chips across pooled worker
 //!   threads with byte-identical results, and [`LotSweep`] fans whole
-//!   `(y, n0)` experiment grids across lots.  Both run on a persistent
-//!   [`ExecutionContext`](lsiq_exec::ExecutionContext) — a session's, or
-//!   the process-wide default — configured through the typed
-//!   [`RunConfig`](lsiq_exec::RunConfig) (the `LSIQ_LOT_THREADS` variable
-//!   survives as its compatibility layer), and
+//!   `(y, n0)` experiment grids across lots.  Both run on the persistent
+//!   [`ExecutionContext`](lsiq_exec::ExecutionContext) their caller binds
+//!   (a session's, typically), or on the calling thread without one, and
 //! * [`streaming`] — the memory-bounded counterpart:
 //!   [`StreamingLotExecutor`] folds fixed-size blocks of chips into running
 //!   integer statistics, so billion-chip lots run in `O(workers × patterns)`

@@ -16,26 +16,23 @@
 //!   truths, one lot each — across threads and aggregates the per-lot
 //!   reject-rate and field-quality estimates.
 //!
-//! Both levels execute on a persistent [`ExecutionContext`] worker pool —
-//! the one bound via [`ParallelLotRunner::with_context`] /
-//! [`LotSweep::with_context`] (a `Session`'s pool, typically), or the
-//! process-wide default pool.  A sweep therefore reuses the same parked
+//! Both levels execute on the persistent [`ExecutionContext`] worker pool
+//! their caller binds via [`ParallelLotRunner::with_context`] /
+//! [`LotSweep::with_context`] (a `Session`'s pool, typically); without one
+//! they run on the calling thread.  A sweep therefore reuses the same parked
 //! workers across all its `(y, n0)` points instead of respawning threads per
 //! lot, and reject tabulation streams each record exactly once into
-//! per-shard counting-sort accumulators merged at join.
-//!
-//! Configuration flows through the typed `lsiq_exec::RunConfig`; the
-//! `LSIQ_LOT_THREADS` environment variable survives as a compatibility layer
-//! consumed by [`ParallelLotRunner::new`] via [`RunConfig::from_env`].
+//! per-shard counting-sort accumulators merged at join.  Nothing here reads
+//! the environment: the worker count is the context's.
 
 use crate::bist_test::{SessionRecord, SignatureTester};
 use crate::chip::Chip;
-use crate::experiment::{RejectExperiment, RejectRow};
+use crate::experiment::RejectExperiment;
 use crate::field::FieldOutcome;
 use crate::lot::{ChipLot, ModelLotConfig, PhysicalLotConfig};
 use crate::tester::{TestRecord, WaferTester};
 use lsiq_bist::signature::SignatureDictionary;
-use lsiq_exec::{ExecutionContext, RunConfig};
+use lsiq_exec::ExecutionContext;
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_stats::rng::{Rng, SplitMix64};
@@ -44,7 +41,7 @@ use lsiq_stats::rng::{Rng, SplitMix64};
 /// reject bookkeeping — sharded across pooled worker threads.
 ///
 /// Because chip `i` draws only from stream `i` of the lot seed, the sharding
-/// is invisible in the output: any thread count produces byte-identical
+/// is invisible in the output: any worker count produces byte-identical
 /// lots, test records and experiment tables.
 ///
 /// ```
@@ -63,23 +60,14 @@ use lsiq_stats::rng::{Rng, SplitMix64};
 /// // On a session's persistent pool…
 /// let context = ExecutionContext::new(4);
 /// let pooled = ParallelLotRunner::with_context(&context).generate_model_lot(&config);
-/// // …or on the process-wide default pool with an explicit shard count.
-/// let parallel = ParallelLotRunner::new()
-///     .with_threads(4)
-///     .generate_model_lot(&config);
-/// assert_eq!(serial, pooled); // byte-identical at any thread count
-/// assert_eq!(serial, parallel);
+/// // …or, without a context, on the calling thread.
+/// let inline = ParallelLotRunner::default().generate_model_lot(&config);
+/// assert_eq!(serial, pooled); // byte-identical at any worker count
+/// assert_eq!(serial, inline);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelLotRunner<'ctx> {
-    threads: usize,
     context: Option<&'ctx ExecutionContext>,
-}
-
-impl Default for ParallelLotRunner<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<'ctx> ParallelLotRunner<'ctx> {
@@ -87,72 +75,26 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     /// overhead costs more than the parallelism recovers.
     pub(crate) const MIN_ITEMS_PER_SHARD: usize = 128;
 
-    /// Creates a runner honouring the `LSIQ_LOT_THREADS` environment
-    /// variable; unset, it uses one worker per available hardware thread.
-    /// Work executes on the process-wide default pool
-    /// ([`ExecutionContext::global`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`](lsiq_exec::ConfigError) message when
-    /// an `LSIQ_*` variable is set to an invalid value, since silently
-    /// falling back would invalidate an intended scaling measurement.  The
-    /// typed constructor [`with_context`](Self::with_context) never touches
-    /// the environment.
-    pub fn new() -> Self {
-        let threads = match RunConfig::from_env() {
-            Ok(config) => config.workers().unwrap_or(0),
-            Err(error) => panic!("{error}"),
-        };
-        ParallelLotRunner {
-            threads,
-            context: None,
-        }
-    }
-
-    /// Creates a runner bound to a persistent worker pool; the shard count
-    /// follows the context's worker count unless overridden with
-    /// [`with_threads`](Self::with_threads).  The environment is not
-    /// consulted.
+    /// Creates a runner bound to a persistent worker pool: every stage
+    /// shards across the context's workers.  A [`Default`] runner has no
+    /// context and runs every stage on the calling thread.
     pub fn with_context(context: &'ctx ExecutionContext) -> Self {
         ParallelLotRunner {
-            threads: 0,
             context: Some(context),
-        }
-    }
-
-    /// Overrides the worker-thread count; `0` restores the default (the
-    /// bound context's worker count, or the available hardware parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The worker pool this runner executes on.
-    fn execution_context(&self) -> &ExecutionContext {
-        self.context.unwrap_or_else(|| ExecutionContext::global())
-    }
-
-    /// The configured worker count before any per-run clamping: the explicit
-    /// override, or the pool's worker count.  Deliberately avoids touching
-    /// [`ExecutionContext::global`] so that runs which fold back to a single
-    /// inline shard never spawn the process-wide pool.
-    fn requested_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else if let Some(context) = self.context {
-            context.workers()
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
         }
     }
 
     /// The worker-thread count a run over `items` work items would use.
     pub fn threads_for(&self, items: usize) -> usize {
-        self.requested_threads()
-            .min(items.div_ceil(Self::MIN_ITEMS_PER_SHARD))
+        self.shards_for(items, Self::MIN_ITEMS_PER_SHARD)
+    }
+
+    /// One shard per worker of the bound context (one without a context),
+    /// but never fewer than `min_per_shard` items per shard.
+    fn shards_for(&self, count: usize, min_per_shard: usize) -> usize {
+        self.context
+            .map_or(1, ExecutionContext::workers)
+            .min(count.div_ceil(min_per_shard.max(1)))
             .max(1)
     }
 
@@ -166,19 +108,18 @@ impl<'ctx> ParallelLotRunner<'ctx> {
         T: Send,
         F: Fn(std::ops::Range<usize>) -> T + Sync,
     {
-        let threads = self
-            .requested_threads()
-            .min(count.div_ceil(min_per_shard.max(1)))
-            .max(1);
-        if threads <= 1 || count == 0 {
-            return vec![work(0..count)];
+        let shards = self.shards_for(count, min_per_shard);
+        match self.context {
+            Some(context) if shards > 1 => {
+                let shard_size = count.div_ceil(shards);
+                let ranges: Vec<std::ops::Range<usize>> = (0..count)
+                    .step_by(shard_size)
+                    .map(|start| start..(start + shard_size).min(count))
+                    .collect();
+                context.scope_map(ranges, work)
+            }
+            _ => vec![work(0..count)],
         }
-        let shard_size = count.div_ceil(threads);
-        let ranges: Vec<std::ops::Range<usize>> = (0..count)
-            .step_by(shard_size)
-            .map(|start| start..(start + shard_size).min(count))
-            .collect();
-        self.execution_context().scope_map(ranges, work)
     }
 
     /// Maps `count` indices through `work` (one call per contiguous index
@@ -302,37 +243,12 @@ impl<'ctx> ParallelLotRunner<'ctx> {
                 *total += count;
             }
         }
-        // cumulative_failed[k]: chips whose first failure precedes pattern k.
-        let mut cumulative_failed = Vec::with_capacity(fail_counts.len() + 1);
-        cumulative_failed.push(0usize);
-        let mut running = 0usize;
-        for count in &fail_counts {
-            running += count;
-            cumulative_failed.push(running);
-        }
-        let rows = checkpoints
-            .iter()
-            .map(|&patterns_applied| {
-                let chips_failed =
-                    cumulative_failed[patterns_applied.min(cumulative_failed.len() - 1)];
-                RejectRow {
-                    patterns_applied,
-                    fault_coverage: coverage.coverage_after(patterns_applied),
-                    chips_failed,
-                    fraction_failed: if records.is_empty() {
-                        0.0
-                    } else {
-                        chips_failed as f64 / records.len() as f64
-                    },
-                }
-            })
-            .collect();
-        RejectExperiment::from_rows(rows, records.len())
+        RejectExperiment::from_fail_counts(&fail_counts, records.len(), coverage, checkpoints)
     }
 
     /// Runs the full per-lot pipeline — generate a model lot, wafer-test it,
     /// tabulate the reject experiment at full resolution — with every stage
-    /// sharded across this runner's threads.
+    /// sharded across this runner's workers.
     pub fn run_model_line(
         &self,
         config: &ModelLotConfig,
@@ -400,13 +316,14 @@ pub struct SweepResult {
 }
 
 /// Fans whole lot experiments — one per `(y, n0)` grid point — across
-/// threads, the second level of parallelism above [`ParallelLotRunner`].
+/// workers, the second level of parallelism above [`ParallelLotRunner`].
 ///
 /// Lot `i` of a sweep is seeded from stream `i` of the base seed, so sweep
-/// results are byte-identical at any thread count, exactly like single-lot
+/// results are byte-identical at any worker count, exactly like single-lot
 /// runs.  Bind the sweep to a session's persistent pool with
 /// [`with_context`](Self::with_context) and every point of the grid reuses
-/// the same parked workers.
+/// the same parked workers; without a context every lot runs on the
+/// calling thread.
 #[derive(Debug, Clone, Copy)]
 pub struct LotSweep<'ctx> {
     /// Chips per lot.
@@ -415,12 +332,8 @@ pub struct LotSweep<'ctx> {
     pub fault_universe_size: usize,
     /// Base seed; lot `i` uses the `i`-th stream of it.
     pub base_seed: u64,
-    /// Worker threads to fan lots across (`0` defers to the bound context's
-    /// worker count — or, without a context, to `LSIQ_LOT_THREADS`, then the
-    /// available hardware parallelism).
-    pub threads: usize,
-    /// The persistent worker pool to fan out on; `None` falls back to the
-    /// compatibility path (`LSIQ_LOT_THREADS` + the process-wide pool).
+    /// The persistent worker pool to fan lots across; `None` runs every lot
+    /// on the calling thread.
     pub context: Option<&'ctx ExecutionContext>,
 }
 
@@ -452,26 +365,19 @@ impl<'ctx> LotSweep<'ctx> {
     /// Each lot runs its own pipeline serially (the parallelism is across
     /// lots here), so a sweep of many small lots and a
     /// [`ParallelLotRunner`] run of one large lot saturate the hardware the
-    /// same way.  A `threads` of `0` defers to the bound context's worker
-    /// count (or `LSIQ_LOT_THREADS`, then the available hardware
-    /// parallelism), exactly like the runner.
+    /// same way.
     pub fn run(
         &self,
         dictionary: &FaultDictionary,
         coverage: &CoverageCurve,
         points: &[SweepPoint],
     ) -> Vec<SweepResult> {
-        // Fan lots (not chips) across threads: each worker runs whole
+        // Fan lots (not chips) across the pool: each worker runs whole
         // pipelines with a single-threaded runner.
-        let fan_out = match self.context {
-            Some(context) => ParallelLotRunner::with_context(context),
-            None => ParallelLotRunner::new(), // honours LSIQ_LOT_THREADS
-        }
-        .with_threads(self.threads);
-        let per_lot = ParallelLotRunner {
-            threads: 1,
-            context: None,
+        let fan_out = ParallelLotRunner {
+            context: self.context,
         };
+        let per_lot = ParallelLotRunner::default();
         let run_point = |index: usize| -> SweepResult {
             let point = points[index];
             let seed = self.lot_seed(index);
@@ -532,14 +438,11 @@ mod tests {
     fn parallel_generation_matches_serial_at_every_thread_count() {
         let config = model_config(2_000);
         let serial = ChipLot::from_model(&config);
-        for threads in [1, 2, 3, 8, 64] {
-            let parallel = ParallelLotRunner::new()
-                .with_threads(threads)
-                .generate_model_lot(&config);
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-        // The same through an explicit pool instead of the global one.
-        for workers in [1, 2, 5] {
+        assert_eq!(
+            serial,
+            ParallelLotRunner::default().generate_model_lot(&config)
+        );
+        for workers in [1, 2, 3, 5, 8] {
             let context = ExecutionContext::new(workers);
             let pooled = ParallelLotRunner::with_context(&context).generate_model_lot(&config);
             assert_eq!(serial, pooled, "workers = {workers}");
@@ -555,8 +458,9 @@ mod tests {
         let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
         let serial_experiment =
             RejectExperiment::tabulate(&serial_records, &coverage, &checkpoints);
-        for threads in [2, 5] {
-            let runner = ParallelLotRunner::new().with_threads(threads);
+        for workers in [2, 5] {
+            let context = ExecutionContext::new(workers);
+            let runner = ParallelLotRunner::with_context(&context);
             assert_eq!(serial_records, runner.test_lot(&dictionary, &lot));
             assert_eq!(
                 serial_experiment,
@@ -572,7 +476,8 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dictionary = SignatureDictionary::build(
+        let dictionary = SignatureDictionary::build_in(
+            &ExecutionContext::new(1),
             &circuit,
             &universe,
             &patterns,
@@ -583,19 +488,14 @@ mod tests {
         );
         let lot = ChipLot::from_model(&model_config(universe.len()));
         let serial = SignatureTester::new(&dictionary).test_lot(&lot);
-        for threads in [2, 5] {
-            let runner = ParallelLotRunner::new().with_threads(threads);
+        for workers in [2, 3, 5] {
+            let context = ExecutionContext::new(workers);
             assert_eq!(
                 serial,
-                runner.test_lot_bist(&dictionary, &lot),
-                "threads = {threads}"
+                ParallelLotRunner::with_context(&context).test_lot_bist(&dictionary, &lot),
+                "workers = {workers}"
             );
         }
-        let context = ExecutionContext::new(3);
-        assert_eq!(
-            serial,
-            ParallelLotRunner::with_context(&context).test_lot_bist(&dictionary, &lot)
-        );
     }
 
     #[test]
@@ -604,7 +504,8 @@ mod tests {
         let config = model_config(universe);
         let lot = ChipLot::from_model(&config);
         let records = WaferTester::new(&dictionary).test_lot(&lot);
-        let runner = ParallelLotRunner::new().with_threads(3);
+        let context = ExecutionContext::new(3);
+        let runner = ParallelLotRunner::with_context(&context);
         // Sparse, unsorted-looking and beyond-the-curve checkpoints all
         // reduce to the serial reference.
         for checkpoints in [vec![], vec![1], vec![5, 1, 500], vec![1_000_000]] {
@@ -624,7 +525,8 @@ mod tests {
     fn run_model_line_is_consistent() {
         let (dictionary, coverage, universe) = fixture();
         let config = model_config(universe);
-        let outcome = ParallelLotRunner::new().with_threads(4).run_model_line(
+        let context = ExecutionContext::new(4);
+        let outcome = ParallelLotRunner::with_context(&context).run_model_line(
             &config,
             &dictionary,
             &coverage,
@@ -644,26 +546,17 @@ mod tests {
             chips: 150,
             fault_universe_size: universe,
             base_seed: 99,
-            threads: 1,
             context: None,
         };
-        let parallel = LotSweep {
-            threads: 4,
-            ..serial
-        };
         let serial_results = serial.run(&dictionary, &coverage, &points);
-        let parallel_results = parallel.run(&dictionary, &coverage, &points);
-        assert_eq!(serial_results, parallel_results);
         // A sweep bound to a persistent pool reuses it across all points —
         // and across repeated runs — with identical results.
-        let context = ExecutionContext::new(3);
-        let pooled = LotSweep {
-            threads: 0,
-            ..serial
-        }
-        .with_context(&context);
-        for _ in 0..2 {
-            assert_eq!(serial_results, pooled.run(&dictionary, &coverage, &points));
+        for workers in [3, 4] {
+            let context = ExecutionContext::new(workers);
+            let pooled = serial.with_context(&context);
+            for _ in 0..2 {
+                assert_eq!(serial_results, pooled.run(&dictionary, &coverage, &points));
+            }
         }
         for (result, point) in serial_results.iter().zip(&points) {
             assert_eq!(result.point, *point);
@@ -674,18 +567,15 @@ mod tests {
     }
 
     #[test]
-    fn threads_for_respects_override_and_small_lots() {
-        let runner = ParallelLotRunner::new().with_threads(8);
+    fn threads_for_follows_the_context_and_small_lots() {
+        let context = ExecutionContext::new(8);
+        let runner = ParallelLotRunner::with_context(&context);
         assert_eq!(runner.threads_for(100_000), 8);
         assert_eq!(runner.threads_for(1), 1);
         assert_eq!(runner.threads_for(0), 1);
         // Tiny lots never fan out past the shard minimum.
         assert!(runner.threads_for(256) <= 2);
-        // A context-bound runner defaults to the pool's worker count.
-        let context = ExecutionContext::new(3);
-        assert_eq!(
-            ParallelLotRunner::with_context(&context).threads_for(100_000),
-            3
-        );
+        // Without a context every stage runs on the calling thread.
+        assert_eq!(ParallelLotRunner::default().threads_for(100_000), 1);
     }
 }

@@ -19,7 +19,7 @@
 //! yield, `n0`, reject fractions) are performed once, from the same integer
 //! totals in the same order as the in-memory code.
 
-use crate::experiment::{RejectExperiment, RejectRow};
+use crate::experiment::RejectExperiment;
 use crate::field::FieldOutcome;
 use crate::lot::{ChipLot, ModelLotConfig};
 use crate::pipeline::ParallelLotRunner;
@@ -115,7 +115,10 @@ impl LotFold {
 
 /// Evaluates model lots in fixed-size blocks folded into running
 /// statistics — the memory-bounded counterpart of
-/// [`ParallelLotRunner::run_model_line`].
+/// [`ParallelLotRunner::run_model_line`].  Each block's chips shard across
+/// the workers of the context bound with
+/// [`with_context`](Self::with_context); a [`Default`] executor runs on the
+/// calling thread.
 ///
 /// ```
 /// use lsiq_fault::dictionary::FaultDictionary;
@@ -141,7 +144,7 @@ impl LotFold {
 ///     fault_universe_size: universe.len(),
 ///     seed: 1981,
 /// };
-/// let streamed = StreamingLotExecutor::new()
+/// let streamed = StreamingLotExecutor::default()
 ///     .with_block_len(1_000)
 ///     .stream_model_lot(&config, &dictionary, &coverage, &[4, 8, 16]);
 /// assert_eq!(streamed.chips, 10_000);
@@ -156,7 +159,10 @@ pub struct StreamingLotExecutor<'ctx> {
 
 impl Default for StreamingLotExecutor<'_> {
     fn default() -> Self {
-        Self::new()
+        StreamingLotExecutor {
+            runner: ParallelLotRunner::default(),
+            block_len: Self::DEFAULT_BLOCK_LEN,
+        }
     }
 }
 
@@ -165,34 +171,12 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
     /// block, small enough that a block is milliseconds of work.
     pub const DEFAULT_BLOCK_LEN: usize = 65_536;
 
-    /// Creates an executor on the process-wide default pool, honouring the
-    /// `LSIQ_LOT_THREADS` environment variable exactly like
-    /// [`ParallelLotRunner::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`](lsiq_exec::ConfigError) message when
-    /// an `LSIQ_*` variable is set to an invalid value.
-    pub fn new() -> Self {
-        StreamingLotExecutor {
-            runner: ParallelLotRunner::new(),
-            block_len: Self::DEFAULT_BLOCK_LEN,
-        }
-    }
-
-    /// Creates an executor bound to a persistent worker pool; the
-    /// environment is not consulted.
+    /// Creates an executor bound to a persistent worker pool.
     pub fn with_context(context: &'ctx ExecutionContext) -> Self {
         StreamingLotExecutor {
             runner: ParallelLotRunner::with_context(context),
-            block_len: Self::DEFAULT_BLOCK_LEN,
+            ..Self::default()
         }
-    }
-
-    /// Overrides the worker-thread count; `0` restores the default.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.runner = self.runner.with_threads(threads);
-        self
     }
 
     /// Sets the block length (chips evaluated per fork-join round); `0` is
@@ -264,31 +248,8 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
         coverage: &CoverageCurve,
         checkpoints: &[usize],
     ) -> StreamedLot {
-        // cumulative_failed[k]: chips whose first failure precedes pattern k.
-        let mut cumulative_failed = Vec::with_capacity(fold.fail_counts.len() + 1);
-        cumulative_failed.push(0usize);
-        let mut running = 0usize;
-        for count in &fold.fail_counts {
-            running += count;
-            cumulative_failed.push(running);
-        }
-        let rows = checkpoints
-            .iter()
-            .map(|&patterns_applied| {
-                let chips_failed =
-                    cumulative_failed[patterns_applied.min(cumulative_failed.len() - 1)];
-                RejectRow {
-                    patterns_applied,
-                    fault_coverage: coverage.coverage_after(patterns_applied),
-                    chips_failed,
-                    fraction_failed: if chips == 0 {
-                        0.0
-                    } else {
-                        chips_failed as f64 / chips as f64
-                    },
-                }
-            })
-            .collect();
+        let experiment =
+            RejectExperiment::from_fail_counts(&fold.fail_counts, chips, coverage, checkpoints);
         StreamedLot {
             chips,
             observed_yield: if chips == 0 {
@@ -312,7 +273,7 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
                 rejected: chips - fold.shipped,
                 total: chips,
             },
-            experiment: RejectExperiment::from_rows(rows, chips),
+            experiment,
         }
     }
 }
@@ -349,11 +310,14 @@ mod tests {
             seed: 1981,
         };
         let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-        let runner = ParallelLotRunner::new().with_threads(2);
-        let reference = runner.run_model_line(&config, &dictionary, &coverage);
+        let context = ExecutionContext::new(2);
+        let reference = ParallelLotRunner::with_context(&context).run_model_line(
+            &config,
+            &dictionary,
+            &coverage,
+        );
         for block in [1, 7, 128, 1_000, 100_000] {
-            let streamed = StreamingLotExecutor::new()
-                .with_threads(2)
+            let streamed = StreamingLotExecutor::with_context(&context)
                 .with_block_len(block)
                 .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
             assert_eq!(streamed.chips, config.chips);
@@ -382,8 +346,12 @@ mod tests {
             fault_universe_size: universe,
             seed: 3,
         };
-        let streamed =
-            StreamingLotExecutor::new().stream_model_lot(&config, &dictionary, &coverage, &[1, 8]);
+        let streamed = StreamingLotExecutor::default().stream_model_lot(
+            &config,
+            &dictionary,
+            &coverage,
+            &[1, 8],
+        );
         assert_eq!(streamed.chips, 0);
         assert_eq!(streamed.observed_yield, 0.0);
         assert_eq!(streamed.observed_n0, 0.0);
@@ -397,7 +365,7 @@ mod tests {
 
     #[test]
     fn block_length_is_clamped_and_reported() {
-        let executor = StreamingLotExecutor::new().with_block_len(0);
+        let executor = StreamingLotExecutor::default().with_block_len(0);
         assert_eq!(executor.block_len(), 1);
         assert_eq!(
             StreamingLotExecutor::default().block_len(),

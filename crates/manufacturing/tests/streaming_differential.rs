@@ -45,15 +45,12 @@ fn streaming_matches_in_memory_across_workers_and_blocks() {
         seed: 1981,
     };
     let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-    let reference =
-        ParallelLotRunner::new()
-            .with_threads(1)
-            .run_model_line(&config, &dictionary, &coverage);
+    let reference = ParallelLotRunner::default().run_model_line(&config, &dictionary, &coverage);
     let reference_nav = lsiq_manufacturing::ChipLot::from_model(&config).observed_nav();
     for workers in worker_ladder() {
+        let context = ExecutionContext::new(workers);
         for block in [1, 97, 1_024, 1_000_000] {
-            let streamed = StreamingLotExecutor::new()
-                .with_threads(workers)
+            let streamed = StreamingLotExecutor::with_context(&context)
                 .with_block_len(block)
                 .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
             assert_eq!(
@@ -108,9 +105,12 @@ fn streaming_respects_the_run_config_worker_count() {
     let pinned = StreamingLotExecutor::with_context(&context)
         .with_block_len(256)
         .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
-    let fresh = StreamingLotExecutor::new()
-        .with_threads(1)
-        .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
+    let fresh = StreamingLotExecutor::default().stream_model_lot(
+        &config,
+        &dictionary,
+        &coverage,
+        &checkpoints,
+    );
     assert_eq!(pinned, fresh);
 }
 
@@ -134,7 +134,8 @@ fn billion_chip_lot_streams_in_bounded_memory() {
         seed: 1981,
     };
     let checkpoints = [16usize, 64, 128];
-    let streamed = StreamingLotExecutor::new()
+    let context = ExecutionContext::new(0);
+    let streamed = StreamingLotExecutor::with_context(&context)
         .with_block_len(1 << 20)
         .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
     assert_eq!(streamed.chips, 1_000_000_000);

@@ -13,8 +13,7 @@
 //! * [`levelized`] — a compiled, levelised full-circuit simulator (scalar,
 //!   64-pattern-parallel and lane-wide chunk variants),
 //! * [`cache`] — the shared [`GoodMachineCache`]
-//!   memoizing fault-free chunk evaluations across passes,
-//! * [`event`] — an event-driven incremental simulator.
+//!   memoizing fault-free chunk evaluations across passes.
 //!
 //! # Quick example
 //!
@@ -31,7 +30,6 @@
 
 pub mod cache;
 pub mod eval;
-pub mod event;
 pub mod levelized;
 pub mod logic;
 pub mod packed;

@@ -7,14 +7,13 @@
 //! ("test application costs increase very rapidly" as coverage approaches
 //! 100 percent).
 //!
-//! The pass is engine-aware: [`reverse_order_compaction`] runs on the
-//! deductive engine (one pass per single-pattern step, whatever the size
-//! of the shrinking fault universe), and [`reverse_order_compaction_with`]
-//! accepts any [`EngineKind`] plus an optional [`ExecutionContext`] so the
-//! incremental engine can run on a session's persistent worker pool.
-//! Every engine produces byte-identical compaction results.
+//! The pass is engine-aware: [`reverse_order_compaction`] takes any
+//! [`EngineKind`] plus its [`EngineOptions`], so the incremental engine can
+//! run on a session's persistent worker pool.  The deductive engine suits
+//! the pass well (one pass per single-pattern step, whatever the size of the
+//! shrinking fault universe).  Every engine produces byte-identical
+//! compaction results.
 
-use lsiq_exec::ExecutionContext;
 use lsiq_fault::simulator::{BuildEngine, EngineKind, EngineOptions};
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::circuit::Circuit;
@@ -45,46 +44,15 @@ impl CompactionResult {
 }
 
 /// Compacts `patterns` against `universe` by reverse-order fault simulation
-/// on the default engine for this workload (deductive).
+/// on `engine`, built with `options`: an optional worker pool (the
+/// incremental engine shards its faults across it; the single-threaded
+/// oracles and `None` run on the calling thread), a packed lane width, and
+/// optionally a shared [`GoodMachineCache`](lsiq_sim::cache::GoodMachineCache)
+/// so the full-set simulations at the start and end of the pass reuse
+/// good-machine chunks deposited by an earlier suite build or sweep over the
+/// same patterns.  The kept patterns are identical for every engine and
+/// option combination.
 pub fn reverse_order_compaction(
-    circuit: &Circuit,
-    universe: &FaultUniverse,
-    patterns: &PatternSet,
-) -> CompactionResult {
-    reverse_order_compaction_with(circuit, universe, patterns, EngineKind::Deductive, None)
-}
-
-/// Compacts `patterns` against `universe` with an explicit engine choice,
-/// optionally executing on a persistent worker pool (the incremental engine
-/// shards its faults across `context`; the single-threaded oracles run on
-/// the calling thread).  The kept patterns are identical for every engine
-/// and worker count.
-pub fn reverse_order_compaction_with(
-    circuit: &Circuit,
-    universe: &FaultUniverse,
-    patterns: &PatternSet,
-    engine: EngineKind,
-    context: Option<&ExecutionContext>,
-) -> CompactionResult {
-    reverse_order_compaction_configured(
-        circuit,
-        universe,
-        patterns,
-        engine,
-        &EngineOptions {
-            context,
-            ..EngineOptions::default()
-        },
-    )
-}
-
-/// Compacts `patterns` with a fully explicit [`EngineOptions`] bundle: a
-/// worker pool, a packed lane width, and optionally a shared
-/// [`GoodMachineCache`](lsiq_sim::cache::GoodMachineCache) so the full-set
-/// simulations at the start and end of the pass reuse good-machine chunks
-/// deposited by an earlier suite build or sweep over the same patterns.
-/// The kept patterns are identical for every option combination.
-pub fn reverse_order_compaction_configured(
     circuit: &Circuit,
     universe: &FaultUniverse,
     patterns: &PatternSet,
@@ -158,14 +126,30 @@ pub fn reverse_order_compaction_configured(
 mod tests {
     use super::*;
     use crate::random::RandomPatternGenerator;
+    use lsiq_exec::ExecutionContext;
     use lsiq_netlist::library;
+
+    /// The pass on the deductive engine with default options.
+    fn deductive(
+        circuit: &Circuit,
+        universe: &FaultUniverse,
+        patterns: &PatternSet,
+    ) -> CompactionResult {
+        reverse_order_compaction(
+            circuit,
+            universe,
+            patterns,
+            EngineKind::Deductive,
+            &EngineOptions::default(),
+        )
+    }
 
     #[test]
     fn compaction_preserves_coverage() {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 11).generate(200);
-        let result = reverse_order_compaction(&circuit, &universe, &patterns);
+        let result = deductive(&circuit, &universe, &patterns);
         assert!(
             (result.compacted_coverage - result.original_coverage).abs() < 1e-12,
             "coverage changed: {} vs {}",
@@ -181,7 +165,7 @@ mod tests {
         let universe = FaultUniverse::full(&circuit);
         // 200 random patterns over 5 inputs are heavily redundant.
         let patterns = RandomPatternGenerator::new(&circuit, 3).generate(200);
-        let result = reverse_order_compaction(&circuit, &universe, &patterns);
+        let result = deductive(&circuit, &universe, &patterns);
         assert!(
             result.compacted.len() < 40,
             "expected strong compaction, kept {}",
@@ -194,7 +178,7 @@ mod tests {
     fn empty_pattern_set_is_handled() {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
-        let result = reverse_order_compaction(&circuit, &universe, &PatternSet::new());
+        let result = deductive(&circuit, &universe, &PatternSet::new());
         assert_eq!(result.compacted.len(), 0);
         assert_eq!(result.ratio(), 1.0);
         assert_eq!(result.original_coverage, 0.0);
@@ -205,7 +189,7 @@ mod tests {
         let circuit = library::full_adder();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 9).generate(50);
-        let result = reverse_order_compaction(&circuit, &universe, &patterns);
+        let result = deductive(&circuit, &universe, &patterns);
         // Every kept pattern must appear in the original set, in order.
         let mut search_from = 0usize;
         for kept in result.compacted.iter() {
@@ -221,10 +205,15 @@ mod tests {
         let circuit = library::full_adder();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 21).generate(60);
-        let reference = reverse_order_compaction(&circuit, &universe, &patterns);
+        let reference = deductive(&circuit, &universe, &patterns);
         for engine in EngineKind::ALL {
-            let result =
-                reverse_order_compaction_with(&circuit, &universe, &patterns, engine, None);
+            let result = reverse_order_compaction(
+                &circuit,
+                &universe,
+                &patterns,
+                engine,
+                &EngineOptions::default(),
+            );
             assert_eq!(
                 result.compacted.as_slice(),
                 reference.compacted.as_slice(),
@@ -243,11 +232,11 @@ mod tests {
         let circuit = library::alu4();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 13).generate(120);
-        let reference = reverse_order_compaction(&circuit, &universe, &patterns);
+        let reference = deductive(&circuit, &universe, &patterns);
         let cache = GoodMachineCache::new();
         for lanes in LaneWidth::EXPLICIT {
             for _ in 0..2 {
-                let result = reverse_order_compaction_configured(
+                let result = reverse_order_compaction(
                     &circuit,
                     &universe,
                     &patterns,
@@ -276,15 +265,18 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 5).generate(80);
-        let reference = reverse_order_compaction(&circuit, &universe, &patterns);
+        let reference = deductive(&circuit, &universe, &patterns);
         for workers in [1, 3] {
             let context = ExecutionContext::new(workers);
-            let result = reverse_order_compaction_with(
+            let result = reverse_order_compaction(
                 &circuit,
                 &universe,
                 &patterns,
                 EngineKind::Incremental,
-                Some(&context),
+                &EngineOptions {
+                    context: Some(&context),
+                    ..EngineOptions::default()
+                },
             );
             assert_eq!(
                 result.compacted.as_slice(),

@@ -6,7 +6,6 @@
 //!
 //! * [`random`] — seeded uniform random patterns,
 //! * [`lfsr`] — LFSR (pseudo-random BIST-style) patterns,
-//! * [`weighted`] — weighted random patterns with per-input bias,
 //! * [`podem`] — a PODEM combinational ATPG for targeting specific faults,
 //! * [`compaction`] — reverse-order fault-simulation compaction,
 //! * [`suite`] — an end-to-end builder that combines random generation with
@@ -29,7 +28,6 @@ pub mod lfsr;
 pub mod podem;
 pub mod random;
 pub mod suite;
-pub mod weighted;
 
 pub use podem::{Podem, TestOutcome};
 pub use random::RandomPatternGenerator;

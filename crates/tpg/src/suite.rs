@@ -117,31 +117,21 @@ impl TestSuiteBuilder {
     }
 
     /// Builds an ordered test suite for `circuit` against `universe`, fault
-    /// simulating with the configured [`engine`](TestSuiteBuilder::engine).
+    /// simulating with the configured [`engine`](TestSuiteBuilder::engine) on
+    /// the calling thread.
     pub fn build(&self, circuit: &Circuit, universe: &FaultUniverse) -> TestSuite {
         self.build_cached(None, None, circuit, universe)
     }
 
-    /// Builds the suite with the configured engine executing on `context`'s
-    /// persistent worker pool (single-threaded engines simply run on the
-    /// calling thread).  Results are byte-identical to [`build`](Self::build)
-    /// at any worker count.
-    pub fn build_in(
-        &self,
-        context: &ExecutionContext,
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-    ) -> TestSuite {
-        self.build_cached(Some(context), None, circuit, universe)
-    }
-
     /// Builds the suite with every run-level resource made explicit: an
-    /// optional persistent worker pool and an optional shared
-    /// [`GoodMachineCache`].  The suite build re-simulates a growing
-    /// pattern set — each iteration re-evaluates every chunk it has already
-    /// seen — so the chunked engine recovers the fault-free simulation of
-    /// all previous chunks from the cache.  Results are byte-identical with
-    /// or without either resource.
+    /// optional persistent worker pool (the configured engine shards its
+    /// faults across it; single-threaded engines and `None` run on the
+    /// calling thread) and an optional shared [`GoodMachineCache`].  The
+    /// suite build re-simulates a growing pattern set — each iteration
+    /// re-evaluates every chunk it has already seen — so the chunked engine
+    /// recovers the fault-free simulation of all previous chunks from the
+    /// cache.  Results are byte-identical to [`build`](Self::build) with or
+    /// without either resource, at any worker count.
     pub fn build_cached(
         &self,
         context: Option<&ExecutionContext>,
@@ -279,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn run_config_sets_the_engine_and_build_in_matches_build() {
+    fn run_config_sets_the_engine_and_a_pooled_build_matches_build() {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let config = RunConfig::default()
@@ -294,7 +284,8 @@ mod tests {
         let reference = TestSuiteBuilder::default().build(&circuit, &universe);
         for workers in [1, 3] {
             let context = ExecutionContext::new(workers);
-            let suite = TestSuiteBuilder::default().build_in(&context, &circuit, &universe);
+            let suite =
+                TestSuiteBuilder::default().build_cached(Some(&context), None, &circuit, &universe);
             assert_eq!(suite.patterns.as_slice(), reference.patterns.as_slice());
             assert_eq!(
                 suite.fault_list, reference.fault_list,

@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..TestSuiteBuilder::default()
     }
     .with_run_config(session.config())
-    .build_in(session.context(), &circuit, &universe);
+    .build_cached(Some(session.context()), None, &circuit, &universe);
     println!(
         "test programme: {} patterns ({} deterministic), coverage {:.1}%",
         suite.patterns.len(),

@@ -33,10 +33,12 @@
 //! assert!(session.lot_runner().threads_for(100_000) >= 1);
 //! ```
 //!
-//! [`Session::from_env`] is the environment-compatibility layer: it builds
-//! the config from the `LSIQ_*` variables through the single parsing site
+//! [`Session::from_env`] is where a process reads its `LSIQ_*` knobs: it
+//! builds the config through the single parsing site
 //! ([`RunConfig::from_env`]) and surfaces a [`ConfigError`] instead of a
-//! panic, so binaries can exit gracefully on a bad knob.
+//! panic, so binaries can exit gracefully on a bad knob.  The library
+//! stages themselves never read the environment: each runs on the context
+//! its caller passes, or on the calling thread.
 
 use lsiq_bist::aliasing::AliasingReport;
 use lsiq_bist::misr::Misr;
@@ -182,7 +184,7 @@ impl Session {
     /// fault-simulation stage the session runs — suite builds, signature
     /// sweeps — deposits and reuses fault-free chunk images here; hand it
     /// to [`TestSuiteBuilder::build_cached`] or
-    /// [`reverse_order_compaction_configured`](lsiq_tpg::compaction::reverse_order_compaction_configured)
+    /// [`reverse_order_compaction`](lsiq_tpg::compaction::reverse_order_compaction)
     /// to join an external stage to the same pool.
     pub fn good_machine_cache(&self) -> &GoodMachineCache {
         &self.cache
@@ -205,7 +207,7 @@ impl Session {
     }
 
     /// A suite builder carrying the session's engine choice; pair it with
-    /// [`TestSuiteBuilder::build_in`] and [`Session::context`] to fault
+    /// [`TestSuiteBuilder::build_cached`] and [`Session::context`] to fault
     /// simulate on the session's pool.
     pub fn suite_builder(&self) -> TestSuiteBuilder {
         TestSuiteBuilder::default().with_run_config(&self.config)
@@ -403,7 +405,7 @@ impl Session {
     /// signatures are computed on the session's worker pool in exactly one
     /// fault-simulation pass at the maximum length, shared across every
     /// test length *and* signature width of the grid
-    /// ([`SignatureDictionary::build_sweep_in`]).
+    /// ([`SignatureDictionary::build_sweep_cached`]).
     ///
     /// With scan chains configured the sweep runs the full-scan BIST flow
     /// on the sequential reproduction device's capture-mode test view, scan

@@ -72,7 +72,8 @@ fn signature_tester_lot_outcomes_are_worker_count_invariant() {
     let patterns =
         StumpsGenerator::new(&StumpsConfig::with_width(circuit.primary_inputs().len(), 7))
             .generate(96);
-    let dictionary = SignatureDictionary::build(
+    let dictionary = SignatureDictionary::build_in(
+        &ExecutionContext::new(1),
         &circuit,
         &universe,
         &patterns,
@@ -93,10 +94,6 @@ fn signature_tester_lot_outcomes_are_worker_count_invariant() {
         let context = ExecutionContext::new(workers);
         let records = ParallelLotRunner::with_context(&context).test_lot_bist(&dictionary, &lot);
         assert_eq!(serial, records, "workers = {workers}");
-        let explicit = ParallelLotRunner::new()
-            .with_threads(workers)
-            .test_lot_bist(&dictionary, &lot);
-        assert_eq!(serial, explicit, "threads = {workers}");
     }
 }
 
@@ -125,7 +122,13 @@ fn suite_driven_bist_outcomes_are_engine_invariant() {
             ..TestSuiteBuilder::default()
         }
         .build(&circuit, &universe);
-        let dictionary = SignatureDictionary::build(&circuit, &universe, &suite.patterns, &plan);
+        let dictionary = SignatureDictionary::build_in(
+            &ExecutionContext::new(1),
+            &circuit,
+            &universe,
+            &suite.patterns,
+            &plan,
+        );
         let lot = ChipLot::from_model(&lot_config);
         let records = SignatureTester::new(&dictionary).test_lot(&lot);
         match &reference {
@@ -157,7 +160,7 @@ fn signature_sweep_is_lane_and_cache_invariant_across_the_worker_ladder() {
     .generate(160);
     let widths = [8u32, 16];
     let lengths = [48usize, 100, 160];
-    let reference = SignatureDictionary::build_sweep_in(
+    let reference = SignatureDictionary::build_sweep_cached(
         &ExecutionContext::new(1),
         &circuit,
         &universe,
@@ -165,6 +168,8 @@ fn signature_sweep_is_lane_and_cache_invariant_across_the_worker_ladder() {
         32,
         &widths,
         &lengths,
+        LaneWidth::Auto,
+        None,
     );
     let cache = GoodMachineCache::new();
     for lanes in LaneWidth::EXPLICIT {

@@ -9,9 +9,9 @@
 //! changed golden number.
 
 use lsi_quality::bist::aliasing::AliasingReport;
-use lsi_quality::bist::signature::SignatureDictionary;
+use lsi_quality::bist::signature::{BistPlan, SignatureDictionary};
 use lsi_quality::bist::stumps::{StumpsConfig, StumpsGenerator};
-use lsi_quality::exec::ExecutionContext;
+use lsi_quality::exec::{ExecutionContext, LaneWidth};
 use lsi_quality::fault::dictionary::FaultDictionary;
 use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
@@ -45,14 +45,18 @@ fn empirical_aliasing_tracks_the_two_to_minus_k_estimate() {
     // One session spanning the whole test: every detected fault gets exactly
     // one readout, so the per-fault aliasing probability is directly
     // comparable to the per-readout 2^-k estimate.
-    let dictionaries = SignatureDictionary::build_many_in(
+    let dictionaries = SignatureDictionary::build_sweep_cached(
         &context,
         &circuit,
         &universe,
         &patterns,
         patterns.len(),
         &[4, 8, 16],
-    );
+        &[patterns.len()],
+        LaneWidth::Auto,
+        None,
+    )
+    .swap_remove(0);
 
     // Golden numbers (pinned): 476 faults, 466 detected by the pattern set.
     assert_eq!(universe.len(), 476);
@@ -147,16 +151,16 @@ fn signature_sessions_never_precede_response_differences() {
     let (circuit, universe, patterns) = fixture();
     let context = ExecutionContext::new(2);
     let session_len = 16;
-    let signatures = SignatureDictionary::build_many_in(
+    let signatures = SignatureDictionary::build_in(
         &context,
         &circuit,
         &universe,
         &patterns,
-        session_len,
-        &[16],
-    )
-    .pop()
-    .expect("one width");
+        &BistPlan {
+            session_len,
+            signature_width: 16,
+        },
+    );
     let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
     let responses = FaultDictionary::from_fault_list(&list);
 

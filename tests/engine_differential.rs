@@ -19,7 +19,7 @@ use lsi_quality::fault::deductive::DeductiveSimulator;
 use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::list::FaultList;
 use lsi_quality::fault::model::{Fault, StuckValue};
-use lsi_quality::fault::simulator::{BuildEngine, EngineKind, FaultSimulator};
+use lsi_quality::fault::simulator::{BuildEngine, EngineKind, EngineOptions, FaultSimulator};
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::netlist::circuit::Circuit;
 use lsi_quality::netlist::generator::{
@@ -34,6 +34,20 @@ use lsi_quality::tpg::lfsr::Lfsr;
 const CASES: u64 = 12;
 #[cfg(not(debug_assertions))]
 const CASES: u64 = 100;
+
+/// The incremental engine as a session builds it: bound to `context`.
+fn pooled_incremental<'c>(
+    context: &'c ExecutionContext,
+    circuit: &'c Circuit,
+) -> Box<dyn FaultSimulator + 'c> {
+    EngineKind::Incremental.build_configured(
+        circuit,
+        &EngineOptions {
+            context: Some(context),
+            ..EngineOptions::default()
+        },
+    )
+}
 
 fn cores() -> usize {
     std::thread::available_parallelism()
@@ -112,7 +126,13 @@ fn assert_engines_identical(case: &Case, universe_name: &str, universe: &FaultUn
             }
         };
         for kind in EngineKind::ALL {
-            let engine = kind.build_with_fault_dropping(&case.circuit, fault_dropping);
+            let engine = kind.build_configured(
+                &case.circuit,
+                &EngineOptions {
+                    fault_dropping,
+                    ..EngineOptions::default()
+                },
+            );
             check(
                 kind.name().to_string(),
                 engine.run(universe, &case.patterns),
@@ -212,9 +232,7 @@ fn engines_agree_on_scan_expanded_sequential_devices() {
             case.label
         );
         for context in &contexts {
-            let pooled = EngineKind::Incremental
-                .build_in(context, &case.circuit)
-                .run(&scan_path, &case.patterns);
+            let pooled = pooled_incremental(context, &case.circuit).run(&scan_path, &case.patterns);
             assert_eq!(
                 reference,
                 pooled,
@@ -251,13 +269,11 @@ fn incremental_engine_on_explicit_contexts_matches_the_reference() {
                 case.label,
                 context.workers()
             );
-            let built = EngineKind::Incremental
-                .build_in(context, &case.circuit)
-                .run(&universe, &case.patterns);
+            let built = pooled_incremental(context, &case.circuit).run(&universe, &case.patterns);
             assert_eq!(
                 reference,
                 built,
-                "build_in: {}, {} workers",
+                "build_configured: {}, {} workers",
                 case.label,
                 context.workers()
             );
@@ -388,9 +404,8 @@ fn coverage_curve_default_impl_is_engine_invariant() {
         assert_eq!(reference, curve, "{kind}");
     }
     let context = ExecutionContext::new(2);
-    let pooled = EngineKind::Incremental
-        .build_in(&context, &case.circuit)
-        .coverage_curve(&universe, &case.patterns);
+    let pooled =
+        pooled_incremental(&context, &case.circuit).coverage_curve(&universe, &case.patterns);
     assert_eq!(reference, pooled, "pooled incremental engine");
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Each case draws a random lot configuration (chip count, yield, `n0`,
 //! fault-universe size, seed — and for physical lots a clustered defect
-//! model) plus a thread count, then requires the `ParallelLotRunner` to
+//! model) plus a worker count, then requires the `ParallelLotRunner` to
 //! produce *byte-identical* results to the serial path at every stage:
 //! the generated `ChipLot`, the wafer-test records, the `FieldOutcome`,
 //! and the full-resolution `RejectExperiment`.  A final block pins whole
@@ -59,7 +59,7 @@ fn fixture() -> (FaultDictionary, CoverageCurve, usize) {
 /// Deterministically derives case `index` from the suite seed.
 struct Case {
     label: String,
-    threads: usize,
+    workers: usize,
     chips: usize,
     seed: u64,
     yield_fraction: f64,
@@ -70,7 +70,7 @@ struct Case {
 
 fn build_case(index: u64) -> Case {
     let mut rng = SplitMix64::seed_from_u64(0x0198_1707 ^ index);
-    let threads = 2 + (rng.next_u64() % 7) as usize; // 2..=8
+    let workers = 2 + (rng.next_u64() % 7) as usize; // 2..=8
 
     // Most lots are big enough to actually shard (the runner folds lots
     // below its 128-item shard minimum back to one thread); every fourth
@@ -88,9 +88,9 @@ fn build_case(index: u64) -> Case {
     Case {
         label: format!(
             "case {index}: {chips} chips, y = {yield_fraction:.3}, n0 = {n0:.2}, \
-             {threads} threads"
+             {workers} workers"
         ),
-        threads,
+        workers,
         chips,
         seed,
         yield_fraction,
@@ -109,7 +109,8 @@ fn parallel_pipeline_is_byte_identical_to_serial() {
     let checkpoints: Vec<usize> = (1..=300).collect();
     for index in 0..CASES {
         let case = build_case(index);
-        let runner = ParallelLotRunner::new().with_threads(case.threads);
+        let context = ExecutionContext::new(case.workers);
+        let runner = ParallelLotRunner::with_context(&context);
 
         // Model lot: generation, test, field outcome, reject table.
         let model_config = ModelLotConfig {
@@ -285,22 +286,16 @@ fn sweep_fan_out_is_byte_identical_to_serial() {
             chips: 80,
             fault_universe_size: universe_size,
             base_seed: rng.next_u64(),
-            threads: 1,
             context: None,
         };
         let serial = base.run(&dictionary, &coverage, &points);
-        for threads in [2, 4, 16] {
-            let fanned = LotSweep { threads, ..base }.run(&dictionary, &coverage, &points);
-            assert_eq!(serial, fanned, "sweep seed {suite_seed}, {threads} threads");
-        }
-        // The same grid fanned over persistent pools (the Session path).
-        for workers in [2, 5] {
+        // The same grid fanned over persistent pools (the Session path),
+        // including more workers than grid points.
+        for workers in [2, 4, 5, 16] {
             let context = ExecutionContext::new(workers);
-            let pooled = LotSweep { threads: 0, ..base }.with_context(&context).run(
-                &dictionary,
-                &coverage,
-                &points,
-            );
+            let pooled = base
+                .with_context(&context)
+                .run(&dictionary, &coverage, &points);
             assert_eq!(serial, pooled, "sweep seed {suite_seed}, {workers} workers");
         }
     }

@@ -14,7 +14,7 @@
 //! file serializes on one lock and restores `Off` before releasing it.
 
 use lsi_quality::bist::signature::SignatureDictionary;
-use lsi_quality::exec::ExecutionContext;
+use lsi_quality::exec::{ExecutionContext, LaneWidth};
 use lsi_quality::fault::deductive::DeductiveSimulator;
 use lsi_quality::fault::dictionary::FaultDictionary;
 use lsi_quality::fault::incremental::IncrementalSimulator;
@@ -103,7 +103,7 @@ fn the_signature_sweep_records_no_engine_counters() {
     let patterns = patterns(circuit.primary_inputs().len(), 96);
     obs::reset();
     obs::set_mode(MetricsMode::Json);
-    let sweep = SignatureDictionary::build_sweep_in(
+    let sweep = SignatureDictionary::build_sweep_cached(
         &ExecutionContext::new(2),
         &circuit,
         &universe,
@@ -111,6 +111,8 @@ fn the_signature_sweep_records_no_engine_counters() {
         32,
         &[8, 16],
         &[64, 96],
+        LaneWidth::Auto,
+        None,
     );
     let recorded = obs::snapshot();
     obs::set_mode(MetricsMode::Off);
@@ -189,7 +191,8 @@ fn recording_never_changes_lot_results() {
         fault_universe_size: universe.len(),
         seed: 1981,
     };
-    let runner = ParallelLotRunner::new().with_threads(4);
+    let context = ExecutionContext::new(4);
+    let runner = ParallelLotRunner::with_context(&context);
 
     obs::set_mode(MetricsMode::Off);
     let lot_off = ChipLot::from_model(&config);

@@ -1,7 +1,6 @@
-//! Integration test: the fault-simulation algorithms and the two logic
-//! simulators agree with each other on generated circuits, and property-style
-//! checks (randomised over seeded parameter draws) hold for the core model
-//! functions.
+//! Integration test: the fault-simulation algorithms agree with each other
+//! on generated circuits, and property-style checks (randomised over seeded
+//! parameter draws) hold for the core model functions.
 
 use lsi_quality::fault::deductive::DeductiveSimulator;
 use lsi_quality::fault::incremental::IncrementalSimulator;
@@ -9,8 +8,6 @@ use lsi_quality::fault::serial::SerialSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::netlist::generator::{random_circuit, RandomCircuitConfig};
-use lsi_quality::sim::event::EventSim;
-use lsi_quality::sim::levelized::CompiledCircuit;
 use lsi_quality::sim::pattern::{Pattern, PatternSet};
 use lsi_quality::stats::rng::{Rng, Xoshiro256StarStar};
 
@@ -54,23 +51,6 @@ fn fault_simulators_agree_on_generated_circuits() {
                 deductive.state(index).first_pattern(),
                 "seed {seed}, fault {fault}: serial vs deductive"
             );
-        }
-    }
-}
-
-#[test]
-fn logic_simulators_agree_on_generated_circuits() {
-    for seed in 0..3u64 {
-        let circuit = random_circuit(&RandomCircuitConfig {
-            inputs: 16,
-            gates: 250,
-            seed: seed + 7,
-            ..RandomCircuitConfig::default()
-        });
-        let compiled = CompiledCircuit::new(&circuit);
-        let mut event = EventSim::new(&circuit);
-        for pattern in random_patterns(16, 80, seed).iter() {
-            assert_eq!(event.simulate(pattern), compiled.outputs(pattern));
         }
     }
 }
