@@ -1,9 +1,8 @@
-//! Criterion benchmarks for pattern generation: random, LFSR and PODEM.
+//! Criterion benchmarks for pattern generation: random and PODEM.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::library;
-use lsiq_tpg::lfsr::Lfsr;
 use lsiq_tpg::podem::Podem;
 use lsiq_tpg::random::RandomPatternGenerator;
 use std::hint::black_box;
@@ -12,9 +11,6 @@ fn bench_pattern_generation(c: &mut Criterion) {
     let circuit = library::alu4();
     c.bench_function("random_patterns_256", |b| {
         b.iter(|| RandomPatternGenerator::new(black_box(&circuit), 7).generate(256))
-    });
-    c.bench_function("lfsr_patterns_256", |b| {
-        b.iter(|| Lfsr::new(black_box(circuit.primary_inputs().len()), 0xACE1).generate(256))
     });
 
     let universe = FaultUniverse::full(&circuit);

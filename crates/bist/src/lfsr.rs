@@ -14,9 +14,10 @@
 //! accepts an arbitrary tap mask for experiments with deliberately
 //! non-maximal feedback.
 //!
-//! The fixed-polynomial serial generator `lsiq_tpg::lfsr::Lfsr` of earlier
-//! revisions is now a thin wrapper over a degree-64 register from this
-//! module; its output sequence is bit-for-bit unchanged.
+//! A degree-64 register read one [`next_bit`](GaloisLfsr::next_bit) per
+//! pattern bit is the single-channel serial pattern source: an LFSR feeding
+//! one scan chain.  The differential tests draw patterns that way, so the
+//! table's degree-64 polynomial must not change.
 
 use lsiq_exec::ConfigError;
 use lsiq_stats::rng::{Rng, SplitMix64};
@@ -226,10 +227,16 @@ mod tests {
 
     #[test]
     fn degree_64_matches_the_historical_fixed_polynomial() {
-        // The pre-BIST `lsiq_tpg::lfsr::Lfsr` hard-wired this mask; the
-        // table must keep producing it so the wrapper stays bit-identical.
+        // Serial patterns read from a degree-64 register are pinned to this
+        // mask, so the table must keep producing it.
         assert_eq!(maximal_polynomial(64), Some(0xD800_0000_0000_0000));
         assert_eq!(maximal_polynomial(5), None);
+        // The golden serial prefix: seed 0xACE1, three 16-bit patterns.
+        let mut lfsr = GaloisLfsr::maximal(64, 0xACE1);
+        let bits: String = (0..48)
+            .map(|_| if lfsr.next_bit() { '1' } else { '0' })
+            .collect();
+        assert_eq!(bits, "101110100100111101011100010010011001000101010010");
     }
 
     #[test]

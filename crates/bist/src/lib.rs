@@ -9,14 +9,15 @@
 //!
 //! * [`lfsr`] — parameterizable Galois LFSRs with a built-in table of
 //!   maximal-length polynomials (the register under both the generator and
-//!   the compactor; `lsiq_tpg::lfsr::Lfsr` is now a thin wrapper over it),
+//!   the compactor, and the workspace's only LFSR pattern source),
 //! * [`stumps`] — a STUMPS-style generator: one LFSR, a fixed XOR phase
 //!   shifter, N parallel scan channels filling the device inputs,
-//! * [`misr`] — the multiple-input signature register and its packed-word
-//!   folding (64 patterns at a time, straight from the simulation blocks),
+//! * [`misr`] — the multiple-input signature register, folding one output
+//!   response per clock, and the GF(2) linearity that lets a register fed
+//!   only the error stream (good XOR faulty) stand in for the faulty one,
 //! * [`signature`] — [`SignatureDictionary`]: per-fault first-failing
 //!   *session* records built in one fault-simulation pass, sharded across a
-//!   worker pool ([`lsiq_exec::ExecutionContext::scope`]),
+//!   worker pool ([`lsiq_exec::shard_map`]),
 //! * [`aliasing`] — [`AliasingReport`]: exact aliasing versus the `2^−k`
 //!   estimate, and the effective coverage that replaces `f` in the paper's
 //!   defect-level equations (eq. 7/8) under BIST.

@@ -10,9 +10,9 @@
 //!
 //! [`SignatureDictionary::build_in`] produces both records for a whole fault
 //! universe in one fault-simulation pass.  The fault universe is sharded in
-//! contiguous slices across the worker pool
-//! ([`ExecutionContext::scope_map`]), one slice per worker.  Each fault is
-//! propagated through its fanout cone one packed chunk at a time by the
+//! contiguous slices across the worker pool ([`lsiq_exec::shard_map`]), one
+//! slice per worker.  Each fault is propagated through its fanout cone one
+//! packed chunk at a time by the
 //! [cone kernel](lsiq_fault::cone) the incremental fault engine runs on,
 //! which returns only the *error* words (good XOR faulty) of the outputs the
 //! fault reaches.  By the fold's GF(2) linearity (see the [`misr`](crate::misr)
@@ -28,7 +28,7 @@
 //! first failing session.
 
 use crate::misr::Misr;
-use lsiq_exec::{ExecutionContext, LaneWidth};
+use lsiq_exec::{shard_map, ExecutionContext, LaneWidth};
 use lsiq_fault::cone::{good_chunks, ConePropagator, GoodChunk};
 use lsiq_fault::model::Fault;
 use lsiq_fault::universe::FaultUniverse;
@@ -273,26 +273,16 @@ impl SignatureDictionary {
         // Shard the fault universe across the pool in contiguous slices.
         let faults = universe.faults();
         SWEEP_FAULTS.add(faults.len() as u64);
-        let shard_count = context
-            .workers()
-            .min(faults.len().div_ceil(MIN_FAULTS_PER_SHARD))
-            .max(1);
-        let chunk = faults.len().div_ceil(shard_count).max(1);
-        let results: Vec<ShardResult> = if shard_count <= 1 {
-            vec![simulate_shard(
+        let results = shard_map(Some(context), faults.len(), MIN_FAULTS_PER_SHARD, |range| {
+            simulate_shard(
                 &compiled,
                 &chunks,
-                faults,
+                &faults[range],
                 session_len,
                 widths,
                 &boundaries,
-            )]
-        } else {
-            let shards: Vec<&[Fault]> = faults.chunks(chunk).collect();
-            context.scope_map(shards, |shard| {
-                simulate_shard(&compiled, &chunks, shard, session_len, widths, &boundaries)
-            })
-        };
+            )
+        });
 
         // Concatenate the shards back into universe fault order.
         let mut first_error: Vec<Option<usize>> = Vec::with_capacity(faults.len());

@@ -18,10 +18,11 @@
 //! * [`ExecutionContext`] — a persistent pool of parked worker threads with
 //!   a scoped fork-join API ([`ExecutionContext::scope`]).  Every parallel
 //!   stage of the reproduction — fault-universe sharding, lot generation,
-//!   wafer test, reject tabulation, `(y, n0)` sweeps — runs on the pool its
-//!   caller passes, or on the calling thread when given none, so worker
-//!   threads are spawned once per session and reused across all sweep
-//!   points instead of respawned per call.
+//!   wafer test, reject tabulation, `(y, n0)` sweeps — splits its items
+//!   with [`shard_map`] on the pool its caller passes, or runs on the
+//!   calling thread when given none, so worker threads are spawned once per
+//!   session and reused across all sweep points instead of respawned per
+//!   call.
 //!
 //! The facade crate bundles a [`RunConfig`] and an [`ExecutionContext`] into
 //! `lsi_quality::Session`, the one-call entry point of the reproduction
@@ -54,4 +55,4 @@ pub use config::{
     ConfigError, EngineKind, LaneWidth, MetricsMode, RunConfig, ScanPlan, TestMode,
     DEFAULT_BASE_SEED, ENGINE_VAR, LANES_VAR, METRICS_VAR, SCAN_CHAINS_VAR,
 };
-pub use pool::{ExecutionContext, Scope};
+pub use pool::{shard_count, shard_map, ExecutionContext, Scope};

@@ -9,6 +9,11 @@
 //! system threads on every call.  A sweep over dozens of `(y, n0)` lot
 //! experiments therefore reuses the same workers for every point.
 //!
+//! The parallel stages do not open scopes themselves: each hands its item
+//! count to [`shard_map`], which cuts the items into one contiguous shard
+//! per worker ([`shard_count`]) and runs a single shard on the calling
+//! thread.
+//!
 //! Design notes:
 //!
 //! * Jobs go through one shared FIFO injector queue.  The jobs of this
@@ -30,6 +35,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -257,36 +263,6 @@ impl ExecutionContext {
         }
     }
 
-    /// Maps every item through `work` on the pool — the ordered fork-join
-    /// building block of the parallel stages: one job per item, results
-    /// returned in item order regardless of which worker ran what.
-    ///
-    /// ```
-    /// use lsiq_exec::ExecutionContext;
-    ///
-    /// let context = ExecutionContext::new(3);
-    /// let squares = context.scope_map(vec![1u64, 2, 3, 4], |value| value * value);
-    /// assert_eq!(squares, [1, 4, 9, 16]);
-    /// ```
-    pub fn scope_map<I, T, F>(&self, items: Vec<I>, work: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
-        let work = &work;
-        self.scope(|scope| {
-            for (slot, item) in slots.iter_mut().zip(items) {
-                scope.spawn(move || *slot = Some(work(item)));
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("scope joins every job before returning"))
-            .collect()
-    }
-
     /// Waits until every job of `state` has finished, running queued jobs on
     /// the calling thread while it waits (which is what makes 1-worker
     /// contexts and nested scopes work without extra threads).
@@ -379,6 +355,68 @@ impl<'env> Scope<'env> {
         *lock(&self.state.pending) += 1;
         self.shared.push(job);
     }
+}
+
+/// The number of shards [`shard_map`] splits `len` work items into: one per
+/// worker of `context` (one without a context), but never so many that a
+/// shard holds fewer than `min_per_shard` items.  Always at least 1.
+pub fn shard_count(context: Option<&ExecutionContext>, len: usize, min_per_shard: usize) -> usize {
+    context
+        .map_or(1, ExecutionContext::workers)
+        .min(len.div_ceil(min_per_shard.max(1)))
+        .max(1)
+}
+
+/// Splits the work items `0..len` into contiguous ranges of
+/// `len.div_ceil(shard_count(..))` items (the last may be shorter, so there
+/// can be fewer ranges than shards), maps every range through `work` on the
+/// context's pool, and returns one result per range in range order, whichever
+/// worker ran it.  A single shard runs on the calling thread without opening
+/// a scope.
+///
+/// This is the one place a stage's work is split across workers; the
+/// parallel stages differ only in `min_per_shard`, the fewest items that
+/// repay handing a shard to a worker.
+///
+/// ```
+/// use lsiq_exec::{shard_map, ExecutionContext};
+///
+/// let context = ExecutionContext::new(3);
+/// let ranges = shard_map(Some(&context), 10, 1, |range| range);
+/// assert_eq!(ranges, [0..4, 4..8, 8..10]);
+/// // Without a context, or below the minimum shard size, one inline shard.
+/// assert_eq!(shard_map(None, 10, 1, |range| range.len()), [10]);
+/// assert_eq!(shard_map(Some(&context), 10, 64, |range| range.len()), [10]);
+/// ```
+pub fn shard_map<T, F>(
+    context: Option<&ExecutionContext>,
+    len: usize,
+    min_per_shard: usize,
+    work: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> T + Sync,
+{
+    let shards = shard_count(context, len, min_per_shard);
+    let context = match context {
+        Some(context) if shards > 1 => context,
+        _ => return vec![work(0..len)],
+    };
+    let shard_len = len.div_ceil(shards);
+    let starts = (0..len).step_by(shard_len);
+    let mut slots: Vec<Option<T>> = starts.clone().map(|_| None).collect();
+    let work = &work;
+    context.scope(|scope| {
+        for (slot, start) in slots.iter_mut().zip(starts) {
+            let range = start..(start + shard_len).min(len);
+            scope.spawn(move || *slot = Some(work(range)));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("scope joins every job before returning"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -482,11 +520,31 @@ mod tests {
     }
 
     #[test]
-    fn scope_map_preserves_item_order() {
+    fn shard_count_scales_down_for_tiny_inputs() {
         let context = ExecutionContext::new(4);
-        let labels = context.scope_map((0..40).collect(), |index: usize| format!("#{index}"));
-        for (index, label) in labels.iter().enumerate() {
-            assert_eq!(label, &format!("#{index}"));
+        for (len, shards) in [(46, 1), (0, 1), (256, 4), (1_024, 4), (65, 2)] {
+            assert_eq!(shard_count(Some(&context), len, 64), shards, "len = {len}");
+        }
+        // Without a context every stage runs as one shard.
+        for len in [0, 1, 10_000] {
+            assert_eq!(shard_count(None, len, 64), 1);
+        }
+    }
+
+    #[test]
+    fn shard_map_returns_every_index_once_in_order() {
+        for workers in [1, 2, 3, 5] {
+            let context = ExecutionContext::new(workers);
+            for len in [0, 1, 7, 64, 129, 1_000] {
+                let shards = shard_map(Some(&context), len, 1, |range| range.collect::<Vec<_>>());
+                assert!(shards.len() <= shard_count(Some(&context), len, 1));
+                let indices: Vec<usize> = shards.into_iter().flatten().collect();
+                assert_eq!(
+                    indices,
+                    (0..len).collect::<Vec<_>>(),
+                    "{workers} workers, len {len}"
+                );
+            }
         }
     }
 

@@ -44,7 +44,7 @@ use lsiq_netlist::GateKind;
 use lsiq_obs::Span;
 use lsiq_sim::eval::controlling_value;
 use lsiq_sim::levelized::CompiledCircuit;
-use lsiq_sim::packed::PATTERNS_PER_WORD;
+use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
 
 static GOOD_MACHINE: Span = Span::new("engine.deductive.good_machine");
@@ -129,28 +129,25 @@ impl FaultSimulator for DeductiveSimulator<'_> {
         let mut pass = Propagation::new(&self.compiled, universe, &classes);
         let circuit = self.compiled.circuit();
         let input_count = circuit.primary_inputs().len();
-        // Good-machine values are computed 64 patterns at a time with packed
-        // words and unpacked per pattern; the word, value and detection
-        // buffers are all reused across blocks.
-        let mut words: Vec<u64> = Vec::new();
+        // Good-machine values are computed one single-word chunk (64
+        // patterns) at a time and unpacked per pattern; the chunk, value
+        // and detection buffers are all reused across chunks.
+        let mut words: Vec<PackedBlock<1>> = Vec::new();
         let mut values: Vec<bool> = vec![false; circuit.gate_count()];
         let mut detected: Vec<u32> = Vec::new();
-        for block in 0..patterns.block_count() {
-            let (input_words, pattern_count) = patterns.pack_block(input_count, block);
-            if pattern_count == 0 {
-                break;
-            }
+        for chunk in 0..patterns.chunk_count(1) {
+            let (input_words, pattern_count) = patterns.pack_chunk::<1>(input_count, chunk);
             telemetry::GOOD_EVALS.incr();
             {
                 let _timer = GOOD_MACHINE.start();
-                self.compiled.node_words_into(&input_words, &mut words);
+                self.compiled.node_chunks_into(&input_words, &mut words);
             }
             let _timer = PROPAGATE.start();
             for slot in 0..pattern_count {
-                for (value, &word) in values.iter_mut().zip(words.iter()) {
-                    *value = (word >> slot) & 1 == 1;
+                for (value, word) in values.iter_mut().zip(words.iter()) {
+                    *value = word.bit(slot);
                 }
-                let pattern_index = block * PATTERNS_PER_WORD + slot;
+                let pattern_index = chunk * PackedBlock::<1>::PATTERNS + slot;
                 pass.detect_pattern(&values, &mut detected);
                 for &class in &detected {
                     for &member in classes.members_of(class) {

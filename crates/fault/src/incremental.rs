@@ -37,7 +37,7 @@ use crate::model::Fault;
 use crate::simulator::FaultSimulator;
 use crate::telemetry;
 use crate::universe::FaultUniverse;
-use lsiq_exec::{ExecutionContext, LaneWidth};
+use lsiq_exec::{shard_map, ExecutionContext, LaneWidth};
 use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::Span;
 use lsiq_sim::cache::GoodMachineCache;
@@ -143,14 +143,6 @@ impl<'c> IncrementalSimulator<'c> {
         self
     }
 
-    /// The shard count a run would use for `class_count` simulation classes:
-    /// one per worker of the bound context, or one without a context.
-    fn shard_count(&self, class_count: usize) -> usize {
-        let requested = self.context.map_or(1, ExecutionContext::workers);
-        let useful = class_count.div_ceil(Self::MIN_CLASSES_PER_SHARD);
-        requested.min(useful).max(1)
-    }
-
     /// Partitions the universe's fault indices into groups that provably
     /// share their set of detecting patterns (see
     /// [`classes::simulation_classes`](simulation_classes)).
@@ -177,8 +169,6 @@ impl<'c> IncrementalSimulator<'c> {
         // Classes first: the first run builds the circuit's collapsing
         // state, and its scratch should not stack on the run's buffers.
         let classes = self.simulation_classes(universe);
-        let shards = self.shard_count(classes.count());
-        let shard_len = classes.count().div_ceil(shards);
         let drop_detected = self.drop_detected;
         let detections: Vec<Vec<Option<usize>>> = {
             let chunks = {
@@ -196,34 +186,25 @@ impl<'c> IncrementalSimulator<'c> {
                 })
                 .collect();
             let compiled = &self.compiled;
-            match self.context {
-                Some(context) if shards > 1 => {
-                    let shard_faults: Vec<&[Fault]> = representatives.chunks(shard_len).collect();
-                    context.scope_map(shard_faults, |shard| {
-                        simulate_shard(compiled, &chunks, shard, drop_detected)
-                    })
-                }
-                _ => vec![simulate_shard(
-                    compiled,
-                    &chunks,
-                    &representatives,
-                    drop_detected,
-                )],
-            }
+            shard_map(
+                self.context,
+                representatives.len(),
+                Self::MIN_CLASSES_PER_SHARD,
+                |range| simulate_shard(compiled, &chunks, &representatives[range], drop_detected),
+            )
         };
 
+        // Shards come back in class order, so their concatenation is
+        // indexed by class.
         let mut list = FaultList::new(universe);
         let mut drops = 0u64;
-        for (shard, shard_detections) in detections.into_iter().enumerate() {
-            let base = shard * shard_len;
-            for (local, detection) in shard_detections.into_iter().enumerate() {
-                if let Some(pattern) = detection {
-                    if drop_detected {
-                        drops += 1;
-                    }
-                    for &member in classes.members_of((base + local) as u32) {
-                        list.mark_detected(member as usize, pattern);
-                    }
+        for (class, detection) in detections.into_iter().flatten().enumerate() {
+            if let Some(pattern) = detection {
+                if drop_detected {
+                    drops += 1;
+                }
+                for &member in classes.members_of(class as u32) {
+                    list.mark_detected(member as usize, pattern);
                 }
             }
         }
@@ -435,20 +416,6 @@ mod tests {
                 assert_eq!(reference, bound, "workers = {workers}");
             }
         }
-    }
-
-    #[test]
-    fn shard_count_scales_down_for_tiny_universes() {
-        let circuit = library::c17();
-        let context = ExecutionContext::new(4);
-        let simulator = IncrementalSimulator::new(&circuit).with_context(&context);
-        assert_eq!(simulator.shard_count(46), 1);
-        assert_eq!(simulator.shard_count(0), 1);
-        assert_eq!(simulator.shard_count(64 * 4), 4);
-        assert_eq!(simulator.shard_count(64 * 16), 4);
-        assert_eq!(simulator.shard_count(65), 2);
-        // Default is single-threaded.
-        assert_eq!(IncrementalSimulator::new(&circuit).shard_count(10_000), 1);
     }
 
     #[test]

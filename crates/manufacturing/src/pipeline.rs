@@ -32,10 +32,11 @@ use crate::field::FieldOutcome;
 use crate::lot::{ChipLot, ModelLotConfig, PhysicalLotConfig};
 use crate::tester::{TestRecord, WaferTester};
 use lsiq_bist::signature::SignatureDictionary;
-use lsiq_exec::ExecutionContext;
+use lsiq_exec::{shard_count, shard_map, ExecutionContext};
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_stats::rng::{Rng, SplitMix64};
+use std::ops::Range;
 
 /// Runs the per-chip stages of a production lot — generation, wafer test,
 /// reject bookkeeping — sharded across pooled worker threads.
@@ -86,40 +87,7 @@ impl<'ctx> ParallelLotRunner<'ctx> {
 
     /// The worker-thread count a run over `items` work items would use.
     pub fn threads_for(&self, items: usize) -> usize {
-        self.shards_for(items, Self::MIN_ITEMS_PER_SHARD)
-    }
-
-    /// One shard per worker of the bound context (one without a context),
-    /// but never fewer than `min_per_shard` items per shard.
-    fn shards_for(&self, count: usize, min_per_shard: usize) -> usize {
-        self.context
-            .map_or(1, ExecutionContext::workers)
-            .min(count.div_ceil(min_per_shard.max(1)))
-            .max(1)
-    }
-
-    /// Splits `count` indices into per-shard ranges, maps every range
-    /// through `work` on the pool, and returns one result per shard in index
-    /// order.  The building block of both the concatenating
-    /// [`sharded`](Self::sharded) map and the fold-style accumulator merges
-    /// ([`experiment`](Self::experiment)).
-    pub(crate) fn sharded_chunks<T, F>(&self, count: usize, min_per_shard: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(std::ops::Range<usize>) -> T + Sync,
-    {
-        let shards = self.shards_for(count, min_per_shard);
-        match self.context {
-            Some(context) if shards > 1 => {
-                let shard_size = count.div_ceil(shards);
-                let ranges: Vec<std::ops::Range<usize>> = (0..count)
-                    .step_by(shard_size)
-                    .map(|start| start..(start + shard_size).min(count))
-                    .collect();
-                context.scope_map(ranges, work)
-            }
-            _ => vec![work(0..count)],
-        }
+        shard_count(self.context, items, Self::MIN_ITEMS_PER_SHARD)
     }
 
     /// Maps `count` indices through `work` (one call per contiguous index
@@ -127,20 +95,9 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     fn sharded<T, F>(&self, count: usize, work: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
+        F: Fn(Range<usize>) -> Vec<T> + Sync,
     {
-        self.sharded_min(count, Self::MIN_ITEMS_PER_SHARD, work)
-    }
-
-    /// [`sharded`](Self::sharded) with an explicit minimum number of items
-    /// per shard — `1` for coarse work items (whole lots) whose cost dwarfs
-    /// the scheduling overhead.
-    fn sharded_min<T, F>(&self, count: usize, min_per_shard: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-    {
-        let mut shards = self.sharded_chunks(count, min_per_shard, work);
+        let mut shards = shard_map(self.context, count, Self::MIN_ITEMS_PER_SHARD, work);
         if shards.len() == 1 {
             return shards.pop().expect("one shard");
         }
@@ -221,8 +178,11 @@ impl<'ctx> ParallelLotRunner<'ctx> {
         coverage: &CoverageCurve,
         checkpoints: &[usize],
     ) -> RejectExperiment {
-        let shard_histograms =
-            self.sharded_chunks(records.len(), Self::MIN_ITEMS_PER_SHARD, |range| {
+        let shard_histograms = shard_map(
+            self.context,
+            records.len(),
+            Self::MIN_ITEMS_PER_SHARD,
+            |range| {
                 let mut counts: Vec<usize> = Vec::new();
                 for record in &records[range] {
                     if let Some(first) = record.first_fail {
@@ -233,7 +193,8 @@ impl<'ctx> ParallelLotRunner<'ctx> {
                     }
                 }
                 counts
-            });
+            },
+        );
         let mut fail_counts: Vec<usize> = Vec::new();
         for shard in shard_histograms {
             if shard.len() > fail_counts.len() {
@@ -374,9 +335,6 @@ impl<'ctx> LotSweep<'ctx> {
     ) -> Vec<SweepResult> {
         // Fan lots (not chips) across the pool: each worker runs whole
         // pipelines with a single-threaded runner.
-        let fan_out = ParallelLotRunner {
-            context: self.context,
-        };
         let per_lot = ParallelLotRunner::default();
         let run_point = |index: usize| -> SweepResult {
             let point = points[index];
@@ -397,9 +355,12 @@ impl<'ctx> LotSweep<'ctx> {
         };
         // A sweep has few, heavy work items; shard at item granularity
         // rather than ParallelLotRunner::MIN_ITEMS_PER_SHARD.
-        fan_out.sharded_min(points.len(), 1, |range| {
+        shard_map(self.context, points.len(), 1, |range| {
             range.map(run_point).collect::<Vec<_>>()
         })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 

@@ -23,7 +23,7 @@ use crate::experiment::RejectExperiment;
 use crate::field::FieldOutcome;
 use crate::lot::{ChipLot, ModelLotConfig};
 use crate::pipeline::ParallelLotRunner;
-use lsiq_exec::ExecutionContext;
+use lsiq_exec::{shard_map, ExecutionContext};
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_obs::{Counter, Span};
@@ -153,14 +153,14 @@ impl LotFold {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingLotExecutor<'ctx> {
-    runner: ParallelLotRunner<'ctx>,
+    context: Option<&'ctx ExecutionContext>,
     block_len: usize,
 }
 
 impl Default for StreamingLotExecutor<'_> {
     fn default() -> Self {
         StreamingLotExecutor {
-            runner: ParallelLotRunner::default(),
+            context: None,
             block_len: Self::DEFAULT_BLOCK_LEN,
         }
     }
@@ -174,7 +174,7 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
     /// Creates an executor bound to a persistent worker pool.
     pub fn with_context(context: &'ctx ExecutionContext) -> Self {
         StreamingLotExecutor {
-            runner: ParallelLotRunner::with_context(context),
+            context: Some(context),
             ..Self::default()
         }
     }
@@ -221,7 +221,8 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
             BLOCKS.incr();
             CHIPS.add(block as u64);
             let _timer = BLOCK_SPAN.start();
-            let shard_folds = self.runner.sharded_chunks(
+            let shard_folds = shard_map(
+                self.context,
                 block,
                 ParallelLotRunner::MIN_ITEMS_PER_SHARD,
                 |range| {

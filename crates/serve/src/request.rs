@@ -11,6 +11,16 @@
 
 use crate::json::JsonValue;
 
+/// The largest `test_length` a `bist` request may ask for: 256 times the
+/// longest test of the planning grid.  Longer tests would allocate their
+/// whole pattern set up front, so they are refused as query errors.
+pub const MAX_TEST_LENGTH: usize = 65_536;
+
+/// The largest `chips` a `line` or `lot` request may ask for.  The
+/// streaming `lot` executor runs a lot this size in bounded memory; larger
+/// lots would run for hours, so they are refused as query errors.
+pub const MAX_CHIPS: usize = 1_000_000_000;
+
 /// The model parameters `(y, n0)` every query kind shares.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelInputs {
@@ -119,7 +129,7 @@ impl Request {
             "bist" => Request::Bist(BistParams {
                 circuit: circuit_field(value)?,
                 model: model_inputs(value, false)?,
-                test_length: count_field(value, "test_length", None)?,
+                test_length: bounded_count_field(value, "test_length", None, MAX_TEST_LENGTH)?,
                 signature_width: u32::try_from(count_field(value, "signature_width", None)?)
                     .map_err(|_| "\"signature_width\" out of range".to_string())?,
                 session_len: count_field(value, "session_len", Some(64))?,
@@ -159,7 +169,7 @@ fn lot_params(value: &JsonValue, default_chips: usize) -> Result<LotParams, Stri
     };
     Ok(LotParams {
         circuit: circuit_field(value)?,
-        chips: count_field(value, "chips", Some(default_chips))?,
+        chips: bounded_count_field(value, "chips", Some(default_chips), MAX_CHIPS)?,
         model: model_inputs(value, false)?,
         seed: match value.get("seed") {
             None => None,
@@ -212,6 +222,20 @@ fn count_field(value: &JsonValue, name: &str, default: Option<usize>) -> Result<
             .as_usize()
             .ok_or_else(|| format!("{name:?} must be a non-negative integer")),
     }
+}
+
+/// A [`count_field`] that must not exceed `max`.
+fn bounded_count_field(
+    value: &JsonValue,
+    name: &str,
+    default: Option<usize>,
+    max: usize,
+) -> Result<usize, String> {
+    let count = count_field(value, name, default)?;
+    if count > max {
+        return Err(format!("{name:?} must be at most {max}, got {count}"));
+    }
+    Ok(count)
 }
 
 fn circuit_field(value: &JsonValue) -> Result<String, String> {
@@ -306,6 +330,14 @@ mod tests {
             (r#"{"op":"line","checkpoints":[1.5]}"#, "checkpoints"),
             (r#"{"op":"line","circuit":5}"#, "circuit"),
             (r#"{"op":"lot","chips":10,"block_len":0}"#, "block_len"),
+            (
+                r#"{"op":"bist","yield":0.1,"n0":8,"test_length":1000000000000,"signature_width":16}"#,
+                "\"test_length\" must be at most 65536",
+            ),
+            (
+                r#"{"op":"lot","circuit":"c17","chips":100000000000000}"#,
+                "\"chips\" must be at most 1000000000",
+            ),
         ] {
             let error = parse(text).expect_err(text);
             assert!(error.contains(needle), "{text}: {error}");

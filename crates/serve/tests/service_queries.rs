@@ -215,3 +215,43 @@ fn semantic_errors_do_not_abort_the_stream() {
     );
     assert_eq!(summary.get("errors").and_then(JsonValue::as_usize), Some(3));
 }
+
+#[test]
+fn requests_over_the_limits_get_error_records_and_the_stream_continues() {
+    let service = in_memory_service();
+    let input = concat!(
+        r#"{"op":"bist","id":1,"yield":0.1,"n0":8,"test_length":1000000000000,"signature_width":16}"#,
+        "\n",
+        r#"{"op":"lot","id":2,"circuit":"c17","chips":100000000000000}"#,
+        "\n",
+        r#"{"op":"forward","id":3,"yield":0.07,"n0":8,"coverage":0.95}"#,
+        "\n",
+    );
+    let mut output = Vec::new();
+    service
+        .run_lines(input.as_bytes(), &mut output)
+        .expect("limit violations are per-query errors");
+    let text = String::from_utf8(output).unwrap();
+    let records: Vec<JsonValue> = text
+        .lines()
+        .map(|line| JsonValue::parse(line).expect("well-formed response"))
+        .collect();
+    assert_eq!(records.len(), 4, "3 responses + summary:\n{text}");
+    let statuses: Vec<&str> = records
+        .iter()
+        .map(|record| record.get("status").and_then(JsonValue::as_str).unwrap())
+        .collect();
+    assert_eq!(statuses, ["error", "error", "ok", "summary"], "{text}");
+    for (record, field) in records[..2].iter().zip(["test_length", "chips"]) {
+        let error = record.get("error").and_then(JsonValue::as_str).unwrap();
+        assert!(
+            error.contains(&format!("{field:?} must be at most")),
+            "{error}"
+        );
+    }
+    assert_eq!(records[2].get("id").and_then(JsonValue::as_usize), Some(3));
+    assert_eq!(
+        records[3].get("errors").and_then(JsonValue::as_usize),
+        Some(2)
+    );
+}

@@ -48,31 +48,13 @@ pub fn eval_value3(kind: GateKind, inputs: &[Value3]) -> Value3 {
     }
 }
 
-/// Evaluates a gate over 64-way bit-packed operands (bit `i` of each word is
-/// pattern `i`).
-pub fn eval_packed(kind: GateKind, inputs: &[u64]) -> u64 {
-    match kind {
-        GateKind::Input => 0,
-        GateKind::Dff => 0,
-        GateKind::Const0 => 0,
-        GateKind::Const1 => u64::MAX,
-        GateKind::Buf => inputs[0],
-        GateKind::Not => !inputs[0],
-        GateKind::And => inputs.iter().fold(u64::MAX, |acc, &v| acc & v),
-        GateKind::Nand => !inputs.iter().fold(u64::MAX, |acc, &v| acc & v),
-        GateKind::Or => inputs.iter().fold(0, |acc, &v| acc | v),
-        GateKind::Nor => !inputs.iter().fold(0, |acc, &v| acc | v),
-        GateKind::Xor => inputs.iter().fold(0, |acc, &v| acc ^ v),
-        GateKind::Xnor => !inputs.iter().fold(0, |acc, &v| acc ^ v),
-    }
-}
-
 /// Evaluates a gate over lane-wide packed chunks (`64 × L` patterns per
 /// operand; see [`PackedBlock`]).
 ///
-/// Lane `l` of the result depends only on lane `l` of every input, so this
-/// is exactly [`eval_packed`] applied per lane — monomorphized over `L` so
-/// the folds compile to straight-line vectorizable loops.
+/// Lane `l` of the result depends only on lane `l` of every input, and bit
+/// `i` of a lane only on bit `i` of every input lane: each pattern slot is
+/// [`eval_bool`] on that slot's operands.  Monomorphized over `L` so the
+/// folds compile to straight-line vectorizable loops.
 #[inline]
 pub fn eval_chunk<const L: usize>(kind: GateKind, inputs: &[PackedBlock<L>]) -> PackedBlock<L> {
     match kind {
@@ -148,73 +130,6 @@ mod tests {
         assert!(eval_bool(GateKind::Xor, &[true, true, true]));
         assert!(!eval_bool(GateKind::Xor, &[true, true, true, true]));
         assert!(!eval_bool(GateKind::Xnor, &[true, false, false]));
-    }
-
-    #[test]
-    fn packed_matches_scalar_for_every_kind() {
-        for kind in TWO_INPUT_KINDS {
-            for a in [false, true] {
-                for b in [false, true] {
-                    let word_a = if a { u64::MAX } else { 0 };
-                    let word_b = if b { u64::MAX } else { 0 };
-                    let packed = eval_packed(kind, &[word_a, word_b]);
-                    let scalar = eval_bool(kind, &[a, b]);
-                    let expected = if scalar { u64::MAX } else { 0 };
-                    assert_eq!(packed, expected, "{kind} {a} {b}");
-                }
-            }
-        }
-        assert_eq!(eval_packed(GateKind::Not, &[0]), u64::MAX);
-        assert_eq!(eval_packed(GateKind::Buf, &[7]), 7);
-        assert_eq!(eval_packed(GateKind::Const1, &[]), u64::MAX);
-    }
-
-    #[test]
-    fn packed_evaluates_each_bit_independently() {
-        // Patterns 0..3 of a 2-input AND: a = 0101, b = 0011 -> and = 0001.
-        let a = 0b0101u64;
-        let b = 0b0011u64;
-        assert_eq!(eval_packed(GateKind::And, &[a, b]) & 0xF, 0b0001);
-        assert_eq!(eval_packed(GateKind::Xor, &[a, b]) & 0xF, 0b0110);
-    }
-
-    #[test]
-    fn chunk_eval_matches_per_lane_packed_eval() {
-        const ALL_KINDS: [GateKind; 12] = [
-            GateKind::Input,
-            GateKind::Dff,
-            GateKind::Const0,
-            GateKind::Const1,
-            GateKind::Buf,
-            GateKind::Not,
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ];
-        let a = PackedBlock::<4>([0x0123, 0x4567, 0x89AB, 0xCDEF]);
-        let b = PackedBlock::<4>([0xFFFF, 0x0F0F, 0x00FF, 0xAAAA]);
-        let c = PackedBlock::<4>([0x1111, 0x2222, 0x4444, 0x8888]);
-        for kind in ALL_KINDS {
-            let arity = match kind {
-                GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1 => 0,
-                GateKind::Buf | GateKind::Not => 1,
-                _ => 3,
-            };
-            let inputs = [a, b, c];
-            let chunk = eval_chunk(kind, &inputs[..arity]);
-            for lane in 0..4 {
-                let lane_inputs: Vec<u64> =
-                    inputs[..arity].iter().map(|block| block.0[lane]).collect();
-                assert_eq!(
-                    chunk.0[lane],
-                    eval_packed(kind, &lane_inputs),
-                    "{kind} lane {lane}"
-                );
-            }
-        }
     }
 
     #[test]

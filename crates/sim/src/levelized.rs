@@ -1,6 +1,6 @@
 //! Compiled, levelised full-circuit simulation.
 
-use crate::eval::{eval_bool, eval_chunk, eval_packed, eval_value3};
+use crate::eval::{eval_bool, eval_chunk, eval_value3};
 use crate::logic::Value3;
 use crate::packed::PackedBlock;
 use crate::pattern::Pattern;
@@ -14,9 +14,11 @@ use lsiq_netlist::GateKind;
 /// Three evaluation modes are offered:
 ///
 /// * scalar two-valued ([`node_values`](CompiledCircuit::node_values),
-///   [`outputs`](CompiledCircuit::outputs)),
-/// * 64-pattern bit-parallel ([`node_words`](CompiledCircuit::node_words),
-///   [`output_words`](CompiledCircuit::output_words)), and
+///   [`outputs`](CompiledCircuit::outputs)) — the reference the packed
+///   mode is checked against,
+/// * bit-parallel over [`PackedBlock`] chunks of `64 × L` patterns
+///   ([`node_chunks`](CompiledCircuit::node_chunks),
+///   [`output_chunks`](CompiledCircuit::output_chunks)), and
 /// * three-valued for partially assigned inputs
 ///   ([`node_values3`](CompiledCircuit::node_values3)).
 #[derive(Debug, Clone)]
@@ -94,49 +96,6 @@ impl<'c> CompiledCircuit<'c> {
             .primary_outputs()
             .iter()
             .map(|&out| values[out.index()])
-            .collect()
-    }
-
-    /// Simulates a block of up to 64 patterns bit-parallel.
-    ///
-    /// `input_words` holds one word per primary input (positional); missing
-    /// words default to all-zero.  Returns one word per gate, indexed by gate
-    /// id.
-    pub fn node_words(&self, input_words: &[u64]) -> Vec<u64> {
-        let mut words = Vec::new();
-        self.node_words_into(input_words, &mut words);
-        words
-    }
-
-    /// Like [`node_words`](CompiledCircuit::node_words), but reuses a
-    /// caller-owned buffer so per-block sweeps allocate nothing after the
-    /// first call.
-    pub fn node_words_into(&self, input_words: &[u64], words: &mut Vec<u64>) {
-        words.clear();
-        words.resize(self.circuit.gate_count(), 0);
-        for (position, &input) in self.circuit.primary_inputs().iter().enumerate() {
-            words[input.index()] = input_words.get(position).copied().unwrap_or(0);
-        }
-        let mut fanin_words = Vec::new();
-        for &id in self.levelization.order() {
-            let gate = self.circuit.gate(id);
-            if gate.kind() == GateKind::Input {
-                continue;
-            }
-            fanin_words.clear();
-            fanin_words.extend(gate.fanin().iter().map(|&d| words[d.index()]));
-            words[id.index()] = eval_packed(gate.kind(), &fanin_words);
-        }
-    }
-
-    /// Simulates a block of up to 64 patterns and returns only the primary
-    /// output words.
-    pub fn output_words(&self, input_words: &[u64]) -> Vec<u64> {
-        let words = self.node_words(input_words);
-        self.circuit
-            .primary_outputs()
-            .iter()
-            .map(|&out| words[out.index()])
             .collect()
     }
 
@@ -271,63 +230,6 @@ mod tests {
                         .sum::<u64>()
                         + ((outputs[4] as u64) << 4);
                     assert_eq!(sum, a + b + cin, "a={a} b={b} cin={cin}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_simulation_matches_scalar() {
-        let circuit = library::c17();
-        let sim = CompiledCircuit::new(&circuit);
-        // Pack the 32 exhaustive patterns into one block.
-        let mut input_words = vec![0u64; 5];
-        for value in 0u64..32 {
-            for (input, word) in input_words.iter_mut().enumerate() {
-                if (value >> input) & 1 == 1 {
-                    *word |= 1u64 << value;
-                }
-            }
-        }
-        let output_words = sim.output_words(&input_words);
-        for value in 0u64..32 {
-            let pattern = Pattern::from_integer(value, 5);
-            let scalar = sim.outputs(&pattern);
-            for (out, &word) in output_words.iter().enumerate() {
-                assert_eq!(
-                    (word >> value) & 1 == 1,
-                    scalar[out],
-                    "pattern {value} output {out}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_simulation_matches_word_simulation_per_lane() {
-        use crate::pattern::PatternSet;
-        let circuit = library::adder4();
-        let sim = CompiledCircuit::new(&circuit);
-        let width = circuit.primary_inputs().len();
-        let patterns: PatternSet = (0..200u64)
-            .map(|i| Pattern::from_integer(i.wrapping_mul(0x2545_F491), width))
-            .collect();
-        for chunk in 0..patterns.chunk_count(4) {
-            let (input_chunks, _) = patterns.pack_chunk::<4>(width, chunk);
-            let node_chunks = sim.node_chunks(&input_chunks);
-            let output_chunks = sim.output_chunks(&input_chunks);
-            for lane in 0..4 {
-                let (input_words, _) = patterns.pack_block(width, chunk * 4 + lane);
-                let node_words = sim.node_words(&input_words);
-                for (gate, chunk_value) in node_chunks.iter().enumerate() {
-                    assert_eq!(
-                        chunk_value.0[lane], node_words[gate],
-                        "chunk {chunk} lane {lane} gate {gate}"
-                    );
-                }
-                let output_words = sim.output_words(&input_words);
-                for (out, chunk_value) in output_chunks.iter().enumerate() {
-                    assert_eq!(chunk_value.0[lane], output_words[out]);
                 }
             }
         }

@@ -6,12 +6,12 @@
 //!
 //! * [`logic`] — two-valued and three-valued (0/1/X) scalar values,
 //! * [`eval`] — evaluation of a [`GateKind`](lsiq_netlist::GateKind) over
-//!   scalar, three-valued, 64-way bit-packed and lane-wide chunk operands,
-//! * [`packed`] — packed-word helpers and the lane-generic
-//!   [`PackedBlock`] chunk (`u64 × 1/4/8`),
-//! * [`pattern`] — input pattern containers and packing,
-//! * [`levelized`] — a compiled, levelised full-circuit simulator (scalar,
-//!   64-pattern-parallel and lane-wide chunk variants),
+//!   scalar, three-valued and bit-packed [`PackedBlock`] operands,
+//! * [`packed`] — the one bit-parallel layout, the lane-generic
+//!   [`PackedBlock`] chunk (`u64 × 1/4/8`, `64 × L` patterns),
+//! * [`pattern`] — input pattern containers and their packing into chunks,
+//! * [`levelized`] — a compiled, levelised full-circuit simulator (scalar —
+//!   the reference — three-valued, and bit-parallel over chunks),
 //! * [`cache`] — the shared [`GoodMachineCache`]
 //!   memoizing fault-free chunk evaluations across passes.
 //!

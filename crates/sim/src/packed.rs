@@ -1,133 +1,22 @@
-//! Helpers for bit-parallel simulation words and lane-wide chunks.
+//! The bit-parallel pattern layout: [`PackedBlock<L>`].
 //!
-//! A packed word carries one bit per pattern: bit `i` of every signal's word
-//! is that signal's value under pattern `i` of the current 64-pattern block.
+//! A packed chunk carries one bit per pattern for one signal: `L` `u64`
+//! words — `64 × L` patterns — laid out lane-major, so lane `l` holds
+//! patterns `l * 64 ..= l * 64 + 63` and pattern slot `s` lives at bit
+//! `s % 64` of lane `s / 64`.  `PackedBlock<1>` is the single 64-pattern
+//! word.  Every bit-parallel evaluation in the workspace — the engines' good
+//! machines, the cone kernel and the signature sweep — uses this one type.
 //!
-//! A [`PackedBlock<L>`] widens that layout to `L` words — one *chunk* of
-//! `64 × L` patterns — laid out lane-major: lane `l` of a chunk holds
-//! patterns `l * 64 ..= l * 64 + 63`, so pattern slot `s` lives at bit
-//! `s % 64` of lane `s / 64`.  Every lane operation is a straight-line loop
-//! over the `[u64; L]` array, which the autovectorizer turns into 256-bit
-//! (`L = 4`) or 512-bit (`L = 8`) vector ops on hardware that has them; on
-//! hardware that does not, the loop is still `L` independent scalar ops with
-//! one shared loop/dispatch overhead, which is most of the win.
+//! Every lane operation is a straight-line loop over the `[u64; L]` array,
+//! which the autovectorizer turns into 256-bit (`L = 4`) or 512-bit
+//! (`L = 8`) vector ops on hardware that has them; on hardware that does
+//! not, the loop is still `L` independent scalar ops with one shared
+//! loop/dispatch overhead, which is most of the win.
 
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
 
 /// Number of patterns carried by one packed word.
 pub const PATTERNS_PER_WORD: usize = 64;
-
-/// A mask with the low `count` bits set, selecting the valid patterns of a
-/// partially filled block.
-///
-/// # Panics
-///
-/// Panics if `count` exceeds [`PATTERNS_PER_WORD`].
-pub fn valid_mask(count: usize) -> u64 {
-    assert!(
-        count <= PATTERNS_PER_WORD,
-        "a block holds at most {PATTERNS_PER_WORD} patterns"
-    );
-    if count == PATTERNS_PER_WORD {
-        u64::MAX
-    } else {
-        (1u64 << count) - 1
-    }
-}
-
-/// Expands a single boolean into a full packed word (all patterns equal).
-pub fn broadcast(value: bool) -> u64 {
-    if value {
-        u64::MAX
-    } else {
-        0
-    }
-}
-
-/// Extracts the bit for pattern `slot` from a packed word.
-///
-/// # Panics
-///
-/// Panics if `slot` is 64 or more.
-pub fn bit(word: u64, slot: usize) -> bool {
-    assert!(slot < PATTERNS_PER_WORD, "pattern slot out of range");
-    (word >> slot) & 1 == 1
-}
-
-/// The bits of pattern slot `slot` across a slice of packed words, one per
-/// signal, in signal order.
-///
-/// This is the column view of the 64-pattern block layout: where
-/// [`bit`] asks "what is signal `s` under pattern `i`", `gather_slot`
-/// re-assembles the whole response of pattern `i` — the per-pattern word a
-/// signature compactor folds one cycle at a time.
-///
-/// # Panics
-///
-/// Panics if `slot` is 64 or more.
-pub fn gather_slot(words: &[u64], slot: usize) -> impl Iterator<Item = bool> + '_ {
-    assert!(slot < PATTERNS_PER_WORD, "pattern slot out of range");
-    words.iter().map(move |&word| (word >> slot) & 1 == 1)
-}
-
-/// The pattern slots (indices) at which two packed response words differ,
-/// restricted to the `valid` mask, in ascending order.  This is how the
-/// fault simulator turns a word-level mismatch into per-pattern detections.
-///
-/// Returns a lazy iterator — the detection hot path peels slots one at a
-/// time without allocating a `Vec` per word.
-pub fn differing_slots(good: u64, faulty: u64, valid: u64) -> DifferingSlots {
-    DifferingSlots {
-        diff: (good ^ faulty) & valid,
-    }
-}
-
-/// Iterator over the set bit positions of a masked difference word, ascending.
-///
-/// Produced by [`differing_slots`]; also usable directly on any detection
-/// word via [`DifferingSlots::of_word`].
-#[derive(Debug, Clone)]
-pub struct DifferingSlots {
-    diff: u64,
-}
-
-impl DifferingSlots {
-    /// Iterates the set bit positions of an arbitrary word.
-    pub fn of_word(word: u64) -> DifferingSlots {
-        DifferingSlots { diff: word }
-    }
-}
-
-impl Iterator for DifferingSlots {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.diff == 0 {
-            None
-        } else {
-            let slot = self.diff.trailing_zeros() as usize;
-            self.diff &= self.diff - 1;
-            Some(slot)
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let exact = self.diff.count_ones() as usize;
-        (exact, Some(exact))
-    }
-}
-
-impl ExactSizeIterator for DifferingSlots {}
-
-/// The earliest differing pattern slot, if any, restricted to `valid`.
-pub fn first_differing_slot(good: u64, faulty: u64, valid: u64) -> Option<usize> {
-    let diff = (good ^ faulty) & valid;
-    if diff == 0 {
-        None
-    } else {
-        Some(diff.trailing_zeros() as usize)
-    }
-}
 
 /// One simulation chunk of `L` packed words: `64 × L` patterns carried per
 /// signal, lane-major (pattern slot `s` is bit `s % 64` of lane `s / 64`).
@@ -172,8 +61,10 @@ impl<const L: usize> PackedBlock<L> {
         );
         let mut mask = PackedBlock::ZERO;
         for (lane, word) in mask.0.iter_mut().enumerate() {
-            let filled = count.saturating_sub(lane * PATTERNS_PER_WORD);
-            *word = valid_mask(filled.min(PATTERNS_PER_WORD));
+            *word = match count.saturating_sub(lane * PATTERNS_PER_WORD) {
+                filled if filled >= PATTERNS_PER_WORD => u64::MAX,
+                filled => (1u64 << filled) - 1,
+            };
         }
         mask
     }
@@ -211,8 +102,8 @@ impl<const L: usize> PackedBlock<L> {
         None
     }
 
-    /// Iterates the set pattern slots in ascending order (the chunk-wide
-    /// analogue of [`differing_slots`] applied to a precomputed difference).
+    /// Iterates the set pattern slots in ascending order — applied to a
+    /// masked difference `(good ^ faulty) & valid`, the detecting slots.
     pub fn set_slots(self) -> SetSlots<L> {
         SetSlots {
             words: self.0,
@@ -295,7 +186,8 @@ impl<const L: usize> Iterator for SetSlots<L> {
 }
 
 /// The bits of pattern slot `slot` across a slice of chunks, one per signal,
-/// in signal order — the chunk-wide analogue of [`gather_slot`].
+/// in signal order: the column view of the layout, re-assembling the whole
+/// response of one pattern (the word a signature compactor folds per cycle).
 ///
 /// # Panics
 ///
@@ -320,126 +212,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn valid_mask_edges() {
-        assert_eq!(valid_mask(0), 0);
-        assert_eq!(valid_mask(1), 1);
-        assert_eq!(valid_mask(3), 0b111);
-        assert_eq!(valid_mask(64), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64")]
-    fn oversized_mask_panics() {
-        let _ = valid_mask(65);
-    }
-
-    #[test]
-    fn broadcast_and_bit() {
-        assert_eq!(broadcast(true), u64::MAX);
-        assert_eq!(broadcast(false), 0);
-        assert!(bit(0b100, 2));
-        assert!(!bit(0b100, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "slot out of range")]
-    fn bit_slot_out_of_range_panics() {
-        let _ = bit(0, 64);
-    }
-
-    #[test]
-    fn gather_slot_transposes_the_block() {
-        let words = [0b101u64, 0b010, 0b111];
-        let column: Vec<bool> = gather_slot(&words, 0).collect();
-        assert_eq!(column, [true, false, true]);
-        let column: Vec<bool> = gather_slot(&words, 1).collect();
-        assert_eq!(column, [false, true, true]);
-        assert!(gather_slot(&[], 5).next().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "slot out of range")]
-    fn gather_slot_out_of_range_panics() {
-        let _ = gather_slot(&[0], 64).count();
-    }
-
-    #[test]
-    fn differing_slots_lists_all_mismatches() {
-        let good = 0b1010_1010;
-        let faulty = 0b1010_0110;
-        let slots: Vec<usize> = differing_slots(good, faulty, u64::MAX).collect();
-        assert_eq!(slots, vec![2, 3]);
-        // Restricting the valid mask hides mismatches outside it.
-        let masked: Vec<usize> = differing_slots(good, faulty, 0b0111).collect();
-        assert_eq!(masked, vec![2]);
-        assert_eq!(differing_slots(good, good, u64::MAX).count(), 0);
-    }
-
-    /// The pre-iterator reference implementation, kept verbatim so the lazy
-    /// iterator can be pinned against it.
-    fn differing_slots_reference(good: u64, faulty: u64, valid: u64) -> Vec<usize> {
-        let mut diff = (good ^ faulty) & valid;
-        let mut slots = Vec::new();
-        while diff != 0 {
-            let slot = diff.trailing_zeros() as usize;
-            slots.push(slot);
-            diff &= diff - 1;
-        }
-        slots
-    }
-
-    #[test]
-    fn differing_slots_iterator_agrees_with_the_old_list_on_edge_masks() {
-        let words = [
-            0u64,
-            1,
-            u64::MAX,
-            0x8000_0000_0000_0000,
-            0xAAAA_AAAA_AAAA_AAAA,
-            0x5555_5555_5555_5555,
-            0x0123_4567_89AB_CDEF,
-        ];
-        let masks = [
-            0u64,
-            1,
-            valid_mask(1),
-            valid_mask(17),
-            valid_mask(63),
-            valid_mask(64),
-            0x8000_0000_0000_0001,
-        ];
-        for &good in &words {
-            for &faulty in &words {
-                for &valid in &masks {
-                    let lazy: Vec<usize> = differing_slots(good, faulty, valid).collect();
-                    let reference = differing_slots_reference(good, faulty, valid);
-                    assert_eq!(
-                        lazy, reference,
-                        "good={good:#x} faulty={faulty:#x} valid={valid:#x}"
-                    );
-                    // The iterator is exact-size: len() must match up front.
-                    assert_eq!(differing_slots(good, faulty, valid).len(), reference.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn first_differing_slot_matches_list_head() {
-        let good = 0b1000;
-        let faulty = 0b0010;
-        assert_eq!(first_differing_slot(good, faulty, u64::MAX), Some(1));
-        assert_eq!(first_differing_slot(good, good, u64::MAX), None);
-        assert_eq!(first_differing_slot(good, faulty, 0b1000), Some(3));
-    }
-
-    #[test]
     fn chunk_valid_mask_covers_partial_lanes() {
         let mask = PackedBlock::<4>::valid_mask(130);
         assert_eq!(mask.0, [u64::MAX, u64::MAX, 0b11, 0]);
         assert_eq!(PackedBlock::<4>::valid_mask(0), PackedBlock::ZERO);
         assert_eq!(PackedBlock::<4>::valid_mask(256), PackedBlock::ONES);
-        assert_eq!(PackedBlock::<1>::valid_mask(5).0, [valid_mask(5)]);
+        assert_eq!(PackedBlock::<1>::valid_mask(5).0, [0b1_1111]);
+        assert_eq!(PackedBlock::<1>::valid_mask(64), PackedBlock::ONES);
     }
 
     #[test]

@@ -129,33 +129,6 @@ impl PatternSet {
         &self.patterns
     }
 
-    /// Packs patterns `block * 64 ..` into one `u64` word per primary input:
-    /// bit `i` of word `j` is the value input `j` takes in pattern
-    /// `block * 64 + i`.  The second element of the returned pair is the
-    /// number of valid patterns in the block (1..=64), or 0 when the block
-    /// index is past the end.
-    pub fn pack_block(&self, width: usize, block: usize) -> (Vec<u64>, usize) {
-        let start = block * 64;
-        if start >= self.patterns.len() {
-            return (vec![0; width], 0);
-        }
-        let end = (start + 64).min(self.patterns.len());
-        let mut words = vec![0u64; width];
-        for (slot, pattern) in self.patterns[start..end].iter().enumerate() {
-            for (input, word) in words.iter_mut().enumerate() {
-                if input < pattern.width() && pattern.bit(input) {
-                    *word |= 1u64 << slot;
-                }
-            }
-        }
-        (words, end - start)
-    }
-
-    /// Number of 64-pattern blocks needed to cover the whole set.
-    pub fn block_count(&self) -> usize {
-        self.patterns.len().div_ceil(64)
-    }
-
     /// Packs patterns `chunk * 64 * L ..` into one lane-wide
     /// [`PackedBlock`](crate::packed::PackedBlock) per primary input: pattern
     /// slot `i` of the chunk (bit `i % 64` of lane `i / 64`) is the value
@@ -246,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn pack_block_transposes_patterns() {
+    fn pack_chunk_transposes_patterns() {
         // Three patterns over two inputs.
         let set: PatternSet = [
             Pattern::from_bits([true, false]),
@@ -255,42 +228,43 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let (words, count) = set.pack_block(2, 0);
+        let (words, count) = set.pack_chunk::<1>(2, 0);
         assert_eq!(count, 3);
         // Input 0 takes values 1,0,1 across patterns 0..2 -> bits 0b101.
-        assert_eq!(words[0] & 0b111, 0b101);
+        assert_eq!(words[0].0[0] & 0b111, 0b101);
         // Input 1 takes values 0,1,1 -> bits 0b110.
-        assert_eq!(words[1] & 0b111, 0b110);
+        assert_eq!(words[1].0[0] & 0b111, 0b110);
     }
 
     #[test]
-    fn pack_block_past_end_is_empty() {
+    fn pack_chunk_past_end_is_empty() {
         let set: PatternSet = (0..70).map(|i| Pattern::from_integer(i, 4)).collect();
-        assert_eq!(set.block_count(), 2);
-        let (_, count0) = set.pack_block(4, 0);
-        let (_, count1) = set.pack_block(4, 1);
-        let (_, count2) = set.pack_block(4, 2);
+        assert_eq!(set.chunk_count(1), 2);
+        let (_, count0) = set.pack_chunk::<1>(4, 0);
+        let (_, count1) = set.pack_chunk::<1>(4, 1);
+        let (past, count2) = set.pack_chunk::<1>(4, 2);
         assert_eq!(count0, 64);
         assert_eq!(count1, 6);
         assert_eq!(count2, 0);
+        assert!(past.iter().all(|w| w.is_zero()));
     }
 
     #[test]
-    fn pack_chunk_agrees_with_pack_block_lane_by_lane() {
+    fn wide_chunks_agree_with_single_word_chunks_lane_by_lane() {
         let set: PatternSet = (0..300u64)
             .map(|i| Pattern::from_integer(i.wrapping_mul(0x9E37), 7))
             .collect();
         assert_eq!(set.chunk_count(4), 2);
-        assert_eq!(set.chunk_count(1), set.block_count());
+        assert_eq!(set.chunk_count(1), 5);
         for chunk in 0..3 {
             let (words, count) = set.pack_chunk::<4>(7, chunk);
             let mut expected_count = 0;
             for lane in 0..4 {
-                let (block_words, block_count) = set.pack_block(7, chunk * 4 + lane);
-                expected_count += block_count;
+                let (lane_words, lane_count) = set.pack_chunk::<1>(7, chunk * 4 + lane);
+                expected_count += lane_count;
                 for (input, word) in words.iter().enumerate() {
                     assert_eq!(
-                        word.0[lane], block_words[input],
+                        word.0[lane], lane_words[input].0[0],
                         "chunk {chunk} lane {lane}"
                     );
                 }
@@ -306,13 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn pack_block_handles_narrow_patterns() {
+    fn pack_chunk_handles_narrow_patterns() {
         // A pattern narrower than the requested width leaves missing inputs 0.
         let set: PatternSet = [Pattern::from_bits([true])].into_iter().collect();
-        let (words, count) = set.pack_block(3, 0);
+        let (words, count) = set.pack_chunk::<1>(3, 0);
         assert_eq!(count, 1);
-        assert_eq!(words[0] & 1, 1);
-        assert_eq!(words[1], 0);
-        assert_eq!(words[2], 0);
+        assert_eq!(words[0].0[0] & 1, 1);
+        assert!(words[1].is_zero());
+        assert!(words[2].is_zero());
     }
 }

@@ -1,21 +1,18 @@
-//! Seeded property tests for the packed-word and lane-chunk layer.
+//! Seeded property tests for the packed-chunk layer.
 //!
 //! In the workspace's in-tree proptest-replacement style: deterministic
-//! seeded loops draw random words, chunks, pattern counts and gate
-//! evaluations, and pin every lane width (`u64 × 1/4/8`) against a scalar
-//! one-pattern-at-a-time reference — `valid_mask` / `broadcast` / `bit` /
-//! `gather_slot` / `differing_slots` / `first_differing_slot` and full-chunk
-//! gate evaluation, including partial-chunk tail masks at pattern counts
+//! seeded loops draw random chunks, pattern counts and gate evaluations,
+//! and pin every lane width (`u64 × 1/4/8`) against a scalar
+//! one-pattern-at-a-time reference — `valid_mask` / `splat` / `bit` /
+//! `set_slots` / `first_set_slot` / `gather_chunk_slot` and full-chunk gate
+//! evaluation, including partial-chunk tail masks at pattern counts
 //! 1..=512.
 
 use lsiq_netlist::library;
 use lsiq_netlist::GateKind;
-use lsiq_sim::eval::{eval_bool, eval_chunk, eval_packed};
+use lsiq_sim::eval::{eval_bool, eval_chunk};
 use lsiq_sim::levelized::CompiledCircuit;
-use lsiq_sim::packed::{
-    bit, broadcast, differing_slots, first_differing_slot, gather_chunk_slot, gather_slot,
-    valid_mask, PackedBlock, PATTERNS_PER_WORD,
-};
+use lsiq_sim::packed::{gather_chunk_slot, PackedBlock, PATTERNS_PER_WORD};
 use lsiq_sim::pattern::{Pattern, PatternSet};
 use lsiq_stats::rng::{Rng, SplitMix64};
 
@@ -32,47 +29,6 @@ fn reference_differing_slots(good: u64, faulty: u64, valid: u64) -> Vec<usize> {
             v == 1 && g != f
         })
         .collect()
-}
-
-#[test]
-fn scalar_word_helpers_match_the_bit_at_a_time_reference() {
-    let mut rng = SplitMix64::seed_from_u64(0x51D_0001);
-    for case in 0..CASES {
-        let good = rng.next_u64();
-        let faulty = rng.next_u64();
-        let count = 1 + (rng.next_u64() % PATTERNS_PER_WORD as u64) as usize;
-        let valid = valid_mask(count);
-
-        // valid_mask: exactly the low `count` slots.
-        for slot in 0..PATTERNS_PER_WORD {
-            assert_eq!(bit(valid, slot), slot < count, "case {case} slot {slot}");
-        }
-
-        // broadcast: every slot equals the splatted value.
-        for value in [false, true] {
-            for slot in 0..PATTERNS_PER_WORD {
-                assert_eq!(bit(broadcast(value), slot), value);
-            }
-        }
-
-        // differing_slots and first_differing_slot against the slot walk.
-        let lazy: Vec<usize> = differing_slots(good, faulty, valid).collect();
-        let reference = reference_differing_slots(good, faulty, valid);
-        assert_eq!(lazy, reference, "case {case}");
-        assert_eq!(
-            first_differing_slot(good, faulty, valid),
-            reference.first().copied(),
-            "case {case}"
-        );
-
-        // gather_slot transposes: signal s at slot i is bit i of word s.
-        let words: Vec<u64> = (0..5).map(|_| rng.next_u64()).collect();
-        for slot in [0, count - 1, count.min(63)] {
-            let column: Vec<bool> = gather_slot(&words, slot).collect();
-            let reference: Vec<bool> = words.iter().map(|&w| bit(w, slot)).collect();
-            assert_eq!(column, reference, "case {case} slot {slot}");
-        }
-    }
 }
 
 /// One seeded sweep of the chunk-level helpers at lane width `L`.
@@ -123,7 +79,7 @@ fn chunk_helpers_property<const L: usize>(seed: u64) {
             assert!(diff.bit(slot));
             assert_eq!(
                 diff.bit(slot),
-                bit(diff.0[slot / PATTERNS_PER_WORD], slot % PATTERNS_PER_WORD)
+                (diff.0[slot / PATTERNS_PER_WORD] >> (slot % PATTERNS_PER_WORD)) & 1 == 1
             );
         }
 
@@ -178,12 +134,15 @@ fn gate_eval_property<const L: usize>(seed: u64) {
         }
         let count = 1 + (rng.next_u64() % PackedBlock::<L>::PATTERNS as u64) as usize;
         let result = eval_chunk(kind, &inputs);
-        // Chunk evaluation is exactly per-lane word evaluation…
+        // Chunk evaluation is exactly per-lane single-word evaluation…
         for lane in 0..L {
-            let lane_inputs: Vec<u64> = inputs.iter().map(|chunk| chunk.0[lane]).collect();
+            let lane_inputs: Vec<PackedBlock<1>> = inputs
+                .iter()
+                .map(|chunk| PackedBlock([chunk.0[lane]]))
+                .collect();
             assert_eq!(
                 result.0[lane],
-                eval_packed(kind, &lane_inputs),
+                eval_chunk(kind, &lane_inputs).0[0],
                 "L={L} case {case} {kind} lane {lane}"
             );
         }

@@ -4,8 +4,8 @@
 //! have a high fault coverage", applied to the chip in a fixed order.  This
 //! crate generates such pattern sets:
 //!
-//! * [`random`] — seeded uniform random patterns,
-//! * [`lfsr`] — LFSR (pseudo-random BIST-style) patterns,
+//! * [`random`] — seeded uniform random patterns (LFSR and STUMPS sources
+//!   live in `lsiq-bist`),
 //! * [`podem`] — a PODEM combinational ATPG for targeting specific faults,
 //! * [`compaction`] — reverse-order fault-simulation compaction,
 //! * [`suite`] — an end-to-end builder that combines random generation with
@@ -24,7 +24,6 @@
 //! ```
 
 pub mod compaction;
-pub mod lfsr;
 pub mod podem;
 pub mod random;
 pub mod suite;

@@ -142,12 +142,12 @@ fn pattern_packing_round_trips() {
         let set: PatternSet = (0..count)
             .map(|_| Pattern::from_integer(rng.next_bounded(1 << 12), width))
             .collect();
-        for block in 0..set.block_count() {
-            let (words, packed) = set.pack_block(width, block);
+        for chunk in 0..set.chunk_count(1) {
+            let (words, packed) = set.pack_chunk::<1>(width, chunk);
             for slot in 0..packed {
-                let pattern = set.get(block * 64 + slot).unwrap();
-                for (input, &word) in words.iter().enumerate() {
-                    assert_eq!((word >> slot) & 1 == 1, pattern.bit(input));
+                let pattern = set.get(chunk * 64 + slot).unwrap();
+                for (input, word) in words.iter().enumerate() {
+                    assert_eq!(word.bit(slot), pattern.bit(input));
                 }
             }
         }
