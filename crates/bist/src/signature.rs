@@ -144,8 +144,8 @@ impl SignatureDictionary {
     /// The packed lane width is selectable (results are byte-identical at
     /// every width) and an optional shared [`GoodMachineCache`] supplies —
     /// or receives — the per-chunk good-machine images, so a session that
-    /// has already simulated the same circuit over the same patterns (a
-    /// test-suite build, an earlier sweep) never re-runs the fault-free
+    /// has already simulated the same circuit over the same pattern chunks
+    /// (an earlier sweep at the same width) never re-runs the fault-free
     /// machine.
     ///
     /// # Panics

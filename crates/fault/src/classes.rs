@@ -16,13 +16,13 @@ use lsiq_netlist::circuit::Circuit;
 use std::cell::OnceCell;
 
 /// The circuit-only collapsing state a simulator reuses across `run` calls
-/// (suite builders re-simulate a growing pattern set many times; the
-/// equivalence classes never change).
+/// (a suite build runs once per chunk, against the faults still undetected;
+/// the equivalence classes never change).
 ///
 /// Only the class of every full-universe position is kept.  Runs on the
-/// full universe — the common case — map faults to classes by position;
-/// any other universe resolves positions through a [`SiteTable`] built on
-/// its first use.
+/// full universe map faults to classes by position; any other universe,
+/// such as a suite build's undetected remainder, resolves positions through
+/// a [`SiteTable`] of the full universe built on its first use.
 #[derive(Debug)]
 pub(crate) struct CollapseContext {
     /// Equivalence class of every full-universe position; classes are
@@ -75,9 +75,7 @@ pub(crate) fn simulation_classes(
     if universe.len() == context.class_of.len() && universe.is_full(circuit) {
         return SimulationClasses::from_class_of(&context.class_of, context.class_count);
     }
-    let table = context
-        .table
-        .get_or_init(|| SiteTable::new(circuit, &FaultUniverse::full(circuit)));
+    let table = context.table.get_or_init(|| SiteTable::full(circuit));
     let mut class_of: Vec<u32> = Vec::with_capacity(universe.len());
     let mut renumbered: Vec<Option<u32>> = vec![None; context.class_count];
     let mut class_count = 0u32;

@@ -124,10 +124,16 @@ impl SiteTable {
     /// Faults of the universe that point outside the circuit are skipped;
     /// [`position`](SiteTable::position) reports `None` for them.
     pub fn new(circuit: &Circuit, universe: &FaultUniverse) -> SiteTable {
-        assert!(
-            universe.len() <= u32::MAX as usize,
-            "fault universe exceeds u32 index space"
-        );
+        SiteTable::from_faults(circuit, universe.iter().copied())
+    }
+
+    /// Indexes [`FaultUniverse::full`] of `circuit` without building it.
+    pub(crate) fn full(circuit: &Circuit) -> SiteTable {
+        SiteTable::from_faults(circuit, full_faults(circuit))
+    }
+
+    /// Indexes `faults`, numbered in iteration order, by site.
+    fn from_faults(circuit: &Circuit, faults: impl Iterator<Item = Fault>) -> SiteTable {
         let mut pin_offset = Vec::with_capacity(circuit.gate_count() + 1);
         let mut total = 0u32;
         pin_offset.push(0);
@@ -140,9 +146,10 @@ impl SiteTable {
             pin_offset,
             pin: vec![[None; 2]; total as usize],
         };
-        for (index, fault) in universe.iter().enumerate() {
-            if let Some(slot) = table.slot_mut(fault) {
-                *slot = Some(index as u32);
+        for (index, fault) in faults.enumerate() {
+            let index = u32::try_from(index).expect("fault universe exceeds u32 index space");
+            if let Some(slot) = table.slot_mut(&fault) {
+                *slot = Some(index);
             }
         }
         table
@@ -291,19 +298,19 @@ mod tests {
     #[test]
     fn site_table_matches_linear_position() {
         let circuit = library::alu4();
-        for universe in [
-            FaultUniverse::full(&circuit),
-            FaultUniverse::checkpoint(&circuit),
+        let full = FaultUniverse::full(&circuit);
+        let checkpoint = FaultUniverse::checkpoint(&circuit);
+        for (universe, table) in [
+            (&full, full.site_table(&circuit)),
+            (&full, SiteTable::full(&circuit)),
+            (&checkpoint, checkpoint.site_table(&circuit)),
         ] {
-            let table = universe.site_table(&circuit);
             for (index, fault) in universe.iter().enumerate() {
                 assert_eq!(table.position(fault), Some(index as u32));
             }
         }
         // A fault absent from the (checkpoint) universe resolves to None.
-        let checkpoint = FaultUniverse::checkpoint(&circuit);
         let table = checkpoint.site_table(&circuit);
-        let full = FaultUniverse::full(&circuit);
         for fault in &full {
             assert_eq!(
                 table.position(fault).map(|i| i as usize),

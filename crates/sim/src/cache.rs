@@ -1,11 +1,11 @@
 //! A shared cache of good-machine (fault-free) chunk evaluations.
 //!
 //! Every fault-simulation pass begins the same way: evaluate the fault-free
-//! circuit over each packed pattern chunk.  A test-suite build re-simulates
-//! its growing pattern prefix once per chunk of new patterns, a BIST sweep
-//! re-folds the same responses per signature width, and reverse-order
-//! compaction replays single patterns the initial pass already evaluated —
-//! all of them recomputing identical good-machine images.
+//! circuit over each packed pattern chunk.  Passes over the same patterns
+//! at the same width recompute identical good-machine images: a repeated
+//! BIST sweep, or compaction over the patterns of an earlier suite build.
+//! A suite build simulates each pattern once, so it never replays its own
+//! chunks; it only deposits them.
 //!
 //! [`GoodMachineCache`] memoizes those images.  A lookup is keyed by
 //!

@@ -46,7 +46,8 @@ pub struct TestSuiteBuilder {
     /// Number of random patterns generated per chunk before re-evaluating
     /// coverage.
     pub chunk: usize,
-    /// Maximum number of random patterns.
+    /// Maximum number of random patterns; the last chunk is cut short to
+    /// stay within it.
     pub max_random_patterns: usize,
     /// Stop the random phase once this coverage is reached.
     pub target_coverage: f64,
@@ -127,11 +128,11 @@ impl TestSuiteBuilder {
     /// optional persistent worker pool (the configured engine shards its
     /// faults across it; single-threaded engines and `None` run on the
     /// calling thread) and an optional shared [`GoodMachineCache`].  The
-    /// suite build re-simulates a growing pattern set — each iteration
-    /// re-evaluates every chunk it has already seen — so the chunked engine
-    /// recovers the fault-free simulation of all previous chunks from the
-    /// cache.  Results are byte-identical to [`build`](Self::build) with or
-    /// without either resource, at any worker count.
+    /// build simulates each pattern once (see [`build_with`](Self::build_with)),
+    /// so it never finds its own chunks in the cache; it only deposits their
+    /// fault-free images for later passes over the same pattern windows.
+    /// Results are byte-identical to [`build`](Self::build) with or without
+    /// either resource, at any worker count.
     pub fn build_cached(
         &self,
         context: Option<&ExecutionContext>,
@@ -153,9 +154,14 @@ impl TestSuiteBuilder {
     }
 
     /// Builds an ordered test suite using a caller-supplied fault-simulation
-    /// engine (any [`FaultSimulator`]).  The engine sees `universe` itself;
-    /// whether it collapses equivalent faults is its own business and never
-    /// changes the suite.
+    /// engine (any [`FaultSimulator`]).  Each pattern is simulated once: the
+    /// engine runs once per random chunk and once over all PODEM top-up
+    /// patterns, each time over only the new patterns and against only the
+    /// faults of `universe` still undetected (`universe` itself while none
+    /// is).  Appending patterns never moves a fault's first detecting
+    /// pattern, so the suite is byte-identical to one run over its final
+    /// pattern set.  Whether the engine collapses equivalent faults is its
+    /// own business and never changes the suite.
     pub fn build_with(
         &self,
         simulator: &dyn FaultSimulator,
@@ -164,44 +170,73 @@ impl TestSuiteBuilder {
     ) -> TestSuite {
         let mut generator = RandomPatternGenerator::new(circuit, self.seed);
         let mut patterns = PatternSet::new();
+        let mut list = FaultList::new(universe);
 
         // Random phase: add chunks until the target coverage or the pattern
-        // budget is reached.  The fault list of the final iteration is kept
-        // so the later phases never re-simulate an unchanged pattern set.
-        let mut list = simulator.run(universe, &patterns);
+        // budget is reached.
         while list.coverage() < self.target_coverage && patterns.len() < self.max_random_patterns {
-            for _ in 0..self.chunk.max(1) {
+            let offset = patterns.len();
+            for _ in 0..self.chunk.max(1).min(self.max_random_patterns - offset) {
                 patterns.push(generator.next_pattern());
             }
-            list = simulator.run(universe, &patterns);
+            simulate_appended(simulator, universe, &mut list, &patterns, offset);
         }
 
         // Deterministic phase: target whatever the random phase missed.
-        let mut deterministic_patterns = 0usize;
+        let random_patterns = patterns.len();
         if self.podem_top_up {
             let podem = Podem::new(circuit).with_max_backtracks(self.podem_backtracks);
             for fault_index in list.undetected_indices() {
-                let fault = list.fault(fault_index);
-                if let TestOutcome::Test(pattern) = podem.generate_test(fault) {
+                if let TestOutcome::Test(pattern) = podem.generate_test(list.fault(fault_index)) {
                     patterns.push(pattern);
-                    deterministic_patterns += 1;
                 }
             }
         }
+        simulate_appended(simulator, universe, &mut list, &patterns, random_patterns);
 
-        let fault_list = if deterministic_patterns > 0 {
-            simulator.run(universe, &patterns)
-        } else {
-            list
-        };
-        let coverage_curve = CoverageCurve::from_fault_list(&fault_list, patterns.len());
-        let dictionary = FaultDictionary::from_fault_list(&fault_list);
+        let coverage_curve = CoverageCurve::from_fault_list(&list, patterns.len());
+        let dictionary = FaultDictionary::from_fault_list(&list);
         TestSuite {
+            deterministic_patterns: patterns.len() - random_patterns,
             patterns,
-            fault_list,
+            fault_list: list,
             coverage_curve,
             dictionary,
-            deterministic_patterns,
+        }
+    }
+}
+
+/// Fault simulates `patterns[offset..]` against the faults of `list` that
+/// are still undetected, and records each detection at its index in
+/// `patterns`.
+///
+/// While nothing is detected the engine is handed `universe` itself, not a
+/// copy, so a collapsing engine keeps its full-universe fast path.
+fn simulate_appended(
+    simulator: &dyn FaultSimulator,
+    universe: &FaultUniverse,
+    list: &mut FaultList,
+    patterns: &PatternSet,
+    offset: usize,
+) {
+    let undetected = list.undetected_indices();
+    if undetected.is_empty() || offset == patterns.len() {
+        return;
+    }
+    let appended: PatternSet = patterns.as_slice()[offset..].iter().cloned().collect();
+    let remaining;
+    let faults = if undetected.len() == universe.len() {
+        universe
+    } else {
+        remaining = FaultUniverse::from_faults(
+            undetected.iter().map(|&index| *list.fault(index)).collect(),
+        );
+        &remaining
+    };
+    let hits = simulator.run(faults, &appended);
+    for (&index, (_, state)) in undetected.iter().zip(hits.iter()) {
+        if let Some(pattern) = state.first_pattern() {
+            list.mark_detected(index, offset + pattern);
         }
     }
 }
@@ -354,10 +389,9 @@ mod tests {
             assert_eq!(suite.fault_list, reference.fault_list, "{lanes}");
         }
 
-        // The growing random phase re-simulates earlier chunks each
-        // iteration; with a shared cache the replays of completed chunks
-        // hit.  Force enough iterations past a full chunk (redundant faults
-        // keep the coverage below 1.0 until the pattern budget runs out).
+        // A shared cache must not change the suite.  Force several chunks,
+        // one cut short (redundant faults keep the coverage below 1.0 until
+        // the pattern budget runs out).
         let growing = TestSuiteBuilder {
             chunk: 24,
             max_random_patterns: 128,
@@ -373,7 +407,6 @@ mod tests {
         assert_eq!(cached.fault_list, plain.fault_list);
         assert_eq!(cached.coverage_curve, plain.coverage_curve);
         assert!(cache.misses() > 0);
-        assert!(cache.hits() > 0, "replayed chunks should hit the cache");
     }
 
     #[test]
@@ -390,16 +423,24 @@ mod tests {
 
     #[test]
     fn random_phase_respects_pattern_budget() {
+        // Redundant faults keep alu4 below the target, so the random phase
+        // runs until its budget is spent, cutting the last chunk short.
         let circuit = library::alu4();
         let universe = FaultUniverse::full(&circuit);
-        let builder = TestSuiteBuilder {
-            max_random_patterns: 8,
-            chunk: 8,
-            target_coverage: 1.0,
-            podem_top_up: false,
-            ..TestSuiteBuilder::default()
-        };
-        let suite = builder.build(&circuit, &universe);
-        assert!(suite.patterns.len() <= 8);
+        for (chunk, max_random_patterns) in [(8, 8), (32, 16), (24, 128), (64, 100)] {
+            let builder = TestSuiteBuilder {
+                max_random_patterns,
+                chunk,
+                target_coverage: 1.0,
+                podem_top_up: false,
+                ..TestSuiteBuilder::default()
+            };
+            let suite = builder.build(&circuit, &universe);
+            assert_eq!(
+                suite.patterns.len(),
+                max_random_patterns,
+                "chunk {chunk}, max {max_random_patterns}"
+            );
+        }
     }
 }

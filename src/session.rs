@@ -357,8 +357,9 @@ impl Session {
                 // the same ordered pattern suite, test by signature
                 // compare, and coarsen each first failing *session* to the
                 // pattern index at which it is read out.  The suite build
-                // above already deposited the good machine of these very
-                // patterns in the session cache, so this pass replays it.
+                // simulated one 64-pattern chunk at a time; at the default
+                // width this pass packs all the suite's patterns into wider
+                // chunks, so it finds none of them in the session cache.
                 let signatures = SignatureDictionary::build_sweep_cached(
                     &self.context,
                     &circuit,
