@@ -10,34 +10,76 @@ use crate::list::FaultList;
 
 /// First-failing-pattern records for a fault universe under an ordered
 /// pattern set.
+///
+/// Each fault's record is one `u32`: the index of the first pattern that
+/// detects it, or `u32::MAX` when no applied pattern does.  Four bytes a
+/// fault keep the 12,114-fault reproduction device's dictionary at 48 KB,
+/// small enough to stay in cache while a lot is tested against it.  A
+/// pattern index must therefore be below `u32::MAX`; both constructors
+/// panic on one that is not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultDictionary {
-    first_pattern: Vec<Option<usize>>,
+    first_pattern: Vec<u32>,
+}
+
+/// The record of a fault no applied pattern detects.
+const UNDETECTED: u32 = u32::MAX;
+
+/// The `u32` record of a first-failing pattern.
+///
+/// # Panics
+///
+/// Panics, naming the index, if `first` does not fit below [`UNDETECTED`].
+fn record(first: Option<usize>) -> u32 {
+    match first {
+        None => UNDETECTED,
+        Some(index) => u32::try_from(index)
+            .ok()
+            .filter(|&record| record != UNDETECTED)
+            .unwrap_or_else(|| {
+                panic!("first-failing pattern {index} does not fit the dictionary's u32 record")
+            }),
+    }
+}
+
+/// The first-failing pattern a `u32` record stands for.
+fn first_of(record: u32) -> Option<usize> {
+    (record != UNDETECTED).then_some(record as usize)
 }
 
 impl FaultDictionary {
     /// Builds the dictionary from a simulated fault list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a first-detecting pattern index is `u32::MAX` or more.
     pub fn from_fault_list(list: &FaultList) -> FaultDictionary {
-        FaultDictionary {
-            first_pattern: (0..list.len())
-                .map(|index| list.state(index).first_pattern())
-                .collect(),
-        }
+        FaultDictionary::from_first_patterns(
+            (0..list.len()).map(|index| list.state(index).first_pattern()),
+        )
     }
 
     /// Reassembles a dictionary from its per-fault first-failing-pattern
     /// records — the inverse of [`first_patterns`](Self::first_patterns),
     /// used by artifact stores that persist dictionaries across processes.
-    pub fn from_first_patterns(first_pattern: Vec<Option<usize>>) -> FaultDictionary {
-        FaultDictionary { first_pattern }
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern index is `u32::MAX` or more.
+    pub fn from_first_patterns(
+        first_patterns: impl IntoIterator<Item = Option<usize>>,
+    ) -> FaultDictionary {
+        FaultDictionary {
+            first_pattern: first_patterns.into_iter().map(record).collect(),
+        }
     }
 
-    /// The raw per-fault records, in fault-universe order: the first
-    /// pattern detecting each fault, or `None` when no applied pattern
-    /// does.  Together with [`from_first_patterns`](Self::from_first_patterns)
+    /// The per-fault records, in fault-universe order: the first pattern
+    /// detecting each fault, or `None` when no applied pattern does.
+    /// Together with [`from_first_patterns`](Self::from_first_patterns)
     /// this round-trips the dictionary exactly.
-    pub fn first_patterns(&self) -> &[Option<usize>] {
-        &self.first_pattern
+    pub fn first_patterns(&self) -> impl ExactSizeIterator<Item = Option<usize>> + '_ {
+        self.first_pattern.iter().map(|&record| first_of(record))
     }
 
     /// Number of faults covered by the dictionary.
@@ -51,9 +93,14 @@ impl FaultDictionary {
     }
 
     /// The first pattern detecting fault `index`, or `None` if no applied
-    /// pattern detects it.
+    /// pattern detects it (or `index` is outside the universe).
     pub fn first_failing_pattern(&self, index: usize) -> Option<usize> {
-        self.first_pattern.get(index).copied().flatten()
+        first_of(self.record_at(index))
+    }
+
+    /// The record of fault `index`; undetected outside the universe.
+    fn record_at(&self, index: usize) -> u32 {
+        self.first_pattern.get(index).copied().unwrap_or(UNDETECTED)
     }
 
     /// The first pattern at which a chip carrying exactly the faults in
@@ -62,12 +109,14 @@ impl FaultDictionary {
     /// Under the single-fault detectability assumption of the paper's model
     /// (the chip's faults are equivalent to a set of detectable stuck-at
     /// faults), a chip fails at the earliest first-failing pattern over its
-    /// faults.
+    /// faults.  The undetected record is the largest `u32`, so that is a
+    /// plain minimum over the records.
     pub fn first_failure_of_chip(&self, fault_indices: &[usize]) -> Option<usize> {
-        fault_indices
-            .iter()
-            .filter_map(|&index| self.first_failing_pattern(index))
-            .min()
+        first_of(
+            fault_indices
+                .iter()
+                .fold(UNDETECTED, |first, &index| first.min(self.record_at(index))),
+        )
     }
 
     /// The first test *session* in which fault `index` produces any
@@ -91,19 +140,17 @@ impl FaultDictionary {
 
     /// Number of faults whose first detection is exactly `pattern`.
     pub fn detections_at(&self, pattern: usize) -> usize {
-        self.first_pattern
-            .iter()
-            .filter(|p| **p == Some(pattern))
+        self.first_patterns()
+            .filter(|&first| first == Some(pattern))
             .count()
     }
 
     /// Indices of faults never detected by the applied pattern set.
     pub fn undetected(&self) -> Vec<usize> {
-        self.first_pattern
-            .iter()
+        self.first_patterns()
             .enumerate()
-            .filter(|(_, p)| p.is_none())
-            .map(|(i, _)| i)
+            .filter(|(_, first)| first.is_none())
+            .map(|(index, _)| index)
             .collect()
     }
 }
@@ -173,6 +220,30 @@ mod tests {
             assert_eq!(dictionary.first_failing_session(index, 1), pattern);
         }
         assert_eq!(dictionary.first_failing_session(universe_len + 1, 8), None);
+    }
+
+    #[test]
+    fn records_round_trip_up_to_the_largest_u32_index() {
+        let records = [Some(0), None, Some(7), Some(u32::MAX as usize - 1)];
+        let dictionary = FaultDictionary::from_first_patterns(records);
+        assert!(dictionary.first_patterns().eq(records));
+        assert_eq!(
+            FaultDictionary::from_first_patterns(dictionary.first_patterns()),
+            dictionary
+        );
+        assert_eq!(
+            dictionary.first_failure_of_chip(&[1, 3]),
+            Some(u32::MAX as usize - 1)
+        );
+        assert_eq!(dictionary.first_failure_of_chip(&[3, 2, 1]), Some(7));
+        assert_eq!(dictionary.first_failure_of_chip(&[1]), None);
+        assert_eq!(dictionary.undetected(), vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "first-failing pattern 4294967295 does not fit")]
+    fn a_pattern_index_beyond_the_u32_record_is_rejected() {
+        let _ = FaultDictionary::from_first_patterns([Some(3), Some(u32::MAX as usize)]);
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //!   (a session's, typically), or on the calling thread without one, and
 //! * [`streaming`] — the memory-bounded counterpart:
 //!   [`StreamingLotExecutor`] folds fixed-size blocks of chips into running
-//!   integer statistics, so billion-chip lots run in `O(workers × patterns)`
-//!   memory with byte-identical results to the in-memory path.
+//!   integer statistics, so billion-chip lots run in
+//!   `O(workers × (patterns + faults / 64))` memory with byte-identical
+//!   results to the in-memory path.
 //!
 //! The chips of a lot are testable against any pattern suite summarised by a
 //! [`FaultDictionary`](lsiq_fault::dictionary::FaultDictionary) — typically

@@ -21,7 +21,7 @@ use crate::chip::Chip;
 use crate::defect::{DefectModel, FaultsPerDefect};
 use crate::defect_map::DefectToFaultMapper;
 use lsiq_stats::dist::{Poisson, Sample};
-use lsiq_stats::rng::{sample_indices, Rng, Xoshiro256StarStar};
+use lsiq_stats::rng::{IndexSampler, Rng, Xoshiro256StarStar};
 
 /// Configuration for a lot drawn directly from the paper's statistical model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,6 +51,72 @@ pub struct PhysicalLotConfig {
     pub fault_universe_size: usize,
     /// Seed for the deterministic generator.
     pub seed: u64,
+}
+
+/// The lot-wide set-up of model-chip draws: the validated configuration
+/// and its fault-count Poisson, built once per lot.  Every path that draws
+/// model chips (in memory, sharded or streamed) goes through
+/// [`faults`](Self::faults) with one [`IndexSampler`] per worker.
+#[derive(Debug)]
+pub(crate) struct ModelDraw {
+    config: ModelLotConfig,
+    /// `Poisson(n0 - 1)`, or `None` when `n0` is 1 and every defective
+    /// chip carries exactly one fault.
+    extra_faults: Option<Poisson>,
+}
+
+impl ModelDraw {
+    /// Validates `config` and sets up its fault-count distribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the invalid configurations [`ChipLot::from_model`]
+    /// documents.
+    pub(crate) fn new(config: &ModelLotConfig) -> ModelDraw {
+        assert!(
+            config.fault_universe_size > 0,
+            "fault universe must not be empty"
+        );
+        assert!(
+            (0.0..=1.0).contains(&config.yield_fraction),
+            "yield must be a probability"
+        );
+        assert!(
+            config.n0 >= 1.0,
+            "n0 is the mean fault count of defective chips and must be >= 1"
+        );
+        let extra = config.n0 - 1.0;
+        ModelDraw {
+            config: *config,
+            extra_faults: (extra > 0.0).then(|| Poisson::new(extra).expect("n0 must be finite")),
+        }
+    }
+
+    /// A worker's sampler over the lot's fault universe.
+    pub(crate) fn sampler(&self) -> IndexSampler {
+        IndexSampler::new(self.config.fault_universe_size)
+    }
+
+    /// The faults of chip `id`, in draw order, drawn from the chip's own
+    /// RNG stream into `sampler`.  The chip is good (no faults) with
+    /// probability `y`; otherwise it carries `1 + Poisson(n0 - 1)` distinct
+    /// faults, at most the whole universe.
+    pub(crate) fn faults<'s>(&self, id: usize, sampler: &'s mut IndexSampler) -> &'s [usize] {
+        let mut rng = Xoshiro256StarStar::stream(self.config.seed, id as u64);
+        if rng.next_bool(self.config.yield_fraction) {
+            return &[];
+        }
+        let extra = self
+            .extra_faults
+            .map_or(0, |poisson| poisson.sample(&mut rng) as usize);
+        let count = (1 + extra).min(self.config.fault_universe_size);
+        sampler.sample(count, &mut rng)
+    }
+
+    /// Chip `id` as a record.
+    pub(crate) fn chip(&self, id: usize, sampler: &mut IndexSampler) -> Chip {
+        Chip::new(id, self.faults(id, sampler).to_vec(), 0)
+    }
 }
 
 /// A lot of simulated chips sharing one fault universe.
@@ -91,51 +157,14 @@ impl ChipLot {
     /// Panics if the fault universe is empty, `yield_fraction` is outside
     /// `[0, 1]`, or `n0 < 1` (a defective chip has at least one fault).
     pub fn from_model(config: &ModelLotConfig) -> ChipLot {
-        Self::validate_model(config);
+        let draw = ModelDraw::new(config);
+        let mut sampler = draw.sampler();
         let chips = (0..config.chips)
-            .map(|id| Self::model_chip(config, id))
+            .map(|id| draw.chip(id, &mut sampler))
             .collect();
         ChipLot {
             chips,
             fault_universe_size: config.fault_universe_size,
-        }
-    }
-
-    /// Checks a model-lot configuration, panicking on invalid parameters.
-    pub(crate) fn validate_model(config: &ModelLotConfig) {
-        assert!(
-            config.fault_universe_size > 0,
-            "fault universe must not be empty"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.yield_fraction),
-            "yield must be a probability"
-        );
-        assert!(
-            config.n0 >= 1.0,
-            "n0 is the mean fault count of defective chips and must be >= 1"
-        );
-    }
-
-    /// Generates chip `id` of the model lot described by `config` from the
-    /// chip's own RNG stream.  The caller must have validated `config`.
-    pub(crate) fn model_chip(config: &ModelLotConfig, id: usize) -> Chip {
-        let mut rng = Xoshiro256StarStar::stream(config.seed, id as u64);
-        if rng.next_bool(config.yield_fraction) {
-            Chip::new(id, Vec::new(), 0)
-        } else {
-            // Shifted Poisson: n = 1 + Poisson(n0 - 1).
-            let extra = config.n0 - 1.0;
-            let fault_count = 1 + if extra > 0.0 {
-                Poisson::new(extra)
-                    .expect("extra is positive")
-                    .sample(&mut rng) as usize
-            } else {
-                0
-            };
-            let fault_count = fault_count.min(config.fault_universe_size);
-            let faults = sample_indices(config.fault_universe_size, fault_count, &mut rng);
-            Chip::new(id, faults, 0)
         }
     }
 

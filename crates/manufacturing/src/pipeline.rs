@@ -29,7 +29,7 @@ use crate::bist_test::{SessionRecord, SignatureTester};
 use crate::chip::Chip;
 use crate::experiment::RejectExperiment;
 use crate::field::FieldOutcome;
-use crate::lot::{ChipLot, ModelLotConfig, PhysicalLotConfig};
+use crate::lot::{ChipLot, ModelDraw, ModelLotConfig, PhysicalLotConfig};
 use crate::tester::{TestRecord, WaferTester};
 use lsiq_bist::signature::SignatureDictionary;
 use lsiq_exec::{shard_count, shard_map, ExecutionContext};
@@ -115,9 +115,10 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     ///
     /// Panics on the same invalid configurations as [`ChipLot::from_model`].
     pub fn generate_model_lot(&self, config: &ModelLotConfig) -> ChipLot {
-        ChipLot::validate_model(config);
+        let draw = ModelDraw::new(config);
         let chips = self.sharded(config.chips, |range| {
-            range.map(|id| ChipLot::model_chip(config, id)).collect()
+            let mut sampler = draw.sampler();
+            range.map(|id| draw.chip(id, &mut sampler)).collect()
         });
         ChipLot::from_chips(chips, config.fault_universe_size)
     }

@@ -1,15 +1,20 @@
 //! Streaming, memory-bounded lot execution.
 //!
 //! The in-memory pipeline ([`ParallelLotRunner::run_model_line`]) holds a
-//! whole [`ChipLot`] and its test records at once — fine for the paper's
-//! 277-chip Table 1 run, impossible for the billion-chip planning sweeps a
-//! production service fields.  [`StreamingLotExecutor`] evaluates the same
-//! model lot in fixed-size blocks instead: each block's chips are generated
-//! from their per-chip RNG streams, wafer-tested against the fault
-//! dictionary, and immediately folded into running integer accumulators —
-//! a first-fail counting-sort histogram, good/defective/fault-count tallies
-//! and the field-outcome counters.  No chip outlives its fold, so peak
-//! memory is `O(workers × patterns)` regardless of lot size.
+//! whole [`ChipLot`](crate::lot::ChipLot) and its test records at once —
+//! fine for the paper's 277-chip Table 1 run, impossible for the
+//! billion-chip planning sweeps a production service fields.
+//! [`StreamingLotExecutor`] evaluates the same model lot in fixed-size
+//! blocks instead: each block's chips are generated from their per-chip
+//! RNG streams, wafer-tested against the fault dictionary, and immediately
+//! folded into running integer accumulators — a first-fail counting-sort
+//! histogram, good/defective/fault-count tallies and the field-outcome
+//! counters.  No chip outlives its fold: each worker draws its chips'
+//! faults into one reusable [`IndexSampler`](lsiq_stats::rng::IndexSampler),
+//! a `⌈N / 64⌉`-word membership bitset over the `N`-fault universe plus its
+//! picks, and folds them without building a chip record.  Peak memory is
+//! therefore `O(workers × (patterns + N / 64))` words regardless of lot
+//! size.
 //!
 //! Every accumulator is an integer sum, and integer addition is associative
 //! and commutative, so the block structure and the worker sharding are
@@ -21,7 +26,7 @@
 
 use crate::experiment::RejectExperiment;
 use crate::field::FieldOutcome;
-use crate::lot::{ChipLot, ModelLotConfig};
+use crate::lot::{ModelDraw, ModelLotConfig};
 use crate::pipeline::ParallelLotRunner;
 use lsiq_exec::{shard_map, ExecutionContext};
 use lsiq_fault::coverage::CoverageCurve;
@@ -72,19 +77,19 @@ struct LotFold {
 }
 
 impl LotFold {
-    /// Folds one chip's generation and wafer test into the accumulators.
-    fn absorb(&mut self, config: &ModelLotConfig, dictionary: &FaultDictionary, id: usize) {
-        let chip = ChipLot::model_chip(config, id);
-        if chip.is_good() {
+    /// Folds one chip, given by its faults, and its wafer test into the
+    /// accumulators.
+    fn absorb(&mut self, faults: &[usize], dictionary: &FaultDictionary) {
+        if faults.is_empty() {
             self.good += 1;
         } else {
             self.defective += 1;
-            self.total_faults += chip.fault_count();
+            self.total_faults += faults.len();
         }
-        match dictionary.first_failure_of_chip(chip.fault_indices()) {
+        match dictionary.first_failure_of_chip(faults) {
             None => {
                 self.shipped += 1;
-                if !chip.is_good() {
+                if !faults.is_empty() {
                     self.escapes += 1;
                 }
             }
@@ -200,12 +205,13 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
     ///
     /// The returned statistics are byte-identical to generating the whole
     /// lot, testing it and tabulating in memory — at any block length and
-    /// any worker count — while peak memory stays `O(workers × patterns)`.
+    /// any worker count — while peak memory stays
+    /// `O(workers × (patterns + N / 64))` for an `N`-fault universe.
     ///
     /// # Panics
     ///
     /// Panics on the same invalid model configurations as
-    /// [`ChipLot::from_model`].
+    /// [`ChipLot::from_model`](crate::lot::ChipLot::from_model).
     pub fn stream_model_lot(
         &self,
         config: &ModelLotConfig,
@@ -213,7 +219,7 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
         coverage: &CoverageCurve,
         checkpoints: &[usize],
     ) -> StreamedLot {
-        ChipLot::validate_model(config);
+        let draw = ModelDraw::new(config);
         let mut fold = LotFold::default();
         let mut start = 0usize;
         while start < config.chips {
@@ -226,9 +232,10 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
                 block,
                 ParallelLotRunner::MIN_ITEMS_PER_SHARD,
                 |range| {
+                    let mut sampler = draw.sampler();
                     let mut shard = LotFold::default();
                     for offset in range {
-                        shard.absorb(config, dictionary, start + offset);
+                        shard.absorb(draw.faults(start + offset, &mut sampler), dictionary);
                     }
                     shard
                 },

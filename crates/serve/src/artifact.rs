@@ -329,7 +329,7 @@ impl SuiteArtifact {
             pattern_width,
             patterns: patterns.iter().map(|p| pack_bits(p.bits())).collect(),
             deterministic_patterns,
-            first_patterns: dictionary.first_patterns().to_vec(),
+            first_patterns: dictionary.first_patterns().collect(),
             cumulative: coverage.cumulative().to_vec(),
             universe_size: coverage.universe_size(),
         }
@@ -345,7 +345,7 @@ impl SuiteArtifact {
 
     /// The first-failing-pattern dictionary.
     pub fn dictionary(&self) -> FaultDictionary {
-        FaultDictionary::from_first_patterns(self.first_patterns.clone())
+        FaultDictionary::from_first_patterns(self.first_patterns.iter().copied())
     }
 
     /// The cumulative coverage curve.
@@ -376,16 +376,33 @@ impl SuiteArtifact {
 
     /// Decodes an artifact payload.
     ///
+    /// The counts are checked against each other and against the payload
+    /// before anything is allocated for them: every pattern needs its
+    /// packed row and one coverage point, so a pattern count the bytes
+    /// left cannot hold is refused; the coverage curve must have one point
+    /// per pattern, the dictionary one record per fault of the universe,
+    /// and every first-failing pattern must be one of the suite's.
+    ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncation, trailing bytes or any
-    /// malformed field.
+    /// Returns a [`CodecError`] on truncation, trailing bytes, any
+    /// malformed field or counts that disagree.
     pub fn decode(bytes: &[u8]) -> Result<SuiteArtifact, CodecError> {
         let mut reader = ByteReader::new(bytes);
         let pattern_width = reader.get_len()?;
         let pattern_count = reader.get_len()?;
         let row_len = pattern_width.div_ceil(8);
-        let mut patterns = Vec::with_capacity(pattern_count.min(1 << 20));
+        let needed = row_len
+            .checked_add(8)
+            .and_then(|per_pattern| per_pattern.checked_mul(pattern_count));
+        if needed.map_or(true, |needed| needed > reader.remaining()) {
+            return Err(CodecError(format!(
+                "{pattern_count} patterns of {row_len} bytes and a coverage point each \
+                 exceed the {} bytes left",
+                reader.remaining()
+            )));
+        }
+        let mut patterns = Vec::with_capacity(pattern_count);
         for _ in 0..pattern_count {
             let mut row = Vec::with_capacity(row_len);
             for _ in 0..row_len {
@@ -396,15 +413,32 @@ impl SuiteArtifact {
         let deterministic_patterns = reader.get_len()?;
         let fault_count = reader.get_len()?;
         let mut first_patterns = Vec::with_capacity(fault_count.min(1 << 24));
-        for _ in 0..fault_count {
-            first_patterns.push(reader.get_opt_index()?);
+        for fault in 0..fault_count {
+            let first = reader.get_opt_index()?;
+            if let Some(pattern) = first.filter(|&pattern| pattern >= pattern_count) {
+                return Err(CodecError(format!(
+                    "fault {fault} first fails at pattern {pattern} of a \
+                     {pattern_count}-pattern suite"
+                )));
+            }
+            first_patterns.push(first);
         }
         let point_count = reader.get_len()?;
-        let mut cumulative = Vec::with_capacity(point_count.min(1 << 24));
+        if point_count != pattern_count {
+            return Err(CodecError(format!(
+                "{point_count} coverage points for {pattern_count} patterns"
+            )));
+        }
+        let mut cumulative = Vec::with_capacity(point_count);
         for _ in 0..point_count {
             cumulative.push(reader.get_f64()?);
         }
         let universe_size = reader.get_len()?;
+        if universe_size != fault_count {
+            return Err(CodecError(format!(
+                "{fault_count} dictionary records for a {universe_size}-fault universe"
+            )));
+        }
         reader.finish()?;
         Ok(SuiteArtifact {
             pattern_width,

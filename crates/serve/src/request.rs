@@ -21,6 +21,13 @@ pub const MAX_TEST_LENGTH: usize = 65_536;
 /// lots would run for hours, so they are refused as query errors.
 pub const MAX_CHIPS: usize = 1_000_000_000;
 
+/// The largest `n0` a `line` or `lot` request may ask for.  A defective
+/// chip's fault count is a Poisson draw of about `n0` uniforms, so a lot at
+/// `n0` = 10^15 would never finish; larger values are refused as query
+/// errors.  `forward`, `inverse` and `bist` use `n0` only in closed form and
+/// accept any finite `n0 >= 1`.
+pub const MAX_N0: f64 = 1_000.0;
+
 /// The model parameters `(y, n0)` every query kind shares.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelInputs {
@@ -167,10 +174,16 @@ fn lot_params(value: &JsonValue, default_chips: usize) -> Result<LotParams, Stri
         }
         Some(_) => return Err("\"checkpoints\" must be an array of integers".to_string()),
     };
+    let circuit = circuit_field(value)?;
+    let chips = bounded_count_field(value, "chips", Some(default_chips), MAX_CHIPS)?;
+    let model = model_inputs(value, false)?;
+    if model.n0 > MAX_N0 {
+        return Err(format!("\"n0\" must be at most {MAX_N0}, got {}", model.n0));
+    }
     Ok(LotParams {
-        circuit: circuit_field(value)?,
-        chips: bounded_count_field(value, "chips", Some(default_chips), MAX_CHIPS)?,
-        model: model_inputs(value, false)?,
+        circuit,
+        chips,
+        model,
         seed: match value.get("seed") {
             None => None,
             Some(seed) => Some(
@@ -337,6 +350,14 @@ mod tests {
             (
                 r#"{"op":"lot","circuit":"c17","chips":100000000000000}"#,
                 "\"chips\" must be at most 1000000000",
+            ),
+            (
+                r#"{"op":"lot","circuit":"c17","chips":1,"yield":0,"n0":1e15}"#,
+                "\"n0\" must be at most 1000, got 1000000000000000",
+            ),
+            (
+                r#"{"op":"line","n0":1000.5}"#,
+                "\"n0\" must be at most 1000",
             ),
         ] {
             let error = parse(text).expect_err(text);

@@ -7,8 +7,8 @@
 //! fault-simulation pass at most once per artifact directory lifetime,
 //! across processes.  Lots are evaluated by the streaming executor
 //! ([`StreamingLotExecutor`]), so a billion-chip query holds
-//! `O(workers × patterns)` memory and returns statistics byte-identical
-//! to the in-memory pipeline.
+//! `O(workers × (patterns + faults / 64))` memory and returns statistics
+//! byte-identical to the in-memory pipeline.
 //!
 //! Protocol, schema and counter semantics are specified in
 //! `docs/SERVICE.md`.

@@ -51,14 +51,93 @@ fn suite_artifact_round_trips_byte_exactly() {
     assert_eq!(decoded, artifact);
     // The reconstructed working objects match the originals field-for-field.
     assert_eq!(decoded.pattern_set().len(), artifact.patterns.len());
-    assert_eq!(
-        decoded.dictionary().first_patterns(),
-        artifact.first_patterns.as_slice()
-    );
+    assert!(decoded
+        .dictionary()
+        .first_patterns()
+        .eq(artifact.first_patterns.iter().copied()));
     assert_eq!(
         decoded.coverage().cumulative(),
         artifact.cumulative.as_slice()
     );
+}
+
+/// A one-pattern, one-fault suite whose fault first fails at `first`.
+fn one_pattern_suite(first: Option<usize>) -> SuiteArtifact {
+    SuiteArtifact {
+        pattern_width: 5,
+        patterns: vec![vec![0b1_0110]],
+        deterministic_patterns: 0,
+        first_patterns: vec![first],
+        cumulative: vec![1.0],
+        universe_size: 1,
+    }
+}
+
+fn decode_error(artifact: &SuiteArtifact) -> String {
+    SuiteArtifact::decode(&artifact.encode())
+        .expect_err("inconsistent counts must not decode")
+        .to_string()
+}
+
+#[test]
+fn a_first_failing_pattern_beyond_the_suite_is_refused() {
+    let valid = one_pattern_suite(Some(0));
+    assert_eq!(SuiteArtifact::decode(&valid.encode()), Ok(valid));
+    for first in [1, 5_000_000_000] {
+        let error = decode_error(&one_pattern_suite(Some(first)));
+        assert!(
+            error.contains(&format!("pattern {first} of a 1-pattern suite")),
+            "{error}"
+        );
+    }
+}
+
+#[test]
+fn a_coverage_curve_of_another_length_is_refused() {
+    for points in [vec![], vec![0.5, 1.0]] {
+        let artifact = SuiteArtifact {
+            cumulative: points,
+            ..one_pattern_suite(Some(0))
+        };
+        let error = decode_error(&artifact);
+        assert!(error.contains("coverage points for 1 patterns"), "{error}");
+    }
+}
+
+#[test]
+fn a_dictionary_of_another_universe_is_refused() {
+    for universe_size in [0, 2] {
+        let artifact = SuiteArtifact {
+            universe_size,
+            ..one_pattern_suite(None)
+        };
+        let error = decode_error(&artifact);
+        assert!(
+            error.contains(&format!(
+                "1 dictionary records for a {universe_size}-fault universe"
+            )),
+            "{error}"
+        );
+    }
+}
+
+#[test]
+fn a_pattern_count_the_payload_cannot_hold_is_refused_before_allocating() {
+    use lsiq_serve::codec::ByteWriter;
+    // 48 bytes: zero-width patterns, a huge pattern count, then empty
+    // dictionary and coverage sections and a zero universe.
+    for pattern_count in [10_000_000u64, 1 << 40, u64::MAX] {
+        let mut writer = ByteWriter::new();
+        for value in [0, pattern_count, 0, 0, 0, 0] {
+            writer.put_u64(value);
+        }
+        let payload = writer.into_bytes();
+        assert_eq!(payload.len(), 48);
+        let error = SuiteArtifact::decode(&payload)
+            .expect_err("rows the payload cannot hold")
+            .to_string();
+        assert!(error.contains("exceed the 32 bytes left"), "{error}");
+    }
 }
 
 #[test]

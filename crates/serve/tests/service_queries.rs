@@ -224,7 +224,14 @@ fn requests_over_the_limits_get_error_records_and_the_stream_continues() {
         "\n",
         r#"{"op":"lot","id":2,"circuit":"c17","chips":100000000000000}"#,
         "\n",
-        r#"{"op":"forward","id":3,"yield":0.07,"n0":8,"coverage":0.95}"#,
+        r#"{"op":"lot","id":3,"circuit":"c17","chips":1,"yield":0,"n0":1e15}"#,
+        "\n",
+        r#"{"op":"lot","id":4,"circuit":"c17","chips":1000,"n0":1e9}"#,
+        "\n",
+        r#"{"op":"forward","id":5,"yield":0.07,"n0":8,"coverage":0.95}"#,
+        "\n",
+        // Closed-form queries keep accepting any finite n0.
+        r#"{"op":"forward","id":6,"yield":0.07,"n0":1e300,"coverage":0.95}"#,
         "\n",
     );
     let mut output = Vec::new();
@@ -236,22 +243,30 @@ fn requests_over_the_limits_get_error_records_and_the_stream_continues() {
         .lines()
         .map(|line| JsonValue::parse(line).expect("well-formed response"))
         .collect();
-    assert_eq!(records.len(), 4, "3 responses + summary:\n{text}");
+    assert_eq!(records.len(), 7, "6 responses + summary:\n{text}");
     let statuses: Vec<&str> = records
         .iter()
         .map(|record| record.get("status").and_then(JsonValue::as_str).unwrap())
         .collect();
-    assert_eq!(statuses, ["error", "error", "ok", "summary"], "{text}");
-    for (record, field) in records[..2].iter().zip(["test_length", "chips"]) {
+    assert_eq!(
+        statuses,
+        ["error", "error", "error", "error", "ok", "ok", "summary"],
+        "{text}"
+    );
+    for (record, field) in records[..4]
+        .iter()
+        .zip(["test_length", "chips", "n0", "n0"])
+    {
         let error = record.get("error").and_then(JsonValue::as_str).unwrap();
         assert!(
             error.contains(&format!("{field:?} must be at most")),
             "{error}"
         );
     }
-    assert_eq!(records[2].get("id").and_then(JsonValue::as_usize), Some(3));
+    assert_eq!(records[4].get("id").and_then(JsonValue::as_usize), Some(5));
+    assert_eq!(records[5].get("id").and_then(JsonValue::as_usize), Some(6));
     assert_eq!(
-        records[3].get("errors").and_then(JsonValue::as_usize),
-        Some(2)
+        records[6].get("errors").and_then(JsonValue::as_usize),
+        Some(4)
     );
 }

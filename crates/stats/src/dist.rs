@@ -43,10 +43,26 @@ fn require_positive_finite(name: &'static str, value: f64) -> Result<(), StatsEr
 }
 
 /// The Poisson distribution with a given mean.
+///
+/// Construction sets up the sampler once: a mean above the Knuth limit of
+/// 30 splits additively (a sum of independent Poisson variates is Poisson)
+/// into `blocks` draws at the limit and one draw at the remainder, and the
+/// `exp(-mean)` thresholds of those draws are computed here rather than on
+/// every [`sample`](Sample::sample).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     mean: f64,
+    /// Knuth draws at mean [`KNUTH_LIMIT`] before the remainder's draw.
+    blocks: u64,
+    /// `exp(-KNUTH_LIMIT)`, the threshold of each block's draw.
+    block_threshold: f64,
+    /// `exp(-remainder)`, the threshold of the final draw.
+    remainder_threshold: f64,
 }
+
+/// The largest mean drawn with Knuth's product-of-uniforms method; `exp`
+/// of its negation is still far from underflow.
+const KNUTH_LIMIT: f64 = 30.0;
 
 impl Poisson {
     /// Creates a Poisson distribution with the given mean.
@@ -56,7 +72,32 @@ impl Poisson {
     /// Returns an error if `mean` is not finite and strictly positive.
     pub fn new(mean: f64) -> Result<Self, StatsError> {
         require_positive_finite("mean", mean)?;
-        Ok(Poisson { mean })
+        Ok(Poisson::from_positive_mean(mean))
+    }
+
+    /// Sets up the draws of a positive, finite `mean`.
+    ///
+    /// The split equals the one that subtracting [`KNUTH_LIMIT`] while the
+    /// mean exceeds it reaches: `%` is exact, and so is each such
+    /// subtraction below 2^54.
+    fn from_positive_mean(mean: f64) -> Poisson {
+        let (blocks, remainder) = if mean > KNUTH_LIMIT {
+            let rest = mean % KNUTH_LIMIT;
+            let remainder = if rest == 0.0 { KNUTH_LIMIT } else { rest };
+            (((mean - remainder) / KNUTH_LIMIT) as u64, remainder)
+        } else {
+            (0, mean)
+        };
+        Poisson {
+            mean,
+            blocks,
+            block_threshold: if blocks > 0 {
+                (-KNUTH_LIMIT).exp()
+            } else {
+                0.0
+            },
+            remainder_threshold: (-remainder).exp(),
+        }
     }
 
     /// The distribution mean.
@@ -75,29 +116,17 @@ impl Sample for Poisson {
     type Value = u64;
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        sample_poisson(self.mean, rng)
+        let mut total = 0u64;
+        for _ in 0..self.blocks {
+            total += sample_knuth(self.block_threshold, rng);
+        }
+        total + sample_knuth(self.remainder_threshold, rng)
     }
 }
 
-/// Draws a Poisson variate.  Means up to 30 use Knuth's product-of-uniforms
-/// method; larger means are split additively (a sum of independent Poisson
-/// variates is Poisson), keeping the draw exact without `exp` underflow.
-fn sample_poisson<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> u64 {
-    const KNUTH_LIMIT: f64 = 30.0;
-    let mut remaining = mean;
-    let mut total = 0u64;
-    while remaining > KNUTH_LIMIT {
-        total += sample_poisson_knuth(KNUTH_LIMIT, rng);
-        remaining -= KNUTH_LIMIT;
-    }
-    if remaining > 0.0 {
-        total += sample_poisson_knuth(remaining, rng);
-    }
-    total
-}
-
-fn sample_poisson_knuth<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> u64 {
-    let threshold = (-mean).exp();
+/// Knuth's product-of-uniforms Poisson draw: the number of uniforms
+/// multiplied in before the product falls to `threshold = exp(-mean)`.
+fn sample_knuth<R: Rng + ?Sized>(threshold: f64, rng: &mut R) -> u64 {
     let mut product = 1.0;
     let mut count = 0u64;
     loop {
@@ -176,10 +205,10 @@ impl Sample for NegativeBinomial {
         let shape = self.size();
         let scale = self.clustering * self.mean;
         let rate = sample_gamma(shape, rng) * scale;
-        if rate <= 0.0 {
-            0
+        if rate > 0.0 {
+            Poisson::from_positive_mean(rate).sample(rng)
         } else {
-            sample_poisson(rate, rng)
+            0
         }
     }
 }

@@ -251,23 +251,76 @@ pub fn shuffle<T, R: Rng + ?Sized>(items: &mut [T], rng: &mut R) {
     }
 }
 
-/// Draws `count` distinct indices from `[0, len)` without replacement.
+/// Draws sets of distinct indices from `[0, len)` with Floyd's algorithm,
+/// reusing its scratch from one draw to the next.
 ///
-/// Uses Floyd's algorithm; the returned indices are in ascending order.
+/// Membership lives in a `⌈len / 64⌉`-word bitset and the picks in one
+/// output buffer, so once that buffer has grown to the largest count drawn
+/// a draw allocates nothing.  A draw clears only the bits it set, so it
+/// costs `O(count)` at any population size.  Keep one sampler per worker.
 ///
-/// # Panics
+/// A draw of `count` indices consumes exactly `rng.next_index(j + 1)` for
+/// `j` in `len - count .. len`, in that order, and picks the same set as
+/// any other implementation of Floyd's algorithm over those draws.
 ///
-/// Panics if `count > len`.
-pub fn sample_indices<R: Rng + ?Sized>(len: usize, count: usize, rng: &mut R) -> Vec<usize> {
-    assert!(count <= len, "cannot sample {count} items from {len}");
-    let mut chosen = std::collections::BTreeSet::new();
-    for j in (len - count)..len {
-        let t = rng.next_index(j + 1);
-        if !chosen.insert(t) {
-            chosen.insert(j);
+/// ```
+/// use lsiq_stats::rng::{IndexSampler, Xoshiro256StarStar};
+///
+/// let mut sampler = IndexSampler::new(100);
+/// let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+/// let mut picks = sampler.sample(20, &mut rng).to_vec();
+/// picks.sort_unstable();
+/// picks.dedup();
+/// assert_eq!(picks.len(), 20);
+/// assert!(picks.iter().all(|&index| index < 100));
+/// ```
+#[derive(Debug, Clone)]
+pub struct IndexSampler {
+    len: usize,
+    members: Vec<u64>,
+    picks: Vec<usize>,
+}
+
+impl IndexSampler {
+    /// A sampler over the population `[0, len)`.
+    pub fn new(len: usize) -> IndexSampler {
+        IndexSampler {
+            len,
+            members: vec![0; len.div_ceil(64)],
+            picks: Vec::new(),
         }
     }
-    chosen.into_iter().collect()
+
+    /// Draws `count` distinct indices from `[0, len)`, every such set
+    /// equally likely.  The picks come back in draw order, not sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > len`.
+    pub fn sample<R: Rng + ?Sized>(&mut self, count: usize, rng: &mut R) -> &[usize] {
+        assert!(
+            count <= self.len,
+            "cannot sample {count} items from {}",
+            self.len
+        );
+        self.picks.clear();
+        for j in (self.len - count)..self.len {
+            let drawn = rng.next_index(j + 1);
+            // Every earlier pick is below `j`, so `j` is free whenever
+            // `drawn` is taken.
+            let pick = if self.members[drawn / 64] & (1 << (drawn % 64)) == 0 {
+                drawn
+            } else {
+                j
+            };
+            self.members[pick / 64] |= 1 << (pick % 64);
+            self.picks.push(pick);
+        }
+        for &pick in &self.picks {
+            self.members[pick / 64] &= !(1 << (pick % 64));
+        }
+        &self.picks
+    }
 }
 
 #[cfg(test)]
@@ -374,10 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn sample_indices_are_distinct_and_in_range() {
+    fn index_sampler_picks_are_distinct_and_in_range() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(31);
+        let mut sampler = IndexSampler::new(100);
         for _ in 0..50 {
-            let sample = sample_indices(100, 20, &mut rng);
+            let mut sample = sampler.sample(20, &mut rng).to_vec();
+            sample.sort_unstable();
             assert_eq!(sample.len(), 20);
             assert!(sample.windows(2).all(|w| w[0] < w[1]));
             assert!(sample.iter().all(|&i| i < 100));
@@ -385,9 +440,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_indices_full_population() {
+    fn index_sampler_full_population() {
         let mut rng = SplitMix64::seed_from_u64(1);
-        let sample = sample_indices(10, 10, &mut rng);
+        let mut sampler = IndexSampler::new(10);
+        let mut sample = sampler.sample(10, &mut rng).to_vec();
+        sample.sort_unstable();
         assert_eq!(sample, (0..10).collect::<Vec<_>>());
     }
 

@@ -11,7 +11,7 @@ use lsi_quality::quality::escape::{BadChipYield, EscapeApproximation, EscapeProb
 use lsi_quality::quality::fault_distribution::FaultCountDistribution;
 use lsi_quality::quality::params::{FaultCoverage, ModelParams, Yield};
 use lsi_quality::quality::reject::field_reject_rate;
-use lsi_quality::stats::rng::{sample_indices, Xoshiro256StarStar};
+use lsi_quality::stats::rng::{IndexSampler, Xoshiro256StarStar};
 
 struct MonteCarloOutcome {
     rejected_fraction: f64,
@@ -31,6 +31,7 @@ fn simulate(
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let covered = (coverage * universe as f64).round() as usize;
     let distribution = FaultCountDistribution::new(*params);
+    let mut sampler = IndexSampler::new(universe);
     let mut rejected = 0usize;
     let mut shipped = 0usize;
     let mut shipped_bad = 0usize;
@@ -40,7 +41,7 @@ fn simulate(
         // The chip fails the tests when at least one of its faults falls in
         // the covered part of the universe.  Covered faults are, without loss
         // of generality, the indices below `covered`.
-        let faults = sample_indices(universe, fault_count, &mut rng);
+        let faults = sampler.sample(fault_count, &mut rng);
         let detected = faults.iter().any(|&index| index < covered);
         if detected {
             rejected += 1;
@@ -101,11 +102,12 @@ fn hypergeometric_escape_matches_urn_simulation() {
     let universe = 400usize;
     let covered = 240usize;
     let escape = EscapeProbability::new(universe as u64, covered as u64).expect("valid");
+    let mut sampler = IndexSampler::new(universe);
     for &present in &[1usize, 3, 6] {
         let trials = 40_000;
         let mut escapes = 0usize;
         for _ in 0..trials {
-            let faults = sample_indices(universe, present, &mut rng);
+            let faults = sampler.sample(present, &mut rng);
             if faults.iter().all(|&index| index >= covered) {
                 escapes += 1;
             }
