@@ -3,9 +3,11 @@
 //! Two costs matter to the BIST workload: building a whole per-fault
 //! [`SignatureDictionary`] (one fault-simulation pass plus error-stream
 //! folding), and the serial-versus-pooled ratio of that build.  The sweep
-//! rows cover the multi-width single pass and the lane widths.
+//! rows cover the multi-width single pass (three widths, and all eight
+//! supported ones) and the lane widths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use lsiq_bist::lfsr::SUPPORTED_DEGREES;
 use lsiq_bist::signature::{BistPlan, SignatureDictionary};
 use lsiq_bist::stumps::{StumpsConfig, StumpsGenerator};
 use lsiq_exec::{ExecutionContext, LaneWidth};
@@ -53,30 +55,39 @@ fn bench_misr_compaction(c: &mut Criterion) {
         },
     );
 
-    // The single-pass multi-width build versus three independent builds.
-    group.bench_function("multi_width/k4_8_16_one_pass", |b| {
-        b.iter(|| {
-            black_box(SignatureDictionary::build_sweep_cached(
-                &pooled,
-                &circuit,
-                &universe,
-                &patterns,
-                plan.session_len,
-                &[4, 8, 16],
-                &[patterns.len()],
-                LaneWidth::Auto,
-                None,
-            ))
-        })
-    });
+    // The single-pass multi-width build versus three independent builds,
+    // and every supported width in one pass (each width adds one span step
+    // per span, not one clock per pattern).
+    for (name, widths) in [
+        ("multi_width/k4_8_16_one_pass", &[4, 8, 16][..]),
+        ("multi_width/k4_to_k64_one_pass", &SUPPORTED_DEGREES[..]),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(SignatureDictionary::build_sweep_cached(
+                    &pooled,
+                    &circuit,
+                    &universe,
+                    &patterns,
+                    plan.session_len,
+                    widths,
+                    &[patterns.len()],
+                    LaneWidth::Auto,
+                    None,
+                ))
+            })
+        });
+    }
 
     // Lane-width scaling: a 1024-pattern dictionary build at 1, 4 and 8
     // lanes (byte-identical signatures — pure throughput), and the widest
     // lane replaying the good machine from a warm cache.  The sweep runs on
     // a 600-gate device: signature building is one fault-simulation pass
     // plus error-stream folding, and the simulation share — where wide
-    // chunks autovectorize — needs a real circuit to dominate the per-slot
-    // register stepping (which is inherently pattern-serial).
+    // chunks autovectorize — needs a real circuit to show.  The fold
+    // advances each register one lane word (up to 64 patterns) per span
+    // step, so wider lanes give it more words per chunk, not more work per
+    // pattern.
     let wide_circuit = random_circuit(&RandomCircuitConfig {
         inputs: 24,
         gates: 600,

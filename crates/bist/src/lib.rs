@@ -14,7 +14,9 @@
 //!   shifter, N parallel scan channels filling the device inputs,
 //! * [`misr`] — the multiple-input signature register, folding one output
 //!   response per clock, and the GF(2) linearity that lets a register fed
-//!   only the error stream (good XOR faulty) stand in for the faulty one,
+//!   only the error stream (good XOR faulty) stand in for the faulty one
+//!   and lets the dictionary builder advance it a span of up to 64
+//!   patterns per table-driven step,
 //! * [`signature`] — [`SignatureDictionary`]: per-fault first-failing
 //!   *session* records built in one fault-simulation pass, sharded across a
 //!   worker pool ([`lsiq_exec::shard_map`]),
@@ -61,6 +63,7 @@ pub mod aliasing;
 pub mod lfsr;
 pub mod misr;
 pub mod signature;
+mod span_step;
 pub mod stumps;
 
 pub use aliasing::AliasingReport;

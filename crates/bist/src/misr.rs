@@ -18,10 +18,11 @@
 //! streams — so a register fed only the *error* stream (good XOR faulty)
 //! holds exactly `faulty signature XOR good signature`: a failing readout is
 //! a non-zero error state, and the faulty signature itself is never
-//! materialised.  The signature-dictionary builder rests on that identity:
-//! it compresses each fault's sparse error words into parallel-input words
-//! and clocks one error register per signature width, across mid-chunk
-//! session boundaries.
+//! materialised.  The signature-dictionary builder rests on that identity.
+//! It also uses the linearity of the register step itself: it advances one
+//! error register per signature width across a span of up to 64 patterns
+//! in one table-driven step, which equals clocking the register once per
+//! pattern with the compressed error words.
 
 use crate::lfsr::{maximal_polynomial, DEGREE_GRAMMAR, SUPPORTED_DEGREES};
 use lsiq_exec::ConfigError;
@@ -114,21 +115,15 @@ impl Misr {
         }
     }
 
-    /// The parallel-input bit circuit output `output` drives: output `o`
-    /// lands on register position `o mod width`.
-    #[inline]
-    pub(crate) fn input_bit(&self, output: usize) -> u64 {
-        1u64 << (output as u64 % u64::from(self.width))
-    }
-
     /// Compresses one response (one bit per circuit output, in output
-    /// declaration order) into a parallel-input word.
+    /// declaration order) into a parallel-input word: output `o` lands on
+    /// register position `o mod width`.
     #[inline]
     fn compress(&self, response: impl IntoIterator<Item = bool>) -> u64 {
         let mut incoming = 0u64;
         for (output, bit) in response.into_iter().enumerate() {
             if bit {
-                incoming ^= self.input_bit(output);
+                incoming ^= 1u64 << (output as u64 % u64::from(self.width));
             }
         }
         incoming

@@ -19,15 +19,20 @@
 //! module) a session signature mismatches exactly when the error register
 //! is non-zero at the readout, so only the error stream is folded.
 //!
-//! The fold is transposed: instead of gathering every output's bit per
-//! pattern, each width's parallel-input word of every slot is compressed
-//! from the set error bits alone, then each unresolved register is clocked
-//! once per slot.  Faults whose error stream has gone quiet skip whole
-//! chunks without touching the register, and a fault is dropped from the
-//! pass entirely once every requested signature width has resolved its
-//! first failing session.
+//! The fold never clocks a register once per pattern.  The MISR step is
+//! linear too, so a table-driven step advances each error register across
+//! a whole *span* of up to 64 patterns at once, from the span's slice of
+//! each reached output's error word.  A span ends at the end of a lane
+//! word, at a full-session readout, or at a requested test length that
+//! ends mid-session (a *cut*, where the register's verdict is recorded
+//! without resetting it).  The fault-free signatures go through the same
+//! step.  Faults whose error stream has gone quiet skip whole chunks
+//! without touching the register, and a fault is dropped from the pass
+//! entirely once every requested signature width has resolved its first
+//! failing session.
 
-use crate::misr::Misr;
+use crate::lfsr::SUPPORTED_DEGREES;
+use crate::span_step::{LaneSpan, SpanStep, MAX_SPAN};
 use lsiq_exec::{shard_map, ExecutionContext, LaneWidth};
 use lsiq_fault::cone::{good_chunks, ConePropagator, GoodChunk};
 use lsiq_fault::model::Fault;
@@ -36,7 +41,7 @@ use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::{Counter, Span};
 use lsiq_sim::cache::GoodMachineCache;
 use lsiq_sim::levelized::CompiledCircuit;
-use lsiq_sim::packed::{gather_chunk_slot, PackedBlock};
+use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
 
 /// One-pass sweeps started (every `build*` entry point funnels here).
@@ -57,7 +62,7 @@ pub struct BistPlan {
     /// session is read out too.  Must be at least 1.
     pub session_len: usize,
     /// MISR width `k` (one of
-    /// [`SUPPORTED_DEGREES`](crate::lfsr::SUPPORTED_DEGREES)).
+    /// [`SUPPORTED_DEGREES`]).
     pub signature_width: u32,
 }
 
@@ -224,46 +229,43 @@ impl SignatureDictionary {
         let good_timer = GOOD_SIGNATURES.start();
         let compiled = CompiledCircuit::new(circuit);
         let chunks = good_chunks::<L>(&compiled, patterns, cache);
-        let mut boundaries: Vec<usize> = lengths.to_vec();
-        boundaries.sort_unstable();
-        boundaries.dedup();
+        let outputs = circuit.primary_outputs();
+        let folds: Vec<WidthFold> = widths
+            .iter()
+            .map(|&width| WidthFold::new(width, outputs.len()))
+            .collect();
+        // Only a length that ends mid-session needs a snapshot: its last
+        // readout is the register as the pass crosses that length.
+        let mut cuts: Vec<usize> = lengths
+            .iter()
+            .copied()
+            .filter(|length| length % session_len != 0)
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
 
-        // Fault-free signatures, folded once up front: one signature per
-        // *full* session, plus a running-state snapshot at every length
-        // boundary (used by lengths whose trailing session is partial).
-        let mut good_registers: Vec<Misr> = widths.iter().map(|&w| Misr::new(w)).collect();
+        // Fault-free signatures, folded once up front through the same span
+        // step: one signature per *full* session, plus the running register
+        // at every cut (used by lengths whose trailing session is partial).
         let mut good_full: Vec<Vec<u64>> = vec![Vec::new(); widths.len()];
-        let mut good_partial: Vec<Vec<u64>> = vec![vec![0; boundaries.len()]; widths.len()];
-        let mut consumed = 0usize;
-        let mut in_session = 0usize;
-        let mut next_boundary = 0usize;
-        let mut good_outputs: Vec<PackedBlock<L>> = Vec::new();
+        let mut good_partial: Vec<Vec<u64>> = vec![vec![0; cuts.len()]; widths.len()];
+        let mut states = vec![0u64; widths.len()];
+        let mut schedule = Schedule::new(session_len, &cuts);
         for chunk in &chunks {
-            good_outputs.clear();
-            good_outputs.extend(
-                circuit
-                    .primary_outputs()
-                    .iter()
-                    .map(|&out| chunk.words[out.index()]),
-            );
-            for slot in 0..chunk.count {
-                for register in good_registers.iter_mut() {
-                    register.fold(gather_chunk_slot(&good_outputs, slot));
-                }
-                consumed += 1;
-                in_session += 1;
-                while next_boundary < boundaries.len() && boundaries[next_boundary] == consumed {
-                    for (which, register) in good_registers.iter().enumerate() {
-                        good_partial[which][next_boundary] = register.signature();
+            for (lane, span, end) in schedule.spans(chunk.count) {
+                for (which, (fold, state)) in folds.iter().zip(&mut states).enumerate() {
+                    let mut z = span.carry(*state);
+                    for (&out, &lead) in outputs.iter().zip(&fold.leads) {
+                        z ^= span.input(chunk.words[out.index()].0[lane], lead);
                     }
-                    next_boundary += 1;
-                }
-                if in_session == session_len {
-                    for (which, register) in good_registers.iter_mut().enumerate() {
-                        good_full[which].push(register.signature());
-                        register.reset();
+                    *state = fold.step.advance(z);
+                    if let Some(cut) = end.cut {
+                        good_partial[which][cut] = *state;
                     }
-                    in_session = 0;
+                    if end.readout.is_some() {
+                        good_full[which].push(*state);
+                        *state = 0;
+                    }
                 }
             }
         }
@@ -279,60 +281,57 @@ impl SignatureDictionary {
                 &chunks,
                 &faults[range],
                 session_len,
-                widths,
-                &boundaries,
+                &folds,
+                &cuts,
             )
         });
 
         // Concatenate the shards back into universe fault order.
+        let stride = widths.len();
         let mut first_error: Vec<Option<usize>> = Vec::with_capacity(faults.len());
-        let mut first_fail: Vec<Vec<Option<usize>>> =
-            vec![Vec::with_capacity(faults.len()); widths.len()];
-        let mut partial_fail: Vec<Vec<Vec<bool>>> =
-            vec![Vec::with_capacity(faults.len()); widths.len()];
+        let mut first_fail: Vec<Option<usize>> = Vec::with_capacity(faults.len() * stride);
+        let mut partial_fail: Vec<bool> = Vec::with_capacity(faults.len() * stride * cuts.len());
         for shard in results {
             first_error.extend(shard.first_error);
-            for (which, fails) in shard.first_fail.into_iter().enumerate() {
-                first_fail[which].extend(fails);
-            }
-            for (which, partials) in shard.partial_fail.into_iter().enumerate() {
-                partial_fail[which].extend(partials);
-            }
+            first_fail.extend(shard.first_fail);
+            partial_fail.extend(shard.partial_fail);
         }
 
         // Derive every (length, width) dictionary from the one pass.
         lengths
             .iter()
             .map(|&length| {
-                let boundary = boundaries
-                    .binary_search(&length)
-                    .expect("every length is a recorded boundary");
                 let full_sessions = length / session_len;
-                let has_partial = length % session_len != 0;
+                let cut = (length % session_len != 0).then(|| {
+                    cuts.binary_search(&length)
+                        .expect("every mid-session length is a cut")
+                });
+                let raw_detected: Vec<bool> = first_error
+                    .iter()
+                    .map(|error| error.is_some_and(|pattern| pattern < length))
+                    .collect();
                 widths
                     .iter()
                     .enumerate()
                     .map(|(which, &width)| {
                         let mut good = good_full[which][..full_sessions].to_vec();
-                        if has_partial {
-                            good.push(good_partial[which][boundary]);
+                        if let Some(cut) = cut {
+                            good.push(good_partial[which][cut]);
                         }
-                        let first_fail: Vec<Option<usize>> = first_fail[which]
-                            .iter()
-                            .zip(&partial_fail[which])
-                            .map(|(&fail, partials)| match fail {
-                                // A full-session failure inside the prefix
-                                // is the answer for every longer length.
-                                Some(session) if session < full_sessions => Some(session),
-                                // Otherwise the prefix's only remaining
-                                // readout is its trailing partial session.
-                                _ if has_partial && partials[boundary] => Some(full_sessions),
-                                _ => None,
+                        let first_fail: Vec<Option<usize>> = (0..faults.len())
+                            .map(|fault| {
+                                let record = fault * stride + which;
+                                match first_fail[record] {
+                                    // A full-session failure inside the prefix
+                                    // is the answer for every longer length.
+                                    Some(session) if session < full_sessions => Some(session),
+                                    // Otherwise the prefix's only remaining
+                                    // readout is its trailing partial session.
+                                    _ => cut
+                                        .filter(|&cut| partial_fail[record * cuts.len() + cut])
+                                        .map(|_| full_sessions),
+                                }
                             })
-                            .collect();
-                        let raw_detected: Vec<bool> = first_error
-                            .iter()
-                            .map(|error| error.is_some_and(|pattern| pattern < length))
                             .collect();
                         SignatureDictionary {
                             session_len,
@@ -340,7 +339,7 @@ impl SignatureDictionary {
                             signature_width: width,
                             good,
                             first_fail,
-                            raw_detected,
+                            raw_detected: raw_detected.clone(),
                         }
                     })
                     .collect()
@@ -359,8 +358,12 @@ impl SignatureDictionary {
     ///
     /// # Panics
     ///
-    /// Panics if `session_len` is 0 or the per-fault vectors disagree in
-    /// length.
+    /// Panics if `session_len` is 0, `signature_width` is not a supported
+    /// MISR width, the per-fault vectors disagree in length, or a fault's
+    /// first failing session is not one of the `good.len()` sessions or
+    /// belongs to a fault that is not raw-detected (a signature compare
+    /// cannot fail where no response differs).  Every built dictionary
+    /// satisfies these, so an aliasing count never goes negative.
     pub fn from_parts(
         session_len: usize,
         signature_width: u32,
@@ -369,11 +372,28 @@ impl SignatureDictionary {
         raw_detected: Vec<bool>,
     ) -> SignatureDictionary {
         assert!(session_len >= 1, "a session must apply at least 1 pattern");
+        assert!(
+            SUPPORTED_DEGREES.contains(&signature_width),
+            "no built-in MISR polynomial of width {signature_width}"
+        );
         assert_eq!(
             first_fail.len(),
             raw_detected.len(),
             "per-fault records must agree in length"
         );
+        for (fault, (&fail, &raw)) in first_fail.iter().zip(&raw_detected).enumerate() {
+            if let Some(session) = fail {
+                assert!(
+                    session < good.len(),
+                    "fault {fault} first fails at session {session} of {}",
+                    good.len()
+                );
+                assert!(
+                    raw,
+                    "fault {fault} fails session {session} without a response difference"
+                );
+            }
+        }
         SignatureDictionary {
             session_len,
             sessions: good.len(),
@@ -489,14 +509,143 @@ impl SignatureDictionary {
 /// than the parallelism recovers.
 const MIN_FAULTS_PER_SHARD: usize = 64;
 
-/// One shard's per-fault results, in shard-local fault order.
+/// One signature width's span step and the lead of every circuit output,
+/// computed once per sweep so the fold loops divide nothing.
+struct WidthFold {
+    step: SpanStep,
+    /// `leads[output]`: `(output mod k) + 1`, the output's offset in a
+    /// span's `Z`.
+    leads: Vec<u8>,
+}
+
+impl WidthFold {
+    fn new(width: u32, outputs: usize) -> WidthFold {
+        let step = SpanStep::new(width);
+        let leads = (0..outputs).map(|output| step.lead(output)).collect();
+        WidthFold { step, leads }
+    }
+}
+
+/// Where a fold stands in the readout schedule, walked one span at a time.
+///
+/// A span ends at the end of a lane word, at a full-session readout, or at
+/// a cut (a test length that ends mid-session), whichever comes first, so
+/// no span is longer than one lane word and every readout or cut falls on
+/// a span's end.
+struct Schedule<'a> {
+    session_len: usize,
+    /// Mid-session test lengths, ascending.
+    cuts: &'a [usize],
+    /// Full sessions read out so far.
+    session: usize,
+    /// Patterns applied in the current session.
+    in_session: usize,
+    /// Patterns applied in all.
+    consumed: usize,
+    /// The first cut not yet crossed.
+    next_cut: usize,
+}
+
+/// What a span's end coincides with.
+struct SpanEnd {
+    /// The cut (an index into the schedule's cuts) the span ends on.
+    cut: Option<usize>,
+    /// The full session read out at the span's end.
+    readout: Option<usize>,
+}
+
+impl<'a> Schedule<'a> {
+    fn new(session_len: usize, cuts: &'a [usize]) -> Schedule<'a> {
+        Schedule {
+            session_len,
+            cuts,
+            session: 0,
+            in_session: 0,
+            consumed: 0,
+            next_cut: 0,
+        }
+    }
+
+    /// Walks the `count` valid slots of the next chunk as spans: the lane
+    /// word each span lies in, its slots there, and what its end is.
+    fn spans(&mut self, count: usize) -> Spans<'_, 'a> {
+        Spans {
+            schedule: self,
+            slot: 0,
+            count,
+        }
+    }
+
+    /// Passes over a chunk of `count` slots that cannot move a zero
+    /// register: every readout and every cut in it reads zero.
+    fn skip(&mut self, count: usize) {
+        self.consumed += count;
+        self.in_session += count;
+        self.session += self.in_session / self.session_len;
+        self.in_session %= self.session_len;
+        while self
+            .cuts
+            .get(self.next_cut)
+            .is_some_and(|&cut| cut <= self.consumed)
+        {
+            self.next_cut += 1;
+        }
+    }
+}
+
+/// The spans of one chunk, from [`Schedule::spans`].
+struct Spans<'s, 'a> {
+    schedule: &'s mut Schedule<'a>,
+    /// The chunk slot the next span starts at.
+    slot: usize,
+    /// The chunk's valid slots.
+    count: usize,
+}
+
+impl Iterator for Spans<'_, '_> {
+    type Item = (usize, LaneSpan, SpanEnd);
+
+    fn next(&mut self) -> Option<(usize, LaneSpan, SpanEnd)> {
+        if self.slot == self.count {
+            return None;
+        }
+        let lane = self.slot / MAX_SPAN;
+        let start = self.slot % MAX_SPAN;
+        let lane_end = (self.count - lane * MAX_SPAN).min(MAX_SPAN);
+        let schedule = &mut *self.schedule;
+        let mut len = (lane_end - start).min(schedule.session_len - schedule.in_session);
+        if let Some(&cut) = schedule.cuts.get(schedule.next_cut) {
+            len = len.min(cut - schedule.consumed);
+        }
+        self.slot += len;
+        schedule.consumed += len;
+        schedule.in_session += len;
+        let cut = (schedule.cuts.get(schedule.next_cut) == Some(&schedule.consumed)).then(|| {
+            schedule.next_cut += 1;
+            schedule.next_cut - 1
+        });
+        let readout = (schedule.in_session == schedule.session_len).then(|| {
+            schedule.in_session = 0;
+            schedule.session += 1;
+            schedule.session - 1
+        });
+        Some((
+            lane,
+            LaneSpan::new(start, start + len),
+            SpanEnd { cut, readout },
+        ))
+    }
+}
+
+/// One shard's per-fault results, in shard-local fault order, each in one
+/// flat buffer.
 struct ShardResult {
-    /// `[width][fault]` first failing *full* session.
-    first_fail: Vec<Vec<Option<usize>>>,
-    /// `[width][fault][boundary]` whether the error register was non-zero
-    /// when the pass crossed that length boundary — the trailing
+    /// `[fault * widths + width]` first failing *full* session.
+    first_fail: Vec<Option<usize>>,
+    /// `[(fault * widths + width) * cuts + cut]` whether the error register
+    /// was non-zero when the pass crossed that cut — the trailing
     /// partial-session verdict of the test ending there.
-    partial_fail: Vec<Vec<Vec<bool>>>,
+    partial_fail: Vec<bool>,
     /// `[fault]` index of the first pattern whose response differs, or
     /// `None` if no response ever does.  `first_error < length` is the raw
     /// (pre-compaction) detection verdict of every prefix at once.
@@ -504,54 +653,32 @@ struct ShardResult {
 }
 
 /// Simulates one contiguous shard of faults over all chunks and folds each
-/// fault's error stream into one register per width.
+/// fault's error stream into one register per width, one span at a time.
 fn simulate_shard<const L: usize>(
     compiled: &CompiledCircuit<'_>,
     chunks: &[GoodChunk<L>],
     faults: &[Fault],
     session_len: usize,
-    widths: &[u32],
-    boundaries: &[usize],
+    folds: &[WidthFold],
+    cuts: &[usize],
 ) -> ShardResult {
     let _timer = PROPAGATE.start();
+    let widths = folds.len();
+    let records = widths * cuts.len();
     let mut result = ShardResult {
-        first_fail: vec![Vec::with_capacity(faults.len()); widths.len()],
-        partial_fail: vec![Vec::with_capacity(faults.len()); widths.len()],
+        first_fail: vec![None; faults.len() * widths],
+        partial_fail: vec![false; faults.len() * records],
         first_error: Vec::with_capacity(faults.len()),
     };
     let mut cone = ConePropagator::<L>::new(compiled);
-    let mut registers: Vec<Misr> = widths.iter().map(|&w| Misr::new(w)).collect();
-    // `incoming[slot * stride + which]`: the compressed parallel-input word
-    // register `which` takes at `slot` of the current chunk.  Every entry is
-    // zero between chunks: the slot loop takes each word as it clocks it.
-    let stride = widths.len();
-    let mut incoming = vec![0u64; PackedBlock::<L>::PATTERNS * stride];
-    for fault in faults {
-        let mut first_fail: Vec<Option<usize>> = vec![None; widths.len()];
-        let mut partial_fail: Vec<Vec<bool>> = vec![vec![false; boundaries.len()]; widths.len()];
-        let mut unresolved = widths.len();
+    let mut states = vec![0u64; widths];
+    for (index, fault) in faults.iter().enumerate() {
+        let first_fail = &mut result.first_fail[index * widths..(index + 1) * widths];
+        let partial_fail = &mut result.partial_fail[index * records..(index + 1) * records];
+        let mut unresolved = widths;
         let mut first_error: Option<usize> = None;
-        for register in registers.iter_mut() {
-            register.reset();
-        }
-        let mut session = 0usize;
-        let mut in_session = 0usize;
-        let mut consumed = 0usize;
-        let mut next_boundary = 0usize;
-        // Read out every register, record new failures, reset for the next
-        // session.
-        let readout = |registers: &mut [Misr],
-                       first_fail: &mut [Option<usize>],
-                       unresolved: &mut usize,
-                       session: usize| {
-            for (which, register) in registers.iter_mut().enumerate() {
-                if first_fail[which].is_none() && register.signature() != 0 {
-                    first_fail[which] = Some(session);
-                    *unresolved -= 1;
-                }
-                register.reset();
-            }
-        };
+        states.fill(0);
+        let mut schedule = Schedule::new(session_len, cuts);
         'chunks: for chunk in chunks {
             let errors = cone.propagate(fault, &chunk.words, chunk.valid);
             if first_error.is_none() {
@@ -559,83 +686,59 @@ fn simulate_shard<const L: usize>(
                     .iter()
                     .fold(PackedBlock::<L>::ZERO, |union, &(_, error)| union | error);
                 if let Some(slot) = union.first_set_slot() {
-                    first_error = Some(consumed + slot);
+                    first_error = Some(schedule.consumed + slot);
                 }
             }
-            if errors.is_empty() && registers.iter().all(|r| r.signature() == 0) {
-                // A quiet chunk cannot move a zero register; fast-forward
-                // the session counters (each readout trivially passes) and
-                // the boundary cursor (each snapshot trivially passes too —
-                // `partial_fail` is already `false`).
-                consumed += chunk.count;
-                in_session += chunk.count;
-                while in_session >= session_len {
-                    in_session -= session_len;
-                    session += 1;
-                }
-                while next_boundary < boundaries.len() && boundaries[next_boundary] <= consumed {
-                    next_boundary += 1;
-                }
+            if errors.is_empty() && states.iter().all(|&state| state == 0) {
+                // A quiet chunk cannot move a zero register: each readout
+                // and each cut in it trivially passes (`partial_fail` is
+                // already `false`).
+                schedule.skip(chunk.count);
                 continue;
             }
-            // Compress: scatter every set error bit onto its register
-            // position, for each width that is still unresolved.
-            for &(position, error) in errors {
-                for slot in error.set_slots() {
-                    let row = &mut incoming[slot * stride..(slot + 1) * stride];
-                    for (which, register) in registers.iter().enumerate() {
-                        if first_fail[which].is_none() {
-                            row[which] ^= register.input_bit(position as usize);
-                        }
-                    }
-                }
-            }
-            for slot in 0..chunk.count {
-                let row = &mut incoming[slot * stride..(slot + 1) * stride];
-                for (which, register) in registers.iter_mut().enumerate() {
-                    let word = std::mem::take(&mut row[which]);
+            for (lane, span, end) in schedule.spans(chunk.count) {
+                for ((fold, state), fail) in folds.iter().zip(&mut states).zip(&*first_fail) {
                     // A resolved width's register was reset at its failing
-                    // readout and is never read again; skip its clocks.
-                    if first_fail[which].is_none() {
-                        register.clock(word);
+                    // readout and is never read again; skip its steps.
+                    if fail.is_some() {
+                        continue;
                     }
+                    let mut z = span.carry(*state);
+                    for &(position, error) in errors {
+                        z ^= span.input(error.0[lane], fold.leads[position as usize]);
+                    }
+                    // A quiet span leaves a zero register zero.
+                    *state = if z == 0 { 0 } else { fold.step.advance(z) };
                 }
-                consumed += 1;
-                in_session += 1;
-                while next_boundary < boundaries.len() && boundaries[next_boundary] == consumed {
+                if let Some(cut) = end.cut {
                     // A test ending here reads its last, partial session out
                     // of the register as it stands — snapshot the verdict
                     // without disturbing the ongoing fold.  (A resolved
                     // width's register is zero and its snapshot is unused.)
-                    for (which, register) in registers.iter().enumerate() {
-                        partial_fail[which][next_boundary] = register.signature() != 0;
+                    for (which, &state) in states.iter().enumerate() {
+                        partial_fail[which * cuts.len() + cut] = state != 0;
                     }
-                    next_boundary += 1;
                 }
-                if in_session == session_len {
-                    readout(&mut registers, &mut first_fail, &mut unresolved, session);
-                    session += 1;
-                    in_session = 0;
+                if let Some(session) = end.readout {
+                    for (state, fail) in states.iter_mut().zip(first_fail.iter_mut()) {
+                        if fail.is_none() && *state != 0 {
+                            *fail = Some(session);
+                            unresolved -= 1;
+                        }
+                        *state = 0;
+                    }
                     if unresolved == 0 {
                         // Every width has its first failing full session.
-                        // Later boundaries lie in later sessions, so their
+                        // Later cuts lie in later sessions, so their
                         // dictionaries resolve from `first_fail` alone, and
                         // a signature failure implies a response difference,
-                        // so `first_error` is already set.  Leave the
-                        // compression buffer zeroed for the next fault.
-                        incoming[(slot + 1) * stride..chunk.count * stride].fill(0);
+                        // so `first_error` is already set.
                         break 'chunks;
                     }
                 }
             }
         }
         result.first_error.push(first_error);
-        for (which, fail) in first_fail.into_iter().enumerate() {
-            result.first_fail[which].push(fail);
-        }
-        for (which, partials) in partial_fail.into_iter().enumerate() {
-            result.partial_fail[which].push(partials);
-        }
     }
     result
 }
@@ -643,6 +746,7 @@ fn simulate_shard<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::misr::Misr;
     use crate::stumps::{StumpsConfig, StumpsGenerator};
     use lsiq_fault::inject::outputs_with_fault;
     use lsiq_netlist::library;
@@ -678,135 +782,239 @@ mod tests {
         (circuit, universe, patterns)
     }
 
-    /// Brute-force reference: fold every fault's *actual* session signatures
-    /// with a plain MISR over serially simulated responses and compare to
-    /// the fault-free signatures.
-    fn brute_force_first_fail(
-        circuit: &lsiq_netlist::circuit::Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        plan: &BistPlan,
-    ) -> (Vec<Option<usize>>, Vec<bool>) {
-        let compiled = CompiledCircuit::new(circuit);
-        let sessions = patterns.len().div_ceil(plan.session_len);
-        let mut good_signatures = Vec::new();
-        {
-            let mut misr = Misr::new(plan.signature_width);
-            for (index, pattern) in patterns.iter().enumerate() {
-                misr.fold(compiled.outputs(pattern));
-                if (index + 1) % plan.session_len == 0 || index + 1 == patterns.len() {
-                    good_signatures.push(misr.signature());
-                    misr.reset();
-                }
-            }
-        }
-        assert_eq!(good_signatures.len(), sessions);
-        let mut first_fail = Vec::new();
-        let mut raw_detected = Vec::new();
-        for fault in universe.iter() {
-            let mut misr = Misr::new(plan.signature_width);
-            let mut raw = false;
-            let mut fail = None;
-            let mut session = 0;
-            for (index, pattern) in patterns.iter().enumerate() {
-                let good = compiled.outputs(pattern);
-                let faulty = outputs_with_fault(&compiled, pattern.bits(), fault);
-                raw |= good != faulty;
-                misr.fold(faulty);
-                if (index + 1) % plan.session_len == 0 || index + 1 == patterns.len() {
-                    if fail.is_none() && misr.signature() != good_signatures[session] {
-                        fail = Some(session);
-                    }
-                    misr.reset();
-                    session += 1;
-                }
-            }
-            first_fail.push(fail);
-            raw_detected.push(raw);
-        }
-        (first_fail, raw_detected)
+    /// Every fault's output responses to a pattern set, simulated once with
+    /// the scalar injector (one bit per output, at most 64 outputs), for
+    /// brute-force folding at any plan.
+    struct Responses {
+        outputs: usize,
+        /// `[pattern]` the fault-free response.
+        good: Vec<u64>,
+        /// `[fault][pattern]` the faulty response.
+        faulty: Vec<Vec<u64>>,
     }
 
-    /// Builds the dictionary at every lane width and checks each against
-    /// the brute-force reference, fault by fault.
-    fn assert_matches_brute_force(
-        circuit: &lsiq_netlist::circuit::Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        plan: &BistPlan,
-    ) {
-        let (first_fail, raw) = brute_force_first_fail(circuit, universe, patterns, plan);
-        for lanes in LaneWidth::EXPLICIT {
-            let dictionary = SignatureDictionary::build_sweep_cached(
-                &ExecutionContext::new(2),
-                circuit,
-                universe,
-                patterns,
-                plan.session_len,
-                &[plan.signature_width],
-                &[patterns.len()],
-                lanes,
-                None,
-            )
-            .remove(0)
-            .remove(0);
-            for index in 0..universe.len() {
-                assert_eq!(
-                    dictionary.first_failing_session(index),
-                    first_fail[index],
-                    "fault {index}, plan {plan:?}, lanes {lanes}"
-                );
-                assert_eq!(
-                    dictionary.is_raw_detected(index),
-                    raw[index],
-                    "fault {index}, plan {plan:?}, lanes {lanes}"
-                );
+    impl Responses {
+        fn simulate(
+            circuit: &lsiq_netlist::circuit::Circuit,
+            universe: &FaultUniverse,
+            patterns: &PatternSet,
+        ) -> Responses {
+            let compiled = CompiledCircuit::new(circuit);
+            let outputs = circuit.primary_outputs().len();
+            assert!(outputs <= 64, "one response word per pattern");
+            let word = |bits: Vec<bool>| {
+                bits.iter()
+                    .enumerate()
+                    .fold(0u64, |word, (output, &bit)| word | u64::from(bit) << output)
+            };
+            let good = patterns
+                .iter()
+                .map(|pattern| word(compiled.outputs(pattern)))
+                .collect();
+            let faulty = universe
+                .iter()
+                .map(|fault| {
+                    patterns
+                        .iter()
+                        .map(|pattern| word(outputs_with_fault(&compiled, pattern.bits(), fault)))
+                        .collect()
+                })
+                .collect();
+            Responses {
+                outputs,
+                good,
+                faulty,
             }
-            assert_eq!(
-                dictionary.sessions(),
-                patterns.len().div_ceil(plan.session_len)
+        }
+
+        /// Every response compressed into `width`'s parallel-input words,
+        /// as `Misr::fold` lands them: `(good, faulty)`.
+        fn compress(&self, width: u32) -> (Vec<u64>, Vec<Vec<u64>>) {
+            // Each output's word; a response compresses to the XOR of its
+            // outputs' words.
+            let units: Vec<u64> = (0..self.outputs)
+                .map(|output| {
+                    let mut misr = Misr::new(width);
+                    misr.fold((0..self.outputs).map(|other| other == output));
+                    misr.signature()
+                })
+                .collect();
+            let compress = |responses: &[u64]| -> Vec<u64> {
+                responses
+                    .iter()
+                    .map(|&response| {
+                        units
+                            .iter()
+                            .enumerate()
+                            .filter(|&(output, _)| response >> output & 1 == 1)
+                            .fold(0, |word, (_, &unit)| word ^ unit)
+                    })
+                    .collect()
+            };
+            let faulty = self.faulty.iter().map(|faulty| compress(faulty)).collect();
+            (compress(&self.good), faulty)
+        }
+    }
+
+    /// The brute-force dictionary records of `width` over the first `length`
+    /// patterns: clocks a plain MISR once per pattern with the compressed
+    /// words, reads it out after every `session_len` patterns and after the
+    /// last one, and compares each faulty signature with the fault-free
+    /// one.
+    fn brute_force(
+        width: u32,
+        (good_words, faulty_words): &(Vec<u64>, Vec<Vec<u64>>),
+        session_len: usize,
+        length: usize,
+    ) -> (Vec<u64>, Vec<Option<usize>>) {
+        let sessions = |words: &[u64]| {
+            let mut misr = Misr::new(width);
+            let mut signatures = Vec::new();
+            for (index, &word) in words[..length].iter().enumerate() {
+                misr.clock(word);
+                if (index + 1) % session_len == 0 || index + 1 == length {
+                    signatures.push(misr.signature());
+                    misr.reset();
+                }
+            }
+            signatures
+        };
+        let good = sessions(good_words);
+        assert_eq!(good.len(), length.div_ceil(session_len));
+        let first_fail = faulty_words
+            .iter()
+            .map(|faulty| {
+                sessions(faulty)
+                    .iter()
+                    .zip(&good)
+                    .position(|(faulty, good)| faulty != good)
+            })
+            .collect();
+        (good, first_fail)
+    }
+
+    /// Panics at the first entry where `actual` and `expected` differ.
+    fn assert_same<T: PartialEq + std::fmt::Debug>(
+        actual: &[T],
+        expected: &[T],
+        what: &str,
+        context: &str,
+    ) {
+        assert_eq!(actual.len(), expected.len(), "{what} count, {context}");
+        if let Some(index) = actual.iter().zip(expected).position(|(a, e)| a != e) {
+            panic!(
+                "{what} {index}: {:?}, expected {:?}, {context}",
+                actual[index], expected[index]
             );
         }
     }
 
+    /// Sweeps every supported width at each session length and lane width
+    /// — the full pattern set, a length 37 patterns shorter, and the empty
+    /// test — and checks every dictionary against the brute-force
+    /// reference: exact fault-free signatures, first failing sessions and
+    /// raw detection flags, fault by fault.
+    fn assert_matches_brute_force(
+        circuit: &lsiq_netlist::circuit::Circuit,
+        patterns: &PatternSet,
+        session_lens: &[usize],
+    ) {
+        let universe = FaultUniverse::full(circuit);
+        let responses = Responses::simulate(circuit, &universe, patterns);
+        let words: Vec<_> = SUPPORTED_DEGREES
+            .iter()
+            .map(|&width| responses.compress(width))
+            .collect();
+        let lengths = [patterns.len(), patterns.len() - 37, 0];
+        let raw: Vec<Vec<bool>> = lengths
+            .iter()
+            .map(|&length| {
+                responses
+                    .faulty
+                    .iter()
+                    .map(|faulty| faulty[..length] != responses.good[..length])
+                    .collect()
+            })
+            .collect();
+        let context = ExecutionContext::new(2);
+        for &session_len in session_lens {
+            let references: Vec<Vec<_>> = lengths
+                .iter()
+                .map(|&length| {
+                    SUPPORTED_DEGREES
+                        .iter()
+                        .zip(&words)
+                        .map(|(&width, words)| brute_force(width, words, session_len, length))
+                        .collect()
+                })
+                .collect();
+            for lanes in LaneWidth::EXPLICIT {
+                let grid = SignatureDictionary::build_sweep_cached(
+                    &context,
+                    circuit,
+                    &universe,
+                    patterns,
+                    session_len,
+                    &SUPPORTED_DEGREES,
+                    &lengths,
+                    lanes,
+                    None,
+                );
+                for (((row, reference), raw), &length) in
+                    grid.iter().zip(&references).zip(&raw).zip(&lengths)
+                {
+                    for (dictionary, (good, first_fail)) in row.iter().zip(reference) {
+                        let plan = format!(
+                            "width {}, session_len {session_len}, length {length}, lanes {lanes}",
+                            dictionary.signature_width()
+                        );
+                        assert_eq!(dictionary.sessions(), good.len(), "{plan}");
+                        assert_same(dictionary.good_signatures(), good, "session", &plan);
+                        assert_same(
+                            dictionary.first_failing_sessions(),
+                            first_fail,
+                            "fault",
+                            &plan,
+                        );
+                        assert_same(dictionary.raw_detected_flags(), raw, "fault", &plan);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Session lengths that put readouts at every slot, mid-word, on and
+    /// just past lane-word boundaries, across words, and beyond a lane-8
+    /// chunk (512 patterns).
+    const SESSION_LENS: [usize; 9] = [1, 5, 7, 24, 63, 64, 65, 130, 600];
+
     #[test]
     fn matches_brute_force_reference_on_c17() {
-        let (circuit, universe, patterns) = c17_fixture();
-        for plan in [
-            BistPlan::default(),
-            BistPlan {
-                session_len: 5,
-                signature_width: 4,
-            },
-            BistPlan {
-                session_len: 7,
-                signature_width: 8,
-            },
-        ] {
-            assert_matches_brute_force(&circuit, &universe, &patterns, &plan);
-        }
+        let circuit = library::c17();
+        let patterns =
+            StumpsGenerator::new(&StumpsConfig::with_width(circuit.primary_inputs().len(), 3))
+                .generate(1250);
+        assert_matches_brute_force(&circuit, &patterns, &SESSION_LENS);
     }
 
     #[test]
     fn matches_brute_force_reference_on_alu4_and_a_scan_view() {
-        // 100 patterns in 24-pattern sessions: four full sessions and a
-        // trailing partial one, crossing the 64-pattern chunk boundary at
-        // one lane.
+        // alu4's fifth output wraps onto position 0 of a 4-bit register.
+        // Its 476 faults make the scalar reference the slow part, so it
+        // gets 200 patterns and the sessions that fit them; the scan view
+        // takes the sessions longer than a chunk.
+        let alu4 = library::alu4();
+        let patterns =
+            StumpsGenerator::new(&StumpsConfig::with_width(alu4.primary_inputs().len(), 5))
+                .generate(200);
+        assert_matches_brute_force(&alu4, &patterns, &SESSION_LENS[..8]);
         let scan = lsiq_netlist::scan::insert_scan(&lsiq_netlist::generator::binary_counter(4), 2)
             .expect("two chains fit four flip-flops");
-        for circuit in [library::alu4(), scan.test_view().clone()] {
-            let universe = FaultUniverse::full(&circuit);
-            let patterns =
-                StumpsGenerator::new(&StumpsConfig::with_width(circuit.primary_inputs().len(), 5))
-                    .generate(100);
-            for signature_width in [4, 16] {
-                let plan = BistPlan {
-                    session_len: 24,
-                    signature_width,
-                };
-                assert_matches_brute_force(&circuit, &universe, &patterns, &plan);
-            }
-        }
+        let view = scan.test_view();
+        let patterns =
+            StumpsGenerator::new(&StumpsConfig::with_width(view.primary_inputs().len(), 5))
+                .generate(700);
+        assert_matches_brute_force(view, &patterns, &SESSION_LENS);
     }
 
     #[test]
@@ -984,6 +1192,20 @@ mod tests {
             Some(first0.min(first5))
         );
         assert_eq!(dictionary.first_failure_of_chip(&[]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault 1 fails session 0 without a response difference")]
+    fn from_parts_refuses_a_failure_without_a_raw_detection() {
+        let _ = SignatureDictionary::from_parts(8, 16, vec![7], vec![None, Some(0)], vec![true; 2]);
+        let _ =
+            SignatureDictionary::from_parts(8, 16, vec![7], vec![None, Some(0)], vec![false; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault 0 first fails at session 1 of 1")]
+    fn from_parts_refuses_a_session_beyond_the_readouts() {
+        let _ = SignatureDictionary::from_parts(8, 16, vec![7], vec![Some(1)], vec![true]);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! invalidate when it should.
 
 use crate::codec::{fnv1a, ByteReader, ByteWriter, CodecError, Fnv1a};
+use lsiq_bist::misr::Misr;
 use lsiq_bist::signature::SignatureDictionary;
 use lsiq_exec::ConfigError;
 use lsiq_fault::coverage::CoverageCurve;
@@ -482,10 +483,16 @@ pub fn encode_signature_dictionary(dictionary: &SignatureDictionary) -> Vec<u8> 
 
 /// Decodes a signature dictionary payload.
 ///
+/// Besides the layout, the records are checked against each other: the
+/// signature width must be a supported MISR width, and a first failing
+/// session must be one of the recorded sessions and belong to a fault
+/// whose responses differ (a raw detection), so every decoded dictionary
+/// satisfies [`SignatureDictionary::from_parts`].
+///
 /// # Errors
 ///
-/// Returns a [`CodecError`] on truncation, trailing bytes or any
-/// malformed field.
+/// Returns a [`CodecError`] on truncation, trailing bytes, any
+/// malformed field or records that disagree.
 pub fn decode_signature_dictionary(bytes: &[u8]) -> Result<SignatureDictionary, CodecError> {
     let mut reader = ByteReader::new(bytes);
     let session_len = reader.get_len()?;
@@ -493,6 +500,7 @@ pub fn decode_signature_dictionary(bytes: &[u8]) -> Result<SignatureDictionary, 
         return Err(CodecError("zero session length".to_string()));
     }
     let signature_width = reader.get_u32()?;
+    Misr::try_new(signature_width).map_err(|error| CodecError(error.to_string()))?;
     let session_count = reader.get_len()?;
     let mut good = Vec::with_capacity(session_count.min(1 << 24));
     for _ in 0..session_count {
@@ -500,12 +508,24 @@ pub fn decode_signature_dictionary(bytes: &[u8]) -> Result<SignatureDictionary, 
     }
     let fault_count = reader.get_len()?;
     let mut first_fail = Vec::with_capacity(fault_count.min(1 << 24));
-    for _ in 0..fault_count {
-        first_fail.push(reader.get_opt_index()?);
+    for fault in 0..fault_count {
+        let fail = reader.get_opt_index()?;
+        if let Some(session) = fail.filter(|&session| session >= session_count) {
+            return Err(CodecError(format!(
+                "fault {fault} first fails at session {session} of {session_count}"
+            )));
+        }
+        first_fail.push(fail);
     }
     let mut raw_detected = Vec::with_capacity(fault_count.min(1 << 24));
-    for _ in 0..fault_count {
-        raw_detected.push(reader.get_bool()?);
+    for (fault, &fail) in first_fail.iter().enumerate() {
+        let raw = reader.get_bool()?;
+        if let (Some(session), false) = (fail, raw) {
+            return Err(CodecError(format!(
+                "fault {fault} fails session {session} but is not raw-detected"
+            )));
+        }
+        raw_detected.push(raw);
     }
     reader.finish()?;
     Ok(SignatureDictionary::from_parts(

@@ -517,6 +517,15 @@ impl QueryService {
             .artifacts
             .load("sigdict", key, compiled.fingerprint)
             .and_then(|payload| decode_signature_dictionary(&payload).ok())
+            // A checksummed payload can still describe another test (a key
+            // collision, a file rewritten through the store): one that does
+            // not cover this universe under this plan is a miss, rebuilt.
+            .filter(|decoded| {
+                decoded.len() == compiled.universe.len()
+                    && decoded.sessions() == params.test_length.div_ceil(params.session_len)
+                    && decoded.session_len() == params.session_len
+                    && decoded.signature_width() == params.signature_width
+            })
         {
             let dictionary = Rc::new(decoded);
             self.dictionaries

@@ -173,6 +173,71 @@ fn signature_dictionary_payload_round_trips() {
     assert!(decode_signature_dictionary(&extended).is_err());
 }
 
+/// A 16-pattern-session, two-session signature dictionary payload written
+/// field by field, so it can hold records `SignatureDictionary::from_parts`
+/// refuses.
+fn sigdict_payload(width: u32, first_fail: &[Option<usize>], raw_detected: &[bool]) -> Vec<u8> {
+    use lsiq_serve::codec::ByteWriter;
+    let mut writer = ByteWriter::new();
+    writer.put_u64(16);
+    writer.put_u32(width);
+    writer.put_u64(2);
+    writer.put_u64(0xA5);
+    writer.put_u64(0x5A);
+    writer.put_u64(first_fail.len() as u64);
+    for &fail in first_fail {
+        writer.put_opt_index(fail);
+    }
+    for &raw in raw_detected {
+        writer.put_bool(raw);
+    }
+    writer.into_bytes()
+}
+
+fn sigdict_error(payload: &[u8]) -> String {
+    lsiq_serve::artifact::decode_signature_dictionary(payload)
+        .expect_err("inconsistent records must not decode")
+        .to_string()
+}
+
+#[test]
+fn a_signature_dictionary_of_an_unsupported_width_is_refused() {
+    let valid = sigdict_payload(8, &[Some(1), None], &[true, false]);
+    assert!(lsiq_serve::artifact::decode_signature_dictionary(&valid).is_ok());
+    for width in [0, 10, 65, u32::MAX] {
+        let error = sigdict_error(&sigdict_payload(width, &[Some(1), None], &[true, false]));
+        assert!(error.contains("signature width"), "{error}");
+        assert!(error.contains(&width.to_string()), "{error}");
+    }
+}
+
+#[test]
+fn a_first_failing_session_beyond_the_sessions_is_refused() {
+    for session in [2, 5_000_000_000] {
+        let error = sigdict_error(&sigdict_payload(8, &[None, Some(session)], &[true, true]));
+        assert!(
+            error.contains(&format!("fault 1 first fails at session {session} of 2")),
+            "{error}"
+        );
+    }
+}
+
+#[test]
+fn a_signature_failure_without_a_raw_detection_is_refused() {
+    // Every fault failing session 0 yet none raw-detected: decoded, this
+    // would count more signature detections than raw ones.
+    let error = sigdict_error(&sigdict_payload(8, &[Some(0); 3], &[false; 3]));
+    assert!(
+        error.contains("fault 0 fails session 0 but is not raw-detected"),
+        "{error}"
+    );
+    let error = sigdict_error(&sigdict_payload(8, &[None, Some(1)], &[true, false]));
+    assert!(
+        error.contains("fault 1 fails session 1 but is not raw-detected"),
+        "{error}"
+    );
+}
+
 #[test]
 fn store_round_trips_and_counts_hits() {
     let dir = scratch_dir("roundtrip");

@@ -171,6 +171,91 @@ fn warm_artifact_directory_serves_a_second_process_without_fault_simulation() {
 }
 
 #[test]
+fn a_sigdict_artifact_that_disagrees_with_the_request_is_rebuilt() {
+    use lsiq_bist::signature::SignatureDictionary;
+    use lsiq_serve::artifact::{
+        decode_signature_dictionary, encode_signature_dictionary, stable_fingerprint,
+    };
+    use lsiq_serve::codec::ByteWriter;
+
+    let dir = scratch_dir("crafted");
+    let request = r#"{"op":"bist","circuit":"c17","test_length":64,"signature_width":8,"session_len":16,"channels":2}"#;
+    // A fresh service per query: only the artifact directory carries over.
+    let answer = || {
+        let service = QueryService::new(
+            Session::new(RunConfig::default().with_engine_auto()),
+            ArtifactStore::at(&dir).expect("writable dir"),
+        );
+        let mut response = handle(&service, request).to_line();
+        let counters = response.find(",\"counters\":").expect("counters present");
+        response.truncate(counters);
+        (response, service.fault_sim_passes())
+    };
+    let (cold, cold_passes) = answer();
+    assert_eq!(cold_passes, 1);
+
+    // The one dictionary the cold query stored, read back through a store.
+    let name = std::fs::read_dir(&dir)
+        .expect("artifact dir")
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .find(|name| name.starts_with("sigdict-"))
+        .expect("the cold query stored its dictionary");
+    let key = u64::from_str_radix(&name["sigdict-".len()..name.len() - ".lsiqart".len()], 16)
+        .expect("hex key");
+    let fingerprint = stable_fingerprint(&lsiq_netlist::library::c17());
+    let store = ArtifactStore::at(&dir).expect("writable dir");
+    let payload = store.load("sigdict", key, fingerprint).expect("stored");
+    let built = decode_signature_dictionary(&payload).expect("decodes");
+    assert_eq!((built.sessions(), built.len()), (4, 46));
+    let good = built.good_signatures().to_vec();
+    let first_fail = built.first_failing_sessions().to_vec();
+    let raw = built.raw_detected_flags().to_vec();
+    let parts = |session_len, width, sessions: usize, faults: usize| {
+        let first_fail = first_fail[..faults]
+            .iter()
+            .map(|fail| fail.filter(|&session| session < sessions))
+            .collect();
+        encode_signature_dictionary(&SignatureDictionary::from_parts(
+            session_len,
+            width,
+            good[..sessions].to_vec(),
+            first_fail,
+            raw[..faults].to_vec(),
+        ))
+    };
+    // Every fault failing session 0 without a raw detection, which
+    // `from_parts` refuses, written field by field: the decoder refuses it
+    // too (the service used to report ~1.8e19 aliased faults).
+    let mut writer = ByteWriter::new();
+    writer.put_u64(16);
+    writer.put_u32(8);
+    writer.put_u64(4);
+    for &signature in &good {
+        writer.put_u64(signature);
+    }
+    writer.put_u64(46);
+    (0..46).for_each(|_| writer.put_opt_index(Some(0)));
+    (0..46).for_each(|_| writer.put_bool(false));
+    let unraw = writer.into_bytes();
+    assert!(decode_signature_dictionary(&unraw).is_err());
+    for (what, crafted) in [
+        ("failures without raw detections", unraw),
+        ("a 45-fault universe", parts(16, 8, 4, 45)),
+        ("three sessions", parts(16, 8, 3, 46)),
+        ("17-pattern sessions", parts(17, 8, 4, 46)),
+        ("a 16-bit signature", parts(16, 16, 4, 46)),
+    ] {
+        store.store("sigdict", key, fingerprint, &crafted);
+        let (warm, passes) = answer();
+        assert_eq!(passes, 1, "{what} must be rebuilt");
+        assert_eq!(warm, cold, "{what}");
+    }
+    // The rebuild overwrote the crafted artifact: the next query is warm.
+    assert_eq!(answer(), (cold, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn semantic_errors_do_not_abort_the_stream() {
     let service = in_memory_service();
     let input = concat!(

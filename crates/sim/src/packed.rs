@@ -185,28 +185,6 @@ impl<const L: usize> Iterator for SetSlots<L> {
     }
 }
 
-/// The bits of pattern slot `slot` across a slice of chunks, one per signal,
-/// in signal order: the column view of the layout, re-assembling the whole
-/// response of one pattern (the word a signature compactor folds per cycle).
-///
-/// # Panics
-///
-/// Panics if `slot` is [`PackedBlock::PATTERNS`] or more.
-pub fn gather_chunk_slot<const L: usize>(
-    chunks: &[PackedBlock<L>],
-    slot: usize,
-) -> impl Iterator<Item = bool> + '_ {
-    assert!(
-        slot < PackedBlock::<L>::PATTERNS,
-        "pattern slot out of range"
-    );
-    let lane = slot / PATTERNS_PER_WORD;
-    let bit = slot % PATTERNS_PER_WORD;
-    chunks
-        .iter()
-        .map(move |chunk| (chunk.0[lane] >> bit) & 1 == 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,16 +251,5 @@ mod tests {
         acc = a;
         acc ^= b;
         assert_eq!(acc, a ^ b);
-    }
-
-    #[test]
-    fn gather_chunk_slot_transposes_across_lanes() {
-        let chunks = [PackedBlock::<2>([0b1, 0b10]), PackedBlock::<2>([0b0, 0b11])];
-        let slot0: Vec<bool> = gather_chunk_slot(&chunks, 0).collect();
-        assert_eq!(slot0, [true, false]);
-        let slot65: Vec<bool> = gather_chunk_slot(&chunks, 65).collect();
-        assert_eq!(slot65, [true, true]);
-        let slot64: Vec<bool> = gather_chunk_slot(&chunks, 64).collect();
-        assert_eq!(slot64, [false, true]);
     }
 }

@@ -4,15 +4,14 @@
 //! seeded loops draw random chunks, pattern counts and gate evaluations,
 //! and pin every lane width (`u64 × 1/4/8`) against a scalar
 //! one-pattern-at-a-time reference — `valid_mask` / `splat` / `bit` /
-//! `set_slots` / `first_set_slot` / `gather_chunk_slot` and full-chunk gate
-//! evaluation, including partial-chunk tail masks at pattern counts
-//! 1..=512.
+//! `set_slots` / `first_set_slot` and full-chunk gate evaluation,
+//! including partial-chunk tail masks at pattern counts 1..=512.
 
 use lsiq_netlist::library;
 use lsiq_netlist::GateKind;
 use lsiq_sim::eval::{eval_bool, eval_chunk};
 use lsiq_sim::levelized::CompiledCircuit;
-use lsiq_sim::packed::{gather_chunk_slot, PackedBlock, PATTERNS_PER_WORD};
+use lsiq_sim::packed::{PackedBlock, PATTERNS_PER_WORD};
 use lsiq_sim::pattern::{Pattern, PatternSet};
 use lsiq_stats::rng::{Rng, SplitMix64};
 
@@ -82,14 +81,6 @@ fn chunk_helpers_property<const L: usize>(seed: u64) {
                 (diff.0[slot / PATTERNS_PER_WORD] >> (slot % PATTERNS_PER_WORD)) & 1 == 1
             );
         }
-
-        // gather_chunk_slot transposes across lanes.
-        let signals: Vec<PackedBlock<L>> = (0..4).map(|_| random_chunk(&mut rng)).collect();
-        for slot in [0, count - 1] {
-            let column: Vec<bool> = gather_chunk_slot(&signals, slot).collect();
-            let reference: Vec<bool> = signals.iter().map(|chunk| chunk.bit(slot)).collect();
-            assert_eq!(column, reference, "L={L} case {case} slot {slot}");
-        }
     }
 }
 
@@ -149,7 +140,7 @@ fn gate_eval_property<const L: usize>(seed: u64) {
         // …and per-slot scalar evaluation on every valid pattern, including
         // the partial tail.
         for slot in (0..count).step_by(7).chain([count - 1]) {
-            let scalar_inputs: Vec<bool> = gather_chunk_slot(&inputs, slot).collect();
+            let scalar_inputs: Vec<bool> = inputs.iter().map(|chunk| chunk.bit(slot)).collect();
             assert_eq!(
                 result.bit(slot),
                 eval_bool(kind, &scalar_inputs),
