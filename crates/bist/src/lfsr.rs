@@ -10,9 +10,7 @@
 //!
 //! [`GaloisLfsr::maximal`] selects a primitive polynomial from a built-in
 //! table ([`maximal_polynomial`], the classical two/four-tap maximal-length
-//! taps) so callers only choose a *degree*; [`GaloisLfsr::with_polynomial`]
-//! accepts an arbitrary tap mask for experiments with deliberately
-//! non-maximal feedback.
+//! taps) so callers only choose a *degree*.
 //!
 //! A degree-64 register read one [`next_bit`](GaloisLfsr::next_bit) per
 //! pattern bit is the single-channel serial pattern source: an LFSR feeding
@@ -126,7 +124,7 @@ impl GaloisLfsr {
     ///
     /// Panics if `degree` is 0 or exceeds 64, or if the tap mask has bits at
     /// or above `degree`.
-    pub fn with_polynomial(degree: u32, polynomial: u64, seed: u64) -> GaloisLfsr {
+    fn with_polynomial(degree: u32, polynomial: u64, seed: u64) -> GaloisLfsr {
         assert!(
             (1..=64).contains(&degree),
             "LFSR degree must be between 1 and 64, got {degree}"

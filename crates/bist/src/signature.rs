@@ -447,11 +447,6 @@ impl SignatureDictionary {
         self.signature_width
     }
 
-    /// The fault-free signature read out after session `session`.
-    pub fn good_signature(&self, session: usize) -> Option<u64> {
-        self.good.get(session).copied()
-    }
-
     /// The first session at which fault `index`'s signature differs from the
     /// fault-free one, or `None` if every readout matches (the fault is
     /// undetected — or detected but aliased).
@@ -467,7 +462,7 @@ impl SignatureDictionary {
 
     /// Whether fault `index` is aliased: its responses differ at some
     /// pattern, yet every session signature equals the fault-free one.
-    pub fn is_aliased(&self, index: usize) -> bool {
+    fn is_aliased(&self, index: usize) -> bool {
         self.is_raw_detected(index) && self.first_failing_session(index).is_none()
     }
 
@@ -1222,6 +1217,6 @@ mod tests {
         assert_eq!(dictionary.raw_detected_count(), 0);
         assert_eq!(dictionary.signature_detected_count(), 0);
         assert!(!dictionary.is_aliased(0));
-        assert_eq!(dictionary.good_signature(0), None);
+        assert!(dictionary.good_signatures().is_empty());
     }
 }

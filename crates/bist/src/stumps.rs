@@ -148,13 +148,13 @@ impl StumpsGenerator {
 
     /// The number of register steps one scan load takes
     /// (`ceil(width / channels)`).
-    pub fn shifts_per_pattern(&self) -> usize {
+    fn shifts_per_pattern(&self) -> usize {
         self.width.div_ceil(self.phase_masks.len().max(1)).max(1)
     }
 
-    /// Performs one scan load — [`shifts_per_pattern`](Self::shifts_per_pattern)
-    /// register steps, each filling one flop of every channel — and returns
-    /// the loaded pattern.
+    /// Performs one scan load — `ceil(width / channels)` register steps,
+    /// each filling one flop of every channel — and returns the loaded
+    /// pattern.
     pub fn next_pattern(&mut self) -> Pattern {
         let channels = self.phase_masks.len();
         let mut bits = vec![false; self.width];

@@ -97,25 +97,6 @@ impl CoverageCurve {
             .enumerate()
             .map(|(index, &coverage)| (index + 1, coverage))
     }
-
-    /// The smallest number of patterns whose cumulative coverage reaches
-    /// `target`, or `None` if the curve never reaches it.
-    pub fn patterns_to_reach(&self, target: f64) -> Option<usize> {
-        self.cumulative
-            .iter()
-            .position(|&coverage| coverage >= target)
-            .map(|index| index + 1)
-    }
-
-    /// Down-samples the curve to the given pattern checkpoints, returning
-    /// `(patterns, coverage)` pairs.  Checkpoints beyond the end use the
-    /// final coverage.
-    pub fn at_checkpoints(&self, checkpoints: &[usize]) -> Vec<(usize, f64)> {
-        checkpoints
-            .iter()
-            .map(|&count| (count, self.coverage_after(count)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -155,26 +136,6 @@ mod tests {
         assert_eq!(curve.coverage_after(32), curve.final_coverage());
         assert_eq!(curve.coverage_after(1_000), curve.final_coverage());
         assert!(curve.coverage_after(1) > 0.0);
-    }
-
-    #[test]
-    fn patterns_to_reach_finds_thresholds() {
-        let curve = c17_curve();
-        assert_eq!(curve.patterns_to_reach(0.0), Some(1));
-        let needed = curve.patterns_to_reach(0.9).expect("reaches 90 percent");
-        assert!(needed <= 32);
-        assert!(curve.coverage_after(needed) >= 0.9);
-        assert!(curve.coverage_after(needed - 1) < 0.9);
-        assert_eq!(curve.patterns_to_reach(1.1), None);
-    }
-
-    #[test]
-    fn checkpoints_extract_requested_points() {
-        let curve = c17_curve();
-        let points = curve.at_checkpoints(&[1, 4, 16, 64]);
-        assert_eq!(points.len(), 4);
-        assert_eq!(points[0].0, 1);
-        assert!((points[3].1 - curve.final_coverage()).abs() < 1e-12);
     }
 
     #[test]

@@ -344,14 +344,6 @@ impl FaultList {
             self.detected_count() as f64 / self.faults.len() as f64
         }
     }
-
-    /// The first detecting pattern of every detected fault, unsorted.
-    pub fn first_detection_patterns(&self) -> Vec<usize> {
-        self.states
-            .iter()
-            .filter_map(|s| s.first_pattern())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -401,9 +393,9 @@ mod tests {
         let mut list = small_list();
         list.mark_detected(2, 0);
         list.mark_detected(4, 1);
-        let detected: Vec<usize> = list.first_detection_patterns();
-        assert_eq!(detected.len(), 2);
-        assert!(detected.contains(&0) && detected.contains(&1));
+        assert_eq!(list.detected_count(), 2);
+        assert_eq!(list.state(2).first_pattern(), Some(0));
+        assert_eq!(list.state(4).first_pattern(), Some(1));
         assert_eq!(list.iter().count(), list.len());
         assert_eq!(list.undetected_indices().len(), list.len() - 2);
     }

@@ -18,14 +18,6 @@ impl StuckValue {
         self == StuckValue::One
     }
 
-    /// The packed word the line is forced to (all patterns).
-    pub fn as_word(self) -> u64 {
-        match self {
-            StuckValue::Zero => 0,
-            StuckValue::One => u64::MAX,
-        }
-    }
-
     /// The opposite stuck value.
     pub fn opposite(self) -> StuckValue {
         match self {
@@ -81,19 +73,6 @@ impl FaultSite {
         match self {
             FaultSite::Output(gate) => gate,
             FaultSite::InputPin { gate, .. } => gate,
-        }
-    }
-
-    /// The gate that drives the faulty line: the gate itself for output
-    /// faults, the pin's driver for pin faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the site refers to a pin that does not exist in `circuit`.
-    pub fn driving_gate(self, circuit: &Circuit) -> GateId {
-        match self {
-            FaultSite::Output(gate) => gate,
-            FaultSite::InputPin { gate, pin } => circuit.gate(gate).fanin()[pin],
         }
     }
 }
@@ -156,8 +135,6 @@ mod tests {
     fn stuck_value_conversions() {
         assert!(!StuckValue::Zero.as_bool());
         assert!(StuckValue::One.as_bool());
-        assert_eq!(StuckValue::Zero.as_word(), 0);
-        assert_eq!(StuckValue::One.as_word(), u64::MAX);
         assert_eq!(StuckValue::Zero.opposite(), StuckValue::One);
         assert_eq!(StuckValue::BOTH.len(), 2);
     }
@@ -179,16 +156,6 @@ mod tests {
         assert_eq!(fault.describe(&circuit), "G16/SA1");
         let pin_fault = Fault::input_pin(g16, 0, StuckValue::Zero);
         assert_eq!(pin_fault.describe(&circuit), "G16.in0/SA0");
-    }
-
-    #[test]
-    fn driving_gate_resolves_pin_drivers() {
-        let circuit = library::c17();
-        let g22 = circuit.find_signal("G22").expect("exists");
-        let g10 = circuit.find_signal("G10").expect("exists");
-        let site = FaultSite::InputPin { gate: g22, pin: 0 };
-        assert_eq!(site.driving_gate(&circuit), g10);
-        assert_eq!(FaultSite::Output(g22).driving_gate(&circuit), g22);
     }
 
     #[test]

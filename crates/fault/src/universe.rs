@@ -95,11 +95,6 @@ impl FaultUniverse {
     pub fn position(&self, fault: &Fault) -> Option<usize> {
         self.faults.iter().position(|f| f == fault)
     }
-
-    /// Builds an O(1) fault → position lookup table over this universe.
-    pub fn site_table(&self, circuit: &Circuit) -> SiteTable {
-        SiteTable::new(circuit, self)
-    }
 }
 
 /// An O(1) fault → universe-position lookup table, indexed by fault site.
@@ -301,16 +296,16 @@ mod tests {
         let full = FaultUniverse::full(&circuit);
         let checkpoint = FaultUniverse::checkpoint(&circuit);
         for (universe, table) in [
-            (&full, full.site_table(&circuit)),
+            (&full, SiteTable::new(&circuit, &full)),
             (&full, SiteTable::full(&circuit)),
-            (&checkpoint, checkpoint.site_table(&circuit)),
+            (&checkpoint, SiteTable::new(&circuit, &checkpoint)),
         ] {
             for (index, fault) in universe.iter().enumerate() {
                 assert_eq!(table.position(fault), Some(index as u32));
             }
         }
         // A fault absent from the (checkpoint) universe resolves to None.
-        let table = checkpoint.site_table(&circuit);
+        let table = SiteTable::new(&circuit, &checkpoint);
         for fault in &full {
             assert_eq!(
                 table.position(fault).map(|i| i as usize),

@@ -4,6 +4,10 @@ use crate::defect::{DefectKind, FaultsPerDefect};
 use lsiq_stats::dist::{Categorical, Sample};
 use lsiq_stats::rng::Rng;
 
+/// Half-width, in fault indices, of the window the extra faults of one
+/// defect are drawn from around its anchor fault.
+const LOCALITY_WINDOW: usize = 32;
+
 /// Maps physical defects to sets of logical fault indices.
 ///
 /// A defect is assigned a kind (metal short, break, …) and produces one or
@@ -16,7 +20,6 @@ use lsiq_stats::rng::Rng;
 pub struct DefectToFaultMapper {
     universe_size: usize,
     faults_per_defect: FaultsPerDefect,
-    locality_window: usize,
     kind_weights: Categorical,
 }
 
@@ -32,25 +35,13 @@ impl DefectToFaultMapper {
         DefectToFaultMapper {
             universe_size,
             faults_per_defect,
-            locality_window: 32,
             kind_weights: Categorical::new(&DefectKind::ALL.map(|(_, w)| w))
                 .expect("static weights are valid"),
         }
     }
 
-    /// Overrides the locality window used for the extra faults of a defect.
-    pub fn with_locality_window(mut self, window: usize) -> Self {
-        self.locality_window = window.max(1);
-        self
-    }
-
-    /// The average number of logical faults one defect produces.
-    pub fn mean_faults_per_defect(&self) -> f64 {
-        self.faults_per_defect.mean()
-    }
-
     /// Maps one defect to its defect kind and fault indices.
-    pub fn map_defect<R: Rng + ?Sized>(&self, rng: &mut R) -> (DefectKind, Vec<usize>) {
+    fn map_defect<R: Rng + ?Sized>(&self, rng: &mut R) -> (DefectKind, Vec<usize>) {
         let kind = DefectKind::ALL[self.kind_weights.sample(rng)].0;
         let fault_count = self.faults_per_defect.sample(rng) as usize;
         let anchor = rng.next_index(self.universe_size);
@@ -59,8 +50,8 @@ impl DefectToFaultMapper {
         for _ in 1..fault_count {
             // Extra faults cluster around the anchor within the locality
             // window, clamped to the universe.
-            let offset = rng.next_index(2 * self.locality_window + 1) as isize
-                - self.locality_window as isize;
+            let offset =
+                rng.next_index(2 * LOCALITY_WINDOW + 1) as isize - LOCALITY_WINDOW as isize;
             let index =
                 (anchor as isize + offset).clamp(0, self.universe_size as isize - 1) as usize;
             faults.push(index);
@@ -102,23 +93,20 @@ mod tests {
 
     #[test]
     fn extra_faults_stay_near_the_anchor() {
-        let mapper = mapper(3.0).with_locality_window(8);
+        let mapper = mapper(3.0);
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
         for _ in 0..500 {
             let (_, faults) = mapper.map_defect(&mut rng);
             let anchor = faults[0] as isize;
             for &fault in &faults[1..] {
                 assert!(
-                    (fault as isize - anchor).abs() <= 8 || fault == 0 || fault == 999,
+                    (fault as isize - anchor).abs() <= LOCALITY_WINDOW as isize
+                        || fault == 0
+                        || fault == 999,
                     "fault {fault} too far from anchor {anchor}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn mean_faults_per_defect_is_reported() {
-        assert!((mapper(2.0).mean_faults_per_defect() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -123,13 +123,6 @@ impl RejectExperiment {
         }
     }
 
-    /// Tabulates the experiment at every pattern count from 1 to the end of
-    /// the coverage curve.
-    pub fn full_resolution(records: &[TestRecord], coverage: &CoverageCurve) -> RejectExperiment {
-        let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-        RejectExperiment::tabulate(records, coverage, &checkpoints)
-    }
-
     /// The tabulated rows in checkpoint order.
     pub fn rows(&self) -> &[RejectRow] {
         &self.rows
@@ -196,7 +189,13 @@ mod tests {
             seed,
         });
         let records = WaferTester::new(&dictionary).test_lot(&lot);
-        RejectExperiment::full_resolution(&records, &coverage)
+        every_count(&records, &coverage)
+    }
+
+    /// The experiment tabulated at every pattern count of the curve.
+    fn every_count(records: &[TestRecord], coverage: &CoverageCurve) -> RejectExperiment {
+        let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
+        RejectExperiment::tabulate(records, coverage, &checkpoints)
     }
 
     #[test]
@@ -241,7 +240,7 @@ mod tests {
             seed: 11,
         });
         let records = WaferTester::new(&dictionary).test_lot(&lot);
-        let full = RejectExperiment::full_resolution(&records, &coverage);
+        let full = every_count(&records, &coverage);
         let sampled = RejectExperiment::tabulate(&records, &coverage, &[4, 8, 16]);
         assert_eq!(sampled.rows().len(), 3);
         for row in sampled.rows() {

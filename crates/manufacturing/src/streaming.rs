@@ -4,10 +4,11 @@
 //! whole [`ChipLot`](crate::lot::ChipLot) and its test records at once —
 //! fine for the paper's 277-chip Table 1 run, impossible for the
 //! billion-chip planning sweeps a production service fields.
-//! [`StreamingLotExecutor`] evaluates the same model lot in fixed-size
-//! blocks instead: each block's chips are generated from their per-chip
-//! RNG streams, wafer-tested against the fault dictionary, and immediately
-//! folded into running integer accumulators — a first-fail counting-sort
+//! [`StreamingLotExecutor`] folds the same model lot chip by chip instead:
+//! the lot's chips shard across the workers in one fork-join, and each
+//! worker generates every chip of its shard from the chip's own RNG
+//! stream, wafer-tests it against the fault dictionary and immediately
+//! folds it into running integer accumulators — a first-fail counting-sort
 //! histogram, good/defective/fault-count tallies and the field-outcome
 //! counters.  No chip outlives its fold: each worker draws its chips'
 //! faults into one reusable [`IndexSampler`](lsiq_stats::rng::IndexSampler),
@@ -17,12 +18,11 @@
 //! size.
 //!
 //! Every accumulator is an integer sum, and integer addition is associative
-//! and commutative, so the block structure and the worker sharding are
-//! invisible in the output: the statistics are **byte-identical** to the
-//! in-memory path at any block length and any worker count (enforced by
-//! `tests/streaming_differential.rs`).  The final divisions (observed
-//! yield, `n0`, reject fractions) are performed once, from the same integer
-//! totals in the same order as the in-memory code.
+//! and commutative, so the worker sharding is invisible in the output: the
+//! statistics are **byte-identical** to the in-memory path at any worker
+//! count (enforced by `tests/streaming_differential.rs`).  The final
+//! divisions (observed yield, `n0`, reject fractions) are performed once,
+//! from the same integer totals in the same order as the in-memory code.
 
 use crate::experiment::RejectExperiment;
 use crate::field::FieldOutcome;
@@ -33,13 +33,10 @@ use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_obs::{Counter, Span};
 
-/// Fixed-size blocks dispatched (`⌈chips / block_len⌉` per lot — invariant
-/// at any worker count, though not across block lengths).
-static BLOCKS: Counter = Counter::new("streaming.blocks");
 /// Chips generated, tested and folded across all streamed lots.
 static CHIPS: Counter = Counter::new("streaming.chips");
-/// One block's generate-test-fold fork-join round.
-static BLOCK_SPAN: Span = Span::new("streaming.block");
+/// One lot's generate-test-fold fork-join.
+static LOT_SPAN: Span = Span::new("streaming.lot");
 
 /// Everything a streamed lot yields: the observed ground truth, the field
 /// outcome of shipping the passers, and the cumulative-reject table — the
@@ -118,10 +115,9 @@ impl LotFold {
     }
 }
 
-/// Evaluates model lots in fixed-size blocks folded into running
-/// statistics — the memory-bounded counterpart of
-/// [`ParallelLotRunner::run_model_line`].  Each block's chips shard across
-/// the workers of the context bound with
+/// Evaluates model lots chip by chip, folded into running statistics — the
+/// memory-bounded counterpart of [`ParallelLotRunner::run_model_line`].  A
+/// lot's chips shard across the workers of the context bound with
 /// [`with_context`](Self::with_context); a [`Default`] executor runs on the
 /// calling thread.
 ///
@@ -149,52 +145,27 @@ impl LotFold {
 ///     fault_universe_size: universe.len(),
 ///     seed: 1981,
 /// };
-/// let streamed = StreamingLotExecutor::default()
-///     .with_block_len(1_000)
-///     .stream_model_lot(&config, &dictionary, &coverage, &[4, 8, 16]);
+/// let streamed = StreamingLotExecutor::default().stream_model_lot(
+///     &config,
+///     &dictionary,
+///     &coverage,
+///     &[4, 8, 16],
+/// );
 /// assert_eq!(streamed.chips, 10_000);
 /// assert_eq!(streamed.outcome.total, 10_000);
 /// assert_eq!(streamed.experiment.rows().len(), 3);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamingLotExecutor<'ctx> {
     context: Option<&'ctx ExecutionContext>,
-    block_len: usize,
-}
-
-impl Default for StreamingLotExecutor<'_> {
-    fn default() -> Self {
-        StreamingLotExecutor {
-            context: None,
-            block_len: Self::DEFAULT_BLOCK_LEN,
-        }
-    }
 }
 
 impl<'ctx> StreamingLotExecutor<'ctx> {
-    /// The default block length: large enough to amortize the fork-join per
-    /// block, small enough that a block is milliseconds of work.
-    pub const DEFAULT_BLOCK_LEN: usize = 65_536;
-
     /// Creates an executor bound to a persistent worker pool.
     pub fn with_context(context: &'ctx ExecutionContext) -> Self {
         StreamingLotExecutor {
             context: Some(context),
-            ..Self::default()
         }
-    }
-
-    /// Sets the block length (chips evaluated per fork-join round); `0` is
-    /// clamped to 1.  The choice bounds memory and batches scheduling — it
-    /// never changes the statistics.
-    pub fn with_block_len(mut self, block_len: usize) -> Self {
-        self.block_len = block_len.max(1);
-        self
-    }
-
-    /// The configured block length.
-    pub fn block_len(&self) -> usize {
-        self.block_len
     }
 
     /// Streams the model lot described by `config` through the wafer test
@@ -204,8 +175,8 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
     /// [`ParallelLotRunner::experiment`]).
     ///
     /// The returned statistics are byte-identical to generating the whole
-    /// lot, testing it and tabulating in memory — at any block length and
-    /// any worker count — while peak memory stays
+    /// lot, testing it and tabulating in memory — at any worker count —
+    /// while peak memory stays
     /// `O(workers × (patterns + N / 64))` for an `N`-fault universe.
     ///
     /// # Panics
@@ -220,30 +191,24 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
         checkpoints: &[usize],
     ) -> StreamedLot {
         let draw = ModelDraw::new(config);
+        CHIPS.add(config.chips as u64);
+        let _timer = LOT_SPAN.start();
+        let shard_folds = shard_map(
+            self.context,
+            config.chips,
+            ParallelLotRunner::MIN_ITEMS_PER_SHARD,
+            |range| {
+                let mut sampler = draw.sampler();
+                let mut shard = LotFold::default();
+                for chip in range {
+                    shard.absorb(draw.faults(chip, &mut sampler), dictionary);
+                }
+                shard
+            },
+        );
         let mut fold = LotFold::default();
-        let mut start = 0usize;
-        while start < config.chips {
-            let block = (config.chips - start).min(self.block_len);
-            BLOCKS.incr();
-            CHIPS.add(block as u64);
-            let _timer = BLOCK_SPAN.start();
-            let shard_folds = shard_map(
-                self.context,
-                block,
-                ParallelLotRunner::MIN_ITEMS_PER_SHARD,
-                |range| {
-                    let mut sampler = draw.sampler();
-                    let mut shard = LotFold::default();
-                    for offset in range {
-                        shard.absorb(draw.faults(start + offset, &mut sampler), dictionary);
-                    }
-                    shard
-                },
-            );
-            for shard in shard_folds {
-                fold.merge(shard);
-            }
-            start += block;
+        for shard in shard_folds {
+            fold.merge(shard);
         }
         Self::tabulate(config.chips, fold, coverage, checkpoints)
     }
@@ -324,22 +289,29 @@ mod tests {
             &dictionary,
             &coverage,
         );
-        for block in [1, 7, 128, 1_000, 100_000] {
-            let streamed = StreamingLotExecutor::with_context(&context)
-                .with_block_len(block)
-                .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
+        for workers in [1, 2, 3] {
+            let context = ExecutionContext::new(workers);
+            let streamed = StreamingLotExecutor::with_context(&context).stream_model_lot(
+                &config,
+                &dictionary,
+                &coverage,
+                &checkpoints,
+            );
             assert_eq!(streamed.chips, config.chips);
-            assert_eq!(streamed.outcome, reference.outcome, "block {block}");
-            assert_eq!(streamed.experiment, reference.experiment, "block {block}");
+            assert_eq!(streamed.outcome, reference.outcome, "workers {workers}");
+            assert_eq!(
+                streamed.experiment, reference.experiment,
+                "workers {workers}"
+            );
             assert_eq!(
                 streamed.observed_yield.to_bits(),
                 reference.observed_yield.to_bits(),
-                "block {block}"
+                "workers {workers}"
             );
             assert_eq!(
                 streamed.observed_n0.to_bits(),
                 reference.observed_n0.to_bits(),
-                "block {block}"
+                "workers {workers}"
             );
         }
     }
@@ -369,15 +341,5 @@ mod tests {
             .rows()
             .iter()
             .all(|row| row.chips_failed == 0 && row.fraction_failed == 0.0));
-    }
-
-    #[test]
-    fn block_length_is_clamped_and_reported() {
-        let executor = StreamingLotExecutor::default().with_block_len(0);
-        assert_eq!(executor.block_len(), 1);
-        assert_eq!(
-            StreamingLotExecutor::default().block_len(),
-            StreamingLotExecutor::DEFAULT_BLOCK_LEN
-        );
     }
 }

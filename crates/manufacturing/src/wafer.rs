@@ -64,22 +64,12 @@ impl WaferMap {
         self.defects[row * self.columns + column]
     }
 
-    /// Per-site defect counts in row-major order.
-    pub fn defect_counts(&self) -> &[u64] {
-        &self.defects
-    }
-
     /// Fraction of defect-free sites (the wafer's observed yield).
     pub fn observed_yield(&self) -> f64 {
         if self.defects.is_empty() {
             return 0.0;
         }
         self.defects.iter().filter(|&&d| d == 0).count() as f64 / self.defects.len() as f64
-    }
-
-    /// Total defects on the wafer.
-    pub fn total_defects(&self) -> u64 {
-        self.defects.iter().sum()
     }
 
     /// Renders an ASCII map (`.` = good site, digits = defect count, `+` for
@@ -113,15 +103,19 @@ mod tests {
         WaferMap::simulate(20, 25, &model, &mut rng)
     }
 
+    /// Per-site defect counts in row-major order.
+    fn site_counts(wafer: &WaferMap) -> Vec<u64> {
+        (0..wafer.rows())
+            .flat_map(|row| (0..wafer.columns()).map(move |column| wafer.defects_at(row, column)))
+            .collect()
+    }
+
     #[test]
     fn dimensions_and_counts() {
         let wafer = sample_wafer(1);
         assert_eq!(wafer.rows(), 20);
         assert_eq!(wafer.columns(), 25);
         assert_eq!(wafer.site_count(), 500);
-        assert_eq!(wafer.defect_counts().len(), 500);
-        let sum: u64 = wafer.defect_counts().iter().sum();
-        assert_eq!(wafer.total_defects(), sum);
     }
 
     #[test]
@@ -151,11 +145,12 @@ mod tests {
         let model = DefectModel::for_target_yield(0.4, 1.0).expect("valid");
         let mut rng = Xoshiro256StarStar::seed_from_u64(101);
         let wafer = WaferMap::simulate(16, 20, &model, &mut rng);
-        assert_eq!(wafer.total_defects(), 490);
+        let counts = site_counts(&wafer);
+        assert_eq!(counts.iter().sum::<u64>(), 490);
         assert_eq!(wafer.defects_at(0, 0), 4);
         assert_eq!(wafer.defects_at(7, 11), 0);
-        assert_eq!(wafer.defect_counts().iter().max(), Some(&9));
-        let good_sites = wafer.defect_counts().iter().filter(|&&d| d == 0).count();
+        assert_eq!(counts.iter().max(), Some(&9));
+        let good_sites = counts.iter().filter(|&&d| d == 0).count();
         assert_eq!(good_sites, 125);
         assert!((wafer.observed_yield() - 125.0 / 320.0).abs() < 1e-15);
         // The clustered model leaves bad neighbourhoods: the ASCII map shows

@@ -1,6 +1,6 @@
 //! Differential tests: the streaming lot executor must be byte-identical to
-//! the in-memory pipeline at every worker count and block length, and must
-//! hold bounded memory on lots far too large to materialize.
+//! the in-memory pipeline at every worker count, and must hold bounded
+//! memory on lots far too large to materialize.
 
 use lsiq_exec::ExecutionContext;
 use lsiq_fault::coverage::CoverageCurve;
@@ -25,17 +25,18 @@ fn suite() -> (FaultDictionary, CoverageCurve, usize) {
     (dictionary, coverage, universe.len())
 }
 
-/// The worker ladder the issue asks for: 1, 2, and twice the machine's
-/// cores (clamped below at 2 so the ladder is meaningful on one core).
-fn worker_ladder() -> [usize; 3] {
+/// The worker ladder: 1, 2, 3, 5 and twice the machine's cores (clamped
+/// below at 2 so the ladder is meaningful on one core).  Counts that do not
+/// divide the lot put the shard boundaries at uneven chip indices.
+fn worker_ladder() -> [usize; 5] {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    [1, 2, (2 * cores).max(2)]
+    [1, 2, 3, 5, (2 * cores).max(2)]
 }
 
 #[test]
-fn streaming_matches_in_memory_across_workers_and_blocks() {
+fn streaming_matches_in_memory_at_every_worker_count() {
     let (dictionary, coverage, universe) = suite();
     let config = ModelLotConfig {
         chips: 4_777,
@@ -49,43 +50,41 @@ fn streaming_matches_in_memory_across_workers_and_blocks() {
     let reference_nav = lsiq_manufacturing::ChipLot::from_model(&config).observed_nav();
     for workers in worker_ladder() {
         let context = ExecutionContext::new(workers);
-        for block in [1, 97, 1_024, 1_000_000] {
-            let streamed = StreamingLotExecutor::with_context(&context)
-                .with_block_len(block)
-                .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
+        let streamed = StreamingLotExecutor::with_context(&context).stream_model_lot(
+            &config,
+            &dictionary,
+            &coverage,
+            &checkpoints,
+        );
+        assert_eq!(streamed.outcome, reference.outcome, "workers {workers}");
+        assert_eq!(
+            streamed.experiment, reference.experiment,
+            "workers {workers}"
+        );
+        // Byte-level equality on every derived float, not approximate.
+        assert_eq!(
+            streamed.observed_yield.to_bits(),
+            reference.observed_yield.to_bits()
+        );
+        assert_eq!(
+            streamed.observed_n0.to_bits(),
+            reference.observed_n0.to_bits()
+        );
+        assert_eq!(streamed.observed_nav.to_bits(), reference_nav.to_bits());
+        for (ours, theirs) in streamed
+            .experiment
+            .rows()
+            .iter()
+            .zip(reference.experiment.rows())
+        {
             assert_eq!(
-                streamed.outcome, reference.outcome,
-                "workers {workers}, block {block}"
+                ours.fraction_failed.to_bits(),
+                theirs.fraction_failed.to_bits()
             );
             assert_eq!(
-                streamed.experiment, reference.experiment,
-                "workers {workers}, block {block}"
+                ours.fault_coverage.to_bits(),
+                theirs.fault_coverage.to_bits()
             );
-            // Byte-level equality on every derived float, not approximate.
-            assert_eq!(
-                streamed.observed_yield.to_bits(),
-                reference.observed_yield.to_bits()
-            );
-            assert_eq!(
-                streamed.observed_n0.to_bits(),
-                reference.observed_n0.to_bits()
-            );
-            assert_eq!(streamed.observed_nav.to_bits(), reference_nav.to_bits());
-            for (ours, theirs) in streamed
-                .experiment
-                .rows()
-                .iter()
-                .zip(reference.experiment.rows())
-            {
-                assert_eq!(
-                    ours.fraction_failed.to_bits(),
-                    theirs.fraction_failed.to_bits()
-                );
-                assert_eq!(
-                    ours.fault_coverage.to_bits(),
-                    theirs.fault_coverage.to_bits()
-                );
-            }
         }
     }
 }
@@ -102,9 +101,12 @@ fn streaming_respects_the_run_config_worker_count() {
     };
     let checkpoints = [8usize, 32, 128];
     let context = ExecutionContext::new(2);
-    let pinned = StreamingLotExecutor::with_context(&context)
-        .with_block_len(256)
-        .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
+    let pinned = StreamingLotExecutor::with_context(&context).stream_model_lot(
+        &config,
+        &dictionary,
+        &coverage,
+        &checkpoints,
+    );
     let fresh = StreamingLotExecutor::default().stream_model_lot(
         &config,
         &dictionary,
@@ -116,8 +118,8 @@ fn streaming_respects_the_run_config_worker_count() {
 
 /// The acceptance bar: a 10^9-chip lot streams to completion in bounded
 /// memory.  A lot this size would need tens of gigabytes to materialize
-/// (~40 B per record alone); the streaming executor holds one block of
-/// integer folds instead.  Run with `cargo test -- --ignored` (about a
+/// (~40 B per record alone); the streaming executor holds one integer fold
+/// per worker instead.  Run with `cargo test -- --ignored` (about a
 /// minute in release mode).
 #[test]
 #[ignore = "billion-chip endurance run; invoke with --ignored"]
@@ -135,9 +137,12 @@ fn billion_chip_lot_streams_in_bounded_memory() {
     };
     let checkpoints = [16usize, 64, 128];
     let context = ExecutionContext::new(0);
-    let streamed = StreamingLotExecutor::with_context(&context)
-        .with_block_len(1 << 20)
-        .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
+    let streamed = StreamingLotExecutor::with_context(&context).stream_model_lot(
+        &config,
+        &dictionary,
+        &coverage,
+        &checkpoints,
+    );
     assert_eq!(streamed.chips, 1_000_000_000);
     assert_eq!(streamed.outcome.total, 1_000_000_000);
     assert_eq!(

@@ -138,19 +138,6 @@ impl CircuitBuilder {
         self.gates.len()
     }
 
-    /// A fresh signal name of the form `prefix_N` guaranteed not to collide
-    /// with any existing signal.
-    pub fn fresh_name(&self, prefix: &str) -> String {
-        let mut counter = self.gates.len();
-        loop {
-            let candidate = format!("{prefix}_{counter}");
-            if !self.by_name.contains_key(&candidate) {
-                return candidate;
-            }
-            counter += 1;
-        }
-    }
-
     /// Finalises the circuit.
     ///
     /// # Errors
@@ -228,15 +215,6 @@ mod tests {
         b.mark_output(y);
         let circuit = b.finish().expect("valid");
         assert_eq!(circuit.primary_outputs().len(), 1);
-    }
-
-    #[test]
-    fn fresh_names_do_not_collide() {
-        let mut b = CircuitBuilder::new("fresh");
-        let _ = b.input("n_0");
-        let name = b.fresh_name("n");
-        assert_ne!(name, "n_0");
-        assert!(b.find_signal(&name).is_none());
     }
 
     #[test]

@@ -44,20 +44,6 @@ pub enum GateKind {
 }
 
 impl GateKind {
-    /// All gate kinds that take at least one input, i.e. everything except
-    /// primary inputs and constants.
-    pub const LOGIC_KINDS: [GateKind; 9] = [
-        GateKind::Buf,
-        GateKind::Not,
-        GateKind::And,
-        GateKind::Nand,
-        GateKind::Or,
-        GateKind::Nor,
-        GateKind::Xor,
-        GateKind::Xnor,
-        GateKind::Const0,
-    ];
-
     /// Returns the canonical upper-case name used by the `.bench` format.
     pub fn name(self) -> &'static str {
         match self {
@@ -93,11 +79,6 @@ impl GateKind {
             "CONST1" | "VDD" => Some(GateKind::Const1),
             _ => None,
         }
-    }
-
-    /// Returns `true` if this kind takes no fanin.
-    pub fn is_source(self) -> bool {
-        matches!(self, GateKind::Input | GateKind::Const0 | GateKind::Const1)
     }
 
     /// Returns `true` if this kind is a state element (a DFF): its output is
@@ -254,14 +235,6 @@ mod tests {
         assert!(GateKind::Xnor.is_inverting());
         assert!(!GateKind::And.is_inverting());
         assert!(!GateKind::Xor.is_inverting());
-    }
-
-    #[test]
-    fn source_classification() {
-        assert!(GateKind::Input.is_source());
-        assert!(GateKind::Const0.is_source());
-        assert!(!GateKind::Nand.is_source());
-        assert!(!GateKind::Dff.is_source());
     }
 
     #[test]

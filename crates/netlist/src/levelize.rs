@@ -114,15 +114,6 @@ pub fn levelize(circuit: &Circuit) -> Result<Levelization, NetlistError> {
     })
 }
 
-/// Returns the gates grouped by level, from level 0 upwards.
-pub fn gates_by_level(circuit: &Circuit, levelization: &Levelization) -> Vec<Vec<GateId>> {
-    let mut buckets = vec![Vec::new(); levelization.depth() + 1];
-    for (id, _) in circuit.iter() {
-        buckets[levelization.level(id)].push(id);
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,20 +173,6 @@ mod tests {
         let lev = levelize(&c).expect("acyclic");
         let input = c.primary_inputs()[0];
         assert_eq!(lev.level(input), 0);
-    }
-
-    #[test]
-    fn gates_by_level_partitions_all_gates() {
-        let c = crate::library::c17();
-        let lev = levelize(&c).expect("acyclic");
-        let buckets = gates_by_level(&c, &lev);
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
-        assert_eq!(total, c.gate_count());
-        for (level, bucket) in buckets.iter().enumerate() {
-            for &id in bucket {
-                assert_eq!(lev.level(id), level);
-            }
-        }
     }
 
     #[test]

@@ -269,7 +269,8 @@ fn validate_container(bytes: &[u8], fingerprint: u64) -> Option<Vec<u8>> {
         return None;
     }
     let payload_len = reader.get_len().ok()?;
-    if reader.remaining() != payload_len + 8 {
+    // Checked: a length field near 2^64 must not wrap into a match.
+    if payload_len.checked_add(8) != Some(reader.remaining()) {
         return None;
     }
     let payload = &bytes[bytes.len() - 8 - payload_len..bytes.len() - 8];

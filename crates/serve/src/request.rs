@@ -69,8 +69,6 @@ pub struct LotParams {
     /// Reject-table checkpoints (pattern counts).  Defaults to every
     /// pattern for `line`, to the suite end alone for `lot`.
     pub checkpoints: Option<Vec<usize>>,
-    /// Streaming block length override.
-    pub block_len: Option<usize>,
 }
 
 /// One parsed planning query.
@@ -193,15 +191,6 @@ fn lot_params(value: &JsonValue, default_chips: usize) -> Result<LotParams, Stri
             ),
         },
         checkpoints,
-        block_len: match value.get("block_len") {
-            None => None,
-            Some(block) => Some(
-                block
-                    .as_usize()
-                    .filter(|&len| len >= 1)
-                    .ok_or_else(|| "\"block_len\" must be a positive integer".to_string())?,
-            ),
-        },
     })
 }
 
@@ -316,11 +305,12 @@ mod tests {
             Request::Lot(params) => {
                 assert_eq!(params.chips, 1_000_000);
                 assert_eq!(params.checkpoints, Some(vec![16, 64]));
-                assert_eq!(params.block_len, Some(4096));
                 assert_eq!(params.seed, Some(3));
             }
             other => panic!("wrong variant {other:?}"),
         }
+        // Keys a request does not use, such as "block_len", are ignored.
+        assert!(parse(r#"{"op":"lot","chips":10,"block_len":0}"#).is_ok());
     }
 
     #[test]
@@ -342,7 +332,6 @@ mod tests {
             (r#"{"op":"line","chips":-1}"#, "chips"),
             (r#"{"op":"line","checkpoints":[1.5]}"#, "checkpoints"),
             (r#"{"op":"line","circuit":5}"#, "circuit"),
-            (r#"{"op":"lot","chips":10,"block_len":0}"#, "block_len"),
             (
                 r#"{"op":"bist","yield":0.1,"n0":8,"test_length":1000000000000,"signature_width":16}"#,
                 "\"test_length\" must be at most 65536",

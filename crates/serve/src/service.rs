@@ -20,8 +20,7 @@ use crate::artifact::{
 use crate::codec::Fnv1a;
 use crate::json::{number, object, string, JsonValue};
 use crate::request::{BistParams, LotParams, ModelInputs, Request};
-use lsi_quality::{Session, PROGRAMME_SEED};
-use lsiq_bist::aliasing::AliasingReport;
+use lsi_quality::{BistSweepRow, Session, PROGRAMME_SEED};
 use lsiq_bist::misr::Misr;
 use lsiq_bist::signature::SignatureDictionary;
 use lsiq_bist::stumps::{StumpsConfig, StumpsGenerator};
@@ -567,42 +566,32 @@ impl QueryService {
                 .insert(key, dictionary.clone());
             dictionary
         };
-        let report = AliasingReport::from_dictionary(&dictionary);
-        let defect_level = |coverage: f64| {
-            field_reject_rate(
-                &model,
-                FaultCoverage::new(coverage.clamp(0.0, 1.0)).expect("clamped into range"),
-            )
-            .value()
-        };
+        let row = BistSweepRow::new(params.test_length, &dictionary, &model);
         Ok(object(vec![
             ("circuit", string(&params.circuit)),
             ("universe_size", number(compiled.universe.len() as u64)),
-            ("test_length", number(params.test_length as u64)),
-            ("signature_width", number(u64::from(params.signature_width))),
+            ("test_length", number(row.test_length as u64)),
+            ("signature_width", number(u64::from(row.signature_width))),
             ("session_len", number(params.session_len as u64)),
-            ("sessions", number(dictionary.sessions() as u64)),
-            ("raw_coverage", JsonValue::Number(report.raw_coverage())),
+            ("sessions", number(row.sessions as u64)),
+            ("raw_coverage", JsonValue::Number(row.raw_coverage)),
             (
                 "effective_coverage",
-                JsonValue::Number(report.effective_coverage()),
+                JsonValue::Number(row.effective_coverage),
             ),
-            ("aliased", number(report.aliased as u64)),
+            ("aliased", number(row.aliased as u64)),
             (
                 "aliasing_fraction",
-                JsonValue::Number(report.aliasing_fraction()),
+                JsonValue::Number(row.aliasing_fraction),
             ),
             (
                 "estimated_aliasing_fraction",
-                JsonValue::Number(report.estimated_aliasing_fraction()),
+                JsonValue::Number(row.estimated_aliasing_fraction),
             ),
-            (
-                "defect_level_raw",
-                JsonValue::Number(defect_level(report.raw_coverage())),
-            ),
+            ("defect_level_raw", JsonValue::Number(row.defect_level_raw)),
             (
                 "defect_level_effective",
-                JsonValue::Number(defect_level(report.effective_coverage())),
+                JsonValue::Number(row.defect_level_effective),
             ),
         ]))
     }
@@ -627,16 +616,13 @@ impl QueryService {
             fault_universe_size: compiled.universe.len(),
             seed,
         };
-        let mut executor = StreamingLotExecutor::with_context(self.session.context());
-        if let Some(block_len) = params.block_len {
-            executor = executor.with_block_len(block_len);
-        }
-        let streamed: StreamedLot = executor.stream_model_lot(
-            &lot_config,
-            &suite.dictionary,
-            &suite.coverage,
-            &checkpoints,
-        );
+        let streamed: StreamedLot = StreamingLotExecutor::with_context(self.session.context())
+            .stream_model_lot(
+                &lot_config,
+                &suite.dictionary,
+                &suite.coverage,
+                &checkpoints,
+            );
         Counters::bump(
             &self.counters.chips_simulated,
             &CHIPS_SIMULATED,

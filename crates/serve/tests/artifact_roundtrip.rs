@@ -1,14 +1,20 @@
 //! Artifact-layer integration: payload codecs round-trip exactly, and the
 //! on-disk container rejects every corruption the format guards against —
-//! truncation, flipped bits, a version bump, a stale circuit fingerprint —
-//! by reporting a miss so the caller rebuilds.
+//! truncation, flipped bits, splices, a wrapping length field, a version
+//! bump, a stale circuit fingerprint — by reporting a miss so the caller
+//! rebuilds.
 
+use lsi_quality::stats::rng::{Rng, SplitMix64};
+use lsi_quality::Session;
 use lsiq_bist::signature::SignatureDictionary;
+use lsiq_exec::RunConfig;
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::library;
 use lsiq_serve::artifact::{stable_fingerprint, ArtifactStore, SuiteArtifact};
+use lsiq_serve::json::JsonValue;
+use lsiq_serve::service::QueryService;
 use lsiq_tpg::suite::TestSuiteBuilder;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A unique scratch directory per test (no tempfile crate in-tree).
@@ -284,6 +290,14 @@ fn corrupt_truncated_stale_and_version_mismatched_files_are_misses() {
     std::fs::write(&path, &bumped).unwrap();
     assert_eq!(store.load("suite", 1, fingerprint), None, "version");
 
+    // The 20-byte header, then a payload length of 2^64 − 8 and nothing
+    // else: `length + 8` wraps onto the 0 bytes left.
+    let mut wrapped = pristine[..20].to_vec();
+    wrapped.extend_from_slice(&(u64::MAX - 7).to_le_bytes());
+    assert_eq!(wrapped.len(), 28);
+    std::fs::write(&path, &wrapped).unwrap();
+    assert_eq!(store.load("suite", 1, fingerprint), None, "wrapping length");
+
     // Stale fingerprint: the circuit generator changed, same key.
     std::fs::write(&path, &pristine).unwrap();
     let other = stable_fingerprint(&library::alu4());
@@ -304,4 +318,119 @@ fn disabled_store_misses_everything_and_swallows_stores() {
     assert_eq!(store.load("suite", 3, 9), None);
     assert_eq!(store.hits(), 0);
     assert_eq!(store.misses(), 1);
+}
+
+/// Byte offset of a container's payload-length field: it follows the
+/// 8-byte magic, the 4-byte format version and the 8-byte fingerprint.
+const LENGTH_FIELD: usize = 20;
+/// Container bytes around the payload: the header, the length field and
+/// the trailing 8-byte checksum.
+const FRAME: usize = LENGTH_FIELD + 16;
+
+/// One seeded corruption of a stored container: a flipped bit, a
+/// truncation, a splice of one stretch of the file over another, or an
+/// overwritten length field — on the whole file or on one cut short, and
+/// sometimes set so that `length + 8` wraps onto the bytes left.
+fn corrupt(pristine: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
+    let mut bytes = pristine.to_vec();
+    let len = bytes.len();
+    match rng.next_index(4) {
+        0 => bytes[rng.next_index(len)] ^= 1 << rng.next_index(8),
+        1 => bytes.truncate(rng.next_index(len)),
+        2 => {
+            let from = rng.next_index(len);
+            let piece = pristine[from..from + 1 + rng.next_index(len - from)].to_vec();
+            let start = rng.next_index(len);
+            let end = start + rng.next_index(len - start + 1);
+            bytes.splice(start..end, piece);
+        }
+        _ => {
+            if rng.next_bool(0.5) {
+                bytes.truncate(LENGTH_FIELD + 8 + rng.next_index(16));
+            }
+            let left = (bytes.len() - LENGTH_FIELD - 8) as u64;
+            let payload = (len - FRAME) as u64;
+            let length = match rng.next_index(4) {
+                0 => left.wrapping_sub(8),
+                1 => u64::MAX - rng.next_bounded(16),
+                2 => rng.next_u64(),
+                _ => payload ^ (1 << rng.next_index(64)),
+            };
+            bytes[LENGTH_FIELD..LENGTH_FIELD + 8].copy_from_slice(&length.to_le_bytes());
+        }
+    }
+    bytes
+}
+
+/// The answer of a fresh service over `dir` — a new process, in effect, so
+/// no in-memory memo hides the file — without its `counters`, and whether
+/// the query read a stored artifact.
+fn replay(dir: &Path, query: &str) -> (JsonValue, bool) {
+    let service = QueryService::new(
+        Session::new(RunConfig::default().with_workers(1)),
+        ArtifactStore::at(dir).expect("writable dir"),
+    );
+    let response = service.handle(&JsonValue::parse(query).expect("well-formed"), None);
+    let JsonValue::Object(fields) = response else {
+        panic!("a response is an object")
+    };
+    let (counters, answer): (Vec<_>, Vec<_>) =
+        fields.into_iter().partition(|(name, _)| name == "counters");
+    let hits = counters[0]
+        .1
+        .get("artifact_hits")
+        .and_then(JsonValue::as_usize)
+        .expect("hit count");
+    (JsonValue::Object(answer), hits > 0)
+}
+
+/// Seeded bit flips, truncations, splices and overwritten length fields of
+/// a c17 `suite` and a c17 `sigdict` container.  After each corruption the
+/// query is replayed: it must give the cold answer (a miss, rebuilt) or,
+/// on a hit, the same answer — and nothing may panic.
+#[test]
+fn seeded_container_corruptions_are_misses_or_the_same_answer() {
+    let dir = scratch_dir("mutate");
+    let queries = [
+        ("suite", r#"{"op":"line","circuit":"c17","chips":10}"#),
+        (
+            "sigdict",
+            r#"{"op":"bist","circuit":"c17","test_length":64,"signature_width":8,"session_len":16,"channels":2}"#,
+        ),
+    ];
+    let mut rng = SplitMix64::seed_from_u64(0xC0_2217);
+    for (kind, query) in queries {
+        let (cold, cold_hit) = replay(&dir, query);
+        assert!(!cold_hit, "{kind}: an empty directory cannot hit");
+        assert_eq!(
+            cold.get("status").and_then(JsonValue::as_str),
+            Some("ok"),
+            "{}",
+            cold.to_line()
+        );
+        let path = std::fs::read_dir(&dir)
+            .expect("readable dir")
+            .map(|entry| entry.expect("entry").path())
+            .find(|path| {
+                path.file_name()
+                    .and_then(|name| name.to_str())
+                    .is_some_and(|name| name.starts_with(&format!("{kind}-")))
+            })
+            .expect("the cold query stored its artifact");
+        let pristine = std::fs::read(&path).expect("stored file");
+        let mut misses = 0;
+        for case in 0..300 {
+            let corrupted = corrupt(&pristine, &mut rng);
+            std::fs::write(&path, &corrupted).expect("writable file");
+            let (answer, hit) = replay(&dir, query);
+            assert_eq!(answer, cold, "{kind} case {case}: {corrupted:?}");
+            assert!(
+                !hit || corrupted == pristine,
+                "{kind} case {case}: a changed file was read"
+            );
+            misses += usize::from(!hit);
+        }
+        assert!(misses > 250, "{kind}: only {misses} of 300 were misses");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

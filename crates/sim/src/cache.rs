@@ -3,7 +3,7 @@
 //! Every fault-simulation pass begins the same way: evaluate the fault-free
 //! circuit over each packed pattern chunk.  Passes over the same patterns
 //! at the same width recompute identical good-machine images: a repeated
-//! BIST sweep, or compaction over the patterns of an earlier suite build.
+//! BIST sweep, or a sweep over the patterns of an earlier suite build.
 //! A suite build simulates each pattern once, so it never replays its own
 //! chunks; it only deposits them.
 //!
@@ -82,8 +82,7 @@ struct CacheKey {
 }
 
 /// A bounded, thread-safe memo of good-machine chunk evaluations, shared
-/// across the suite builder, the BIST sweep and compaction (see the module
-/// docs).
+/// across the suite builder and the BIST sweep (see the module docs).
 ///
 /// ```
 /// use lsiq_netlist::library;

@@ -17,8 +17,7 @@ use lsiq_netlist::GateKind;
 ///   [`outputs`](CompiledCircuit::outputs)) — the reference the packed
 ///   mode is checked against,
 /// * bit-parallel over [`PackedBlock`] chunks of `64 × L` patterns
-///   ([`node_chunks`](CompiledCircuit::node_chunks),
-///   [`output_chunks`](CompiledCircuit::output_chunks)), and
+///   ([`node_chunks`](CompiledCircuit::node_chunks)), and
 /// * three-valued for partially assigned inputs
 ///   ([`node_values3`](CompiledCircuit::node_values3)).
 #[derive(Debug, Clone)]
@@ -61,18 +60,7 @@ impl<'c> CompiledCircuit<'c> {
     /// gate id.  Pattern bits are matched to primary inputs positionally;
     /// missing bits default to 0 and extra bits are ignored.
     pub fn node_values(&self, pattern: &Pattern) -> Vec<bool> {
-        let mut values = Vec::new();
-        self.node_values_into(pattern, &mut values);
-        values
-    }
-
-    /// Like [`node_values`](CompiledCircuit::node_values), but reuses a
-    /// caller-owned buffer so repeated single-pattern sweeps (the deductive
-    /// fault simulator evaluates one good machine per pattern) allocate
-    /// nothing after the first call.
-    pub fn node_values_into(&self, pattern: &Pattern, values: &mut Vec<bool>) {
-        values.clear();
-        values.resize(self.circuit.gate_count(), false);
+        let mut values = vec![false; self.circuit.gate_count()];
         for (position, &input) in self.circuit.primary_inputs().iter().enumerate() {
             values[input.index()] = position < pattern.width() && pattern.bit(position);
         }
@@ -86,6 +74,7 @@ impl<'c> CompiledCircuit<'c> {
             fanin_values.extend(gate.fanin().iter().map(|&d| values[d.index()]));
             values[id.index()] = eval_bool(gate.kind(), &fanin_values);
         }
+        values
     }
 
     /// Simulates one pattern and returns only the primary-output response, in
@@ -139,20 +128,6 @@ impl<'c> CompiledCircuit<'c> {
             fanin_chunks.extend(gate.fanin().iter().map(|&d| chunks[d.index()]));
             chunks[id.index()] = eval_chunk(gate.kind(), &fanin_chunks);
         }
-    }
-
-    /// Simulates one lane-wide chunk and returns only the primary output
-    /// chunks.
-    pub fn output_chunks<const L: usize>(
-        &self,
-        input_chunks: &[PackedBlock<L>],
-    ) -> Vec<PackedBlock<L>> {
-        let chunks = self.node_chunks(input_chunks);
-        self.circuit
-            .primary_outputs()
-            .iter()
-            .map(|&out| chunks[out.index()])
-            .collect()
     }
 
     /// Simulates a (possibly partial) three-valued input assignment.

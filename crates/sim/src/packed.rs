@@ -101,15 +101,6 @@ impl<const L: usize> PackedBlock<L> {
         }
         None
     }
-
-    /// Iterates the set pattern slots in ascending order — applied to a
-    /// masked difference `(good ^ faulty) & valid`, the detecting slots.
-    pub fn set_slots(self) -> SetSlots<L> {
-        SetSlots {
-            words: self.0,
-            lane: 0,
-        }
-    }
 }
 
 impl<const L: usize> Default for PackedBlock<L> {
@@ -161,30 +152,6 @@ lane_binop!(BitAnd, bitand, BitAndAssign, bitand_assign, &=);
 lane_binop!(BitOr, bitor, BitOrAssign, bitor_assign, |=);
 lane_binop!(BitXor, bitxor, BitXorAssign, bitxor_assign, ^=);
 
-/// Iterator over the set pattern slots of a chunk, ascending.
-#[derive(Debug, Clone)]
-pub struct SetSlots<const L: usize> {
-    words: [u64; L],
-    lane: usize,
-}
-
-impl<const L: usize> Iterator for SetSlots<L> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.lane < L {
-            let word = self.words[self.lane];
-            if word != 0 {
-                let slot = self.lane * PATTERNS_PER_WORD + word.trailing_zeros() as usize;
-                self.words[self.lane] &= word - 1;
-                return Some(slot);
-            }
-            self.lane += 1;
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,8 +197,6 @@ mod tests {
         chunk.0[3] = 1;
         assert_eq!(chunk.first_set_slot(), Some(2 * 64 + 3));
         assert!(!chunk.is_zero());
-        let slots: Vec<usize> = chunk.set_slots().collect();
-        assert_eq!(slots, vec![131, 192]);
     }
 
     #[test]

@@ -55,15 +55,6 @@ impl Pattern {
     pub fn bits(&self) -> &[bool] {
         &self.bits
     }
-
-    /// Sets the bit for primary input `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn set_bit(&mut self, index: usize, value: bool) {
-        self.bits[index] = value;
-    }
 }
 
 impl fmt::Display for Pattern {
@@ -92,11 +83,6 @@ impl PatternSet {
     /// Creates an empty pattern set.
     pub fn new() -> Self {
         PatternSet::default()
-    }
-
-    /// Creates a pattern set from a vector of patterns.
-    pub fn from_patterns(patterns: Vec<Pattern>) -> Self {
-        PatternSet { patterns }
     }
 
     /// Appends a pattern at the end of the ordered set.
@@ -198,13 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn pattern_mutation_and_display() {
-        let mut p = Pattern::zeros(4);
-        p.set_bit(2, true);
-        assert_eq!(p.to_string(), "0010");
-    }
-
-    #[test]
     fn pattern_set_basics() {
         let mut set = PatternSet::new();
         assert!(set.is_empty());
@@ -214,8 +193,6 @@ mod tests {
         assert_eq!(set.get(0).expect("exists").to_string(), "100");
         assert!(set.get(5).is_none());
         assert_eq!(set.iter().count(), 2);
-        let from_vec = PatternSet::from_patterns(vec![Pattern::zeros(3)]);
-        assert_eq!(from_vec.len(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! seeded loops draw random chunks, pattern counts and gate evaluations,
 //! and pin every lane width (`u64 × 1/4/8`) against a scalar
 //! one-pattern-at-a-time reference — `valid_mask` / `splat` / `bit` /
-//! `set_slots` / `first_set_slot` and full-chunk gate evaluation,
+//! `first_set_slot` / `is_zero` and full-chunk gate evaluation,
 //! including partial-chunk tail masks at pattern counts 1..=512.
 
 use lsiq_netlist::library;
@@ -62,7 +62,9 @@ fn chunk_helpers_property<const L: usize>(seed: u64) {
         let diff = (good ^ faulty) & valid;
 
         // Chunk slot list against the per-lane scalar reference.
-        let slots: Vec<usize> = diff.set_slots().collect();
+        let slots: Vec<usize> = (0..PackedBlock::<L>::PATTERNS)
+            .filter(|&slot| diff.bit(slot))
+            .collect();
         let mut reference = Vec::new();
         for lane in 0..L {
             for slot in reference_differing_slots(good.0[lane], faulty.0[lane], valid.0[lane]) {
@@ -176,7 +178,6 @@ fn circuit_eval_property<const L: usize>(seed: u64) {
             for chunk in 0..patterns.chunk_count(L) {
                 let (input_chunks, count) = patterns.pack_chunk::<L>(width, chunk);
                 let node_chunks = compiled.node_chunks(&input_chunks);
-                let output_chunks = compiled.output_chunks(&input_chunks);
                 for slot in 0..count {
                     let pattern = patterns
                         .get(chunk * PackedBlock::<L>::PATTERNS + slot)
@@ -189,10 +190,6 @@ fn circuit_eval_property<const L: usize>(seed: u64) {
                             "{} L={L} chunk {chunk} slot {slot} gate {gate}",
                             circuit.name()
                         );
-                    }
-                    let scalar_outputs = compiled.outputs(pattern);
-                    for (out, value) in scalar_outputs.iter().enumerate() {
-                        assert_eq!(output_chunks[out].bit(slot), *value);
                     }
                 }
             }

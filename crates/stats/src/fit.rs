@@ -3,70 +3,11 @@
 //! The paper determines its model parameter `n0` by fitting the theoretical
 //! rejection curve `P(f)` to an experimental cumulative-reject curve, and by
 //! measuring the slope of that curve at the origin.  This module supplies the
-//! generic pieces: simple linear regression (optionally through the origin),
-//! residual metrics, and a scalar parameter sweep that minimises the sum of
-//! squared residuals of an arbitrary model function.
+//! generic pieces: a linear regression through the origin, the sum of squared
+//! residuals, and a scalar parameter sweep that minimises that sum for an
+//! arbitrary model function.
 
 use crate::error::StatsError;
-
-/// Result of a simple linear regression `y = intercept + slope * x`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
-    /// Fitted slope.
-    pub slope: f64,
-    /// Fitted intercept.
-    pub intercept: f64,
-    /// Coefficient of determination R².
-    pub r_squared: f64,
-}
-
-/// Performs an ordinary least-squares regression of `y` on `x`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InsufficientData`] when fewer than two points are
-/// supplied or the slices differ in length, and
-/// [`StatsError::InvalidParameter`] when all `x` values are identical.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Result<LinearFit, StatsError> {
-    if x.len() != y.len() || x.len() < 2 {
-        return Err(StatsError::InsufficientData {
-            required: 2,
-            actual: x.len().min(y.len()),
-        });
-    }
-    let n = x.len() as f64;
-    let mean_x = x.iter().sum::<f64>() / n;
-    let mean_y = y.iter().sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    let mut syy = 0.0;
-    for (&xi, &yi) in x.iter().zip(y.iter()) {
-        let dx = xi - mean_x;
-        let dy = yi - mean_y;
-        sxx += dx * dx;
-        sxy += dx * dy;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "x",
-            value: mean_x,
-            expected: "at least two distinct abscissae",
-        });
-    }
-    let slope = sxy / sxx;
-    let intercept = mean_y - slope * mean_x;
-    let r_squared = if syy == 0.0 {
-        1.0
-    } else {
-        (sxy * sxy) / (sxx * syy)
-    };
-    Ok(LinearFit {
-        slope,
-        intercept,
-        r_squared,
-    })
-}
 
 /// Performs a least-squares regression of `y` on `x` constrained through the
 /// origin (`y = slope * x`).
@@ -112,17 +53,6 @@ where
             r * r
         })
         .sum()
-}
-
-/// Root-mean-square error between observations and a model.
-pub fn rmse<F>(x: &[f64], y: &[f64], model: F) -> f64
-where
-    F: Fn(f64) -> f64,
-{
-    if x.is_empty() {
-        return 0.0;
-    }
-    (sum_squared_residuals(x, y, model) / x.len() as f64).sqrt()
 }
 
 /// Result of a one-parameter model scan.
@@ -236,23 +166,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linear_fit_recovers_exact_line() {
-        let x: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| 3.0 * v - 1.5).collect();
-        let fit = linear_fit(&x, &y).expect("fits");
-        assert!((fit.slope - 3.0).abs() < 1e-12);
-        assert!((fit.intercept + 1.5).abs() < 1e-12);
-        assert!((fit.r_squared - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_rejects_degenerate_input() {
-        assert!(linear_fit(&[1.0], &[2.0]).is_err());
-        assert!(linear_fit(&[1.0, 1.0], &[2.0, 3.0]).is_err());
-        assert!(linear_fit(&[1.0, 2.0], &[2.0]).is_err());
-    }
-
-    #[test]
     fn origin_fit_recovers_slope() {
         let x = [0.05, 0.08, 0.10, 0.15];
         let y: Vec<f64> = x.iter().map(|v| 8.2 * v).collect();
@@ -272,8 +185,6 @@ mod tests {
         let y = [1.0, 3.0, 5.0];
         let ssr = sum_squared_residuals(&x, &y, |v| 2.0 * v + 1.0);
         assert!(ssr.abs() < 1e-24);
-        assert!(rmse(&x, &y, |v| 2.0 * v + 1.0).abs() < 1e-12);
-        assert_eq!(rmse(&[], &[], |v| v), 0.0);
     }
 
     #[test]
@@ -293,19 +204,5 @@ mod tests {
     fn scan_minimize_rejects_bad_arguments() {
         assert!(scan_minimize(|t| t, 1.0, 1.0, 10).is_err());
         assert!(scan_minimize(|t| t, 0.0, 1.0, 0).is_err());
-    }
-
-    #[test]
-    fn noisy_linear_fit_r_squared_below_one() {
-        let x: Vec<f64> = (0..50).map(|i| i as f64 / 10.0).collect();
-        // Deterministic "noise" so the test is reproducible.
-        let y: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(i, v)| 2.0 * v + if i % 2 == 0 { 0.3 } else { -0.3 })
-            .collect();
-        let fit = linear_fit(&x, &y).expect("fits");
-        assert!((fit.slope - 2.0).abs() < 0.05);
-        assert!(fit.r_squared < 1.0 && fit.r_squared > 0.9);
     }
 }

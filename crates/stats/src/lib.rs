@@ -38,11 +38,9 @@
 pub mod dist;
 pub mod error;
 pub mod fit;
-pub mod histogram;
 pub mod rng;
 pub mod roots;
 pub mod special;
-pub mod summary;
 
 pub use error::StatsError;
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};

@@ -239,18 +239,6 @@ impl Rng for Xoshiro256StarStar {
     }
 }
 
-/// Fisher–Yates shuffle of a slice using the supplied generator.
-pub fn shuffle<T, R: Rng + ?Sized>(items: &mut [T], rng: &mut R) {
-    let len = items.len();
-    if len < 2 {
-        return;
-    }
-    for i in (1..len).rev() {
-        let j = rng.next_index(i + 1);
-        items.swap(i, j);
-    }
-}
-
 /// Draws sets of distinct indices from `[0, len)` with Floyd's algorithm,
 /// reusing its scratch from one draw to the next.
 ///
@@ -409,21 +397,6 @@ mod tests {
         let hits = (0..n).filter(|_| rng.next_bool(0.3)).count();
         let frac = hits as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.01, "observed {frac}");
-    }
-
-    #[test]
-    fn shuffle_preserves_elements() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(23);
-        let mut items: Vec<u32> = (0..100).collect();
-        shuffle(&mut items, &mut rng);
-        let mut sorted = items.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            items,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle should permute"
-        );
     }
 
     #[test]

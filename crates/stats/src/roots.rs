@@ -2,8 +2,7 @@
 //!
 //! The quality model needs to invert monotone relations such as eq. (8)
 //! (field reject rate as a function of fault coverage) for which a bracketing
-//! bisection is robust and more than fast enough, plus a safeguarded Newton
-//! iteration for smooth well-behaved cases.
+//! bisection is robust and more than fast enough.
 
 use crate::error::StatsError;
 
@@ -70,69 +69,6 @@ where
     })
 }
 
-/// Finds a root of `f` with Newton's method, falling back to bisection inside
-/// `[lo, hi]` whenever a Newton step leaves the bracket or the derivative is
-/// too small.
-///
-/// # Errors
-///
-/// Returns the same errors as [`bisect`].
-pub fn newton_bracketed<F, D>(
-    mut f: F,
-    mut derivative: D,
-    lo: f64,
-    hi: f64,
-    initial: f64,
-    options: RootOptions,
-) -> Result<f64, StatsError>
-where
-    F: FnMut(f64) -> f64,
-    D: FnMut(f64) -> f64,
-{
-    let (mut lo, mut hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-    let f_lo = f(lo);
-    let f_hi = f(hi);
-    if f_lo == 0.0 {
-        return Ok(lo);
-    }
-    if f_hi == 0.0 {
-        return Ok(hi);
-    }
-    if f_lo.signum() == f_hi.signum() {
-        return Err(StatsError::InvalidBracket { lo, hi });
-    }
-    let mut x = initial.clamp(lo, hi);
-    for _ in 0..options.max_iterations {
-        let fx = f(x);
-        if fx.abs() <= options.f_tolerance {
-            return Ok(x);
-        }
-        // Shrink the bracket around the sign change.
-        if fx.signum() == f_lo.signum() {
-            lo = x;
-        } else {
-            hi = x;
-        }
-        if (hi - lo) <= options.x_tolerance {
-            return Ok(0.5 * (lo + hi));
-        }
-        let dfx = derivative(x);
-        let newton_step = if dfx.abs() > 1e-300 {
-            x - fx / dfx
-        } else {
-            f64::NAN
-        };
-        x = if newton_step.is_finite() && newton_step > lo && newton_step < hi {
-            newton_step
-        } else {
-            0.5 * (lo + hi)
-        };
-    }
-    Err(StatsError::NoConvergence {
-        iterations: options.max_iterations,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,43 +94,6 @@ mod tests {
     #[test]
     fn bisect_rejects_bad_bracket() {
         let err = bisect(|x| x * x + 1.0, -1.0, 1.0, RootOptions::default()).unwrap_err();
-        assert!(matches!(err, StatsError::InvalidBracket { .. }));
-    }
-
-    #[test]
-    fn newton_converges_quadratically_on_smooth_function() {
-        let root = newton_bracketed(
-            |x| x.exp() - 3.0,
-            |x| x.exp(),
-            0.0,
-            2.0,
-            1.0,
-            RootOptions::default(),
-        )
-        .expect("bracketed");
-        assert!((root - 3.0_f64.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn newton_falls_back_to_bisection_on_flat_derivative() {
-        // Derivative reported as zero everywhere: should still converge by
-        // bisection fallback.
-        let root = newton_bracketed(|x| x - 0.25, |_| 0.0, 0.0, 1.0, 0.9, RootOptions::default())
-            .expect("bracketed");
-        assert!((root - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn newton_rejects_bad_bracket() {
-        let err = newton_bracketed(
-            |x| x * x + 1.0,
-            |x| 2.0 * x,
-            -1.0,
-            1.0,
-            0.0,
-            RootOptions::default(),
-        )
-        .unwrap_err();
         assert!(matches!(err, StatsError::InvalidBracket { .. }));
     }
 

@@ -108,100 +108,6 @@ pub fn binomial(n: u64, k: u64) -> f64 {
     }
 }
 
-/// The regularised lower incomplete gamma function `P(a, x)`.
-///
-/// Used for Poisson CDF evaluation.  Follows the series/continued-fraction
-/// split of Numerical Recipes.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `x < 0`.
-pub fn regularized_gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "regularized_gamma_p requires a > 0, got {a}");
-    assert!(x >= 0.0, "regularized_gamma_p requires x >= 0, got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_continued_fraction(a, x)
-    }
-}
-
-/// The regularised upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`.
-pub fn regularized_gamma_q(a: f64, x: f64) -> f64 {
-    1.0 - regularized_gamma_p(a, x)
-}
-
-fn gamma_p_series(a: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 500;
-    const EPS: f64 = 1e-15;
-    let mut term = 1.0 / a;
-    let mut sum = term;
-    let mut denom = a;
-    for _ in 0..MAX_ITER {
-        denom += 1.0;
-        term *= x / denom;
-        sum += term;
-        if term.abs() < sum.abs() * EPS {
-            break;
-        }
-    }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
-}
-
-fn gamma_q_continued_fraction(a: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 500;
-    const EPS: f64 = 1e-15;
-    const TINY: f64 = 1e-300;
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / TINY;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..=MAX_ITER {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = b + an / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        let delta = d * c;
-        h *= delta;
-        if (delta - 1.0).abs() < EPS {
-            break;
-        }
-    }
-    (-x + a * x.ln() - ln_gamma(a)).exp() * h
-}
-
-/// Numerically stable `ln(1 + x)` wrapper (thin alias for discoverability).
-pub fn ln_1p(x: f64) -> f64 {
-    x.ln_1p()
-}
-
-/// Numerically stable `exp(x) - 1` wrapper (thin alias for discoverability).
-pub fn exp_m1(x: f64) -> f64 {
-    x.exp_m1()
-}
-
-/// Computes `log(sum(exp(values)))` without overflow.
-///
-/// Returns negative infinity for an empty slice.
-pub fn log_sum_exp(values: &[f64]) -> f64 {
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        return max;
-    }
-    let sum: f64 = values.iter().map(|v| (v - max).exp()).sum();
-    max + sum.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,61 +182,6 @@ mod tests {
                 let rhs = binomial(n - 1, k - 1) + binomial(n - 1, k);
                 assert_close(lhs, rhs, 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn regularized_gamma_p_known_values() {
-        // P(1, x) = 1 - exp(-x)
-        for &x in &[0.1, 0.5, 1.0, 2.0, 5.0, 10.0] {
-            assert_close(regularized_gamma_p(1.0, x), 1.0 - (-x).exp(), 1e-12);
-        }
-        // P(a, 0) = 0
-        assert_eq!(regularized_gamma_p(3.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn regularized_gamma_p_q_sum_to_one() {
-        for &a in &[0.5, 1.0, 2.5, 10.0, 40.0] {
-            for &x in &[0.1, 1.0, 5.0, 20.0, 60.0] {
-                let p = regularized_gamma_p(a, x);
-                let q = regularized_gamma_q(a, x);
-                assert_close(p + q, 1.0, 1e-12);
-                assert!((0.0..=1.0).contains(&p));
-            }
-        }
-    }
-
-    #[test]
-    fn regularized_gamma_p_is_monotone_in_x() {
-        let a = 3.7;
-        let mut prev = 0.0;
-        for i in 0..200 {
-            let x = i as f64 * 0.1;
-            let p = regularized_gamma_p(a, x);
-            assert!(p + 1e-15 >= prev, "P(a,x) must be non-decreasing in x");
-            prev = p;
-        }
-    }
-
-    #[test]
-    fn log_sum_exp_basic() {
-        let values = [0.0_f64.ln(), 1.0_f64.ln(), 2.0_f64.ln()];
-        // log(0 + 1 + 2) = ln 3.  ln(0) is -inf and must be handled.
-        assert_close(log_sum_exp(&values), 3.0_f64.ln(), 1e-12);
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn log_sum_exp_handles_large_magnitudes() {
-        let values = [1000.0, 1000.0];
-        assert_close(log_sum_exp(&values), 1000.0 + 2.0_f64.ln(), 1e-12);
-    }
-
-    #[test]
-    fn ln_1p_and_exp_m1_are_consistent() {
-        for &x in &[1e-12, 1e-6, 0.1, 1.0] {
-            assert_close(exp_m1(ln_1p(x)), x, 1e-12);
         }
     }
 }

@@ -7,7 +7,6 @@
 //! * [`random`] — seeded uniform random patterns (LFSR and STUMPS sources
 //!   live in `lsiq-bist`),
 //! * [`podem`] — a PODEM combinational ATPG for targeting specific faults,
-//! * [`compaction`] — reverse-order fault-simulation compaction,
 //! * [`suite`] — an end-to-end builder that combines random generation with
 //!   PODEM top-up to reach a target coverage, producing the ordered pattern
 //!   set the production-line tester applies.
@@ -23,7 +22,6 @@
 //! assert_eq!(patterns.len(), 16);
 //! ```
 
-pub mod compaction;
 pub mod podem;
 pub mod random;
 pub mod suite;

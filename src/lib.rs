@@ -30,7 +30,7 @@
 //!   signature compaction, per-fault signature dictionaries and aliasing
 //!   analysis (driven by [`Session::run_bist_sweep`] and the
 //!   `LSIQ_TEST_MODE=bist` wafer-test mode),
-//! * [`tpg`] — random/LFSR pattern generation, PODEM and compaction,
+//! * [`tpg`] — random pattern generation, PODEM and the test-suite builder,
 //! * [`manufacturing`] — defects, wafers, chip lots, the Sentry-like tester
 //!   and the multi-threaded production-line pipeline
 //!   ([`ParallelLotRunner`](manufacturing::pipeline::ParallelLotRunner) /

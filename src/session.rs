@@ -131,8 +131,8 @@ pub struct LineExperiment {
 /// A configured run: the typed [`RunConfig`] plus the persistent
 /// [`ExecutionContext`] worker pool every parallel stage executes on, and
 /// the session-wide [`GoodMachineCache`] those stages share — a suite
-/// build, a signature sweep and a compaction pass over the same patterns
-/// pay for the fault-free simulation once.
+/// build and a signature sweep over the same patterns pay for the
+/// fault-free simulation once.
 pub struct Session {
     config: RunConfig,
     context: ExecutionContext,
@@ -183,9 +183,8 @@ impl Session {
     /// The session's shared good-machine cache.  Every chunked
     /// fault-simulation stage the session runs — suite builds, signature
     /// sweeps — deposits and reuses fault-free chunk images here; hand it
-    /// to [`TestSuiteBuilder::build_cached`] or
-    /// [`reverse_order_compaction`](lsiq_tpg::compaction::reverse_order_compaction)
-    /// to join an external stage to the same pool.
+    /// to [`TestSuiteBuilder::build_cached`] to join an external stage to
+    /// the same pool.
     pub fn good_machine_cache(&self) -> &GoodMachineCache {
         &self.cache
     }
@@ -204,13 +203,6 @@ impl Session {
     /// A lot runner bound to the session's pool.
     pub fn lot_runner(&self) -> ParallelLotRunner<'_> {
         ParallelLotRunner::with_context(&self.context)
-    }
-
-    /// A suite builder carrying the session's engine choice; pair it with
-    /// [`TestSuiteBuilder::build_cached`] and [`Session::context`] to fault
-    /// simulate on the session's pool.
-    pub fn suite_builder(&self) -> TestSuiteBuilder {
-        TestSuiteBuilder::default().with_run_config(&self.config)
     }
 
     /// The exact suite builder of the production-line flow
@@ -255,10 +247,7 @@ impl Session {
     ///
     /// Returns a [`ConfigError`] (named after the `LSIQ_SCAN_CHAINS` knob)
     /// when the plan asks for more chains than the device has flip-flops.
-    pub fn scan_reproduction_circuit(
-        full: bool,
-        plan: ScanPlan,
-    ) -> Result<ScanCircuit, ConfigError> {
+    fn scan_reproduction_circuit(full: bool, plan: ScanPlan) -> Result<ScanCircuit, ConfigError> {
         let target = if full { 25_000 } else { 10_000 };
         let sequential = sequential_lsi_class(LsiClassConfig {
             target_transistors: target,
@@ -481,13 +470,6 @@ impl Session {
             seed: self.config.seed_or(PROGRAMME_SEED),
         })?;
         let all_patterns = generator.generate(max_length);
-        let defect_level = |coverage: f64| {
-            field_reject_rate(
-                &params,
-                FaultCoverage::new(coverage.clamp(0.0, 1.0)).expect("clamped into range"),
-            )
-            .value()
-        };
         // One fault-simulation pass at the maximum length serves the whole
         // grid: shorter lengths are derived from recorded first-failure
         // patterns and partial-session snapshots, byte-identical to a fresh
@@ -508,19 +490,7 @@ impl Session {
         let mut rows = Vec::with_capacity(spec.test_lengths.len() * spec.signature_widths.len());
         for (dictionaries, &test_length) in grid.iter().zip(&spec.test_lengths) {
             for dictionary in dictionaries {
-                let report = AliasingReport::from_dictionary(dictionary);
-                rows.push(BistSweepRow {
-                    test_length,
-                    signature_width: dictionary.signature_width(),
-                    sessions: dictionary.sessions(),
-                    raw_coverage: report.raw_coverage(),
-                    effective_coverage: report.effective_coverage(),
-                    aliased: report.aliased,
-                    aliasing_fraction: report.aliasing_fraction(),
-                    estimated_aliasing_fraction: report.estimated_aliasing_fraction(),
-                    defect_level_raw: defect_level(report.raw_coverage()),
-                    defect_level_effective: defect_level(report.effective_coverage()),
-                });
+                rows.push(BistSweepRow::new(test_length, dictionary, &params));
             }
         }
         Ok(BistSweep {
@@ -597,6 +567,39 @@ pub struct BistSweepRow {
     pub defect_level_effective: f64,
 }
 
+impl BistSweepRow {
+    /// The row of a `test_length`-pattern self-test summarised by
+    /// `dictionary`: its raw and aliasing-corrected coverages and the eq. 8
+    /// defect level at each under `params` (coverages clamped into
+    /// `[0, 1]`).
+    pub fn new(
+        test_length: usize,
+        dictionary: &SignatureDictionary,
+        params: &ModelParams,
+    ) -> BistSweepRow {
+        let report = AliasingReport::from_dictionary(dictionary);
+        let defect_level = |coverage: f64| {
+            field_reject_rate(
+                params,
+                FaultCoverage::new(coverage.clamp(0.0, 1.0)).expect("clamped into range"),
+            )
+            .value()
+        };
+        BistSweepRow {
+            test_length,
+            signature_width: dictionary.signature_width(),
+            sessions: dictionary.sessions(),
+            raw_coverage: report.raw_coverage(),
+            effective_coverage: report.effective_coverage(),
+            aliased: report.aliased,
+            aliasing_fraction: report.aliasing_fraction(),
+            estimated_aliasing_fraction: report.estimated_aliasing_fraction(),
+            defect_level_raw: defect_level(report.raw_coverage()),
+            defect_level_effective: defect_level(report.effective_coverage()),
+        }
+    }
+}
+
 /// The result of a [`Session::run_bist_sweep`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BistSweep {
@@ -625,7 +628,10 @@ mod tests {
         );
         assert_eq!(session.config().engine(), EngineKind::Deductive);
         assert_eq!(session.context().workers(), 2);
-        assert_eq!(session.suite_builder().engine, EngineKind::Deductive);
+        assert_eq!(
+            session.line_suite_builder(&library::c17()).engine,
+            EngineKind::Deductive
+        );
         assert_eq!(session.lot_runner().threads_for(100_000), 2);
     }
 
@@ -638,7 +644,10 @@ mod tests {
                 .with_workers(2)
                 .with_lanes(LaneWidth::X4),
         );
-        assert_eq!(session.suite_builder().lanes, LaneWidth::X4);
+        assert_eq!(
+            session.line_suite_builder(&library::c17()).lanes,
+            LaneWidth::X4
+        );
 
         let circuit = library::alu4();
         let spec = BistSweepSpec {

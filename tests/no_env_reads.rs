@@ -132,11 +132,7 @@ fn run_stages(pool: &ExecutionContext) -> Outputs {
         StreamingLotExecutor::default(),
         StreamingLotExecutor::with_context(pool),
     ]
-    .map(|executor| {
-        executor
-            .with_block_len(300)
-            .stream_model_lot(&config, &dictionary, &coverage, &checkpoints)
-    });
+    .map(|executor| executor.stream_model_lot(&config, &dictionary, &coverage, &checkpoints));
 
     let sweep = LotSweep {
         chips: 300,
