@@ -13,7 +13,8 @@
 use lsiq_core::coverage_requirement::required_fault_coverage;
 use lsiq_core::params::{ModelParams, RejectRate, Yield};
 use lsiq_manufacturing::defect::DefectModel;
-use lsiq_manufacturing::lot::{ChipLot, PhysicalLotConfig};
+use lsiq_manufacturing::lot::PhysicalLotConfig;
+use lsiq_manufacturing::pipeline::ParallelLotRunner;
 
 fn main() {
     println!("Ablation — clustering (lambda) and faults per defect versus emergent (y, n0)\n");
@@ -23,7 +24,7 @@ fn main() {
     for &lambda in &[0.25, 1.0, 4.0] {
         for &extra in &[0.0, 3.0, 9.0] {
             let defect_model = DefectModel::new(2.66, lambda).expect("valid defect model");
-            let lot = ChipLot::from_physical(&PhysicalLotConfig {
+            let lot = ParallelLotRunner::default().generate_physical_lot(&PhysicalLotConfig {
                 chips: 5_000,
                 defect_model,
                 extra_faults_per_defect: extra,

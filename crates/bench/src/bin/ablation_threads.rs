@@ -3,12 +3,13 @@
 //! The lot workload is embarrassingly parallel — every chip draws from its
 //! own RNG stream and is tested independently — so the pipeline should scale
 //! with cores until memory bandwidth intervenes.  This ablation measures the
-//! full per-lot pipeline (generate a 10 000-chip lot through both the
-//! physical-defect and statistical-model generators, wafer-test it, tabulate
-//! the full-resolution reject table) at increasing worker counts, checking
-//! at each count that the results stay byte-identical to the serial path,
-//! and then repeats the exercise one level up: a `(y, n0)` grid sweep of
-//! whole 10k-chip lots fanned across threads by `LotSweep`.
+//! full per-lot pipeline at increasing worker counts: a 10 000-chip
+//! physical-defect lot generated, wafer-tested and tabulated at full
+//! resolution, and a 10 000-chip statistical-model lot streamed through the
+//! same test.  At each count it checks that the results stay byte-identical
+//! to the 1-worker run, and then repeats the exercise one level up: a
+//! `(y, n0)` grid sweep of whole 10k-chip lots fanned across threads by
+//! `LotSweep`.
 //!
 //! Configuration routes through the typed `Session` (the `LSIQ_ENGINE`
 //! knob picks the fault-simulation engine that builds the test programme);
@@ -27,7 +28,7 @@ use lsiq_fault::universe::FaultUniverse;
 use lsiq_manufacturing::defect::DefectModel;
 use lsiq_manufacturing::lot::{ModelLotConfig, PhysicalLotConfig};
 use lsiq_manufacturing::pipeline::{LotSweep, ParallelLotRunner};
-use lsiq_tpg::suite::TestSuiteBuilder;
+use lsiq_manufacturing::streaming::StreamingLotExecutor;
 use std::time::Instant;
 
 /// Repetitions per measurement; the best (minimum) time is reported, the
@@ -57,19 +58,15 @@ fn main() {
     );
 
     // The test programme, built once on the session's engine and pool: an
-    // LSI-class device and its suite.
+    // LSI-class device and its production-line suite.
     let circuit = Session::reproduction_circuit(false);
     let universe = FaultUniverse::full(&circuit);
-    let suite = TestSuiteBuilder {
-        seed: 1981,
-        chunk: 64,
-        max_random_patterns: 192,
-        target_coverage: 0.95,
-        podem_top_up: false,
-        ..TestSuiteBuilder::default()
-    }
-    .with_run_config(session.config())
-    .build_cached(Some(session.context()), None, &circuit, &universe);
+    let suite = session.line_suite_builder(&circuit).build_cached(
+        Some(session.context()),
+        None,
+        &circuit,
+        &universe,
+    );
     let coverage = CoverageCurve::from_fault_list(&suite.fault_list, suite.patterns.len());
     let dictionary = FaultDictionary::from_fault_list(&suite.fault_list);
     println!(
@@ -106,22 +103,27 @@ fn main() {
         seed: 1981,
     };
     let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-    let run_lot = |runner: &ParallelLotRunner| {
+    let run_lot = |context: &ExecutionContext| {
+        let runner = ParallelLotRunner::with_context(context);
         let physical = runner.generate_physical_lot(&physical_config);
         let records = runner.test_lot(&dictionary, &physical);
         let experiment = runner.experiment(&records, &coverage, &checkpoints);
-        let model = runner.run_model_line(&model_config, &dictionary, &coverage);
+        let model = StreamingLotExecutor::with_context(context).stream_model_lot(
+            &model_config,
+            &dictionary,
+            &coverage,
+            &checkpoints,
+        );
         (physical, records, experiment, model)
     };
-    let reference = run_lot(&ParallelLotRunner::with_context(&contexts[0]));
+    let reference = run_lot(&contexts[0]);
     println!("\n10k-chip lot (physical + model pipelines): generate + wafer-test + reject table");
     println!("threads | seconds | speedup | identical to serial");
     println!("--------|---------|---------|--------------------");
     let mut serial_seconds = 0.0;
     for context in &contexts {
         let threads = context.workers();
-        let runner = ParallelLotRunner::with_context(context);
-        let (seconds, outcome) = best_of(|| run_lot(&runner));
+        let (seconds, outcome) = best_of(|| run_lot(context));
         if threads == 1 {
             serial_seconds = seconds;
         }

@@ -1,7 +1,7 @@
 //! Per-fault signature dictionaries.
 //!
 //! The stored-pattern flow records, per fault, the first *pattern* that
-//! detects it ([`FaultDictionary`](lsiq_fault::dictionary::FaultDictionary)).
+//! detects it ([`FaultDictionary`]).
 //! Under BIST the tester only observes MISR readouts, so the per-fault
 //! record becomes the first *test session* whose signature differs from the
 //! fault-free one — and a fault whose responses differ but whose session
@@ -35,6 +35,7 @@ use crate::lfsr::SUPPORTED_DEGREES;
 use crate::span_step::{LaneSpan, SpanStep, MAX_SPAN};
 use lsiq_exec::{shard_map, ExecutionContext, LaneWidth};
 use lsiq_fault::cone::{good_chunks, ConePropagator, GoodChunk};
+use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::model::Fault;
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::circuit::Circuit;
@@ -80,11 +81,11 @@ impl Default for BistPlan {
 /// Per-fault first-failing-session and aliasing records for one fault
 /// universe under one ordered pattern set and one [`BistPlan`].
 ///
-/// The BIST analogue of
-/// [`FaultDictionary`](lsiq_fault::dictionary::FaultDictionary): the
-/// signature tester consults it to decide at which session a defective chip
-/// first fails, and the [`AliasingReport`](crate::aliasing::AliasingReport)
-/// folds its aliased-fault count into the effective-coverage figure.
+/// The BIST analogue of [`FaultDictionary`]: its
+/// [`readout_dictionary`](Self::readout_dictionary) tells a lot tester at
+/// which readout a defective chip first fails, and the
+/// [`AliasingReport`](crate::aliasing::AliasingReport) folds its
+/// aliased-fault count into the effective-coverage figure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureDictionary {
     session_len: usize,
@@ -482,21 +483,27 @@ impl SignatureDictionary {
         self.first_fail.iter().filter(|f| f.is_some()).count()
     }
 
-    /// The first session at which a chip carrying exactly the faults in
-    /// `fault_indices` fails its signature compare, or `None` if every
-    /// readout matches.
+    /// The self-test as a tester observes it over `pattern_count` applied
+    /// patterns: a [`FaultDictionary`] whose record for each fault is the
+    /// pattern at which its first failing session is read out,
+    /// `(s + 1) · session_len − 1`, clamped to the last pattern for a
+    /// trailing partial session.  Undetected and aliased faults have no
+    /// record.
     ///
-    /// This mirrors
-    /// [`FaultDictionary::first_failure_of_chip`](lsiq_fault::dictionary::FaultDictionary::first_failure_of_chip)
-    /// under the same single-fault-detectability assumption: the chip's
-    /// faults are equivalent to a set of independently observable stuck-at
-    /// faults, so its signature first diverges at the earliest first-failing
-    /// session over them.
-    pub fn first_failure_of_chip(&self, fault_indices: &[usize]) -> Option<usize> {
-        fault_indices
-            .iter()
-            .filter_map(|&index| self.first_failing_session(index))
-            .min()
+    /// The readout pattern grows with the session, so a chip's earliest
+    /// record over its faults
+    /// ([`FaultDictionary::first_failure_of_chip`]) is the readout of its
+    /// earliest failing session: a lot tested against this dictionary is
+    /// rejected exactly where the signature compare would reject it.
+    pub fn readout_dictionary(&self, pattern_count: usize) -> FaultDictionary {
+        let last = pattern_count.saturating_sub(1);
+        // `session_len >= 1`, so the saturated product is at least 1.
+        let readout = |session: usize| (session + 1).saturating_mul(self.session_len) - 1;
+        FaultDictionary::from_first_patterns(
+            self.first_fail
+                .iter()
+                .map(|session| session.map(|session| readout(session).min(last))),
+        )
     }
 }
 
@@ -1179,14 +1186,6 @@ mod tests {
         assert_eq!(dictionary.raw_detected_count(), universe.len());
         assert_eq!(dictionary.signature_detected_count(), universe.len());
         assert!(dictionary.aliased_indices().is_empty());
-        // Chip-level failure mirrors the per-fault minimum.
-        let first0 = dictionary.first_failing_session(0).expect("detected");
-        let first5 = dictionary.first_failing_session(5).expect("detected");
-        assert_eq!(
-            dictionary.first_failure_of_chip(&[0, 5]),
-            Some(first0.min(first5))
-        );
-        assert_eq!(dictionary.first_failure_of_chip(&[]), None);
     }
 
     #[test]
@@ -1195,6 +1194,13 @@ mod tests {
         let _ = SignatureDictionary::from_parts(8, 16, vec![7], vec![None, Some(0)], vec![true; 2]);
         let _ =
             SignatureDictionary::from_parts(8, 16, vec![7], vec![None, Some(0)], vec![false; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 pattern")]
+    fn from_parts_refuses_a_zero_length_session() {
+        // A readout at `(s + 1) · session_len − 1` needs a session length.
+        let _ = SignatureDictionary::from_parts(0, 16, vec![7], vec![Some(0)], vec![true]);
     }
 
     #[test]

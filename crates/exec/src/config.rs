@@ -114,9 +114,11 @@ impl FromStr for EngineKind {
 /// How the wafer tester observes a chip: per-pattern stored responses, or
 /// per-session BIST signatures.
 ///
-/// Like [`EngineKind`] this is pure configuration data; the testers
-/// themselves live in `lsiq-manufacturing` (`WaferTester` for `Stored`,
-/// `SignatureTester` for `Bist`), which this crate does not depend on.
+/// Like [`EngineKind`] this is pure configuration data.  Both modes test a
+/// lot with the same tester in `lsiq-manufacturing`; they differ in the
+/// first-failing-pattern dictionary it consults: the fault simulation's
+/// for `Stored`, the signature dictionary's readout dictionary
+/// (`lsiq-bist`) for `Bist`.  This crate depends on neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TestMode {
     /// The Sentry-like stored-pattern tester: every applied pattern's

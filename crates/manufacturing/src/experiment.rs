@@ -163,8 +163,8 @@ impl RejectExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lot::{ChipLot, ModelLotConfig};
-    use crate::tester::WaferTester;
+    use crate::lot::ModelLotConfig;
+    use crate::pipeline::ParallelLotRunner;
     use lsiq_fault::dictionary::FaultDictionary;
     use lsiq_fault::incremental::IncrementalSimulator;
     use lsiq_fault::simulator::FaultSimulator;
@@ -181,14 +181,15 @@ mod tests {
         let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let coverage = CoverageCurve::from_fault_list(&list, patterns.len());
         let dictionary = FaultDictionary::from_fault_list(&list);
-        let lot = ChipLot::from_model(&ModelLotConfig {
+        let runner = ParallelLotRunner::default();
+        let lot = runner.generate_model_lot(&ModelLotConfig {
             chips,
             yield_fraction,
             n0: 5.0,
             fault_universe_size: universe.len(),
             seed,
         });
-        let records = WaferTester::new(&dictionary).test_lot(&lot);
+        let records = runner.test_lot(&dictionary, &lot);
         every_count(&records, &coverage)
     }
 
@@ -232,14 +233,15 @@ mod tests {
         let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let coverage = CoverageCurve::from_fault_list(&list, patterns.len());
         let dictionary = FaultDictionary::from_fault_list(&list);
-        let lot = ChipLot::from_model(&ModelLotConfig {
+        let runner = ParallelLotRunner::default();
+        let lot = runner.generate_model_lot(&ModelLotConfig {
             chips: 100,
             yield_fraction: 0.5,
             n0: 2.0,
             fault_universe_size: universe.len(),
             seed: 11,
         });
-        let records = WaferTester::new(&dictionary).test_lot(&lot);
+        let records = runner.test_lot(&dictionary, &lot);
         let full = every_count(&records, &coverage);
         let sampled = RejectExperiment::tabulate(&records, &coverage, &[4, 8, 16]);
         assert_eq!(sampled.rows().len(), 3);

@@ -98,8 +98,8 @@ mod tests {
         // a seeded 400-chip model lot.  Any change to the RNG streams, the
         // lot generator, the tester or the bookkeeping shows up here as an
         // exact mismatch, not a tolerance drift.
-        use crate::lot::{ChipLot, ModelLotConfig};
-        use crate::tester::WaferTester;
+        use crate::lot::ModelLotConfig;
+        use crate::pipeline::ParallelLotRunner;
         use lsiq_fault::dictionary::FaultDictionary;
         use lsiq_fault::incremental::IncrementalSimulator;
         use lsiq_fault::simulator::FaultSimulator;
@@ -114,14 +114,15 @@ mod tests {
             .collect();
         let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         let dictionary = FaultDictionary::from_fault_list(&list);
-        let lot = ChipLot::from_model(&ModelLotConfig {
+        let runner = ParallelLotRunner::default();
+        let lot = runner.generate_model_lot(&ModelLotConfig {
             chips: 400,
             yield_fraction: 0.3,
             n0: 2.0,
             fault_universe_size: universe.len(),
             seed: 1981,
         });
-        let records = WaferTester::new(&dictionary).test_lot(&lot);
+        let records = runner.test_lot(&dictionary, &lot);
         let outcome = FieldOutcome::from_records(&records);
         assert_eq!(
             outcome,

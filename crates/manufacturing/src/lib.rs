@@ -14,38 +14,42 @@
 //! * [`chip`], [`lot`] — simulated chips and chip lots, generated either
 //!   directly from the paper's statistical model (known ground-truth `n0`)
 //!   or from the physical defect pipeline (emergent `n0`),
-//! * [`tester`] — a Sentry-like wafer tester that applies an ordered pattern
-//!   set and records each chip's first failing pattern,
-//! * [`bist_test`] — the BIST alternative: a [`SignatureTester`] comparing
-//!   per-session MISR signatures and recording each chip's first failing
-//!   *session* (selected by [`TestMode`](lsiq_exec::TestMode) /
-//!   `LSIQ_TEST_MODE=bist`),
+//! * [`tester`] — the Sentry-like wafer tester's record of each chip's first
+//!   failing pattern,
 //! * [`experiment`] — the Table-1 style cumulative-reject experiment,
 //! * [`field`] — field-reject measurement over the shipped (passing) chips,
 //!   and
 //! * [`pipeline`] — the multi-threaded production line:
-//!   [`ParallelLotRunner`] shards one lot's chips across pooled worker
-//!   threads with byte-identical results, and [`LotSweep`] fans whole
-//!   `(y, n0)` experiment grids across lots.  Both run on the persistent
+//!   [`ParallelLotRunner`] generates a lot, wafer-tests it and tabulates its
+//!   reject table, sharding each stage's chips across pooled worker threads
+//!   with byte-identical results, and [`LotSweep`] fans whole `(y, n0)`
+//!   experiment grids across lots.  Both run on the persistent
 //!   [`ExecutionContext`](lsiq_exec::ExecutionContext) their caller binds
 //!   (a session's, typically), or on the calling thread without one, and
 //! * [`streaming`] — the memory-bounded counterpart:
-//!   [`StreamingLotExecutor`] folds fixed-size blocks of chips into running
-//!   integer statistics, so billion-chip lots run in
-//!   `O(workers × (patterns + faults / 64))` memory with byte-identical
-//!   results to the in-memory path.
+//!   [`StreamingLotExecutor`] draws, tests and folds each model chip into
+//!   running integer statistics without building a chip record, so
+//!   billion-chip lots run in `O(workers × (patterns + faults / 64))`
+//!   memory with byte-identical results to a generated, tested and
+//!   tabulated lot.  A session's production line and every sweep point
+//!   evaluate their lots this way.
 //!
 //! The chips of a lot are testable against any pattern suite summarised by a
 //! [`FaultDictionary`](lsiq_fault::dictionary::FaultDictionary) — typically
 //! one built by `lsiq_tpg`'s suite builder from a fault simulation over a
-//! [`FaultUniverse`](lsiq_fault::universe::FaultUniverse).
+//! [`FaultUniverse`](lsiq_fault::universe::FaultUniverse).  A BIST
+//! self-test reaches the same tester through its signature dictionary's
+//! readout dictionary (`lsiq_bist`), which records each fault at the
+//! pattern where its first failing signature is read out (selected by
+//! [`TestMode`](lsiq_exec::TestMode) / `LSIQ_TEST_MODE=bist`).
 //!
 //! # Quick example
 //!
 //! ```
-//! use lsiq_manufacturing::lot::{ChipLot, ModelLotConfig};
+//! use lsiq_manufacturing::lot::ModelLotConfig;
+//! use lsiq_manufacturing::pipeline::ParallelLotRunner;
 //!
-//! let lot = ChipLot::from_model(&ModelLotConfig {
+//! let lot = ParallelLotRunner::default().generate_model_lot(&ModelLotConfig {
 //!     chips: 100,
 //!     yield_fraction: 0.3,
 //!     n0: 5.0,
@@ -56,7 +60,6 @@
 //! assert!(lot.observed_yield() > 0.1 && lot.observed_yield() < 0.5);
 //! ```
 
-pub mod bist_test;
 pub mod chip;
 pub mod defect;
 pub mod defect_map;
@@ -68,9 +71,8 @@ pub mod streaming;
 pub mod tester;
 pub mod wafer;
 
-pub use bist_test::{SessionRecord, SignatureTester};
 pub use chip::Chip;
 pub use lot::{ChipLot, ModelLotConfig, PhysicalLotConfig};
-pub use pipeline::{LotOutcome, LotSweep, ParallelLotRunner, SweepPoint, SweepResult};
+pub use pipeline::{LotSweep, ParallelLotRunner, SweepPoint, SweepResult};
 pub use streaming::{StreamedLot, StreamingLotExecutor};
-pub use tester::{TestRecord, WaferTester};
+pub use tester::TestRecord;

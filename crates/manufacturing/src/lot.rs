@@ -1,25 +1,24 @@
-//! Chip-lot generation.
+//! Chip lots and their generator configurations.
 //!
-//! Two generators are provided:
+//! A lot is drawn by
+//! [`ParallelLotRunner`](crate::pipeline::ParallelLotRunner) in one of two
+//! ways:
 //!
-//! * [`ChipLot::from_model`] draws chips directly from the paper's
-//!   statistical model (yield `y`, shifted-Poisson fault count with mean
-//!   `n0`), giving experiments a known ground truth to validate the
-//!   estimation procedure against, and
-//! * [`ChipLot::from_physical`] runs the physical pipeline (clustered
+//! * from the paper's statistical model ([`ModelLotConfig`]: yield `y`,
+//!   shifted-Poisson fault count with mean `n0`), giving experiments a known
+//!   ground truth to validate the estimation procedure against, or
+//! * through the physical pipeline ([`PhysicalLotConfig`]: clustered
 //!   defects → defect-to-fault mapping), in which `y` and `n0` are emergent
 //!   quantities, as on a real processing line.
 //!
 //! Chip `i` of a lot draws only from its own RNG stream,
 //! [`Xoshiro256StarStar::stream`]`(seed, i)`, so a chip's faults are a pure
 //! function of `(config, i)` — independent of how many chips precede it and
-//! of which thread generates it.  That is what lets
-//! [`ParallelLotRunner`](crate::pipeline::ParallelLotRunner) shard a lot
+//! of which thread generates it.  That is what lets the runner shard a lot
 //! across threads and still produce byte-identical results.
 
 use crate::chip::Chip;
-use crate::defect::{DefectModel, FaultsPerDefect};
-use crate::defect_map::DefectToFaultMapper;
+use crate::defect::DefectModel;
 use lsiq_stats::dist::{Poisson, Sample};
 use lsiq_stats::rng::{IndexSampler, Rng, Xoshiro256StarStar};
 
@@ -54,9 +53,9 @@ pub struct PhysicalLotConfig {
 }
 
 /// The lot-wide set-up of model-chip draws: the validated configuration
-/// and its fault-count Poisson, built once per lot.  Every path that draws
-/// model chips (in memory, sharded or streamed) goes through
-/// [`faults`](Self::faults) with one [`IndexSampler`] per worker.
+/// and its fault-count Poisson, built once per lot.  Both paths that draw
+/// model chips (the runner's generated lot and the streamed fold) go
+/// through [`faults`](Self::faults) with one [`IndexSampler`] per worker.
 #[derive(Debug)]
 pub(crate) struct ModelDraw {
     config: ModelLotConfig,
@@ -70,7 +69,8 @@ impl ModelDraw {
     ///
     /// # Panics
     ///
-    /// Panics on the invalid configurations [`ChipLot::from_model`]
+    /// Panics on the invalid configurations
+    /// [`ParallelLotRunner::generate_model_lot`](crate::pipeline::ParallelLotRunner::generate_model_lot)
     /// documents.
     pub(crate) fn new(config: &ModelLotConfig) -> ModelDraw {
         assert!(
@@ -112,11 +112,6 @@ impl ModelDraw {
         let count = (1 + extra).min(self.config.fault_universe_size);
         sampler.sample(count, &mut rng)
     }
-
-    /// Chip `id` as a record.
-    pub(crate) fn chip(&self, id: usize, sampler: &mut IndexSampler) -> Chip {
-        Chip::new(id, self.faults(id, sampler).to_vec(), 0)
-    }
 }
 
 /// A lot of simulated chips sharing one fault universe.
@@ -127,110 +122,8 @@ pub struct ChipLot {
 }
 
 impl ChipLot {
-    /// Generates a lot directly from the paper's statistical model: each chip
-    /// is good with probability `y`; otherwise its fault count is drawn from
-    /// the shifted Poisson of eq. 1 (mean `n0`) and that many distinct fault
-    /// sites are chosen uniformly from the universe.
-    ///
-    /// Chip `i` draws from its own [`Xoshiro256StarStar::stream`], so the
-    /// generated lot is identical whether the chips are produced serially or
-    /// sharded across threads by
-    /// [`ParallelLotRunner`](crate::pipeline::ParallelLotRunner).
-    ///
-    /// ```
-    /// use lsiq_manufacturing::lot::{ChipLot, ModelLotConfig};
-    ///
-    /// let lot = ChipLot::from_model(&ModelLotConfig {
-    ///     chips: 277, // the paper's Section 7 lot size
-    ///     yield_fraction: 0.07,
-    ///     n0: 8.0,
-    ///     fault_universe_size: 5_000,
-    ///     seed: 1981,
-    /// });
-    /// assert_eq!(lot.len(), 277);
-    /// // Defective chips carry at least one fault (the shifted Poisson).
-    /// assert!(lot.chips().iter().all(|c| c.is_good() || c.fault_count() >= 1));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault universe is empty, `yield_fraction` is outside
-    /// `[0, 1]`, or `n0 < 1` (a defective chip has at least one fault).
-    pub fn from_model(config: &ModelLotConfig) -> ChipLot {
-        let draw = ModelDraw::new(config);
-        let mut sampler = draw.sampler();
-        let chips = (0..config.chips)
-            .map(|id| draw.chip(id, &mut sampler))
-            .collect();
-        ChipLot {
-            chips,
-            fault_universe_size: config.fault_universe_size,
-        }
-    }
-
-    /// Generates a lot through the physical pipeline: clustered defect counts
-    /// per chip, each defect mapped to one or more logical faults.
-    ///
-    /// Like [`ChipLot::from_model`], chip `i` draws from stream `i` of the
-    /// lot seed, so serial and parallel generation agree byte for byte.
-    ///
-    /// ```
-    /// use lsiq_manufacturing::defect::DefectModel;
-    /// use lsiq_manufacturing::lot::{ChipLot, PhysicalLotConfig};
-    ///
-    /// let lot = ChipLot::from_physical(&PhysicalLotConfig {
-    ///     chips: 500,
-    ///     defect_model: DefectModel::for_target_yield(0.25, 1.0).unwrap(),
-    ///     extra_faults_per_defect: 2.0,
-    ///     fault_universe_size: 3_000,
-    ///     seed: 7,
-    /// });
-    /// // y and n0 are emergent here, not dialled in.
-    /// assert!(lot.observed_yield() > 0.1 && lot.observed_yield() < 0.4);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault universe is empty or `extra_faults_per_defect` is
-    /// negative.
-    pub fn from_physical(config: &PhysicalLotConfig) -> ChipLot {
-        let mapper = Self::physical_mapper(config);
-        let chips = (0..config.chips)
-            .map(|id| Self::physical_chip(config, &mapper, id))
-            .collect();
-        ChipLot {
-            chips,
-            fault_universe_size: config.fault_universe_size,
-        }
-    }
-
-    /// Builds (and thereby validates) the defect-to-fault mapper of a
-    /// physical-lot configuration.
-    pub(crate) fn physical_mapper(config: &PhysicalLotConfig) -> DefectToFaultMapper {
-        assert!(
-            config.fault_universe_size > 0,
-            "fault universe must not be empty"
-        );
-        let faults_per_defect = FaultsPerDefect::new(config.extra_faults_per_defect)
-            .expect("extra_faults_per_defect must be finite and non-negative");
-        DefectToFaultMapper::new(config.fault_universe_size, faults_per_defect)
-    }
-
-    /// Generates chip `id` of the physical lot described by `config` from the
-    /// chip's own RNG stream.
-    pub(crate) fn physical_chip(
-        config: &PhysicalLotConfig,
-        mapper: &DefectToFaultMapper,
-        id: usize,
-    ) -> Chip {
-        let mut rng = Xoshiro256StarStar::stream(config.seed, id as u64);
-        let defect_count = config.defect_model.sample_defect_count(&mut rng);
-        let faults = mapper.map_defects(defect_count, &mut rng);
-        Chip::new(id, faults, defect_count)
-    }
-
-    /// Assembles a lot from already generated chips (the parallel runner's
-    /// merge step).  The chips must be in lot order.
+    /// Assembles a lot from already generated chips (the runner's merge
+    /// step).  The chips must be in lot order.
     pub(crate) fn from_chips(chips: Vec<Chip>, fault_universe_size: usize) -> ChipLot {
         debug_assert!(chips.iter().enumerate().all(|(i, c)| c.id() == i));
         ChipLot {
@@ -302,9 +195,10 @@ impl ChipLot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ParallelLotRunner;
 
     fn model_lot(chips: usize, seed: u64) -> ChipLot {
-        ChipLot::from_model(&ModelLotConfig {
+        ParallelLotRunner::default().generate_model_lot(&ModelLotConfig {
             chips,
             yield_fraction: 0.3,
             n0: 6.0,
@@ -355,7 +249,7 @@ mod tests {
     #[test]
     fn physical_lot_yield_tracks_defect_model() {
         let defect_model = DefectModel::for_target_yield(0.25, 1.0).expect("valid");
-        let lot = ChipLot::from_physical(&PhysicalLotConfig {
+        let lot = ParallelLotRunner::default().generate_physical_lot(&PhysicalLotConfig {
             chips: 4_000,
             defect_model,
             extra_faults_per_defect: 2.0,
@@ -380,7 +274,7 @@ mod tests {
         assert!(lot.get(0).is_some());
         assert!(lot.get(10).is_none());
         assert!(!lot.is_empty());
-        let empty = ChipLot::from_model(&ModelLotConfig {
+        let empty = ParallelLotRunner::default().generate_model_lot(&ModelLotConfig {
             chips: 0,
             yield_fraction: 0.5,
             n0: 2.0,
@@ -396,7 +290,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "n0 is the mean fault count")]
     fn n0_below_one_is_rejected() {
-        let _ = ChipLot::from_model(&ModelLotConfig {
+        let _ = ParallelLotRunner::default().generate_model_lot(&ModelLotConfig {
             chips: 10,
             yield_fraction: 0.5,
             n0: 0.5,

@@ -8,13 +8,13 @@
 //! exploits that at two levels:
 //!
 //! * [`ParallelLotRunner`] shards the chips of *one* lot across pooled worker
-//!   threads — generation ([`ChipLot::from_model`] / physical pipeline),
-//!   wafer testing ([`WaferTester`]) and reject-table bookkeeping
-//!   ([`RejectExperiment`]) — producing byte-identical results to the serial
-//!   path at any thread count (enforced by `tests/lot_differential.rs`).
+//!   threads — generation (statistical model or physical pipeline), wafer
+//!   testing and reject-table bookkeeping ([`RejectExperiment`]) —
+//!   producing byte-identical results at any thread count (enforced by
+//!   `tests/lot_differential.rs`).
 //! * [`LotSweep`] fans *whole experiments* — a grid of `(y, n0)` ground
-//!   truths, one lot each — across threads and aggregates the per-lot
-//!   reject-rate and field-quality estimates.
+//!   truths, one streamed lot each — across threads and aggregates the
+//!   per-lot reject-rate and field-quality estimates.
 //!
 //! Both levels execute on the persistent [`ExecutionContext`] worker pool
 //! their caller binds via [`ParallelLotRunner::with_context`] /
@@ -25,17 +25,17 @@
 //! per-shard counting-sort accumulators merged at join.  Nothing here reads
 //! the environment: the worker count is the context's.
 
-use crate::bist_test::{SessionRecord, SignatureTester};
 use crate::chip::Chip;
+use crate::defect::FaultsPerDefect;
+use crate::defect_map::DefectToFaultMapper;
 use crate::experiment::RejectExperiment;
-use crate::field::FieldOutcome;
 use crate::lot::{ChipLot, ModelDraw, ModelLotConfig, PhysicalLotConfig};
-use crate::tester::{TestRecord, WaferTester};
-use lsiq_bist::signature::SignatureDictionary;
+use crate::streaming::{StreamedLot, StreamingLotExecutor};
+use crate::tester::TestRecord;
 use lsiq_exec::{shard_count, shard_map, ExecutionContext};
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
-use lsiq_stats::rng::{Rng, SplitMix64};
+use lsiq_stats::rng::{Rng, SplitMix64, Xoshiro256StarStar};
 use std::ops::Range;
 
 /// Runs the per-chip stages of a production lot — generation, wafer test,
@@ -47,7 +47,7 @@ use std::ops::Range;
 ///
 /// ```
 /// use lsiq_exec::ExecutionContext;
-/// use lsiq_manufacturing::lot::{ChipLot, ModelLotConfig};
+/// use lsiq_manufacturing::lot::ModelLotConfig;
 /// use lsiq_manufacturing::pipeline::ParallelLotRunner;
 ///
 /// let config = ModelLotConfig {
@@ -57,14 +57,12 @@ use std::ops::Range;
 ///     fault_universe_size: 5_000,
 ///     seed: 42,
 /// };
-/// let serial = ChipLot::from_model(&config);
 /// // On a session's persistent pool…
 /// let context = ExecutionContext::new(4);
 /// let pooled = ParallelLotRunner::with_context(&context).generate_model_lot(&config);
 /// // …or, without a context, on the calling thread.
 /// let inline = ParallelLotRunner::default().generate_model_lot(&config);
-/// assert_eq!(serial, pooled); // byte-identical at any worker count
-/// assert_eq!(serial, inline);
+/// assert_eq!(pooled, inline); // byte-identical at any worker count
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelLotRunner<'ctx> {
@@ -108,58 +106,107 @@ impl<'ctx> ParallelLotRunner<'ctx> {
         merged
     }
 
-    /// Generates a model lot ([`ChipLot::from_model`]) with the chips sharded
-    /// across threads.
+    /// Generates a lot directly from the paper's statistical model: each chip
+    /// is good with probability `y`; otherwise its fault count is drawn from
+    /// the shifted Poisson of eq. 1 (mean `n0`) and that many distinct fault
+    /// sites are chosen uniformly from the universe.
+    ///
+    /// Chip `i` draws from its own
+    /// [`Xoshiro256StarStar::stream`](lsiq_stats::rng::Xoshiro256StarStar::stream),
+    /// so the lot is identical however its chips shard across threads.
+    ///
+    /// ```
+    /// use lsiq_manufacturing::lot::ModelLotConfig;
+    /// use lsiq_manufacturing::pipeline::ParallelLotRunner;
+    ///
+    /// let lot = ParallelLotRunner::default().generate_model_lot(&ModelLotConfig {
+    ///     chips: 277, // the paper's Section 7 lot size
+    ///     yield_fraction: 0.07,
+    ///     n0: 8.0,
+    ///     fault_universe_size: 5_000,
+    ///     seed: 1981,
+    /// });
+    /// assert_eq!(lot.len(), 277);
+    /// // Defective chips carry at least one fault (the shifted Poisson).
+    /// assert!(lot.chips().iter().all(|c| c.is_good() || c.fault_count() >= 1));
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid configurations as [`ChipLot::from_model`].
+    /// Panics if the fault universe is empty, `yield_fraction` is outside
+    /// `[0, 1]`, or `n0 < 1` (a defective chip has at least one fault).
     pub fn generate_model_lot(&self, config: &ModelLotConfig) -> ChipLot {
         let draw = ModelDraw::new(config);
         let chips = self.sharded(config.chips, |range| {
             let mut sampler = draw.sampler();
-            range.map(|id| draw.chip(id, &mut sampler)).collect()
-        });
-        ChipLot::from_chips(chips, config.fault_universe_size)
-    }
-
-    /// Generates a physical lot ([`ChipLot::from_physical`]) with the chips
-    /// sharded across threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid configurations as
-    /// [`ChipLot::from_physical`].
-    pub fn generate_physical_lot(&self, config: &PhysicalLotConfig) -> ChipLot {
-        let mapper = ChipLot::physical_mapper(config);
-        let chips = self.sharded(config.chips, |range| {
             range
-                .map(|id| ChipLot::physical_chip(config, &mapper, id))
+                .map(|id| Chip::new(id, draw.faults(id, &mut sampler).to_vec(), 0))
                 .collect()
         });
         ChipLot::from_chips(chips, config.fault_universe_size)
     }
 
-    /// Wafer-tests a lot ([`WaferTester::test_lot`]) with the chips sharded
-    /// across threads; records come back in lot order.
-    pub fn test_lot(&self, dictionary: &FaultDictionary, lot: &ChipLot) -> Vec<TestRecord> {
-        let tester = WaferTester::new(dictionary);
-        let chips: &[Chip] = lot.chips();
-        self.sharded(chips.len(), |range| tester.test_chips(&chips[range]))
+    /// Generates a lot through the physical pipeline: clustered defect counts
+    /// per chip, each defect mapped to one or more logical faults.  Like
+    /// [`generate_model_lot`](Self::generate_model_lot), chip `i` draws from
+    /// stream `i` of the lot seed.
+    ///
+    /// ```
+    /// use lsiq_manufacturing::defect::DefectModel;
+    /// use lsiq_manufacturing::lot::PhysicalLotConfig;
+    /// use lsiq_manufacturing::pipeline::ParallelLotRunner;
+    ///
+    /// let lot = ParallelLotRunner::default().generate_physical_lot(&PhysicalLotConfig {
+    ///     chips: 500,
+    ///     defect_model: DefectModel::for_target_yield(0.25, 1.0).unwrap(),
+    ///     extra_faults_per_defect: 2.0,
+    ///     fault_universe_size: 3_000,
+    ///     seed: 7,
+    /// });
+    /// // y and n0 are emergent here, not dialled in.
+    /// assert!(lot.observed_yield() > 0.1 && lot.observed_yield() < 0.4);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault universe is empty or `extra_faults_per_defect` is
+    /// negative.
+    pub fn generate_physical_lot(&self, config: &PhysicalLotConfig) -> ChipLot {
+        assert!(
+            config.fault_universe_size > 0,
+            "fault universe must not be empty"
+        );
+        let faults_per_defect = FaultsPerDefect::new(config.extra_faults_per_defect)
+            .expect("extra_faults_per_defect must be finite and non-negative");
+        let mapper = DefectToFaultMapper::new(config.fault_universe_size, faults_per_defect);
+        let chips = self.sharded(config.chips, |range| {
+            range
+                .map(|id| {
+                    let mut rng = Xoshiro256StarStar::stream(config.seed, id as u64);
+                    let defect_count = config.defect_model.sample_defect_count(&mut rng);
+                    Chip::new(id, mapper.map_defects(defect_count, &mut rng), defect_count)
+                })
+                .collect()
+        });
+        ChipLot::from_chips(chips, config.fault_universe_size)
     }
 
-    /// BIST-tests a lot ([`SignatureTester::test_lot`]) with the chips
-    /// sharded across threads; session records come back in lot order and
-    /// are byte-identical at any worker count, exactly like
-    /// [`test_lot`](Self::test_lot).
-    pub fn test_lot_bist(
-        &self,
-        dictionary: &SignatureDictionary,
-        lot: &ChipLot,
-    ) -> Vec<SessionRecord> {
-        let tester = SignatureTester::new(dictionary);
-        let chips: &[Chip] = lot.chips();
-        self.sharded(chips.len(), |range| tester.test_chips(&chips[range]))
+    /// Wafer-tests a lot against the pattern set summarised by `dictionary`
+    /// with the chips sharded across threads; records come back in lot
+    /// order.  A chip fails at its earliest first-failing pattern over its
+    /// faults ([`FaultDictionary::first_failure_of_chip`]).
+    pub fn test_lot(&self, dictionary: &FaultDictionary, lot: &ChipLot) -> Vec<TestRecord> {
+        let chips = lot.chips();
+        self.sharded(chips.len(), |range| {
+            chips[range]
+                .iter()
+                .map(|chip| TestRecord {
+                    chip_id: chip.id(),
+                    first_fail: dictionary.first_failure_of_chip(chip.fault_indices()),
+                    is_defective: !chip.is_good(),
+                })
+                .collect()
+        })
     }
 
     /// Tabulates a reject experiment ([`RejectExperiment::tabulate`]) by
@@ -207,52 +254,6 @@ impl<'ctx> ParallelLotRunner<'ctx> {
         }
         RejectExperiment::from_fail_counts(&fail_counts, records.len(), coverage, checkpoints)
     }
-
-    /// Runs the full per-lot pipeline — generate a model lot, wafer-test it,
-    /// tabulate the reject experiment at full resolution — with every stage
-    /// sharded across this runner's workers.
-    pub fn run_model_line(
-        &self,
-        config: &ModelLotConfig,
-        dictionary: &FaultDictionary,
-        coverage: &CoverageCurve,
-    ) -> LotOutcome {
-        let lot = self.generate_model_lot(config);
-        let records = self.test_lot(dictionary, &lot);
-        let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-        let experiment = self.experiment(&records, coverage, &checkpoints);
-        LotOutcome::new(&lot, records, experiment)
-    }
-}
-
-/// Everything one tested lot yields: the lot's observed ground truth, the
-/// per-chip test records, the field outcome of shipping the passers, and the
-/// cumulative-reject table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LotOutcome {
-    /// Observed yield of the generated lot.
-    pub observed_yield: f64,
-    /// Observed mean fault count over defective chips.
-    pub observed_n0: f64,
-    /// Per-chip wafer-test records, in lot order.
-    pub records: Vec<TestRecord>,
-    /// Field outcome of shipping every passing chip.
-    pub outcome: FieldOutcome,
-    /// The cumulative-reject experiment table.
-    pub experiment: RejectExperiment,
-}
-
-impl LotOutcome {
-    fn new(lot: &ChipLot, records: Vec<TestRecord>, experiment: RejectExperiment) -> LotOutcome {
-        let outcome = FieldOutcome::from_records(&records);
-        LotOutcome {
-            observed_yield: lot.observed_yield(),
-            observed_n0: lot.observed_n0(),
-            records,
-            outcome,
-            experiment,
-        }
-    }
 }
 
 /// One ground-truth point of a sweep: the dialled-in yield and `n0` of a
@@ -266,15 +267,15 @@ pub struct SweepPoint {
 }
 
 /// The result of one sweep point: the point, the derived lot seed, and the
-/// lot's outcome.
+/// lot's statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// The ground-truth point this lot was generated from.
     pub point: SweepPoint,
     /// The per-lot seed derived from the sweep's base seed.
     pub seed: u64,
-    /// The tested lot's outcome.
-    pub outcome: LotOutcome,
+    /// The streamed lot, tabulated at every pattern of the curve.
+    pub outcome: StreamedLot,
 }
 
 /// Fans whole lot experiments — one per `(y, n0)` grid point — across
@@ -324,19 +325,20 @@ impl<'ctx> LotSweep<'ctx> {
     /// Runs every sweep point against the given test programme, fanning the
     /// lots across the pool; results come back in point order.
     ///
-    /// Each lot runs its own pipeline serially (the parallelism is across
+    /// Each lot streams on its worker's thread (the parallelism is across
     /// lots here), so a sweep of many small lots and a
-    /// [`ParallelLotRunner`] run of one large lot saturate the hardware the
-    /// same way.
+    /// [`StreamingLotExecutor`] run of one large lot saturate the hardware
+    /// the same way.
     pub fn run(
         &self,
         dictionary: &FaultDictionary,
         coverage: &CoverageCurve,
         points: &[SweepPoint],
     ) -> Vec<SweepResult> {
-        // Fan lots (not chips) across the pool: each worker runs whole
-        // pipelines with a single-threaded runner.
-        let per_lot = ParallelLotRunner::default();
+        // Fan lots (not chips) across the pool: each worker streams whole
+        // lots with a context-less executor.
+        let per_lot = StreamingLotExecutor::default();
+        let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
         let run_point = |index: usize| -> SweepResult {
             let point = points[index];
             let seed = self.lot_seed(index);
@@ -347,7 +349,7 @@ impl<'ctx> LotSweep<'ctx> {
                 fault_universe_size: self.fault_universe_size,
                 seed,
             };
-            let outcome = per_lot.run_model_line(&config, dictionary, coverage);
+            let outcome = per_lot.stream_model_lot(&config, dictionary, coverage, &checkpoints);
             SweepResult {
                 point,
                 seed,
@@ -368,6 +370,7 @@ impl<'ctx> LotSweep<'ctx> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::FieldOutcome;
     use lsiq_fault::incremental::IncrementalSimulator;
     use lsiq_fault::simulator::FaultSimulator;
     use lsiq_fault::universe::FaultUniverse;
@@ -399,11 +402,7 @@ mod tests {
     #[test]
     fn parallel_generation_matches_serial_at_every_thread_count() {
         let config = model_config(2_000);
-        let serial = ChipLot::from_model(&config);
-        assert_eq!(
-            serial,
-            ParallelLotRunner::default().generate_model_lot(&config)
-        );
+        let serial = ParallelLotRunner::default().generate_model_lot(&config);
         for workers in [1, 2, 3, 5, 8] {
             let context = ExecutionContext::new(workers);
             let pooled = ParallelLotRunner::with_context(&context).generate_model_lot(&config);
@@ -414,9 +413,9 @@ mod tests {
     #[test]
     fn parallel_testing_and_experiment_match_serial() {
         let (dictionary, coverage, universe) = fixture();
-        let config = model_config(universe);
-        let lot = ChipLot::from_model(&config);
-        let serial_records = WaferTester::new(&dictionary).test_lot(&lot);
+        let serial = ParallelLotRunner::default();
+        let lot = serial.generate_model_lot(&model_config(universe));
+        let serial_records = serial.test_lot(&dictionary, &lot);
         let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
         let serial_experiment =
             RejectExperiment::tabulate(&serial_records, &coverage, &checkpoints);
@@ -433,28 +432,24 @@ mod tests {
 
     #[test]
     fn parallel_bist_testing_matches_serial_at_every_thread_count() {
-        use crate::bist_test::SignatureTester;
-        use lsiq_bist::signature::{BistPlan, SignatureDictionary};
-        let circuit = library::c17();
-        let universe = FaultUniverse::full(&circuit);
-        let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dictionary = SignatureDictionary::build_in(
-            &ExecutionContext::new(1),
-            &circuit,
-            &universe,
-            &patterns,
-            &BistPlan {
-                session_len: 8,
-                signature_width: 8,
-            },
-        );
-        let lot = ChipLot::from_model(&model_config(universe.len()));
-        let serial = SignatureTester::new(&dictionary).test_lot(&lot);
+        // A self-test reaches the tester as a readout dictionary: a record
+        // only where an 8-pattern session is read out, and none for an
+        // aliased fault.  Shape one from the stored dictionary.
+        let (stored, _, universe) = fixture();
+        let dictionary = FaultDictionary::from_first_patterns((0..universe).map(|fault| {
+            let aliased = fault % 5 == 0;
+            let pattern = stored.first_failing_pattern(fault).filter(|_| !aliased);
+            pattern.map(|p| p / 8 * 8 + 7)
+        }));
+        let serial = ParallelLotRunner::default();
+        let lot = serial.generate_model_lot(&model_config(universe));
+        let reference = serial.test_lot(&dictionary, &lot);
+        assert!(reference.iter().any(TestRecord::is_escape));
         for workers in [2, 3, 5] {
             let context = ExecutionContext::new(workers);
             assert_eq!(
-                serial,
-                ParallelLotRunner::with_context(&context).test_lot_bist(&dictionary, &lot),
+                reference,
+                ParallelLotRunner::with_context(&context).test_lot(&dictionary, &lot),
                 "workers = {workers}"
             );
         }
@@ -463,13 +458,13 @@ mod tests {
     #[test]
     fn streamed_experiment_handles_sparse_and_clamped_checkpoints() {
         let (dictionary, coverage, universe) = fixture();
-        let config = model_config(universe);
-        let lot = ChipLot::from_model(&config);
-        let records = WaferTester::new(&dictionary).test_lot(&lot);
+        let serial = ParallelLotRunner::default();
+        let lot = serial.generate_model_lot(&model_config(universe));
+        let records = serial.test_lot(&dictionary, &lot);
         let context = ExecutionContext::new(3);
         let runner = ParallelLotRunner::with_context(&context);
         // Sparse, unsorted-looking and beyond-the-curve checkpoints all
-        // reduce to the serial reference.
+        // reduce to the reference scan.
         for checkpoints in [vec![], vec![1], vec![5, 1, 500], vec![1_000_000]] {
             assert_eq!(
                 RejectExperiment::tabulate(&records, &coverage, &checkpoints),
@@ -485,18 +480,20 @@ mod tests {
 
     #[test]
     fn run_model_line_is_consistent() {
+        // A model line is the runner's three stages in turn.
         let (dictionary, coverage, universe) = fixture();
         let config = model_config(universe);
         let context = ExecutionContext::new(4);
-        let outcome = ParallelLotRunner::with_context(&context).run_model_line(
-            &config,
-            &dictionary,
-            &coverage,
-        );
-        assert_eq!(outcome.records.len(), config.chips);
-        assert_eq!(outcome.outcome.total, config.chips);
-        assert_eq!(outcome.experiment.rows().len(), coverage.pattern_count());
-        assert!((outcome.observed_yield - 0.3).abs() < 0.1);
+        let runner = ParallelLotRunner::with_context(&context);
+        let lot = runner.generate_model_lot(&config);
+        let records = runner.test_lot(&dictionary, &lot);
+        let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
+        let experiment = runner.experiment(&records, &coverage, &checkpoints);
+        assert_eq!(records.len(), config.chips);
+        assert_eq!(FieldOutcome::from_records(&records).total, config.chips);
+        assert_eq!(experiment.total_chips(), config.chips);
+        assert_eq!(experiment.rows().len(), coverage.pattern_count());
+        assert!((lot.observed_yield() - 0.3).abs() < 0.1);
     }
 
     #[test]
@@ -522,7 +519,13 @@ mod tests {
         }
         for (result, point) in serial_results.iter().zip(&points) {
             assert_eq!(result.point, *point);
-            assert_eq!(result.outcome.records.len(), 150);
+            assert_eq!(result.outcome.chips, 150);
+            assert_eq!(result.outcome.outcome.total, 150);
+            assert_eq!(
+                result.outcome.experiment.rows().len(),
+                coverage.pattern_count()
+            );
+            assert!((result.outcome.observed_yield - point.yield_fraction).abs() < 0.15);
         }
         // Distinct points get distinct seeds.
         assert_ne!(serial.lot_seed(0), serial.lot_seed(1));

@@ -1,9 +1,9 @@
 //! Streaming, memory-bounded lot execution.
 //!
-//! The in-memory pipeline ([`ParallelLotRunner::run_model_line`]) holds a
-//! whole [`ChipLot`](crate::lot::ChipLot) and its test records at once —
-//! fine for the paper's 277-chip Table 1 run, impossible for the
-//! billion-chip planning sweeps a production service fields.
+//! Generating a lot with [`ParallelLotRunner`], testing it and tabulating
+//! its records holds a whole [`ChipLot`](crate::lot::ChipLot) and its test
+//! records at once — fine for the paper's 277-chip Table 1 run, impossible
+//! for the billion-chip planning sweeps a production service fields.
 //! [`StreamingLotExecutor`] folds the same model lot chip by chip instead:
 //! the lot's chips shard across the workers in one fork-join, and each
 //! worker generates every chip of its shard from the chip's own RNG
@@ -19,10 +19,16 @@
 //!
 //! Every accumulator is an integer sum, and integer addition is associative
 //! and commutative, so the worker sharding is invisible in the output: the
-//! statistics are **byte-identical** to the in-memory path at any worker
+//! statistics are **byte-identical** to the in-memory stages at any worker
 //! count (enforced by `tests/streaming_differential.rs`).  The final
 //! divisions (observed yield, `n0`, reject fractions) are performed once,
-//! from the same integer totals in the same order as the in-memory code.
+//! from the same integer totals in the same order as
+//! [`ChipLot`](crate::lot::ChipLot)'s observers and
+//! [`RejectExperiment::tabulate`].  This is how every model lot of a
+//! production line is evaluated: a session's line, each [`LotSweep`] point
+//! and the query service's `line` and `lot` queries.
+//!
+//! [`LotSweep`]: crate::pipeline::LotSweep
 
 use crate::experiment::RejectExperiment;
 use crate::field::FieldOutcome;
@@ -39,9 +45,9 @@ static CHIPS: Counter = Counter::new("streaming.chips");
 static LOT_SPAN: Span = Span::new("streaming.lot");
 
 /// Everything a streamed lot yields: the observed ground truth, the field
-/// outcome of shipping the passers, and the cumulative-reject table — the
-/// same statistics as [`LotOutcome`](crate::pipeline::LotOutcome), minus
-/// the per-chip records (which a streamed run never materializes).
+/// outcome of shipping the passers, and the cumulative-reject table — every
+/// statistic of the lot except the per-chip records, which a streamed run
+/// never materializes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamedLot {
     /// Number of chips evaluated.
@@ -116,8 +122,9 @@ impl LotFold {
 }
 
 /// Evaluates model lots chip by chip, folded into running statistics — the
-/// memory-bounded counterpart of [`ParallelLotRunner::run_model_line`].  A
-/// lot's chips shard across the workers of the context bound with
+/// memory-bounded counterpart of generating a lot with
+/// [`ParallelLotRunner`], testing it and tabulating it.  A lot's chips
+/// shard across the workers of the context bound with
 /// [`with_context`](Self::with_context); a [`Default`] executor runs on the
 /// calling thread.
 ///
@@ -182,7 +189,7 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
     /// # Panics
     ///
     /// Panics on the same invalid model configurations as
-    /// [`ChipLot::from_model`](crate::lot::ChipLot::from_model).
+    /// [`ParallelLotRunner::generate_model_lot`].
     pub fn stream_model_lot(
         &self,
         config: &ModelLotConfig,
@@ -283,12 +290,11 @@ mod tests {
             seed: 1981,
         };
         let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-        let context = ExecutionContext::new(2);
-        let reference = ParallelLotRunner::with_context(&context).run_model_line(
-            &config,
-            &dictionary,
-            &coverage,
-        );
+        let runner = ParallelLotRunner::default();
+        let lot = runner.generate_model_lot(&config);
+        let records = runner.test_lot(&dictionary, &lot);
+        let experiment = RejectExperiment::tabulate(&records, &coverage, &checkpoints);
+        let outcome = FieldOutcome::from_records(&records);
         for workers in [1, 2, 3] {
             let context = ExecutionContext::new(workers);
             let streamed = StreamingLotExecutor::with_context(&context).stream_model_lot(
@@ -298,19 +304,16 @@ mod tests {
                 &checkpoints,
             );
             assert_eq!(streamed.chips, config.chips);
-            assert_eq!(streamed.outcome, reference.outcome, "workers {workers}");
-            assert_eq!(
-                streamed.experiment, reference.experiment,
-                "workers {workers}"
-            );
+            assert_eq!(streamed.outcome, outcome, "workers {workers}");
+            assert_eq!(streamed.experiment, experiment, "workers {workers}");
             assert_eq!(
                 streamed.observed_yield.to_bits(),
-                reference.observed_yield.to_bits(),
+                lot.observed_yield().to_bits(),
                 "workers {workers}"
             );
             assert_eq!(
                 streamed.observed_n0.to_bits(),
-                reference.observed_n0.to_bits(),
+                lot.observed_n0().to_bits(),
                 "workers {workers}"
             );
         }

@@ -1,6 +1,7 @@
 //! Differential tests: the streaming lot executor must be byte-identical to
-//! the in-memory pipeline at every worker count, and must hold bounded
-//! memory on lots far too large to materialize.
+//! the in-memory stages (generate the lot, test it, tabulate the records)
+//! at every worker count, and must hold bounded memory on lots far too
+//! large to materialize.
 
 use lsiq_exec::ExecutionContext;
 use lsiq_fault::coverage::CoverageCurve;
@@ -8,6 +9,8 @@ use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::incremental::IncrementalSimulator;
 use lsiq_fault::simulator::FaultSimulator;
 use lsiq_fault::universe::FaultUniverse;
+use lsiq_manufacturing::experiment::RejectExperiment;
+use lsiq_manufacturing::field::FieldOutcome;
 use lsiq_manufacturing::lot::ModelLotConfig;
 use lsiq_manufacturing::streaming::StreamingLotExecutor;
 use lsiq_manufacturing::ParallelLotRunner;
@@ -46,8 +49,11 @@ fn streaming_matches_in_memory_at_every_worker_count() {
         seed: 1981,
     };
     let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-    let reference = ParallelLotRunner::default().run_model_line(&config, &dictionary, &coverage);
-    let reference_nav = lsiq_manufacturing::ChipLot::from_model(&config).observed_nav();
+    let runner = ParallelLotRunner::default();
+    let lot = runner.generate_model_lot(&config);
+    let records = runner.test_lot(&dictionary, &lot);
+    let experiment = RejectExperiment::tabulate(&records, &coverage, &checkpoints);
+    let outcome = FieldOutcome::from_records(&records);
     for workers in worker_ladder() {
         let context = ExecutionContext::new(workers);
         let streamed = StreamingLotExecutor::with_context(&context).stream_model_lot(
@@ -56,27 +62,19 @@ fn streaming_matches_in_memory_at_every_worker_count() {
             &coverage,
             &checkpoints,
         );
-        assert_eq!(streamed.outcome, reference.outcome, "workers {workers}");
-        assert_eq!(
-            streamed.experiment, reference.experiment,
-            "workers {workers}"
-        );
+        assert_eq!(streamed.outcome, outcome, "workers {workers}");
+        assert_eq!(streamed.experiment, experiment, "workers {workers}");
         // Byte-level equality on every derived float, not approximate.
         assert_eq!(
             streamed.observed_yield.to_bits(),
-            reference.observed_yield.to_bits()
+            lot.observed_yield().to_bits()
         );
+        assert_eq!(streamed.observed_n0.to_bits(), lot.observed_n0().to_bits());
         assert_eq!(
-            streamed.observed_n0.to_bits(),
-            reference.observed_n0.to_bits()
+            streamed.observed_nav.to_bits(),
+            lot.observed_nav().to_bits()
         );
-        assert_eq!(streamed.observed_nav.to_bits(), reference_nav.to_bits());
-        for (ours, theirs) in streamed
-            .experiment
-            .rows()
-            .iter()
-            .zip(reference.experiment.rows())
-        {
+        for (ours, theirs) in streamed.experiment.rows().iter().zip(experiment.rows()) {
             assert_eq!(
                 ours.fraction_failed.to_bits(),
                 theirs.fraction_failed.to_bits()
@@ -204,7 +202,7 @@ fn streamed_digest(streamed: &lsiq_manufacturing::StreamedLot) -> u64 {
 }
 
 /// One recorded model lot: `y`, `n0`, the universe size `N` (`None`: the
-/// alu4 universe), the [`lot_digest`] of `ChipLot::from_model`, the
+/// alu4 universe), the [`lot_digest`] of the generated lot, the
 /// [`streamed_digest`] of the streamed lot at every pattern checkpoint, and
 /// its shipped, escaped and rejected counts.
 type GoldenLot = (f64, f64, Option<usize>, u64, u64, [usize; 3]);
@@ -243,8 +241,8 @@ fn model_lot_draws_match_the_recorded_golden() {
             "y {yield_fraction}, n0 {n0}, N {}",
             config.fault_universe_size
         );
-        let lot = lsiq_manufacturing::ChipLot::from_model(&config);
-        assert_eq!(lot_digest(&lot), chips, "{case}: ChipLot::from_model");
+        let lot = ParallelLotRunner::default().generate_model_lot(&config);
+        assert_eq!(lot_digest(&lot), chips, "{case}: generated lot");
         let streamed = StreamingLotExecutor::with_context(&context).stream_model_lot(
             &config,
             &dictionary,

@@ -4,10 +4,11 @@
 //! kind and an optional `"id"` echoed verbatim into the response, so a
 //! client can correlate answers with a shuffled or batched grid.  The full
 //! schema is documented in `docs/SERVICE.md`; the parser here is strict —
-//! unknown ops, missing required fields and out-of-domain values all
-//! produce a descriptive error string that the service turns into a
-//! per-line error response (well-formed JSON that fails these checks is a
-//! query error, not a protocol error, and does not abort the stream).
+//! unknown ops, keys the op does not accept, missing required fields and
+//! out-of-domain values all produce a descriptive error string that the
+//! service turns into a per-line error response (well-formed JSON that
+//! fails these checks is a query error, not a protocol error, and does not
+//! abort the stream).
 
 use crate::json::JsonValue;
 
@@ -27,6 +28,30 @@ pub const MAX_CHIPS: usize = 1_000_000_000;
 /// errors.  `forward`, `inverse` and `bist` use `n0` only in closed form and
 /// accept any finite `n0 >= 1`.
 pub const MAX_N0: f64 = 1_000.0;
+
+/// The keys a `line` or `lot` request accepts besides `"op"` and `"id"`.
+const LOT_KEYS: &[&str] = &["circuit", "chips", "yield", "n0", "seed", "checkpoints"];
+
+/// The keys each op accepts besides `"op"` and `"id"`.  Any other key is a
+/// query error, so a misspelt field is reported instead of defaulted.
+const OP_KEYS: [(&str, &[&str]); 5] = [
+    ("forward", &["yield", "n0", "coverage"]),
+    ("inverse", &["yield", "n0", "target_reject"]),
+    (
+        "bist",
+        &[
+            "circuit",
+            "yield",
+            "n0",
+            "test_length",
+            "signature_width",
+            "session_len",
+            "channels",
+        ],
+    ),
+    ("line", LOT_KEYS),
+    ("lot", LOT_KEYS),
+];
 
 /// The model parameters `(y, n0)` every query kind shares.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,14 +139,25 @@ impl Request {
     ///
     /// Returns a descriptive message when the object is not a valid query.
     pub fn parse(value: &JsonValue) -> Result<(Request, Option<JsonValue>), String> {
-        if !matches!(value, JsonValue::Object(_)) {
+        let JsonValue::Object(pairs) = value else {
             return Err("request must be a JSON object".to_string());
-        }
+        };
         let id = value.get("id").cloned();
         let op = value
             .get("op")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| "missing required string field \"op\"".to_string())?;
+        if let Some((_, keys)) = OP_KEYS.iter().find(|(name, _)| *name == op) {
+            if let Some((key, _)) = pairs
+                .iter()
+                .find(|(key, _)| key != "op" && key != "id" && !keys.contains(&key.as_str()))
+            {
+                return Err(format!(
+                    "unknown key {key:?} for op {op:?} (accepted: op, id, {})",
+                    keys.join(", ")
+                ));
+            }
+        }
         let request = match op {
             "forward" => Request::Forward {
                 model: model_inputs(value, true)?,
@@ -298,7 +334,7 @@ mod tests {
     fn lot_requires_chips_and_accepts_checkpoints() {
         assert!(parse(r#"{"op":"lot"}"#).is_err());
         let (request, _) = parse(
-            r#"{"op":"lot","circuit":"alu4","chips":1000000,"checkpoints":[16,64],"block_len":4096,"seed":3}"#,
+            r#"{"op":"lot","circuit":"alu4","chips":1000000,"checkpoints":[16,64],"seed":3}"#,
         )
         .unwrap();
         match request {
@@ -309,8 +345,41 @@ mod tests {
             }
             other => panic!("wrong variant {other:?}"),
         }
-        // Keys a request does not use, such as "block_len", are ignored.
-        assert!(parse(r#"{"op":"lot","chips":10,"block_len":0}"#).is_ok());
+        // A key the op does not accept, such as "block_len", is refused by
+        // name.
+        let error = parse(r#"{"op":"lot","chips":10,"block_len":0}"#).unwrap_err();
+        assert!(error.contains("unknown key \"block_len\""), "{error}");
+    }
+
+    #[test]
+    fn unknown_keys_are_refused_with_the_accepted_keys() {
+        for (text, error) in [
+            (
+                r#"{"op":"line","circuit":"c17","chipz":5}"#,
+                r#"unknown key "chipz" for op "line" (accepted: op, id, circuit, chips, yield, n0, seed, checkpoints)"#,
+            ),
+            (
+                r#"{"op":"bist","test_length":64,"signature_width":8,"sesion_len":16}"#,
+                r#"unknown key "sesion_len" for op "bist" (accepted: op, id, circuit, yield, n0, test_length, signature_width, session_len, channels)"#,
+            ),
+            // A key one op accepts is still unknown to another.
+            (
+                r#"{"op":"forward","yield":0.1,"n0":8,"coverage":0.9,"chips":5}"#,
+                r#"unknown key "chips" for op "forward" (accepted: op, id, yield, n0, coverage)"#,
+            ),
+        ] {
+            assert_eq!(parse(text).unwrap_err(), error);
+        }
+        // Every key an op reads is accepted, and "id" with any op.
+        for text in [
+            r#"{"op":"forward","id":1,"yield":0.1,"n0":8,"coverage":0.9}"#,
+            r#"{"op":"inverse","id":"a","yield":0.1,"n0":8,"target_reject":0.01}"#,
+            r#"{"op":"bist","id":2,"circuit":"c17","yield":0.1,"n0":8,"test_length":64,"signature_width":8,"session_len":16,"channels":2}"#,
+            r#"{"op":"line","id":3,"circuit":"c17","chips":5,"yield":0.1,"n0":8,"seed":1,"checkpoints":[1]}"#,
+            r#"{"op":"lot","id":4,"circuit":"c17","chips":5,"yield":0.1,"n0":8,"seed":1,"checkpoints":[1]}"#,
+        ] {
+            assert!(parse(text).is_ok(), "{text}");
+        }
     }
 
     #[test]

@@ -135,7 +135,7 @@ fn warm_artifact_directory_serves_a_second_process_without_fault_simulation() {
     let grid = [
         r#"{"op":"line","circuit":"c17","chips":500,"seed":11}"#,
         r#"{"op":"bist","circuit":"c17","test_length":64,"signature_width":8,"session_len":16,"channels":2}"#,
-        r#"{"op":"lot","circuit":"c17","chips":20000,"block_len":1024,"seed":11}"#,
+        r#"{"op":"lot","circuit":"c17","chips":20000,"seed":11}"#,
     ];
 
     let run = || {

@@ -10,8 +10,8 @@
 use lsi_quality::fault::coverage::CoverageCurve;
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::manufacturing::experiment::RejectExperiment;
-use lsi_quality::manufacturing::lot::{ChipLot, ModelLotConfig};
-use lsi_quality::manufacturing::tester::WaferTester;
+use lsi_quality::manufacturing::lot::ModelLotConfig;
+use lsi_quality::manufacturing::pipeline::ParallelLotRunner;
 use lsi_quality::netlist::library;
 use lsi_quality::quality::chip_test::ChipTestTable;
 use lsi_quality::quality::estimate::N0Estimator;
@@ -48,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. A lot of chips drawn from the statistical model with known (y, n0).
-    let lot = ChipLot::from_model(&ModelLotConfig {
+    let runner = ParallelLotRunner::default();
+    let lot = runner.generate_model_lot(&ModelLotConfig {
         chips: 2_000,
         yield_fraction: true_yield,
         n0: true_n0,
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Wafer test: record each chip's first failing pattern and tabulate
     //    the cumulative reject fraction against coverage.
-    let records = WaferTester::new(&suite.dictionary).test_lot(&lot);
+    let records = runner.test_lot(&suite.dictionary, &lot);
     let coverage_curve = CoverageCurve::from_fault_list(&suite.fault_list, suite.patterns.len());
     let checkpoints: Vec<usize> = (1..=suite.patterns.len()).collect();
     let experiment = RejectExperiment::tabulate(&records, &coverage_curve, &checkpoints);

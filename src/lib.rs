@@ -34,6 +34,7 @@
 //! * [`manufacturing`] — defects, wafers, chip lots, the Sentry-like tester
 //!   and the multi-threaded production-line pipeline
 //!   ([`ParallelLotRunner`](manufacturing::pipeline::ParallelLotRunner) /
+//!   [`StreamingLotExecutor`](manufacturing::streaming::StreamingLotExecutor) /
 //!   [`LotSweep`](manufacturing::pipeline::LotSweep)),
 //! * [`quality`] — the paper's model itself (fault distribution, reject
 //!   rate, `n0` estimation, required coverage, baselines).
@@ -58,6 +59,8 @@
 //! # }
 //! ```
 
+#[cfg(test)]
+mod bist_test;
 pub mod session;
 
 pub use lsiq_bist as bist;

@@ -55,7 +55,7 @@ use lsiq_fault::universe::FaultUniverse;
 use lsiq_manufacturing::experiment::RejectExperiment;
 use lsiq_manufacturing::lot::ModelLotConfig;
 use lsiq_manufacturing::pipeline::ParallelLotRunner;
-use lsiq_manufacturing::tester::TestRecord;
+use lsiq_manufacturing::streaming::StreamingLotExecutor;
 use lsiq_netlist::circuit::Circuit;
 use lsiq_netlist::library::{lsi_class, sequential_lsi_class, LsiClassConfig};
 use lsiq_netlist::scan::{insert_scan, ScanCircuit};
@@ -66,14 +66,6 @@ use lsiq_tpg::suite::{TestSuite, TestSuiteBuilder};
 /// Table 1 lot): the paper's publication year, as in every earlier
 /// reproduction binary.
 pub const PROGRAMME_SEED: u64 = 1981;
-
-/// The self-test geometry of a BIST-mode production line: 64-pattern
-/// sessions (one packed simulation block per readout) into a 16-bit MISR —
-/// the [`BistPlan`] default.
-const LINE_BIST_PLAN: BistPlan = BistPlan {
-    session_len: 64,
-    signature_width: 16,
-};
 
 /// The ground truth of one production-line pass: lot size, dialled-in
 /// yield and `n0`, and whether to build the full-size (25 000-transistor)
@@ -286,10 +278,11 @@ impl Session {
     /// Runs the standard Section 7 style line experiment: an LSI-class
     /// device, a random pattern suite evaluated on the session's engine and
     /// pool, and a lot drawn from the statistical model with `spec`'s ground
-    /// truth, seeded by the session's base seed.  Generation, wafer test and
-    /// the streamed reject tabulation all execute on the session's worker
-    /// pool; results are byte-identical at any worker count, so the
-    /// configuration only changes wall-clock time.
+    /// truth, seeded by the session's base seed.  The lot streams through
+    /// the session's worker pool ([`StreamingLotExecutor`]): each chip is
+    /// drawn, tested and folded into the reject table without a chip record.
+    /// Results are byte-identical at any worker count, so the configuration
+    /// only changes wall-clock time.
     ///
     /// With scan chains configured ([`RunConfig::with_scan`] or the
     /// `LSIQ_SCAN_CHAINS` knob) the line tests the scan-inserted sequential
@@ -326,60 +319,53 @@ impl Session {
             &universe,
         );
         let coverage = CoverageCurve::from_fault_list(&suite.fault_list, suite.patterns.len());
-        let runner = self.lot_runner();
-        let lot = runner.generate_model_lot(&ModelLotConfig {
-            chips: spec.chips,
-            yield_fraction: spec.yield_fraction,
-            n0: spec.n0,
-            fault_universe_size: universe.len(),
-            seed: lot_seed,
-        });
         let test_mode = self.config.test_mode();
-        let records: Vec<TestRecord> = match test_mode {
-            TestMode::Stored => {
-                let dictionary = FaultDictionary::from_fault_list(&suite.fault_list);
-                runner.test_lot(&dictionary, &lot)
-            }
+        let dictionary = match test_mode {
+            TestMode::Stored => FaultDictionary::from_fault_list(&suite.fault_list),
             TestMode::Bist => {
                 // The self-tested lot is observed only at signature
-                // readouts: build the per-fault signature dictionary over
-                // the same ordered pattern suite, test by signature
-                // compare, and coarsen each first failing *session* to the
-                // pattern index at which it is read out.  The suite build
-                // simulated one 64-pattern chunk at a time; at the default
-                // width this pass packs all the suite's patterns into wider
-                // chunks, so it finds none of them in the session cache.
-                let signatures = SignatureDictionary::build_sweep_cached(
+                // readouts of the default self-test (64-pattern sessions
+                // into a 16-bit MISR) over the same ordered pattern suite:
+                // each fault is recorded at the pattern where its first
+                // failing session is read out.  The suite build simulated
+                // one 64-pattern chunk at a time; at the default width this
+                // pass packs all the suite's patterns into wider chunks, so
+                // it finds none of them in the session cache.
+                let plan = BistPlan::default();
+                SignatureDictionary::build_sweep_cached(
                     &self.context,
                     &circuit,
                     &universe,
                     &suite.patterns,
-                    LINE_BIST_PLAN.session_len,
-                    &[LINE_BIST_PLAN.signature_width],
+                    plan.session_len,
+                    &[plan.signature_width],
                     &[suite.patterns.len()],
                     self.config.lanes(),
                     Some(&self.cache),
-                )
-                .swap_remove(0)
-                .swap_remove(0);
-                runner
-                    .test_lot_bist(&signatures, &lot)
-                    .iter()
-                    .map(|record| {
-                        record.to_test_record(LINE_BIST_PLAN.session_len, suite.patterns.len())
-                    })
-                    .collect()
+                )[0][0]
+                    .readout_dictionary(suite.patterns.len())
             }
         };
         let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-        let experiment = runner.experiment(&records, &coverage, &checkpoints);
+        let lot = StreamingLotExecutor::with_context(&self.context).stream_model_lot(
+            &ModelLotConfig {
+                chips: spec.chips,
+                yield_fraction: spec.yield_fraction,
+                n0: spec.n0,
+                fault_universe_size: universe.len(),
+                seed: lot_seed,
+            },
+            &dictionary,
+            &coverage,
+            &checkpoints,
+        );
         Ok(LineExperiment {
             universe_size: universe.len(),
             suite,
             coverage,
-            experiment,
-            observed_yield: lot.observed_yield(),
-            observed_n0: lot.observed_n0(),
+            experiment: lot.experiment,
+            observed_yield: lot.observed_yield,
+            observed_n0: lot.observed_n0,
             circuit,
             test_mode,
         })

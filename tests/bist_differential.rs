@@ -4,8 +4,8 @@
 //!
 //! * the `SignatureDictionary` build (fault-sharded over the pool) at 1, 2
 //!   and 2×cores workers,
-//! * `SignatureTester` lot outcomes through `ParallelLotRunner::test_lot_bist`
-//!   at the same worker ladder,
+//! * lot outcomes tested against its readout dictionary through
+//!   `ParallelLotRunner::test_lot` at the same worker ladder,
 //! * a suite-driven BIST line on alu4 across all three engines (the suite,
 //!   and therefore every signature, must not depend on the engine), and
 //! * (release builds) whole `Session::run_production_line` passes in BIST
@@ -15,8 +15,7 @@ use lsi_quality::bist::signature::{BistPlan, SignatureDictionary};
 use lsi_quality::bist::stumps::{StumpsConfig, StumpsGenerator};
 use lsi_quality::exec::{EngineKind, ExecutionContext, RunConfig, TestMode};
 use lsi_quality::fault::universe::FaultUniverse;
-use lsi_quality::manufacturing::bist_test::SignatureTester;
-use lsi_quality::manufacturing::lot::{ChipLot, ModelLotConfig};
+use lsi_quality::manufacturing::lot::ModelLotConfig;
 use lsi_quality::manufacturing::pipeline::ParallelLotRunner;
 use lsi_quality::netlist::generator::pipelined_datapath;
 use lsi_quality::netlist::library;
@@ -81,19 +80,21 @@ fn signature_tester_lot_outcomes_are_worker_count_invariant() {
             session_len: 16,
             signature_width: 8,
         },
-    );
-    let lot = ChipLot::from_model(&ModelLotConfig {
+    )
+    .readout_dictionary(patterns.len());
+    let serial = ParallelLotRunner::default();
+    let lot = serial.generate_model_lot(&ModelLotConfig {
         chips: 900,
         yield_fraction: 0.25,
         n0: 5.0,
         fault_universe_size: universe.len(),
         seed: 3,
     });
-    let serial = SignatureTester::new(&dictionary).test_lot(&lot);
+    let reference = serial.test_lot(&dictionary, &lot);
     for workers in worker_ladder() {
         let context = ExecutionContext::new(workers);
-        let records = ParallelLotRunner::with_context(&context).test_lot_bist(&dictionary, &lot);
-        assert_eq!(serial, records, "workers = {workers}");
+        let records = ParallelLotRunner::with_context(&context).test_lot(&dictionary, &lot);
+        assert_eq!(reference, records, "workers = {workers}");
     }
 }
 
@@ -108,13 +109,14 @@ fn suite_driven_bist_outcomes_are_engine_invariant() {
         session_len: 16,
         signature_width: 16,
     };
-    let lot_config = ModelLotConfig {
+    let runner = ParallelLotRunner::default();
+    let lot = runner.generate_model_lot(&ModelLotConfig {
         chips: 600,
         yield_fraction: 0.3,
         n0: 4.0,
         fault_universe_size: universe.len(),
         seed: 11,
-    };
+    });
     let mut reference = None;
     for engine in EngineKind::ALL {
         let suite = TestSuiteBuilder {
@@ -129,8 +131,7 @@ fn suite_driven_bist_outcomes_are_engine_invariant() {
             &suite.patterns,
             &plan,
         );
-        let lot = ChipLot::from_model(&lot_config);
-        let records = SignatureTester::new(&dictionary).test_lot(&lot);
+        let records = runner.test_lot(&dictionary.readout_dictionary(suite.patterns.len()), &lot);
         match &reference {
             None => reference = Some((suite.patterns.clone(), dictionary, records)),
             Some((patterns, reference_dictionary, reference_records)) => {

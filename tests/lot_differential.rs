@@ -3,11 +3,13 @@
 //!
 //! Each case draws a random lot configuration (chip count, yield, `n0`,
 //! fault-universe size, seed — and for physical lots a clustered defect
-//! model) plus a worker count, then requires the `ParallelLotRunner` to
-//! produce *byte-identical* results to the serial path at every stage:
-//! the generated `ChipLot`, the wafer-test records, the `FieldOutcome`,
-//! and the full-resolution `RejectExperiment`.  A final block pins whole
-//! `LotSweep` grids to their serial fan-out.
+//! model) plus a worker count, then requires a context-bound
+//! `ParallelLotRunner` to produce *byte-identical* results to the
+//! context-less runner, which runs every stage on the calling thread: the
+//! generated `ChipLot`, the wafer-test records, the `FieldOutcome`, and the
+//! full-resolution `RejectExperiment` (against the reference scan
+//! `RejectExperiment::tabulate`).  A final block pins whole `LotSweep`
+//! grids to their serial fan-out.
 //!
 //! The case count is 60 in release builds; debug builds run a reduced sweep
 //! so plain `cargo test` stays fast.
@@ -27,9 +29,8 @@ use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::manufacturing::defect::DefectModel;
 use lsi_quality::manufacturing::experiment::RejectExperiment;
 use lsi_quality::manufacturing::field::FieldOutcome;
-use lsi_quality::manufacturing::lot::{ChipLot, ModelLotConfig, PhysicalLotConfig};
+use lsi_quality::manufacturing::lot::{ModelLotConfig, PhysicalLotConfig};
 use lsi_quality::manufacturing::pipeline::{LotSweep, ParallelLotRunner};
-use lsi_quality::manufacturing::tester::WaferTester;
 use lsi_quality::netlist::library;
 use lsi_quality::sim::pattern::{Pattern, PatternSet};
 use lsi_quality::stats::rng::{Rng, SplitMix64};
@@ -107,6 +108,7 @@ fn parallel_pipeline_is_byte_identical_to_serial() {
     // experiment tabulation itself over the runner's 128-item shard minimum,
     // so the checkpoint-range slicing really runs multi-threaded here.
     let checkpoints: Vec<usize> = (1..=300).collect();
+    let serial = ParallelLotRunner::default();
     for index in 0..CASES {
         let case = build_case(index);
         let context = ExecutionContext::new(case.workers);
@@ -120,11 +122,11 @@ fn parallel_pipeline_is_byte_identical_to_serial() {
             fault_universe_size: universe_size,
             seed: case.seed,
         };
-        let serial_lot = ChipLot::from_model(&model_config);
+        let serial_lot = serial.generate_model_lot(&model_config);
         let parallel_lot = runner.generate_model_lot(&model_config);
         assert_eq!(serial_lot, parallel_lot, "model lot: {}", case.label);
 
-        let serial_records = WaferTester::new(&dictionary).test_lot(&serial_lot);
+        let serial_records = serial.test_lot(&dictionary, &serial_lot);
         let parallel_records = runner.test_lot(&dictionary, &parallel_lot);
         assert_eq!(serial_records, parallel_records, "records: {}", case.label);
         assert_eq!(
@@ -153,7 +155,7 @@ fn parallel_pipeline_is_byte_identical_to_serial() {
             fault_universe_size: universe_size,
             seed: case.seed ^ 0xABCD,
         };
-        let serial_physical = ChipLot::from_physical(&physical_config);
+        let serial_physical = serial.generate_physical_lot(&physical_config);
         let parallel_physical = runner.generate_physical_lot(&physical_config);
         assert_eq!(
             serial_physical, parallel_physical,
@@ -174,6 +176,7 @@ fn context_bound_runners_are_byte_identical_to_serial() {
         .unwrap_or(1);
     let contexts: Vec<ExecutionContext> = [1, 2, 2 * cores].map(ExecutionContext::new).into();
     let checkpoints: Vec<usize> = (1..=300).collect();
+    let serial = ParallelLotRunner::default();
     for index in 0..CASES.min(12) {
         let case = build_case(index);
         let model_config = ModelLotConfig {
@@ -183,8 +186,8 @@ fn context_bound_runners_are_byte_identical_to_serial() {
             fault_universe_size: universe_size,
             seed: case.seed,
         };
-        let serial_lot = ChipLot::from_model(&model_config);
-        let serial_records = WaferTester::new(&dictionary).test_lot(&serial_lot);
+        let serial_lot = serial.generate_model_lot(&model_config);
+        let serial_records = serial.test_lot(&dictionary, &serial_lot);
         let serial_experiment =
             RejectExperiment::tabulate(&serial_records, &coverage, &checkpoints);
         for context in &contexts {
@@ -211,9 +214,8 @@ fn context_bound_runners_are_byte_identical_to_serial() {
 
 #[test]
 fn session_production_line_is_worker_count_invariant() {
-    // A whole Session::run_production_line pass — suite build, lot
-    // generation, wafer test, streamed tabulation — at several worker
-    // counts.  The full pass is expensive, so debug builds skip it (the
+    // A whole Session::run_production_line pass — suite build and the
+    // streamed lot — at several worker counts.  The full pass is expensive, so debug builds skip it (the
     // release CI jobs run it).
     if cfg!(debug_assertions) {
         eprintln!("skipped in debug builds; run with --release");
@@ -266,8 +268,9 @@ fn lot_generation_is_order_independent() {
         fault_universe_size: 800,
         seed: 3,
     };
-    let small = ChipLot::from_model(&config);
-    let big = ChipLot::from_model(&ModelLotConfig {
+    let runner = ParallelLotRunner::default();
+    let small = runner.generate_model_lot(&config);
+    let big = runner.generate_model_lot(&ModelLotConfig {
         chips: 300,
         ..config
     });

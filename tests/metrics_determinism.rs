@@ -21,7 +21,7 @@ use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::serial::SerialSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
-use lsi_quality::manufacturing::lot::{ChipLot, ModelLotConfig};
+use lsi_quality::manufacturing::lot::ModelLotConfig;
 use lsi_quality::manufacturing::pipeline::ParallelLotRunner;
 use lsi_quality::netlist::library;
 use lsi_quality::obs::{self, MetricsMode, Snapshot};
@@ -195,12 +195,12 @@ fn recording_never_changes_lot_results() {
     let runner = ParallelLotRunner::with_context(&context);
 
     obs::set_mode(MetricsMode::Off);
-    let lot_off = ChipLot::from_model(&config);
+    let lot_off = runner.generate_model_lot(&config);
     let records_off = runner.test_lot(&dictionary, &lot_off);
 
     obs::reset();
     obs::set_mode(MetricsMode::Json);
-    let lot_json = ChipLot::from_model(&config);
+    let lot_json = runner.generate_model_lot(&config);
     let records_json = runner.test_lot(&dictionary, &lot_json);
     obs::set_mode(MetricsMode::Off);
 

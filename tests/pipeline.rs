@@ -7,8 +7,8 @@ use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::manufacturing::experiment::RejectExperiment;
 use lsi_quality::manufacturing::field::FieldOutcome;
-use lsi_quality::manufacturing::lot::{ChipLot, ModelLotConfig};
-use lsi_quality::manufacturing::tester::WaferTester;
+use lsi_quality::manufacturing::lot::ModelLotConfig;
+use lsi_quality::manufacturing::pipeline::ParallelLotRunner;
 use lsi_quality::netlist::library;
 use lsi_quality::quality::chip_test::ChipTestTable;
 use lsi_quality::quality::estimate::N0Estimator;
@@ -55,14 +55,15 @@ fn run_pipeline(
     let dictionary = lsi_quality::fault::dictionary::FaultDictionary::from_fault_list(&list);
     let coverage_curve = CoverageCurve::from_fault_list(&list, truncated.len());
 
-    let lot = ChipLot::from_model(&ModelLotConfig {
+    let runner = ParallelLotRunner::default();
+    let lot = runner.generate_model_lot(&ModelLotConfig {
         chips: 4_000,
         yield_fraction: true_yield,
         n0: true_n0,
         fault_universe_size: universe.len(),
         seed,
     });
-    let records = WaferTester::new(&dictionary).test_lot(&lot);
+    let records = runner.test_lot(&dictionary, &lot);
     let outcome = FieldOutcome::from_records(&records);
 
     let checkpoints: Vec<usize> = (1..=truncated.len()).collect();
