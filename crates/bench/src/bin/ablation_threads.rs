@@ -13,10 +13,10 @@
 //!
 //! Configuration routes through the typed `Session` (the `LSIQ_ENGINE`
 //! knob picks the fault-simulation engine that builds the test programme);
-//! each rung of the worker-count ladder gets its own persistent
-//! `ExecutionContext`, created once and reused across every repetition and
-//! every pipeline stage of that rung — the worker-count ladder itself is
-//! explicit, so `LSIQ_LOT_THREADS` is deliberately ignored here.
+//! each rung of the worker-count ladder gets its own `ExecutionContext`,
+//! shared by every repetition and every pipeline stage of that rung — the
+//! worker-count ladder itself is explicit, so `LSIQ_LOT_THREADS` is
+//! deliberately ignored here.
 //!
 //! Run with: `cargo run --release -p lsiq-bench --bin ablation_threads`
 
@@ -57,7 +57,7 @@ fn main() {
         session.config()
     );
 
-    // The test programme, built once on the session's engine and pool: an
+    // The test programme, built once on the session's engine and workers: an
     // LSI-class device and its production-line suite.
     let circuit = Session::reproduction_circuit(false);
     let universe = FaultUniverse::full(&circuit);
@@ -77,8 +77,8 @@ fn main() {
         suite.coverage() * 100.0
     );
 
-    // One persistent pool per ladder rung, shared by every repetition and
-    // every stage measured on that rung.
+    // One context per ladder rung, shared by every repetition and every
+    // stage measured on that rung.
     let contexts: Vec<ExecutionContext> = thread_counts(cores)
         .into_iter()
         .map(ExecutionContext::new)
@@ -137,8 +137,8 @@ fn main() {
         assert!(outcome == reference, "thread count changed the results");
     }
 
-    // Level 2: a (y, n0) grid of whole lots fanned across threads — every
-    // point of a sweep reuses the rung's parked workers.
+    // Level 2: a (y, n0) grid of whole lots fanned across threads — one
+    // fork-join per sweep splits its points across the rung's workers.
     let points = LotSweep::grid(&[0.03, 0.07, 0.15, 0.30], &[2.0, 4.0, 8.0]);
     let sweep = |context| {
         LotSweep {

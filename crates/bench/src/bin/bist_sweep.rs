@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release -p lsiq-bench --bin bist_sweep`
 //!
 //! Knobs: `LSIQ_SEED` (pattern-source seed, default 1981),
-//! `LSIQ_LOT_THREADS` (worker pool), `LSIQ_TEST_MODE` (parsed for
+//! `LSIQ_LOT_THREADS` (worker count), `LSIQ_TEST_MODE` (parsed for
 //! validation like every binary; this sweep is BIST by definition).
 
 use lsi_quality::BistSweepSpec;

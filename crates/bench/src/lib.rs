@@ -8,7 +8,7 @@
 //! level vs self-test length × signature width, with and without the
 //! aliasing correction).  They all route their configuration through the
 //! typed [`Session`] of the facade crate — one [`RunConfig`] (engine,
-//! workers, base seed) plus one persistent worker pool per process:
+//! workers, base seed) plus one execution context per process:
 //!
 //! * [`session_from_env`] — builds the [`Session`] from the `LSIQ_*`
 //!   environment knobs, exiting gracefully with the
@@ -17,6 +17,7 @@
 //!   ([`Session::run_production_line`]) with an explicit lot seed.
 
 use lsiq_exec::{MetricsMode, RunConfig};
+use std::io::{self, Write};
 
 pub use lsi_quality::session::{LineExperiment, LineSpec, Session};
 
@@ -47,7 +48,8 @@ pub fn unwrap_or_exit<T>(result: Result<T, lsiq_exec::ConfigError>) -> T {
     match result {
         Ok(value) => value,
         Err(error) => {
-            eprintln!("lsiq: {error}");
+            // A closed stderr must not turn the exit status 2 into a panic.
+            let _ = writeln!(io::stderr(), "lsiq: {error}");
             std::process::exit(2);
         }
     }
@@ -66,7 +68,8 @@ pub fn session_from_env() -> Session {
 /// the end of `main`, after the reproduction work.
 pub fn print_metrics_report(session: &Session) {
     if session.config().metrics() == MetricsMode::Tree {
-        eprintln!("{}", session.metrics_report());
+        // The report is a diagnostic: a closed stderr loses it, not the run.
+        let _ = writeln!(io::stderr(), "{}", session.metrics_report());
     }
 }
 
@@ -74,7 +77,7 @@ pub fn print_metrics_report(session: &Session) {
 /// seed: a [`Session`] is opened from the environment (engine and worker
 /// knobs apply; the seed argument overrides `LSIQ_SEED` because each caller
 /// pins its own reference run) and [`Session::run_production_line`] does the
-/// rest on the session's persistent pool.
+/// rest across the session's workers.
 pub fn run_line_experiment(
     chips: usize,
     yield_fraction: f64,

@@ -10,7 +10,7 @@
 //!
 //! [`SignatureDictionary::build_in`] produces both records for a whole fault
 //! universe in one fault-simulation pass.  The fault universe is sharded in
-//! contiguous slices across the worker pool ([`lsiq_exec::shard_map`]), one
+//! contiguous slices across worker threads ([`lsiq_exec::shard_map`]), one
 //! slice per worker.  Each fault is propagated through its fanout cone one
 //! packed chunk at a time by the
 //! [cone kernel](lsiq_fault::cone) the incremental fault engine runs on,
@@ -102,7 +102,7 @@ pub struct SignatureDictionary {
 
 impl SignatureDictionary {
     /// Builds the dictionary for one [`BistPlan`] with the fault shards
-    /// executing on `context`'s worker pool (a 1-worker context runs on the
+    /// split across `context`'s workers (a 1-worker context runs on the
     /// calling thread).  Results are byte-identical at any worker count.
     ///
     /// # Panics

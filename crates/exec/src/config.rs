@@ -7,8 +7,9 @@
 //! variables, and only the process entry points call it (`Session::from_env`,
 //! `QueryService::from_env`, `lsiq_bench::run_config_from_env`).  Library
 //! stages never read the environment: they take their configuration and
-//! worker pool as arguments, so an invalid value always surfaces as the
-//! same actionable [`ConfigError`] at start-up, never as a panic mid-run.
+//! execution context as arguments, so an invalid value always surfaces as
+//! the same actionable [`ConfigError`] at start-up, never as a panic
+//! mid-run.
 
 use std::env;
 use std::error::Error;
@@ -40,8 +41,8 @@ pub const METRICS_VAR: &str = "LSIQ_METRICS";
 pub const DEFAULT_BASE_SEED: u64 = 42;
 
 /// Upper bound accepted for `LSIQ_LOT_THREADS`: far above any real machine,
-/// low enough that a typo (`"40000"` for `"4"`) is caught before the work
-/// pool tries to spawn that many operating-system threads.
+/// low enough that a typo (`"40000"` for `"4"`) is caught before a
+/// fork-join tries to spawn that many operating-system threads.
 pub const MAX_WORKERS: usize = 1024;
 
 /// Upper bound accepted for `LSIQ_SCAN_CHAINS`: a chip has at most as many

@@ -1,4 +1,4 @@
-//! Typed execution configuration and the persistent worker pool.
+//! Typed execution configuration and the one fork-join of the workspace.
 //!
 //! The paper's experiment is one coherent campaign — build a test programme
 //! (Section 5), simulate a production line (Section 7), fit the reject model
@@ -15,21 +15,20 @@
 //! * [`EngineKind`] — the names of the three fault-simulation engines
 //!   (instantiating them lives in `lsiq-fault`, which this crate does not
 //!   depend on);
-//! * [`ExecutionContext`] — a persistent pool of parked worker threads with
-//!   a scoped fork-join API ([`ExecutionContext::scope`]).  Every parallel
-//!   stage of the reproduction — fault-universe sharding, lot generation,
-//!   wafer test, reject tabulation, `(y, n0)` sweeps — splits its items
-//!   with [`shard_map`] on the pool its caller passes, or runs on the
-//!   calling thread when given none, so worker threads are spawned once per
-//!   session and reused across all sweep points instead of respawned per
-//!   call.
+//! * [`ExecutionContext`] — the worker count the parallel stages split
+//!   their items across.  Every parallel stage of the reproduction —
+//!   fault-universe sharding, lot generation, wafer test, reject
+//!   tabulation, `(y, n0)` sweeps — forks through [`shard_map`] on the
+//!   context its caller passes, or runs on the calling thread when given
+//!   none.  Each `shard_map` call runs one shard on the calling thread and
+//!   the others on scoped threads it joins before returning.
 //!
 //! The facade crate bundles a [`RunConfig`] and an [`ExecutionContext`] into
 //! `lsi_quality::Session`, the one-call entry point of the reproduction
 //! binaries.
 //!
 //! ```
-//! use lsiq_exec::{EngineKind, ExecutionContext, RunConfig};
+//! use lsiq_exec::{shard_map, EngineKind, ExecutionContext, RunConfig};
 //!
 //! let config = RunConfig::default()
 //!     .with_engine(EngineKind::Deductive)
@@ -37,14 +36,12 @@
 //! let context = ExecutionContext::from_config(&config);
 //! assert_eq!(context.workers(), 2);
 //!
-//! // Fork-join on the persistent pool: disjoint `&mut` slots make the
-//! // result independent of which worker runs which job.
-//! let mut squares = vec![0u64; 8];
-//! context.scope(|scope| {
-//!     for (value, slot) in squares.iter_mut().enumerate() {
-//!         scope.spawn(move || *slot = (value * value) as u64);
-//!     }
-//! });
+//! // One fork-join: each shard squares its own contiguous range, and the
+//! // results come back in range order whichever thread ran them.
+//! let squares: Vec<u64> = shard_map(Some(&context), 8, 1, |range| {
+//!     range.map(|value| (value * value) as u64).collect::<Vec<_>>()
+//! })
+//! .concat();
 //! assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -55,4 +52,4 @@ pub use config::{
     ConfigError, EngineKind, LaneWidth, MetricsMode, RunConfig, ScanPlan, TestMode,
     DEFAULT_BASE_SEED, ENGINE_VAR, LANES_VAR, METRICS_VAR, SCAN_CHAINS_VAR,
 };
-pub use pool::{shard_count, shard_map, ExecutionContext, Scope};
+pub use pool::{shard_count, shard_map, ExecutionContext};

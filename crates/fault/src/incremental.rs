@@ -27,7 +27,7 @@
 //! Runs are single-threaded by default; binding an [`ExecutionContext`] via
 //! [`with_context`](IncrementalSimulator::with_context) (which
 //! `EngineKind::build_configured` does when its options carry one) shards
-//! the simulation classes across the pool's workers, each with its own
+//! the simulation classes across the context's workers, each with its own
 //! kernel scratch state, with results identical at any worker count.
 
 use crate::classes::{simulation_classes, CollapseContext, SimulationClasses};
@@ -120,7 +120,7 @@ impl<'c> IncrementalSimulator<'c> {
         self
     }
 
-    /// Binds the simulator to a persistent worker pool and shards the
+    /// Binds the simulator to an execution context and shards the
     /// simulation classes across its workers.  Without this runs are
     /// single-threaded.
     pub fn with_context(mut self, context: &'c ExecutionContext) -> Self {
@@ -408,7 +408,7 @@ mod tests {
         let reference = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         for workers in [1, 2, 3, 6, 8] {
             let context = ExecutionContext::new(workers);
-            // Two runs on one context: the pool is reused, not respawned.
+            // Two runs on one context give the same result.
             for _ in 0..2 {
                 let bound = IncrementalSimulator::new(&circuit)
                     .with_context(&context)

@@ -4,8 +4,8 @@
 //!
 //! * [`IncrementalSimulator`] — the production engine: the good machine
 //!   once per packed pattern chunk, then per fault only the disturbed
-//!   fanout cone (the [cone kernel](crate::cone)), sharded across a worker
-//!   pool, with equivalence collapsing inside the engine,
+//!   fanout cone (the [cone kernel](crate::cone)), sharded across worker
+//!   threads, with equivalence collapsing inside the engine,
 //! * [`SerialSimulator`] — one fault, one pattern at a time through the
 //!   whole netlist; the obviously-correct reference,
 //! * [`DeductiveSimulator`] — all faults of a pattern at once via signal
@@ -83,8 +83,8 @@ pub trait FaultSimulator {
 /// engine honours all four fields.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions<'c> {
-    /// Persistent worker pool for the sharding engine (`None` runs it on
-    /// the calling thread).
+    /// Execution context for the sharding engine (`None` runs it on the
+    /// calling thread).
     pub context: Option<&'c ExecutionContext>,
     /// Packed lane width for the chunked engine.
     pub lanes: LaneWidth,
@@ -129,7 +129,7 @@ pub trait BuildEngine {
     /// Instantiates the engine with a full [`EngineOptions`] bundle; engines
     /// apply the options they understand and ignore the rest.  With a
     /// [`context`](EngineOptions::context) the incremental engine shards its
-    /// simulation classes across the context's pooled workers, and the
+    /// simulation classes across the context's workers, and the
     /// single-threaded oracles simply run on the calling thread (which may
     /// itself be one of the context's workers).
     fn build_configured<'c>(

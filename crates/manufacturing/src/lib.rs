@@ -21,9 +21,9 @@
 //!   and
 //! * [`pipeline`] — the multi-threaded production line:
 //!   [`ParallelLotRunner`] generates a lot, wafer-tests it and tabulates its
-//!   reject table, sharding each stage's chips across pooled worker threads
+//!   reject table, sharding each stage's chips across worker threads
 //!   with byte-identical results, and [`LotSweep`] fans whole `(y, n0)`
-//!   experiment grids across lots.  Both run on the persistent
+//!   experiment grids across lots.  Both run on the
 //!   [`ExecutionContext`](lsiq_exec::ExecutionContext) their caller binds
 //!   (a session's, typically), or on the calling thread without one, and
 //! * [`streaming`] — the memory-bounded counterpart:

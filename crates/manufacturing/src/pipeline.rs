@@ -7,7 +7,7 @@
 //! and is tested independently.  This module
 //! exploits that at two levels:
 //!
-//! * [`ParallelLotRunner`] shards the chips of *one* lot across pooled worker
+//! * [`ParallelLotRunner`] shards the chips of *one* lot across worker
 //!   threads — generation (statistical model or physical pipeline), wafer
 //!   testing and reject-table bookkeeping ([`RejectExperiment`]) —
 //!   producing byte-identical results at any thread count (enforced by
@@ -16,13 +16,13 @@
 //!   truths, one streamed lot each — across threads and aggregates the
 //!   per-lot reject-rate and field-quality estimates.
 //!
-//! Both levels execute on the persistent [`ExecutionContext`] worker pool
-//! their caller binds via [`ParallelLotRunner::with_context`] /
-//! [`LotSweep::with_context`] (a `Session`'s pool, typically); without one
-//! they run on the calling thread.  A sweep therefore reuses the same parked
-//! workers across all its `(y, n0)` points instead of respawning threads per
-//! lot, and reject tabulation streams each record exactly once into
-//! per-shard counting-sort accumulators merged at join.  Nothing here reads
+//! Both levels fork through [`lsiq_exec::shard_map`] on the
+//! [`ExecutionContext`] their caller binds via
+//! [`ParallelLotRunner::with_context`] / [`LotSweep::with_context`] (a
+//! `Session`'s, typically); without one they run on the calling thread.  A
+//! sweep forks once across all its `(y, n0)` points, not once per lot, and
+//! reject tabulation streams each record exactly once into per-shard
+//! counting-sort accumulators merged at join.  Nothing here reads
 //! the environment: the worker count is the context's.
 
 use crate::chip::Chip;
@@ -39,7 +39,7 @@ use lsiq_stats::rng::{Rng, SplitMix64, Xoshiro256StarStar};
 use std::ops::Range;
 
 /// Runs the per-chip stages of a production lot — generation, wafer test,
-/// reject bookkeeping — sharded across pooled worker threads.
+/// reject bookkeeping — sharded across worker threads.
 ///
 /// Because chip `i` draws only from stream `i` of the lot seed, the sharding
 /// is invisible in the output: any worker count produces byte-identical
@@ -57,7 +57,7 @@ use std::ops::Range;
 ///     fault_universe_size: 5_000,
 ///     seed: 42,
 /// };
-/// // On a session's persistent pool…
+/// // Across a session's workers…
 /// let context = ExecutionContext::new(4);
 /// let pooled = ParallelLotRunner::with_context(&context).generate_model_lot(&config);
 /// // …or, without a context, on the calling thread.
@@ -74,8 +74,8 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     /// overhead costs more than the parallelism recovers.
     pub(crate) const MIN_ITEMS_PER_SHARD: usize = 128;
 
-    /// Creates a runner bound to a persistent worker pool: every stage
-    /// shards across the context's workers.  A [`Default`] runner has no
+    /// Creates a runner bound to an execution context: every stage shards
+    /// across the context's workers.  A [`Default`] runner has no
     /// context and runs every stage on the calling thread.
     pub fn with_context(context: &'ctx ExecutionContext) -> Self {
         ParallelLotRunner {
@@ -89,7 +89,8 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     }
 
     /// Maps `count` indices through `work` (one call per contiguous index
-    /// range, results concatenated in index order), sharded across the pool.
+    /// range, results concatenated in index order), sharded across the
+    /// context's workers.
     fn sharded<T, F>(&self, count: usize, work: F) -> Vec<T>
     where
         T: Send,
@@ -283,10 +284,10 @@ pub struct SweepResult {
 ///
 /// Lot `i` of a sweep is seeded from stream `i` of the base seed, so sweep
 /// results are byte-identical at any worker count, exactly like single-lot
-/// runs.  Bind the sweep to a session's persistent pool with
-/// [`with_context`](Self::with_context) and every point of the grid reuses
-/// the same parked workers; without a context every lot runs on the
-/// calling thread.
+/// runs.  Bind the sweep to a session's context with
+/// [`with_context`](Self::with_context) and the grid's points are split
+/// across its workers in one fork-join; without a context every lot runs
+/// on the calling thread.
 #[derive(Debug, Clone, Copy)]
 pub struct LotSweep<'ctx> {
     /// Chips per lot.
@@ -295,13 +296,13 @@ pub struct LotSweep<'ctx> {
     pub fault_universe_size: usize,
     /// Base seed; lot `i` uses the `i`-th stream of it.
     pub base_seed: u64,
-    /// The persistent worker pool to fan lots across; `None` runs every lot
-    /// on the calling thread.
+    /// The execution context to fan lots across; `None` runs every lot on
+    /// the calling thread.
     pub context: Option<&'ctx ExecutionContext>,
 }
 
 impl<'ctx> LotSweep<'ctx> {
-    /// Binds the sweep to a persistent worker pool.
+    /// Binds the sweep to an execution context.
     pub fn with_context(mut self, context: &'ctx ExecutionContext) -> Self {
         self.context = Some(context);
         self
@@ -323,7 +324,7 @@ impl<'ctx> LotSweep<'ctx> {
     }
 
     /// Runs every sweep point against the given test programme, fanning the
-    /// lots across the pool; results come back in point order.
+    /// lots across the context's workers; results come back in point order.
     ///
     /// Each lot streams on its worker's thread (the parallelism is across
     /// lots here), so a sweep of many small lots and a
@@ -335,7 +336,7 @@ impl<'ctx> LotSweep<'ctx> {
         coverage: &CoverageCurve,
         points: &[SweepPoint],
     ) -> Vec<SweepResult> {
-        // Fan lots (not chips) across the pool: each worker streams whole
+        // Fan lots (not chips) across the workers: each shard streams whole
         // lots with a context-less executor.
         let per_lot = StreamingLotExecutor::default();
         let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
@@ -508,8 +509,8 @@ mod tests {
             context: None,
         };
         let serial_results = serial.run(&dictionary, &coverage, &points);
-        // A sweep bound to a persistent pool reuses it across all points —
-        // and across repeated runs — with identical results.
+        // A sweep bound to a context gives identical results at every
+        // worker count, across repeated runs.
         for workers in [3, 4] {
             let context = ExecutionContext::new(workers);
             let pooled = serial.with_context(&context);

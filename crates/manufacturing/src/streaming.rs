@@ -168,7 +168,8 @@ pub struct StreamingLotExecutor<'ctx> {
 }
 
 impl<'ctx> StreamingLotExecutor<'ctx> {
-    /// Creates an executor bound to a persistent worker pool.
+    /// Creates an executor bound to an execution context: a lot is split
+    /// across the context's workers.
     pub fn with_context(context: &'ctx ExecutionContext) -> Self {
         StreamingLotExecutor {
             context: Some(context),

@@ -13,11 +13,11 @@
 //!    or off, at every worker count (enforced by the differential suites).
 //! 3. **Totals are worker-count invariant.**  Counters are sharded across
 //!    cache-line-padded cells indexed by a per-thread worker slot (set by
-//!    the `lsiq-exec` pool), so concurrent increments never contend on one
+//!    `lsiq_exec::shard_map`), so concurrent increments never contend on one
 //!    line; a snapshot merges the shards, and because addition commutes
 //!    the merged totals are identical at any worker count for counters
 //!    placed at semantically invariant points (per fault, per chunk, per
-//!    drop).  Pool-shape counters (`pool.jobs`, `pool.park_ns`, …)
+//!    drop).  Pool-shape counters (`pool.jobs`, `pool.join_wait_ns`, …)
 //!    legitimately vary with the ladder and are documented as such.
 //!
 //! Series are registered lazily on first use from `static` handles:
@@ -144,10 +144,10 @@ pub fn reset() {
     registry::reset()
 }
 
-/// Binds the calling thread to a counter shard.  The `lsiq-exec` pool
-/// assigns slot `worker_index + 1` to each worker thread (slot 0 is every
-/// unbound thread, including the caller participating in a scope), so
-/// concurrent workers increment disjoint cache lines.
+/// Binds the calling thread to a counter shard.  `lsiq_exec::shard_map`
+/// assigns slot `i` to the thread it spawns for shard `i` (slot 0 is every
+/// unbound thread, including the caller running shard 0), so concurrent
+/// shards increment disjoint cache lines.
 pub fn set_worker_slot(slot: usize) {
     registry::set_worker_slot(slot)
 }

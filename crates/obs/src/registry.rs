@@ -4,7 +4,7 @@
 //! the process lifetime (the cells are leaked once, never per call).
 //! Counters and span stats are sharded over [`SHARDS`]
 //! cache-line-padded atomic cells indexed by the calling thread's worker
-//! slot, so pool workers never contend on one line; a [`crate::snapshot`] merges
+//! slot, so concurrent shards never contend on one line; a [`crate::snapshot`] merges
 //! the shards, and because addition commutes the merged totals do not
 //! depend on which thread recorded what.
 

@@ -10,10 +10,12 @@
 
 use lsiq_serve::json::JsonValue;
 use lsiq_serve::service::QueryService;
+use std::io::{self, Write};
 
 fn main() {
     let service = QueryService::from_env().unwrap_or_else(|error| {
-        eprintln!("lsiq: {error}");
+        // A closed stderr must not turn the exit status 2 into a panic.
+        let _ = writeln!(io::stderr(), "lsiq: {error}");
         std::process::exit(2);
     });
     // A coverage sweep at the paper's Section 7 ground truth, one inverse
@@ -33,7 +35,8 @@ fn main() {
         let request = JsonValue::parse(line).expect("example queries are well-formed");
         println!("{}", service.handle(&request, None).to_line());
     }
-    eprintln!(
+    let _ = writeln!(
+        io::stderr(),
         "served {} queries: {} artifact hits, {} misses, {} fault-simulation passes",
         grid.len(),
         service.artifacts().hits(),

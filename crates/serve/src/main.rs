@@ -55,7 +55,8 @@ fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
-            eprintln!("lsiq: {error}");
+            // A closed stderr must not turn the exit status 2 into a panic.
+            let _ = writeln!(io::stderr(), "lsiq: {error}");
             ExitCode::from(2)
         }
     }

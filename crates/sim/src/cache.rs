@@ -18,7 +18,7 @@
 //! subsystem issues it — shares one evaluation.  Keys are content hashes,
 //! verified against the stored inputs on every hit, so a hash collision
 //! degrades to a miss instead of a wrong answer.  The cache is internally
-//! synchronized; engines running on the worker pool may consult it
+//! synchronized; engines running on several worker threads may consult it
 //! concurrently.
 
 use std::any::Any;

@@ -125,7 +125,7 @@ impl TestSuiteBuilder {
     }
 
     /// Builds the suite with every run-level resource made explicit: an
-    /// optional persistent worker pool (the configured engine shards its
+    /// optional execution context (the configured engine shards its
     /// faults across it; single-threaded engines and `None` run on the
     /// calling thread) and an optional shared [`GoodMachineCache`].  The
     /// build simulates each pattern once (see [`build_with`](Self::build_with)),

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example production_line`
 //!
 //! Configuration flows through the typed [`Session`]: one `RunConfig`
-//! (engine, workers, base seed) and one persistent worker pool drive every
+//! (engine, workers, base seed) and one execution context drive every
 //! stage.  The `LSIQ_ENGINE` / `LSIQ_LOT_THREADS` / `LSIQ_SEED` environment
 //! variables remain as the compatibility layer, parsed in exactly one place
 //! (`RunConfig::from_env`); an invalid value exits with a `ConfigError`
@@ -22,6 +22,7 @@ use lsi_quality::quality::reject::field_reject_rate;
 use lsi_quality::stats::rng::Xoshiro256StarStar;
 use lsi_quality::tpg::suite::TestSuiteBuilder;
 use lsi_quality::Session;
+use std::io::{self, Write};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The run's knobs, bundled in one typed session and echoed so any
@@ -30,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let session = match Session::from_env() {
         Ok(session) => session,
         Err(error) => {
-            eprintln!("lsiq: {error}");
+            // A closed stderr must not turn the exit status 2 into a panic.
+            let _ = writeln!(io::stderr(), "lsiq: {error}");
             std::process::exit(2);
         }
     };
@@ -76,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", wafer.ascii());
 
     // The test programme: random patterns topped up by PODEM, fault
-    // simulated on the session's engine and worker pool.
+    // simulated on the session's engine and workers.
     let suite = TestSuiteBuilder {
         seed: 3,
         target_coverage: 0.90,
@@ -93,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // A production lot through the physical pipeline and the wafer tester,
-    // both sharded across the session's persistent worker pool.
+    // both sharded across the session's workers.
     let lot = runner.generate_physical_lot(&PhysicalLotConfig {
         chips,
         defect_model,

@@ -13,14 +13,15 @@
 //! This facade crate re-exports the workspace members under one roof and
 //! adds the typed entry point of the whole reproduction: [`Session`], which
 //! bundles a [`RunConfig`](exec::RunConfig) (engine, workers, base seed)
-//! with a persistent [`ExecutionContext`](exec::ExecutionContext) worker
-//! pool and drives the Section 7 experiment in one call
+//! with an [`ExecutionContext`](exec::ExecutionContext) worker count and
+//! drives the Section 7 experiment in one call
 //! ([`Session::run_production_line`] / [`Session::reproduce_table1`]).
 //!
 //! * [`obs`] — the zero-dependency telemetry layer: the process-global
 //!   metrics registry and span timers behind the `LSIQ_METRICS` knob
 //!   (see `docs/OBSERVABILITY.md`),
-//! * [`exec`] — typed run configuration and the persistent fork-join pool,
+//! * [`exec`] — typed run configuration and the scoped fork-join
+//!   ([`shard_map`](exec::shard_map)) every parallel stage runs on,
 //! * [`stats`] — PRNGs, distributions, fitting, root finding,
 //! * [`netlist`] — circuits (combinational and sequential), `.bench` / BLIF
 //!   parsing, generators, full-scan insertion,

@@ -1,17 +1,17 @@
 //! The one-call entry point of the reproduction: a typed [`Session`]
-//! bundling a [`RunConfig`] with a persistent [`ExecutionContext`].
+//! bundling a [`RunConfig`] with an [`ExecutionContext`].
 //!
 //! The paper's experiment is one coherent campaign: build an ordered test
 //! programme (Section 5), wafer-test a lot of chips recording each chip's
 //! first failing pattern (Section 7), and tabulate the cumulative-reject
 //! table the model is fitted to (Table 1).  A `Session` owns everything
-//! those stages share — the engine choice, the worker pool, the base seed —
+//! those stages share — the engine choice, the worker count, the base seed —
 //! so the bench binaries, the `production_line` example and the ablation
-//! tools all configure a run in exactly one place and reuse the same parked
-//! worker threads end to end:
+//! tools all configure a run in exactly one place and fork every parallel
+//! stage across the same number of workers:
 //!
 //! ```
-//! use lsi_quality::exec::{EngineKind, RunConfig};
+//! use lsi_quality::exec::{shard_map, EngineKind, RunConfig};
 //! use lsi_quality::Session;
 //!
 //! let session = Session::new(
@@ -21,15 +21,13 @@
 //! );
 //! assert_eq!(session.config().engine(), EngineKind::Deductive);
 //!
-//! // The session's pool serves any fork-join workload…
-//! let mut cubes = vec![0u64; 4];
-//! session.context().scope(|scope| {
-//!     for (value, slot) in cubes.iter_mut().enumerate() {
-//!         scope.spawn(move || *slot = (value * value * value) as u64);
-//!     }
-//! });
+//! // The session's context forks any sharded workload…
+//! let cubes: Vec<u64> = shard_map(Some(session.context()), 4, 1, |range| {
+//!     range.map(|value| (value * value * value) as u64).collect::<Vec<_>>()
+//! })
+//! .concat();
 //! assert_eq!(cubes, [0, 1, 8, 27]);
-//! // …and its lot runner shards production lots on the same workers.
+//! // …and its lot runner shards production lots across the same workers.
 //! assert!(session.lot_runner().threads_for(100_000) >= 1);
 //! ```
 //!
@@ -120,8 +118,8 @@ pub struct LineExperiment {
     pub test_mode: TestMode,
 }
 
-/// A configured run: the typed [`RunConfig`] plus the persistent
-/// [`ExecutionContext`] worker pool every parallel stage executes on, and
+/// A configured run: the typed [`RunConfig`] plus the [`ExecutionContext`]
+/// every parallel stage forks its shards through, and
 /// the session-wide [`GoodMachineCache`] those stages share — a suite
 /// build and a signature sweep over the same patterns pay for the
 /// fault-free simulation once.
@@ -132,8 +130,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a session: spawns the worker pool sized by `config` and parks
-    /// it for the lifetime of the session.
+    /// Opens a session whose execution context has the worker count of
+    /// `config`.  No thread starts here: each parallel stage spawns its
+    /// shards' threads when it runs and joins them before it returns.
     ///
     /// When the configuration asks for telemetry (`LSIQ_METRICS=json|tree`),
     /// the process-global [`lsiq_obs`] recording mode is raised to match.
@@ -167,7 +166,8 @@ impl Session {
         &self.config
     }
 
-    /// The session's persistent worker pool.
+    /// The session's execution context: the worker count every parallel
+    /// stage splits its items across.
     pub fn context(&self) -> &ExecutionContext {
         &self.context
     }
@@ -176,7 +176,7 @@ impl Session {
     /// fault-simulation stage the session runs — suite builds, signature
     /// sweeps — deposits and reuses fault-free chunk images here; hand it
     /// to [`TestSuiteBuilder::build_cached`] to join an external stage to
-    /// the same pool.
+    /// the same cache.
     pub fn good_machine_cache(&self) -> &GoodMachineCache {
         &self.cache
     }
@@ -192,7 +192,7 @@ impl Session {
         lsiq_obs::report::render_tree(&lsiq_obs::snapshot())
     }
 
-    /// A lot runner bound to the session's pool.
+    /// A lot runner bound to the session's context.
     pub fn lot_runner(&self) -> ParallelLotRunner<'_> {
         ParallelLotRunner::with_context(&self.context)
     }
@@ -277,9 +277,9 @@ impl Session {
 
     /// Runs the standard Section 7 style line experiment: an LSI-class
     /// device, a random pattern suite evaluated on the session's engine and
-    /// pool, and a lot drawn from the statistical model with `spec`'s ground
-    /// truth, seeded by the session's base seed.  The lot streams through
-    /// the session's worker pool ([`StreamingLotExecutor`]): each chip is
+    /// workers, and a lot drawn from the statistical model with `spec`'s ground
+    /// truth, seeded by the session's base seed.  The lot streams across
+    /// the session's workers ([`StreamingLotExecutor`]): each chip is
     /// drawn, tested and folded into the reject table without a chip record.
     /// Results are byte-identical at any worker count, so the configuration
     /// only changes wall-clock time.
@@ -378,7 +378,7 @@ impl Session {
     ///
     /// Patterns come from a STUMPS-style generator seeded by the session
     /// (the `LSIQ_SEED` knob, defaulting to the historical 1981); per-fault
-    /// signatures are computed on the session's worker pool in exactly one
+    /// signatures are computed across the session's workers in exactly one
     /// fault-simulation pass at the maximum length, shared across every
     /// test length *and* signature width of the grid
     /// ([`SignatureDictionary::build_sweep_cached`]).

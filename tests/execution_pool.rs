@@ -1,17 +1,17 @@
-//! Seeded stress test for the persistent `ExecutionContext` worker pool.
+//! Seeded stress test for the `ExecutionContext` fork-join, `shard_map`.
 //!
-//! The pool underpins every parallel stage of the reproduction, so this
+//! `shard_map` underpins every parallel stage of the reproduction, so this
 //! suite pins the property everything else relies on: scheduling is
-//! invisible.  A seeded workload of sequential fork-join scopes — each
-//! spawning jobs that themselves open *nested* scopes on the same pool —
-//! must produce bit-identical results at 1, 2 and 2×cores workers, and must
-//! match a straight serial evaluation of the same arithmetic.
+//! invisible.  A seeded workload of sequential fork-joins — each shard
+//! forking again through a *nested* `shard_map` on the same context — must
+//! produce bit-identical results at 1, 2 and 2×cores workers, and must match
+//! a straight serial evaluation of the same arithmetic.
 
-use lsi_quality::exec::ExecutionContext;
+use lsi_quality::exec::{shard_map, ExecutionContext};
 use lsi_quality::stats::rng::{Rng, SplitMix64};
 
 /// Deterministic per-job arithmetic (a SplitMix-style mix), heavy enough to
-/// keep many jobs in flight at once.
+/// keep many shards busy at once.
 fn mix(seed: u64, rounds: u64) -> u64 {
     let mut acc = seed;
     for round in 0..rounds {
@@ -23,33 +23,30 @@ fn mix(seed: u64, rounds: u64) -> u64 {
     acc
 }
 
-/// One seeded campaign: `scopes` sequential fork-join rounds on a single
-/// pool; every job of a round forks again into a nested scope.  Returns one
-/// checksum per round.
+/// One seeded campaign: `scopes` sequential fork-joins on one context,
+/// each over a seeded number of jobs; every job forks again into a nested
+/// `shard_map` over four sub-streams.  Returns one checksum per round.
 fn run_campaign(context: &ExecutionContext, seed: u64, scopes: usize) -> Vec<u64> {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut checksums = Vec::with_capacity(scopes);
     for _ in 0..scopes {
         let jobs = 1 + (rng.next_u64() % 24) as usize;
         let job_seeds: Vec<u64> = (0..jobs).map(|_| rng.next_u64()).collect();
-        let mut slots = vec![0u64; jobs];
-        context.scope(|scope| {
-            for (slot, &job_seed) in slots.iter_mut().zip(&job_seeds) {
-                scope.spawn(move || {
-                    // Nested fork-join on the same pool: split the job into
-                    // four sub-streams and recombine.
-                    let mut parts = [0u64; 4];
-                    context.scope(|inner| {
-                        for (index, part) in parts.iter_mut().enumerate() {
-                            inner.spawn(move || {
-                                *part = mix(job_seed ^ index as u64, 200 + index as u64)
-                            });
-                        }
-                    });
-                    *slot = parts.iter().fold(job_seed, |acc, &part| acc ^ part);
-                });
-            }
-        });
+        let slots = shard_map(Some(context), jobs, 1, |range| {
+            job_seeds[range]
+                .iter()
+                .map(|&job_seed| {
+                    let parts = shard_map(Some(context), 4, 1, |parts| {
+                        parts
+                            .map(|index| mix(job_seed ^ index as u64, 200 + index as u64))
+                            .collect::<Vec<_>>()
+                    })
+                    .concat();
+                    parts.iter().fold(job_seed, |acc, &part| acc ^ part)
+                })
+                .collect::<Vec<_>>()
+        })
+        .concat();
         checksums.push(
             slots
                 .iter()
@@ -59,8 +56,8 @@ fn run_campaign(context: &ExecutionContext, seed: u64, scopes: usize) -> Vec<u64
     checksums
 }
 
-/// The same campaign evaluated serially, with no pool at all — the ground
-/// truth the pooled runs must reproduce bit for bit.
+/// The same campaign evaluated serially, with no context at all — the
+/// ground truth the forked runs must reproduce bit for bit.
 fn run_campaign_serially(seed: u64, scopes: usize) -> Vec<u64> {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut checksums = Vec::with_capacity(scopes);
@@ -104,9 +101,9 @@ fn nested_and_sequential_scopes_are_deterministic_at_every_worker_count() {
 
 #[test]
 fn one_pool_survives_many_sequential_campaigns() {
-    // A session-lifetime pool: the same context serves campaign after
+    // A session-lifetime context: the same context serves campaign after
     // campaign (as a Session serves suite building, lot generation, testing
-    // and sweeping) without drift or exhaustion.
+    // and sweeping) without drift.
     let context = ExecutionContext::new(3);
     for seed in 0..6u64 {
         assert_eq!(

@@ -2,11 +2,11 @@
 //!
 //! Only the process entry points (`Session::from_env`,
 //! `QueryService::from_env`, `lsiq_bench::run_config_from_env`) parse the
-//! knobs; every stage takes its worker pool from its caller and runs on the
-//! calling thread when given none.  This binary sets every variable to an
-//! invalid value, runs each stage both without a context and on a 2-worker
-//! context, and requires every call to complete with exactly the results it
-//! gives once the variables are removed.
+//! knobs; every stage takes its execution context from its caller and runs
+//! on the calling thread when given none.  This binary sets every variable
+//! to an invalid value, runs each stage both without a context and on a
+//! 2-worker context, and requires every call to complete with exactly the
+//! results it gives once the variables are removed.
 //!
 //! The environment is process-global, so this file holds a single test.
 
