@@ -108,8 +108,8 @@ fn bench_fault_sim_large(c: &mut Criterion) {
 
 /// The ISCAS-scale regime the incremental engine exists for: a 50 000-gate
 /// generated circuit over sixteen 64-pattern blocks, where re-evaluating
-/// each fault's disturbed cone beats rebuilding per-signal fault lists over
-/// the whole netlist.  The multi-block budget matters: fault dropping makes
+/// each fanout-free region's disturbed stem cone beats rebuilding
+/// per-signal fault lists over the whole netlist.  The multi-block budget matters: fault dropping makes
 /// the incremental engine's later blocks touch only still-undetected
 /// faults, so its cost is nearly flat in block count while the deductive
 /// engine pays a full list pass per pattern.

@@ -18,8 +18,9 @@
 //!   and lets the dictionary builder advance it a span of up to 64
 //!   patterns per table-driven step,
 //! * [`signature`] — [`SignatureDictionary`]: per-fault first-failing
-//!   *session* records built in one fault-simulation pass, sharded across
-//!   worker threads ([`lsiq_exec::shard_map`]),
+//!   *session* records built in one fault-simulation pass that propagates
+//!   each fanout-free-region stem once per chunk for all of its unresolved
+//!   faults, sharded across worker threads ([`lsiq_exec::shard_map`]),
 //! * [`aliasing`] — [`AliasingReport`]: exact aliasing versus the `2^−k`
 //!   estimate, and the effective coverage that replaces `f` in the paper's
 //!   defect-level equations (eq. 7/8) under BIST.

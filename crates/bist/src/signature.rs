@@ -9,15 +9,18 @@
 //! the signature compare.
 //!
 //! [`SignatureDictionary::build_in`] produces both records for a whole fault
-//! universe in one fault-simulation pass.  The fault universe is sharded in
-//! contiguous slices across worker threads ([`lsiq_exec::shard_map`]), one
-//! slice per worker.  Each fault is propagated through its fanout cone one
-//! packed chunk at a time by the
-//! [cone kernel](lsiq_fault::cone) the incremental fault engine runs on,
-//! which returns only the *error* words (good XOR faulty) of the outputs the
-//! fault reaches.  By the fold's GF(2) linearity (see the [`misr`](crate::misr)
-//! module) a session signature mismatches exactly when the error register
-//! is non-zero at the readout, so only the error stream is folded.
+//! universe in one fault-simulation pass, on the
+//! [cone kernel](lsiq_fault::cone) the incremental fault engine runs on.
+//! The faults are grouped by the stem of their fanout-free region
+//! ([`StemPass`]), and the stems are sharded in contiguous ranges across
+//! worker threads ([`lsiq_exec::shard_map`]), one range per worker.  Per
+//! packed chunk, a stem is propagated once, in the slots where any of its
+//! unresolved faults flip it, and returns only the *error* words (good XOR
+//! faulty) of the outputs it reaches; each fault's error list is that list
+//! ANDed with the fault's mask, zero words dropped.  By the fold's GF(2)
+//! linearity (see the [`misr`](crate::misr) module) a session signature
+//! mismatches exactly when the error register is non-zero at the readout,
+//! so only the error stream is folded.
 //!
 //! The fold never clocks a register once per pattern.  The MISR step is
 //! linear too, so a table-driven step advances each error register across
@@ -27,16 +30,15 @@
 //! ends mid-session (a *cut*, where the register's verdict is recorded
 //! without resetting it).  The fault-free signatures go through the same
 //! step.  Faults whose error stream has gone quiet skip whole chunks
-//! without touching the register, and a fault is dropped from the pass
-//! entirely once every requested signature width has resolved its first
-//! failing session.
+//! without touching the register, and a fault leaves the fold once every
+//! requested signature width has resolved its first failing session; a
+//! stem whose faults have all left is not propagated again.
 
 use crate::lfsr::SUPPORTED_DEGREES;
 use crate::span_step::{LaneSpan, SpanStep, MAX_SPAN};
 use lsiq_exec::{shard_map, ExecutionContext, LaneWidth};
-use lsiq_fault::cone::{good_chunks, ConePropagator, GoodChunk};
+use lsiq_fault::cone::{good_chunks, FanoutRegions, GoodChunk, StemPass};
 use lsiq_fault::dictionary::FaultDictionary;
-use lsiq_fault::model::Fault;
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::{Counter, Span};
@@ -49,11 +51,14 @@ use lsiq_sim::pattern::PatternSet;
 static SWEEPS: Counter = Counter::new("bist.sweep.runs");
 /// Faults entering a sweep; invariant at any worker count.
 static SWEEP_FAULTS: Counter = Counter::new("bist.sweep.faults");
+/// Stem propagations: one per stem and chunk in which an unresolved fault
+/// of the stem's region flips the stem; invariant at any worker count.
+static SWEEP_STEMS: Counter = Counter::new("bist.sweep.stems");
 /// `(length, width)` grid cells the sweep resolves.
 static SWEEP_CELLS: Counter = Counter::new("bist.sweep.cells");
 /// Packing and folding the fault-free machine (once per sweep).
 static GOOD_SIGNATURES: Span = Span::new("bist.sweep.good_signatures");
-/// Per-shard fault simulation and error-stream folding.
+/// Per-shard stem propagation and error-stream folding.
 static PROPAGATE: Span = Span::new("bist.sweep.propagate");
 
 /// The readout schedule and signature geometry of one self-test.
@@ -273,29 +278,43 @@ impl SignatureDictionary {
 
         drop(good_timer);
 
-        // Shard the fault universe across the pool in contiguous slices.
+        // Group the faults by stem, and shard the stems in contiguous
+        // ranges.
         let faults = universe.faults();
         SWEEP_FAULTS.add(faults.len() as u64);
-        let results = shard_map(Some(context), faults.len(), MIN_FAULTS_PER_SHARD, |range| {
-            simulate_shard(
-                &compiled,
-                &chunks,
-                &faults[range],
-                session_len,
-                &folds,
-                &cuts,
-            )
+        let regions = FanoutRegions::new(&compiled);
+        let pass = StemPass::new(&regions, &chunks, faults);
+        let groups = pass.groups();
+        let sweep = Sweep {
+            pass: &pass,
+            chunks: &chunks,
+            session_len,
+            folds: &folds,
+            cuts: &cuts,
+        };
+        let results = shard_map(Some(context), groups.len(), MIN_STEMS_PER_SHARD, |range| {
+            sweep.simulate_shard(range)
         });
 
-        // Concatenate the shards back into universe fault order.
+        // Scatter the shards, which come back in stem order, into universe
+        // fault order.
         let stride = widths.len();
-        let mut first_error: Vec<Option<usize>> = Vec::with_capacity(faults.len());
-        let mut first_fail: Vec<Option<usize>> = Vec::with_capacity(faults.len() * stride);
-        let mut partial_fail: Vec<bool> = Vec::with_capacity(faults.len() * stride * cuts.len());
+        let records = stride * cuts.len();
+        let mut first_error: Vec<Option<usize>> = vec![None; faults.len()];
+        let mut first_fail: Vec<Option<usize>> = vec![None; faults.len() * stride];
+        let mut partial_fail: Vec<bool> = vec![false; faults.len() * records];
+        let mut done = 0;
         for shard in results {
-            first_error.extend(shard.first_error);
-            first_fail.extend(shard.first_fail);
-            partial_fail.extend(shard.partial_fail);
+            let members = &groups.members(0..groups.len())[done..done + shard.first_error.len()];
+            done += members.len();
+            for (local, &fault) in members.iter().enumerate() {
+                let fault = fault as usize;
+                first_error[fault] = shard.first_error[local];
+                first_fail[fault * stride..(fault + 1) * stride]
+                    .copy_from_slice(&shard.first_fail[local * stride..(local + 1) * stride]);
+                partial_fail[fault * records..(fault + 1) * records]
+                    .copy_from_slice(&shard.partial_fail[local * records..(local + 1) * records]);
+            }
         }
 
         // Derive every (length, width) dictionary from the one pass.
@@ -507,9 +526,9 @@ impl SignatureDictionary {
     }
 }
 
-/// Minimum faults per shard; below this the scheduling overhead costs more
+/// Minimum stems per shard; below this the scheduling overhead costs more
 /// than the parallelism recovers.
-const MIN_FAULTS_PER_SHARD: usize = 64;
+const MIN_STEMS_PER_SHARD: usize = 64;
 
 /// One signature width's span step and the lead of every circuit output,
 /// computed once per sweep so the fold loops divide nothing.
@@ -549,6 +568,7 @@ struct Schedule<'a> {
 }
 
 /// What a span's end coincides with.
+#[derive(Clone, Copy)]
 struct SpanEnd {
     /// The cut (an index into the schedule's cuts) the span ends on.
     cut: Option<usize>,
@@ -575,22 +595,6 @@ impl<'a> Schedule<'a> {
             schedule: self,
             slot: 0,
             count,
-        }
-    }
-
-    /// Passes over a chunk of `count` slots that cannot move a zero
-    /// register: every readout and every cut in it reads zero.
-    fn skip(&mut self, count: usize) {
-        self.consumed += count;
-        self.in_session += count;
-        self.session += self.in_session / self.session_len;
-        self.in_session %= self.session_len;
-        while self
-            .cuts
-            .get(self.next_cut)
-            .is_some_and(|&cut| cut <= self.consumed)
-        {
-            self.next_cut += 1;
         }
     }
 }
@@ -639,8 +643,8 @@ impl Iterator for Spans<'_, '_> {
     }
 }
 
-/// One shard's per-fault results, in shard-local fault order, each in one
-/// flat buffer.
+/// One shard's per-fault results, in the shard's grouped fault order, each
+/// in one flat buffer.
 struct ShardResult {
     /// `[fault * widths + width]` first failing *full* session.
     first_fail: Vec<Option<usize>>,
@@ -654,95 +658,147 @@ struct ShardResult {
     first_error: Vec<Option<usize>>,
 }
 
-/// Simulates one contiguous shard of faults over all chunks and folds each
-/// fault's error stream into one register per width, one span at a time.
-fn simulate_shard<const L: usize>(
-    compiled: &CompiledCircuit<'_>,
-    chunks: &[GoodChunk<L>],
-    faults: &[Fault],
+/// Everything a sweep's shards share.
+struct Sweep<'s, const L: usize> {
+    pass: &'s StemPass<'s, L>,
+    chunks: &'s [GoodChunk<L>],
     session_len: usize,
-    folds: &[WidthFold],
-    cuts: &[usize],
-) -> ShardResult {
-    let _timer = PROPAGATE.start();
-    let widths = folds.len();
-    let records = widths * cuts.len();
-    let mut result = ShardResult {
-        first_fail: vec![None; faults.len() * widths],
-        partial_fail: vec![false; faults.len() * records],
-        first_error: Vec::with_capacity(faults.len()),
-    };
-    let mut cone = ConePropagator::<L>::new(compiled);
-    let mut states = vec![0u64; widths];
-    for (index, fault) in faults.iter().enumerate() {
-        let first_fail = &mut result.first_fail[index * widths..(index + 1) * widths];
-        let partial_fail = &mut result.partial_fail[index * records..(index + 1) * records];
-        let mut unresolved = widths;
-        let mut first_error: Option<usize> = None;
-        states.fill(0);
-        let mut schedule = Schedule::new(session_len, cuts);
-        'chunks: for chunk in chunks {
-            let errors = cone.propagate(fault, &chunk.words, chunk.valid);
-            if first_error.is_none() {
-                let union = errors
-                    .iter()
-                    .fold(PackedBlock::<L>::ZERO, |union, &(_, error)| union | error);
-                if let Some(slot) = union.first_set_slot() {
-                    first_error = Some(schedule.consumed + slot);
+    folds: &'s [WidthFold],
+    cuts: &'s [usize],
+}
+
+impl<const L: usize> Sweep<'_, L> {
+    /// Simulates one contiguous range of stem groups over all chunks and
+    /// folds each fault's error stream into one register per width, one
+    /// span at a time.
+    ///
+    /// A group walks the chunks once.  Per chunk its stem is propagated
+    /// once, in the OR of the masks of its faults that still have an
+    /// unresolved width, and each such fault folds its masked copy of the
+    /// stem's list.  A fault whose every width has resolved gets no mask,
+    /// so the group stops once all of its faults have resolved.
+    fn simulate_shard(&self, range: std::ops::Range<usize>) -> ShardResult {
+        let _timer = PROPAGATE.start();
+        let cuts = self.cuts;
+        let widths = self.folds.len();
+        let records = widths * cuts.len();
+        let groups = self.pass.groups();
+        let shard_faults = groups.members(range.clone()).len();
+        let mut result = ShardResult {
+            first_fail: vec![None; shard_faults * widths],
+            partial_fail: vec![false; shard_faults * records],
+            first_error: vec![None; shard_faults],
+        };
+        let mut shard = self.pass.shard();
+        // Per fault of the group: one register per width, and how many
+        // widths are unresolved.
+        let mut states: Vec<u64> = Vec::new();
+        let mut unresolved: Vec<usize> = Vec::new();
+        // The spans of the current chunk, the same for every fault.
+        let mut spans: Vec<(usize, LaneSpan, SpanEnd)> = Vec::new();
+        let mut errors: Vec<(u32, PackedBlock<L>)> = Vec::new();
+        let mut done = 0;
+        for group in range {
+            let size = groups.members(group..group + 1).len();
+            let base = done;
+            done += size;
+            states.clear();
+            states.resize(size * widths, 0);
+            unresolved.clear();
+            unresolved.resize(size, widths);
+            let mut live = size;
+            let mut schedule = Schedule::new(self.session_len, cuts);
+            for (index, chunk) in self.chunks.iter().enumerate() {
+                if live == 0 {
+                    break;
                 }
-            }
-            if errors.is_empty() && states.iter().all(|&state| state == 0) {
-                // A quiet chunk cannot move a zero register: each readout
-                // and each cut in it trivially passes (`partial_fail` is
-                // already `false`).
-                schedule.skip(chunk.count);
-                continue;
-            }
-            for (lane, span, end) in schedule.spans(chunk.count) {
-                for ((fold, state), fail) in folds.iter().zip(&mut states).zip(&*first_fail) {
-                    // A resolved width's register was reset at its failing
-                    // readout and is never read again; skip its steps.
-                    if fail.is_some() {
+                let consumed = schedule.consumed;
+                spans.clear();
+                spans.extend(schedule.spans(chunk.count));
+                let (masks, stem_errors) =
+                    shard.propagate(group, index, |member| unresolved[member] > 0);
+                for (member, &mask) in masks.iter().enumerate() {
+                    if unresolved[member] == 0 {
                         continue;
                     }
-                    let mut z = span.carry(*state);
-                    for &(position, error) in errors {
-                        z ^= span.input(error.0[lane], fold.leads[position as usize]);
+                    let fault = base + member;
+                    errors.clear();
+                    if !mask.is_zero() {
+                        errors.extend(stem_errors.iter().filter_map(|&(position, error)| {
+                            let error = error & mask;
+                            (!error.is_zero()).then_some((position, error))
+                        }));
                     }
-                    // A quiet span leaves a zero register zero.
-                    *state = if z == 0 { 0 } else { fold.step.advance(z) };
-                }
-                if let Some(cut) = end.cut {
-                    // A test ending here reads its last, partial session out
-                    // of the register as it stands — snapshot the verdict
-                    // without disturbing the ongoing fold.  (A resolved
-                    // width's register is zero and its snapshot is unused.)
-                    for (which, &state) in states.iter().enumerate() {
-                        partial_fail[which * cuts.len() + cut] = state != 0;
+                    let first_error = &mut result.first_error[fault];
+                    if first_error.is_none() {
+                        let union = errors
+                            .iter()
+                            .fold(PackedBlock::<L>::ZERO, |union, &(_, error)| union | error);
+                        *first_error = union.first_set_slot().map(|slot| consumed + slot);
                     }
-                }
-                if let Some(session) = end.readout {
-                    for (state, fail) in states.iter_mut().zip(first_fail.iter_mut()) {
-                        if fail.is_none() && *state != 0 {
-                            *fail = Some(session);
-                            unresolved -= 1;
+                    let states = &mut states[member * widths..(member + 1) * widths];
+                    if errors.is_empty() && states.iter().all(|&state| state == 0) {
+                        // A quiet chunk cannot move a zero register: each
+                        // readout and each cut in it trivially passes
+                        // (`partial_fail` is already `false`).
+                        continue;
+                    }
+                    let first_fail = &mut result.first_fail[fault * widths..(fault + 1) * widths];
+                    let partial_fail =
+                        &mut result.partial_fail[fault * records..(fault + 1) * records];
+                    for &(lane, span, end) in &spans {
+                        for ((fold, state), fail) in
+                            self.folds.iter().zip(&mut *states).zip(&*first_fail)
+                        {
+                            // A resolved width's register was reset at its
+                            // failing readout and is never read again; skip
+                            // its steps.
+                            if fail.is_some() {
+                                continue;
+                            }
+                            let mut z = span.carry(*state);
+                            for &(position, error) in &errors {
+                                z ^= span.input(error.0[lane], fold.leads[position as usize]);
+                            }
+                            // A quiet span leaves a zero register zero.
+                            *state = if z == 0 { 0 } else { fold.step.advance(z) };
                         }
-                        *state = 0;
-                    }
-                    if unresolved == 0 {
-                        // Every width has its first failing full session.
-                        // Later cuts lie in later sessions, so their
-                        // dictionaries resolve from `first_fail` alone, and
-                        // a signature failure implies a response difference,
-                        // so `first_error` is already set.
-                        break 'chunks;
+                        if let Some(cut) = end.cut {
+                            // A test ending here reads its last, partial
+                            // session out of the register as it stands —
+                            // snapshot the verdict without disturbing the
+                            // ongoing fold.  (A resolved width's register is
+                            // zero and its snapshot is unused.)
+                            for (which, &state) in states.iter().enumerate() {
+                                partial_fail[which * cuts.len() + cut] = state != 0;
+                            }
+                        }
+                        if let Some(session) = end.readout {
+                            for (state, fail) in states.iter_mut().zip(first_fail.iter_mut()) {
+                                if fail.is_none() && *state != 0 {
+                                    *fail = Some(session);
+                                    unresolved[member] -= 1;
+                                }
+                                *state = 0;
+                            }
+                            if unresolved[member] == 0 {
+                                // Every width has its first failing full
+                                // session.  Later cuts lie in later sessions,
+                                // so their dictionaries resolve from
+                                // `first_fail` alone, and a signature failure
+                                // implies a response difference, so
+                                // `first_error` is already set.
+                                live -= 1;
+                                break;
+                            }
+                        }
                     }
                 }
             }
         }
-        result.first_error.push(first_error);
+        SWEEP_STEMS.add(shard.propagated());
+        result
     }
-    result
 }
 
 #[cfg(test)]
@@ -1021,7 +1077,17 @@ mod tests {
 
     #[test]
     fn worker_counts_are_invisible_in_the_result() {
-        let circuit = library::alu4();
+        // The sweep shards fanout-free-region stems, at least 64 per shard:
+        // this circuit's 501 stems give 2, 3 and 8 workers several shards
+        // each (alu4 has 26, which never leave one shard).
+        let circuit = lsiq_netlist::generator::random_circuit(
+            &lsiq_netlist::generator::RandomCircuitConfig {
+                inputs: 16,
+                gates: 600,
+                seed: 11,
+                ..lsiq_netlist::generator::RandomCircuitConfig::default()
+            },
+        );
         let universe = FaultUniverse::full(&circuit);
         let patterns =
             StumpsGenerator::new(&StumpsConfig::with_width(circuit.primary_inputs().len(), 7))

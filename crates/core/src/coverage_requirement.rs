@@ -33,18 +33,46 @@ pub fn required_fault_coverage(
     if target.value() == 0.0 {
         return Ok(FaultCoverage::new(1.0).expect("valid"));
     }
+    let rate = |f: f64| {
+        let coverage = FaultCoverage::new(f.clamp(0.0, 1.0)).expect("clamped");
+        field_reject_rate(params, coverage).value()
+    };
     // r(f) is continuous and strictly decreasing from r(0) > target to
     // r(1) = 0 < target, so the bracket always contains exactly one root.
+    // The search may stop once r is within a millionth of the target, but
+    // never further off than the default absolute 1e-12: a fixed absolute
+    // tolerance would accept 0.5 for any target below it.
+    let defaults = RootOptions::default();
     let root = bisect(
-        |f| {
-            let coverage = FaultCoverage::new(f.clamp(0.0, 1.0)).expect("clamped");
-            field_reject_rate(params, coverage).value() - target.value()
-        },
+        |f| rate(f) - target.value(),
         0.0,
         1.0,
-        RootOptions::default(),
-    )?;
-    Ok(FaultCoverage::new(root.clamp(0.0, 1.0)).expect("clamped"))
+        RootOptions {
+            f_tolerance: defaults.f_tolerance.min(target.value() * 1e-6),
+            ..defaults
+        },
+    )?
+    .clamp(0.0, 1.0);
+    if rate(root) <= target.value() * (1.0 + 1e-6) {
+        return Ok(FaultCoverage::new(root).expect("clamped"));
+    }
+    // Near f = 1, where r is nearly proportional to 1 − f, a tiny target
+    // can end the search on its 1e-12 step in f while r is still a few
+    // millionths over the target, and f itself is too coarse there to land
+    // within a millionth.  The root lies less than one step above: take the
+    // smallest coverage within that step that meets the target.
+    let (mut below, mut above) = (root, (root + defaults.x_tolerance).min(1.0));
+    loop {
+        let mid = below + 0.5 * (above - below);
+        if mid <= below || mid >= above {
+            return Ok(FaultCoverage::new(above).expect("in range"));
+        }
+        if rate(mid) <= target.value() {
+            above = mid;
+        } else {
+            below = mid;
+        }
+    }
 }
 
 /// One point of a Figs. 2–4 style curve: for a yield `y`, the coverage
@@ -136,6 +164,40 @@ mod tests {
                 "y={y} n0={n0} r={r}: achieved {}",
                 achieved.value()
             );
+        }
+    }
+
+    #[test]
+    fn tiny_reject_targets_are_met_and_monotone() {
+        // Targets at and below an absolute 1e-12 tolerance on r(f), near
+        // f = 1 where f is too coarse to land within a millionth of the
+        // target, and at a yield so high that 0.0069 suffices for 1e-12.
+        let targets = [1e-9, 5e-10, 1e-10, 1e-11, 5e-12, 1e-12, 5e-13, 1e-13];
+        for &(y, n0) in &[
+            (0.07, 8.0),
+            (0.9, 20.0),
+            (0.5, 4.0),
+            (0.999_999_999, 999.0),
+            (0.2, 1.0),
+        ] {
+            let p = params(y, n0);
+            let mut previous = 0.0;
+            for &target in &targets {
+                let required = required_fault_coverage(&p, reject(target)).expect("solves");
+                let achieved = field_reject_rate(&p, required).value();
+                assert!(
+                    achieved <= target * (1.0 + 1e-6),
+                    "y={y} n0={n0} target={target:e}: f = {} gives r = {achieved:e}",
+                    required.value()
+                );
+                // Targets fall, so the requirement must not.
+                assert!(
+                    required.value() >= previous,
+                    "y={y} n0={n0} target={target:e}: {} < {previous}",
+                    required.value()
+                );
+                previous = required.value();
+            }
         }
     }
 

@@ -1,21 +1,21 @@
-//! Simulation-class machinery shared by the deductive and incremental
-//! engines.
+//! Simulation-class machinery of the deductive oracle.
 //!
-//! Both engines optionally partition the requested fault universe into
-//! structural equivalence classes ([`collapse_equivalence`]) and simulate
+//! The oracle optionally partitions the requested fault universe into
+//! structural equivalence classes ([`collapse_equivalence`]) and simulates
 //! one representative per class, crediting its detections to every member.
 //! Equivalent faults are detected by exactly the same patterns, so the
 //! reported results are identical to a full-universe run — the collapsed
-//! pass just carries fewer faults.  The grouping logic (and the
-//! circuit-only state it caches) lives here so the two engines cannot
-//! drift apart.
+//! pass just carries fewer faults.  The incremental engine does not
+//! collapse: once a fault costs a few word operations (its mask at its
+//! fanout-free region's stem, see [`cone`](crate::cone)), building the
+//! classes costs more than it saves.
 
 use crate::collapse::collapse_equivalence;
 use crate::universe::{FaultUniverse, SiteTable};
 use lsiq_netlist::circuit::Circuit;
 use std::cell::OnceCell;
 
-/// The circuit-only collapsing state a simulator reuses across `run` calls
+/// The circuit-only collapsing state the oracle reuses across `run` calls
 /// (a suite build runs once per chunk, against the faults still undetected;
 /// the equivalence classes never change).
 ///

@@ -158,15 +158,16 @@ pub fn collapse_equivalence(circuit: &Circuit) -> CollapseResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::IncrementalSimulator;
+    use crate::deductive::DeductiveSimulator;
     use crate::simulator::FaultSimulator;
     use lsiq_netlist::library;
     use lsiq_sim::pattern::{Pattern, PatternSet};
 
-    /// An engine that simulates every requested fault itself, so these
-    /// tests never lean on the collapsing they check.
-    fn uncollapsed(circuit: &Circuit) -> IncrementalSimulator<'_> {
-        IncrementalSimulator::new(circuit).with_collapsing(false)
+    /// The deductive oracle with its collapsing off: it simulates every
+    /// requested fault itself, so these tests never lean on the collapsing
+    /// they check.
+    fn uncollapsed(circuit: &Circuit) -> DeductiveSimulator<'_> {
+        DeductiveSimulator::new(circuit).with_collapsing(false)
     }
 
     #[test]

@@ -2,38 +2,40 @@
 //!
 //! The [serial](crate::serial) oracle re-evaluates the full circuit per
 //! fault and pattern, and the [deductive](crate::deductive) oracle per
-//! pattern.  This engine exploits the observation that a single stuck-at
-//! fault disturbs only its *fanout cone*: the good machine is evaluated
-//! **once** per packed pattern chunk, and each fault then only seeds its
-//! fault site and propagates the difference through the cone with the
-//! [cone kernel](crate::cone).  The per-fault cost is proportional to the
-//! size of the *disturbed* cone — usually a tiny fraction of the netlist —
-//! instead of the whole circuit.  See `docs/ENGINES.md` for measurements.
+//! pattern.  This engine evaluates the good machine **once** per packed
+//! pattern chunk and then propagates *stems*, not faults: every fault lies
+//! in a fanout-free region that it can leave only through the region's
+//! stem, so one propagation of the stem per chunk, in the slots where any
+//! of its live faults flip it, serves all of them (the
+//! [cone kernel](crate::cone)).  A fault then costs a few word operations
+//! (its mask), and the propagation cost is proportional to the *disturbed*
+//! cones of the stems, usually a small fraction of the netlist.  See
+//! `docs/ENGINES.md` for measurements.
 //!
 //! # Detection semantics
 //!
-//! The kernel returns the error word of every primary output the fault
-//! reaches; their OR is the chunk's detection word, and its first set bit
-//! is the fault's earliest detecting pattern within the chunk.  The
-//! reported [`FaultList`] is therefore byte-identical to the oracles'
-//! (enforced by `tests/engine_differential.rs`).
+//! Per chunk, a stem's detection word is the OR of the error words of the
+//! primary outputs its flip reaches.  A fault's detection word is that
+//! word ANDed with the fault's mask (the slots in which it flips the
+//! stem), and its first set bit is the fault's earliest detecting pattern
+//! within the chunk.  The reported [`FaultList`] is therefore
+//! byte-identical to the oracles' (enforced by
+//! `tests/engine_differential.rs`).
 //!
-//! # Collapsing and sharding
+//! # Dropping and sharding
 //!
-//! The engine simulates one representative per structural equivalence
-//! class by default (see
-//! [`with_collapsing`](IncrementalSimulator::with_collapsing)); callers
-//! hand it the universe they report on, and collapsing happens here, once.
-//! Runs are single-threaded by default; binding an [`ExecutionContext`] via
+//! With fault dropping (the default) a fault detected in one chunk gets no
+//! mask in later chunks, so a stem whose faults are all detected is no
+//! longer propagated.  Runs are single-threaded by default; binding an
+//! [`ExecutionContext`] via
 //! [`with_context`](IncrementalSimulator::with_context) (which
 //! `EngineKind::build_configured` does when its options carry one) shards
-//! the simulation classes across the context's workers, each with its own
-//! kernel scratch state, with results identical at any worker count.
+//! the stems in contiguous ranges across the context's workers, each shard
+//! with its own kernel scratch state, with results identical at any worker
+//! count.
 
-use crate::classes::{simulation_classes, CollapseContext, SimulationClasses};
-use crate::cone::{good_chunks, ConePropagator, GoodChunk};
+use crate::cone::{good_chunks, FanoutRegions, StemPass};
 use crate::list::FaultList;
-use crate::model::Fault;
 use crate::simulator::FaultSimulator;
 use crate::telemetry;
 use crate::universe::FaultUniverse;
@@ -45,6 +47,7 @@ use lsiq_sim::levelized::CompiledCircuit;
 use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
 use std::cell::OnceCell;
+use std::ops::Range;
 
 static GOOD_MACHINE: Span = Span::new("engine.incremental.good_machine");
 static PROPAGATE: Span = Span::new("engine.incremental.propagate");
@@ -52,8 +55,9 @@ static PROPAGATE: Span = Span::new("engine.incremental.propagate");
 /// An event-driven incremental fault simulator.
 ///
 /// Good-machine words are computed once per packed pattern chunk; each
-/// fault re-evaluates only its disturbed fanout cone.  See the [module
-/// docs](self) for the algorithm and `docs/ENGINES.md` for measurements.
+/// stem then re-evaluates only its disturbed fanout cone, once for all the
+/// faults of its region.  See the [module docs](self) for the algorithm and
+/// `docs/ENGINES.md` for measurements.
 ///
 /// ```
 /// use lsiq_fault::incremental::IncrementalSimulator;
@@ -76,31 +80,29 @@ static PROPAGATE: Span = Span::new("engine.incremental.propagate");
 pub struct IncrementalSimulator<'c> {
     compiled: CompiledCircuit<'c>,
     drop_detected: bool,
-    collapse: bool,
     context: Option<&'c ExecutionContext>,
     lanes: LaneWidth,
     cache: Option<&'c GoodMachineCache>,
-    /// Lazily built on the first collapsing run and reused afterwards (see
-    /// [`DeductiveSimulator`](crate::deductive::DeductiveSimulator)).
-    collapse_cache: OnceCell<CollapseContext>,
+    /// Built on the first run and reused afterwards (a suite build runs
+    /// once per chunk of new patterns; the regions never change).
+    regions: OnceCell<FanoutRegions<'c>>,
 }
 
 impl<'c> IncrementalSimulator<'c> {
-    /// Minimum number of simulation classes per shard; below this, handing
-    /// a shard to a worker costs more than it recovers.
-    const MIN_CLASSES_PER_SHARD: usize = 64;
+    /// Minimum number of stems per shard; below this, handing a shard to a
+    /// worker costs more than it recovers.
+    const MIN_STEMS_PER_SHARD: usize = 64;
 
     /// Prepares an incremental fault simulator for `circuit` with fault
-    /// dropping and equivalence collapsing enabled, running single-threaded.
+    /// dropping enabled, running single-threaded.
     pub fn new(circuit: &'c Circuit) -> Self {
         IncrementalSimulator {
             compiled: CompiledCircuit::new(circuit),
             drop_detected: true,
-            collapse: true,
             context: None,
             lanes: LaneWidth::Auto,
             cache: None,
-            collapse_cache: OnceCell::new(),
+            regions: OnceCell::new(),
         }
     }
 
@@ -120,9 +122,8 @@ impl<'c> IncrementalSimulator<'c> {
         self
     }
 
-    /// Binds the simulator to an execution context and shards the
-    /// simulation classes across its workers.  Without this runs are
-    /// single-threaded.
+    /// Binds the simulator to an execution context and shards the stems
+    /// across its workers.  Without this runs are single-threaded.
     pub fn with_context(mut self, context: &'c ExecutionContext) -> Self {
         self.context = Some(context);
         self
@@ -133,26 +134,6 @@ impl<'c> IncrementalSimulator<'c> {
     pub fn with_fault_dropping(mut self, enabled: bool) -> Self {
         self.drop_detected = enabled;
         self
-    }
-
-    /// Controls equivalence collapsing (enabled by default; see
-    /// [`DeductiveSimulator::with_collapsing`](crate::deductive::DeductiveSimulator::with_collapsing)).
-    /// The results are identical either way.
-    pub fn with_collapsing(mut self, enabled: bool) -> Self {
-        self.collapse = enabled;
-        self
-    }
-
-    /// Partitions the universe's fault indices into groups that provably
-    /// share their set of detecting patterns (see
-    /// [`classes::simulation_classes`](simulation_classes)).
-    fn simulation_classes(&self, universe: &FaultUniverse) -> SimulationClasses {
-        simulation_classes(
-            self.compiled.circuit(),
-            &self.collapse_cache,
-            self.collapse,
-            universe,
-        )
     }
 }
 
@@ -166,46 +147,41 @@ impl<'c> IncrementalSimulator<'c> {
         if universe.is_empty() || patterns.is_empty() {
             return FaultList::new(universe);
         }
-        // Classes first: the first run builds the circuit's collapsing
-        // state, and its scratch should not stack on the run's buffers.
-        let classes = self.simulation_classes(universe);
-        let drop_detected = self.drop_detected;
-        let detections: Vec<Vec<Option<usize>>> = {
-            let chunks = {
-                let _timer = GOOD_MACHINE.start();
-                good_chunks::<L>(&self.compiled, patterns, self.cache)
-            };
-            telemetry::RUNS.incr();
-            telemetry::FAULTS.add(classes.count() as u64);
-            telemetry::GOOD_EVALS.add(chunks.len() as u64);
-            let representatives: Vec<Fault> = (0..classes.count() as u32)
-                .map(|class| {
-                    *universe
-                        .get(classes.representative(class) as usize)
-                        .expect("class member in range")
-                })
-                .collect();
-            let compiled = &self.compiled;
-            shard_map(
-                self.context,
-                representatives.len(),
-                Self::MIN_CLASSES_PER_SHARD,
-                |range| simulate_shard(compiled, &chunks, &representatives[range], drop_detected),
-            )
+        let regions = self
+            .regions
+            .get_or_init(|| FanoutRegions::new(&self.compiled));
+        let chunks = {
+            let _timer = GOOD_MACHINE.start();
+            good_chunks::<L>(&self.compiled, patterns, self.cache)
         };
+        let faults = universe.faults();
+        telemetry::RUNS.incr();
+        telemetry::FAULTS.add(faults.len() as u64);
+        telemetry::GOOD_EVALS.add(chunks.len() as u64);
+        let pass = StemPass::new(regions, &chunks, faults);
+        let groups = pass.groups();
+        let drop_detected = self.drop_detected;
+        let detections = shard_map(
+            self.context,
+            groups.len(),
+            Self::MIN_STEMS_PER_SHARD,
+            |range| first_detections(&pass, chunks.len(), range, drop_detected),
+        );
 
-        // Shards come back in class order, so their concatenation is
-        // indexed by class.
+        // Shards come back in stem order, so their concatenation lines up
+        // with the grouped fault indices.
         let mut list = FaultList::new(universe);
         let mut drops = 0u64;
-        for (class, detection) in detections.into_iter().flatten().enumerate() {
+        for (&member, detection) in groups
+            .members(0..groups.len())
+            .iter()
+            .zip(detections.into_iter().flatten())
+        {
             if let Some(pattern) = detection {
                 if drop_detected {
                     drops += 1;
                 }
-                for &member in classes.members_of(class as u32) {
-                    list.mark_detected(member as usize, pattern);
-                }
+                list.mark_detected(member as usize, pattern);
             }
         }
         telemetry::DROPS.add(drops);
@@ -227,40 +203,55 @@ impl FaultSimulator for IncrementalSimulator<'_> {
     }
 }
 
-/// Simulates one contiguous shard of class representatives over all
-/// chunks, returning the first detecting pattern per representative
-/// (shard-local order).  One kernel's scratch state serves the whole shard.
-fn simulate_shard<const L: usize>(
-    compiled: &CompiledCircuit<'_>,
-    chunks: &[GoodChunk<L>],
-    faults: &[Fault],
+/// Simulates one contiguous range of stem groups over all `chunks` chunks
+/// and returns the first detecting pattern of each of their faults, group
+/// after group.
+///
+/// A shard walks every chunk per stem: dropping is per fault, so no shard
+/// waits for another between chunks.
+fn first_detections<const L: usize>(
+    pass: &StemPass<'_, L>,
+    chunks: usize,
+    range: Range<usize>,
     drop_detected: bool,
 ) -> Vec<Option<usize>> {
     let _timer = PROPAGATE.start();
-    let mut cone = ConePropagator::<L>::new(compiled);
-    let mut first_detection: Vec<Option<usize>> = vec![None; faults.len()];
-    for (fault, first) in faults.iter().zip(first_detection.iter_mut()) {
-        for (index, chunk) in chunks.iter().enumerate() {
-            if first.is_some() && drop_detected {
-                break;
-            }
-            let detect = cone
-                .propagate(fault, &chunk.words, chunk.valid)
+    let groups = pass.groups();
+    let mut shard = pass.shard();
+    let mut first: Vec<Option<usize>> = vec![None; groups.members(range.clone()).len()];
+    let mut done = 0;
+    for group in range {
+        let first = &mut first[done..done + groups.members(group..group + 1).len()];
+        done += first.len();
+        for chunk in 0..chunks {
+            // A dropped fault gets no mask, so a stem whose faults are all
+            // detected is not propagated again.
+            let (masks, errors) = shard.propagate(group, chunk, |member| {
+                !drop_detected || first[member].is_none()
+            });
+            let detect = errors
                 .iter()
-                .fold(PackedBlock::ZERO, |detect, &(_, error)| detect | error);
-            if first.is_none() {
-                if let Some(slot) = detect.first_set_slot() {
-                    *first = Some(index * PackedBlock::<L>::PATTERNS + slot);
+                .fold(PackedBlock::<L>::ZERO, |detect, &(_, error)| detect | error);
+            if detect.is_zero() {
+                continue;
+            }
+            for (&mask, found) in masks.iter().zip(first.iter_mut()) {
+                if found.is_none() {
+                    *found = (mask & detect)
+                        .first_set_slot()
+                        .map(|slot| chunk * PackedBlock::<L>::PATTERNS + slot);
                 }
             }
         }
     }
-    first_detection
+    telemetry::STEMS.add(shard.propagated());
+    first
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deductive::DeductiveSimulator;
     use crate::serial::SerialSimulator;
     use lsiq_netlist::generator::{random_circuit, RandomCircuitConfig};
     use lsiq_netlist::library;
@@ -313,20 +304,41 @@ mod tests {
     }
 
     #[test]
+    fn matches_serial_where_faults_reach_flip_flop_d_pins() {
+        // One evaluation reads a flip-flop's held state, never its D pin,
+        // and a flip-flop sits at level 0, below every gate that drives
+        // it: the kernel must never schedule it as a load.
+        let circuit = lsiq_netlist::generator::binary_counter(4);
+        let universe = FaultUniverse::full(&circuit);
+        let patterns = random_patterns(circuit.primary_inputs().len(), 70, 3);
+        let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
+        let incremental = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
+        assert_eq!(serial, incremental);
+    }
+
+    #[test]
     fn collapsing_does_not_change_results() {
+        // The engine simulates every fault of the universe (no collapsing);
+        // the deductive oracle, collapsing or not, must agree with it.
         let circuit = random_circuit(&RandomCircuitConfig {
             inputs: 9,
             gates: 90,
             seed: 43,
             ..RandomCircuitConfig::default()
         });
-        let universe = FaultUniverse::full(&circuit);
         let patterns = random_patterns(9, 70, 13);
-        let collapsed = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
-        let uncollapsed = IncrementalSimulator::new(&circuit)
-            .with_collapsing(false)
-            .run(&universe, &patterns);
-        assert_eq!(collapsed, uncollapsed);
+        for universe in [
+            FaultUniverse::full(&circuit),
+            FaultUniverse::checkpoint(&circuit),
+        ] {
+            let incremental = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
+            for collapse in [true, false] {
+                let oracle = DeductiveSimulator::new(&circuit)
+                    .with_collapsing(collapse)
+                    .run(&universe, &patterns);
+                assert_eq!(incremental, oracle, "collapse = {collapse}");
+            }
+        }
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //!
 //! * [`model`] — stuck-at faults on gate outputs and input pins,
 //! * [`universe`] — enumeration of the complete fault universe `N`,
-//! * [`collapse`] — structural equivalence collapsing,
+//! * [`collapse`] — structural equivalence collapsing (the deductive
+//!   oracle's, and the classes the tools report),
 //! * [`list`] — fault lists with detection status and coverage accounting,
 //! * [`simulator`] — the [`FaultSimulator`] trait every engine implements,
-//! * [`incremental`] — the production engine: event-driven propagation of
-//!   each fault through its fanout cone, one packed pattern chunk at a time,
-//!   on the [`cone`] kernel the BIST signature sweep shares,
+//! * [`incremental`] — the production engine: per packed pattern chunk,
+//!   each fault's mask at the stem of its fanout-free region, then one
+//!   event-driven propagation per stem through its fanout cone, on the
+//!   [`cone`] kernel the BIST signature sweep shares,
 //! * [`serial`], [`deductive`] — two independent oracles (one fault and one
 //!   pattern at a time; all faults of a pattern at once via fault lists)
 //!   the production engine is cross-checked against in the test suites;

@@ -3,9 +3,9 @@
 //! Three engines implement [`FaultSimulator`]:
 //!
 //! * [`IncrementalSimulator`] — the production engine: the good machine
-//!   once per packed pattern chunk, then per fault only the disturbed
-//!   fanout cone (the [cone kernel](crate::cone)), sharded across worker
-//!   threads, with equivalence collapsing inside the engine,
+//!   once per packed pattern chunk, then per fanout-free-region stem only
+//!   the disturbed fanout cone (the [cone kernel](crate::cone)), shared by
+//!   all of the region's faults and sharded across worker threads,
 //! * [`SerialSimulator`] — one fault, one pattern at a time through the
 //!   whole netlist; the obviously-correct reference,
 //! * [`DeductiveSimulator`] — all faults of a pattern at once via signal
@@ -122,14 +122,14 @@ impl Default for EngineOptions<'_> {
 /// ```
 pub trait BuildEngine {
     /// Instantiates the engine for `circuit` with its default settings
-    /// (fault dropping on; collapsing on for the collapsing engines; the
+    /// (fault dropping on; collapsing on for the deductive oracle; the
     /// calling thread).
     fn build<'c>(self, circuit: &'c Circuit) -> Box<dyn FaultSimulator + 'c>;
 
     /// Instantiates the engine with a full [`EngineOptions`] bundle; engines
     /// apply the options they understand and ignore the rest.  With a
     /// [`context`](EngineOptions::context) the incremental engine shards its
-    /// simulation classes across the context's workers, and the
+    /// stems across the context's workers, and the
     /// single-threaded oracles simply run on the calling thread (which may
     /// itself be one of the context's workers).
     fn build_configured<'c>(

@@ -1,24 +1,24 @@
 //! Shared engine telemetry counters.
 //!
-//! All three engines record the same four totals, placed at
-//! worker-count-invariant points — per run, per representative fault, per
-//! good-machine evaluation, per drop — so the merged registry totals are
-//! identical at any worker count, lane width or shard layout (the
-//! determinism suite pins this).  Per-engine *timing* lives in the
-//! `engine.<name>.good_machine` / `engine.<name>.propagate` spans declared
-//! in each engine module.
+//! The engines record the same totals, placed at worker-count-invariant
+//! points — per run, per fault, per good-machine evaluation, per drop, per
+//! stem propagation — so the merged registry totals are identical at any
+//! worker count, lane width or shard layout (the determinism suite pins
+//! this).  Per-engine *timing* lives in the `engine.<name>.good_machine` /
+//! `engine.<name>.propagate` spans declared in each engine module.
 
 use lsiq_obs::Counter;
 
 /// Fault-simulation passes: one per `FaultSimulator::run` that had work.
 pub(crate) static RUNS: Counter = Counter::new("engine.runs");
 
-/// Representative faults entering a run (post-collapse simulation classes
-/// for the collapsing engines, raw universe faults for serial).
+/// Faults entering a run: the universe handed to the engine (the
+/// collapsing deductive oracle counts its simulation classes instead).
 pub(crate) static FAULTS: Counter = Counter::new("engine.faults");
 
-/// Faults excluded from further simulation after their first detection.
-/// Zero when fault dropping is disabled.
+/// Faults excluded from further simulation after their first detection
+/// (simulation classes for the collapsing deductive oracle).  Zero when
+/// fault dropping is disabled.
 pub(crate) static DROPS: Counter = Counter::new("engine.drops");
 
 /// Good-machine evaluations an engine prepared: packed chunks for the
@@ -26,3 +26,7 @@ pub(crate) static DROPS: Counter = Counter::new("engine.drops");
 /// this is demand, not computation (the computation split is
 /// `cache.good_machine.hits` / `.misses`).
 pub(crate) static GOOD_EVALS: Counter = Counter::new("engine.good_evals");
+
+/// Stem propagations of the incremental engine: one per stem and chunk in
+/// which at least one live fault of the stem's region flips the stem.
+pub(crate) static STEMS: Counter = Counter::new("engine.stems");

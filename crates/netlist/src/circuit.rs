@@ -38,6 +38,9 @@ pub struct Circuit {
     signal_names: Vec<String>,
     primary_inputs: Vec<GateId>,
     primary_outputs: Vec<GateId>,
+    /// `is_output[g]`: whether gate `g` is listed in `primary_outputs`, so
+    /// the per-gate query does not scan the output list.
+    is_output: Vec<bool>,
     state_elements: Vec<GateId>,
     fanout: Vec<Vec<GateId>>,
     name_index: HashMap<String, GateId>,
@@ -95,6 +98,7 @@ impl Circuit {
         if primary_outputs.is_empty() {
             return Err(NetlistError::NoOutputs);
         }
+        let mut is_output = vec![false; gate_count];
         for &out in &primary_outputs {
             if out.index() >= gate_count {
                 return Err(NetlistError::InvalidGateId {
@@ -102,6 +106,7 @@ impl Circuit {
                     gate_count,
                 });
             }
+            is_output[out.index()] = true;
         }
         let mut name_index = HashMap::with_capacity(signal_names.len());
         for (index, signal) in signal_names.iter().enumerate() {
@@ -113,6 +118,7 @@ impl Circuit {
             signal_names,
             primary_inputs,
             primary_outputs,
+            is_output,
             state_elements,
             fanout,
             name_index,
@@ -197,8 +203,12 @@ impl Circuit {
     }
 
     /// Returns `true` if gate `id` is a designated primary output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for this circuit.
     pub fn is_primary_output(&self, id: GateId) -> bool {
-        self.primary_outputs.contains(&id)
+        self.is_output[id.index()]
     }
 
     /// Returns `true` if gate `id` is a fanout stem, i.e. drives more than

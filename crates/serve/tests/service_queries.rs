@@ -80,6 +80,27 @@ fn forward_and_inverse_match_the_core_model_exactly() {
 }
 
 #[test]
+fn inverse_meets_a_reject_target_below_the_solver_tolerance() {
+    // Here |r(f) − target| is below 1e-12 already at the first bisection
+    // step, f = 0.5, so an absolute tolerance of 1e-12 would answer 0.5;
+    // about 0.0069 is the smallest sufficient coverage.
+    let service = in_memory_service();
+    let response = handle(
+        &service,
+        r#"{"op":"inverse","yield":0.999999999,"n0":999,"target_reject":1e-12}"#,
+    );
+    let required = field(&response, "required_coverage");
+    assert!((0.0069..0.0070).contains(&required), "{required}");
+    let params = ModelParams::new(Yield::new(0.999_999_999).unwrap(), 999.0).unwrap();
+    let achieved = field_reject_rate(&params, FaultCoverage::new(required).unwrap());
+    assert!(
+        achieved.value() <= 1e-12 * (1.0 + 1e-6),
+        "{}",
+        achieved.value()
+    );
+}
+
+#[test]
 fn bist_cell_matches_the_session_sweep_byte_for_byte() {
     let service = in_memory_service();
     let response = handle(

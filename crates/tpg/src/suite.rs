@@ -57,8 +57,10 @@ pub struct TestSuiteBuilder {
     pub podem_backtracks: usize,
     /// Which fault-simulation engine evaluates the patterns (see
     /// [`EngineKind`]; the incremental engine is the default).  The suite
-    /// hands the engine the universe it reports on; the collapsing engines
-    /// simulate one representative per equivalence class internally.
+    /// hands the engine the universe it reports on; the incremental engine
+    /// propagates one stem per fanout-free region for all of the region's
+    /// faults, and the deductive oracle simulates one representative per
+    /// equivalence class.
     pub engine: EngineKind,
     /// Packed lane width for the chunked engine (see [`LaneWidth`]; the
     /// suite is byte-identical at every width, lanes only change
@@ -211,7 +213,8 @@ impl TestSuiteBuilder {
 /// `patterns`.
 ///
 /// While nothing is detected the engine is handed `universe` itself, not a
-/// copy, so a collapsing engine keeps its full-universe fast path.
+/// copy, so the collapsing deductive oracle keeps its full-universe fast
+/// path.
 fn simulate_appended(
     simulator: &dyn FaultSimulator,
     universe: &FaultUniverse,
@@ -244,7 +247,7 @@ fn simulate_appended(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsiq_fault::incremental::IncrementalSimulator;
+    use lsiq_fault::deductive::DeductiveSimulator;
     use lsiq_netlist::library;
 
     #[test]
@@ -331,39 +334,52 @@ mod tests {
 
     #[test]
     fn engine_collapsing_is_invisible_in_the_built_suite() {
-        // The engine's default-on collapsing must not change a single
-        // reported number, on the full universe and on the checkpoint
-        // universe (which the engine maps onto the full one by site).
+        // The deductive oracle's collapsing, on or off, must not change a
+        // single reported number against the default (non-collapsing)
+        // incremental engine, on the full universe and on the checkpoint
+        // universe (which the oracle maps onto the full one by site).
         let circuit = library::alu4();
-        let raw_engine = IncrementalSimulator::new(&circuit).with_collapsing(false);
+        let oracles = [
+            DeductiveSimulator::new(&circuit),
+            DeductiveSimulator::new(&circuit).with_collapsing(false),
+        ];
         for universe in [
             FaultUniverse::full(&circuit),
             FaultUniverse::checkpoint(&circuit),
         ] {
-            let collapsed = TestSuiteBuilder::default().build(&circuit, &universe);
-            let raw = TestSuiteBuilder::default().build_with(&raw_engine, &circuit, &universe);
-            assert_eq!(collapsed.patterns.as_slice(), raw.patterns.as_slice());
-            assert_eq!(collapsed.fault_list, raw.fault_list);
-            assert_eq!(collapsed.coverage_curve, raw.coverage_curve);
-            assert_eq!(collapsed.dictionary, raw.dictionary);
-            assert_eq!(collapsed.deterministic_patterns, raw.deterministic_patterns);
+            let incremental = TestSuiteBuilder::default().build(&circuit, &universe);
+            for oracle in &oracles {
+                let suite = TestSuiteBuilder::default().build_with(oracle, &circuit, &universe);
+                assert_eq!(incremental.patterns.as_slice(), suite.patterns.as_slice());
+                assert_eq!(incremental.fault_list, suite.fault_list);
+                assert_eq!(incremental.coverage_curve, suite.coverage_curve);
+                assert_eq!(incremental.dictionary, suite.dictionary);
+                assert_eq!(
+                    incremental.deterministic_patterns,
+                    suite.deterministic_patterns
+                );
+            }
         }
 
         // The PODEM top-up phase reads the list's undetected indices;
-        // starve the random phase so the deterministic phase actually runs
-        // under collapsing.
+        // starve the random phase so the deterministic phase actually runs.
         let universe = FaultUniverse::full(&circuit);
         let starved = TestSuiteBuilder {
             max_random_patterns: 16,
             target_coverage: 1.0,
             ..TestSuiteBuilder::default()
         };
-        let collapsed = starved.build(&circuit, &universe);
-        let raw = starved.build_with(&raw_engine, &circuit, &universe);
-        assert!(collapsed.deterministic_patterns > 0);
-        assert_eq!(collapsed.patterns.as_slice(), raw.patterns.as_slice());
-        assert_eq!(collapsed.fault_list, raw.fault_list);
-        assert_eq!(collapsed.deterministic_patterns, raw.deterministic_patterns);
+        let incremental = starved.build(&circuit, &universe);
+        assert!(incremental.deterministic_patterns > 0);
+        for oracle in &oracles {
+            let suite = starved.build_with(oracle, &circuit, &universe);
+            assert_eq!(incremental.patterns.as_slice(), suite.patterns.as_slice());
+            assert_eq!(incremental.fault_list, suite.fault_list);
+            assert_eq!(
+                incremental.deterministic_patterns,
+                suite.deterministic_patterns
+            );
+        }
     }
 
     #[test]

@@ -809,6 +809,37 @@ mod tests {
     }
 
     #[test]
+    fn output_flags_match_the_output_lists() {
+        // `Circuit::is_primary_output` reads a per-gate flag built with the
+        // circuit; it must agree with the declared output list everywhere.
+        let reduced = Session::reproduction_circuit(false);
+        let scan = Session::scan_reproduction_circuit(false, ScanPlan::new(4).expect("valid"))
+            .expect("plan fits");
+        let round_trip = lsiq_netlist::blif::parse("reduced", &lsiq_netlist::blif::write(&reduced))
+            .expect("a written netlist parses");
+        for circuit in [
+            &library::c17(),
+            &library::alu4(),
+            &reduced,
+            scan.circuit(),
+            scan.test_view(),
+            &round_trip,
+        ] {
+            let outputs = circuit.primary_outputs();
+            assert!(!outputs.is_empty());
+            for (id, _) in circuit.iter() {
+                assert_eq!(
+                    circuit.is_primary_output(id),
+                    outputs.contains(&id),
+                    "{}: {}",
+                    circuit.name(),
+                    circuit.signal_name(id)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn scan_session_runs_full_scan_bist_on_the_sequential_device() {
         let plan = ScanPlan::new(4).expect("valid plan");
         // The sequential reproduction device carries the acceptance

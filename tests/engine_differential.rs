@@ -6,8 +6,8 @@
 //! engines to report *byte-identical* detection results — the full
 //! [`FaultList`], i.e. the first detecting pattern of every fault — with
 //! and without fault dropping, on full, equivalence-collapsed and
-//! checkpoint fault universes, and for the deductive and incremental engines
-//! additionally with their internal collapsing disabled.
+//! checkpoint fault universes, and for the deductive engine additionally
+//! with its internal collapsing disabled.
 //!
 //! The case count is 100 in release builds (the CI release-test and
 //! bench-smoke jobs); debug builds run a reduced sweep so plain `cargo test`
@@ -152,13 +152,6 @@ fn assert_engines_identical(case: &Case, universe_name: &str, universe: &FaultUn
             "deductive(uncollapsed)".to_string(),
             uncollapsed.run(universe, &case.patterns),
         );
-        let incremental_uncollapsed = IncrementalSimulator::new(&case.circuit)
-            .with_fault_dropping(fault_dropping)
-            .with_collapsing(false);
-        check(
-            "incremental(uncollapsed)".to_string(),
-            incremental_uncollapsed.run(universe, &case.patterns),
-        );
     }
 }
 
@@ -192,7 +185,7 @@ fn engines_agree_on_scan_expanded_sequential_devices() {
     // circuit into its capture-mode *test view*, where one pattern is one
     // full scan-in/capture/scan-out cycle — a combinational circuit every
     // engine can simulate unchanged.  All three engines (plus the
-    // uncollapsed deductive/incremental variants) must stay byte-identical
+    // uncollapsed deductive variant) must stay byte-identical
     // on the expanded universes, including a dedicated scan-path universe
     // of stuck-at faults on the shift/capture multiplexer gates, and the
     // incremental engine must stay invariant at 1, 2 and 2×cores workers.
@@ -291,12 +284,12 @@ fn incremental_engine_on_explicit_contexts_matches_the_reference() {
 #[test]
 fn incremental_engine_matches_deductive_everywhere() {
     // The incremental engine's dedicated differential block: byte-identical
-    // to the deductive oracle on the full, equivalence-collapsed and
-    // checkpoint universes, with and without fault dropping, with and
-    // without its internal collapsing, and sharded across explicit worker
-    // pools.  Deductive is the oracle because its algorithm shares nothing
-    // with event-driven cone propagation — agreement is two independent
-    // derivations of the same answer.
+    // to the deductive oracle, with and without the oracle's collapsing, on
+    // the full, equivalence-collapsed and checkpoint universes, with and
+    // without fault dropping, and sharded across explicit worker pools.
+    // Deductive is the oracle because its algorithm shares nothing with
+    // event-driven cone propagation or fanout-free regions — agreement is
+    // two independent derivations of the same answer.
     let contexts: Vec<ExecutionContext> = [1, 3].map(ExecutionContext::new).into();
     let case_count = CASES.min(16);
     for index in 0..case_count {
@@ -306,18 +299,24 @@ fn incremental_engine_matches_deductive_everywhere() {
                 let oracle = DeductiveSimulator::new(&case.circuit)
                     .with_fault_dropping(fault_dropping)
                     .run(&universe, &case.patterns);
-                for collapse in [true, false] {
-                    let list = IncrementalSimulator::new(&case.circuit)
-                        .with_fault_dropping(fault_dropping)
-                        .with_collapsing(collapse)
-                        .run(&universe, &case.patterns);
-                    assert_eq!(
-                        oracle, list,
-                        "{}, {universe_name} universe, dropping={fault_dropping}, \
-                         collapse={collapse}",
-                        case.label
-                    );
-                }
+                let uncollapsed = DeductiveSimulator::new(&case.circuit)
+                    .with_fault_dropping(fault_dropping)
+                    .with_collapsing(false)
+                    .run(&universe, &case.patterns);
+                assert_eq!(
+                    oracle, uncollapsed,
+                    "{}, {universe_name} universe, dropping={fault_dropping}: \
+                     the oracle's collapsing",
+                    case.label
+                );
+                let list = IncrementalSimulator::new(&case.circuit)
+                    .with_fault_dropping(fault_dropping)
+                    .run(&universe, &case.patterns);
+                assert_eq!(
+                    oracle, list,
+                    "{}, {universe_name} universe, dropping={fault_dropping}",
+                    case.label
+                );
                 for context in &contexts {
                     let pooled = IncrementalSimulator::new(&case.circuit)
                         .with_fault_dropping(fault_dropping)

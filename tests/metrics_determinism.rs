@@ -2,7 +2,8 @@
 //!
 //! 1. **Sharded-merge determinism** — the engine counter totals
 //!    (`engine.runs` / `engine.faults` / `engine.good_evals` /
-//!    `engine.drops`) are placed at worker-count-invariant points, so the
+//!    `engine.drops` / `engine.stems`) and the signature sweep's
+//!    (`bist.sweep.*`) are placed at worker-count-invariant points, so the
 //!    merged registry totals are identical whether a run used 1, 2 or
 //!    2×cores workers.  (Span *timings* and per-shard span counts
 //!    legitimately vary with the ladder and are not pinned.)
@@ -23,6 +24,7 @@ use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::manufacturing::lot::ModelLotConfig;
 use lsi_quality::manufacturing::pipeline::ParallelLotRunner;
+use lsi_quality::netlist::generator::{random_circuit, RandomCircuitConfig};
 use lsi_quality::netlist::library;
 use lsi_quality::obs::{self, MetricsMode, Snapshot};
 use lsi_quality::sim::pattern::{Pattern, PatternSet};
@@ -43,20 +45,32 @@ fn patterns(width: usize, count: usize) -> PatternSet {
         .collect()
 }
 
-/// The four worker-invariant engine totals, in catalogue order.
-fn engine_totals(snapshot: &Snapshot) -> [u64; 4] {
+/// The five worker-invariant engine totals, in catalogue order.
+fn engine_totals(snapshot: &Snapshot) -> [u64; 5] {
     [
         snapshot.counter("engine.runs"),
         snapshot.counter("engine.faults"),
         snapshot.counter("engine.good_evals"),
         snapshot.counter("engine.drops"),
+        snapshot.counter("engine.stems"),
     ]
+}
+
+/// A circuit with enough fanout-free-region stems that 2 or more workers
+/// split the stems into several shards.
+fn sharded_circuit() -> lsi_quality::netlist::circuit::Circuit {
+    random_circuit(&RandomCircuitConfig {
+        inputs: 16,
+        gates: 600,
+        seed: 11,
+        ..RandomCircuitConfig::default()
+    })
 }
 
 #[test]
 fn sharded_merge_totals_are_worker_count_invariant() {
     let _guard = lock();
-    let circuit = library::alu4();
+    let circuit = sharded_circuit();
     let universe = FaultUniverse::full(&circuit);
     let patterns = patterns(circuit.primary_inputs().len(), 48);
     let cores = std::thread::available_parallelism()
@@ -64,7 +78,7 @@ fn sharded_merge_totals_are_worker_count_invariant() {
         .unwrap_or(1);
 
     obs::set_mode(MetricsMode::Json);
-    let mut reference: Option<[u64; 4]> = None;
+    let mut reference: Option<[u64; 5]> = None;
     for workers in [1, 2, 2 * cores] {
         let context = ExecutionContext::new(workers);
         obs::reset();
@@ -76,10 +90,17 @@ fn sharded_merge_totals_are_worker_count_invariant() {
             .with_fault_dropping(false)
             .run(&universe, &patterns);
         assert_eq!(incremental, undropped);
-        let totals = engine_totals(&obs::snapshot());
+        let recorded = obs::snapshot();
+        let totals = engine_totals(&recorded);
         assert!(
             totals.iter().all(|&t| t > 0),
             "{workers} workers: {totals:?}"
+        );
+        // Not vacuous: the stems went to more than one shard.
+        assert_eq!(
+            recorded.counter("pool.jobs") > 0,
+            workers > 1,
+            "{workers} workers"
         );
         match reference {
             None => reference = Some(totals),
@@ -94,31 +115,62 @@ fn sharded_merge_totals_are_worker_count_invariant() {
 
 #[test]
 fn the_signature_sweep_records_no_engine_counters() {
-    // The sweep propagates faults with the incremental engine's cone
-    // kernel, but it is not an engine run: its work is counted under
-    // `bist.sweep.*` only.
+    // The sweep propagates stems on the incremental engine's cone kernel,
+    // but it is not an engine run: its work is counted under `bist.sweep.*`
+    // only, and those totals do not move with the worker count.  Four
+    // chunks of 64 patterns, so faults resolve in different chunks and
+    // `bist.sweep.stems` counts only stems that still have an unresolved
+    // fault.
     let _guard = lock();
-    let circuit = library::alu4();
+    let circuit = sharded_circuit();
     let universe = FaultUniverse::full(&circuit);
-    let patterns = patterns(circuit.primary_inputs().len(), 96);
-    obs::reset();
+    let patterns = patterns(circuit.primary_inputs().len(), 256);
     obs::set_mode(MetricsMode::Json);
-    let sweep = SignatureDictionary::build_sweep_cached(
-        &ExecutionContext::new(2),
-        &circuit,
-        &universe,
-        &patterns,
-        32,
-        &[8, 16],
-        &[64, 96],
-        LaneWidth::Auto,
-        None,
-    );
-    let recorded = obs::snapshot();
+    let mut reference = None;
+    for workers in [1, 3] {
+        obs::reset();
+        let sweep = SignatureDictionary::build_sweep_cached(
+            &ExecutionContext::new(workers),
+            &circuit,
+            &universe,
+            &patterns,
+            32,
+            &[8, 16],
+            &[200, 256],
+            LaneWidth::X1,
+            None,
+        );
+        let recorded = obs::snapshot();
+        assert!(sweep[1][1].raw_detected_count() > 0, "vacuous sweep");
+        assert_eq!(recorded.counter("bist.sweep.faults"), universe.len() as u64);
+        assert_eq!(engine_totals(&recorded), [0; 5]);
+        // Not vacuous: at 3 workers the stems went to more than one shard.
+        assert_eq!(
+            recorded.counter("pool.jobs") > 0,
+            workers > 1,
+            "{workers} workers"
+        );
+        let totals = [
+            recorded.counter("bist.sweep.runs"),
+            recorded.counter("bist.sweep.stems"),
+            recorded.counter("bist.sweep.cells"),
+        ];
+        assert!(
+            totals.iter().all(|&t| t > 0),
+            "{workers} workers: {totals:?}"
+        );
+        match &reference {
+            None => reference = Some((totals, sweep)),
+            Some((expected, first)) => {
+                assert_eq!(
+                    *expected, totals,
+                    "sweep totals drifted at {workers} workers"
+                );
+                assert_eq!(*first, sweep, "{workers} workers");
+            }
+        }
+    }
     obs::set_mode(MetricsMode::Off);
-    assert!(sweep[1][1].raw_detected_count() > 0, "vacuous sweep");
-    assert_eq!(recorded.counter("bist.sweep.faults"), universe.len() as u64);
-    assert_eq!(engine_totals(&recorded), [0; 4]);
 }
 
 #[test]
@@ -145,7 +197,7 @@ fn recording_never_changes_engine_results() {
 
     assert_eq!(off, json, "fault lists must be byte-identical");
     // The off pass recorded nothing; the json pass recorded every engine.
-    assert_eq!(engine_totals(&silent), [0; 4]);
+    assert_eq!(engine_totals(&silent), [0; 5]);
     assert_eq!(recorded.counter("engine.runs"), 3);
     assert!(recorded.counter("engine.faults") >= 3 * universe_classes_floor(&universe));
 }

@@ -1,12 +1,13 @@
 //! Golden test for collapsing inside the suite builder's engine.
 //!
-//! The collapsing engines (incremental, the default, and deductive)
-//! partition the fault universe they are handed into structural
-//! equivalence classes and simulate one representative per class.  Because
-//! equivalent faults are detected by exactly the same patterns, the
-//! optimisation must be *invisible*: this test pins the reported coverages
-//! to their pre-collapsing golden values and requires byte-identical suites
-//! from each collapsing engine with its collapsing on and off.
+//! The deductive oracle partitions the fault universe it is handed into
+//! structural equivalence classes and simulates one representative per
+//! class; the default incremental engine propagates fanout-free-region
+//! stems and collapses nothing.  Because equivalent faults are detected by
+//! exactly the same patterns, collapsing must be *invisible*: this test
+//! pins the reported coverages to their pre-collapsing golden values and
+//! requires byte-identical suites from the deductive engine with its
+//! collapsing on and off, and from the incremental engine.
 
 use lsi_quality::fault::deductive::DeductiveSimulator;
 use lsi_quality::fault::incremental::IncrementalSimulator;
@@ -43,24 +44,22 @@ fn collapse_on_and_off_agree_on_every_engine() {
         FaultUniverse::full(&circuit),
         FaultUniverse::checkpoint(&circuit),
     ] {
-        let pairs: [(&dyn FaultSimulator, &dyn FaultSimulator); 2] = [
-            (
-                &IncrementalSimulator::new(&circuit),
-                &IncrementalSimulator::new(&circuit).with_collapsing(false),
-            ),
-            (
-                &DeductiveSimulator::new(&circuit),
-                &DeductiveSimulator::new(&circuit).with_collapsing(false),
-            ),
+        let raw = builder.build_with(
+            &DeductiveSimulator::new(&circuit).with_collapsing(false),
+            &circuit,
+            &universe,
+        );
+        let engines: [&dyn FaultSimulator; 2] = [
+            &DeductiveSimulator::new(&circuit),
+            &IncrementalSimulator::new(&circuit),
         ];
-        for (collapsing, raw) in pairs {
-            let engine = collapsing.name();
-            let collapsed = builder.build_with(collapsing, &circuit, &universe);
-            let raw = builder.build_with(raw, &circuit, &universe);
-            assert_eq!(collapsed.patterns, raw.patterns, "{engine}");
-            assert_eq!(collapsed.fault_list, raw.fault_list, "{engine}");
-            assert_eq!(collapsed.coverage_curve, raw.coverage_curve, "{engine}");
-            assert_eq!(collapsed.dictionary, raw.dictionary, "{engine}");
+        for engine in engines {
+            let name = engine.name();
+            let suite = builder.build_with(engine, &circuit, &universe);
+            assert_eq!(suite.patterns, raw.patterns, "{name}");
+            assert_eq!(suite.fault_list, raw.fault_list, "{name}");
+            assert_eq!(suite.coverage_curve, raw.coverage_curve, "{name}");
+            assert_eq!(suite.dictionary, raw.dictionary, "{name}");
         }
     }
 }
