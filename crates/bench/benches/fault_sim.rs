@@ -39,17 +39,6 @@ fn bench_fault_sim(c: &mut Criterion) {
         },
     );
     group.bench_with_input(
-        BenchmarkId::new("deductive_uncollapsed", universe.len()),
-        &(),
-        |b, _| {
-            b.iter(|| {
-                DeductiveSimulator::new(&circuit)
-                    .with_collapsing(false)
-                    .run(black_box(&universe), black_box(&patterns))
-            })
-        },
-    );
-    group.bench_with_input(
         BenchmarkId::new("incremental", universe.len()),
         &(),
         |b, _| {
@@ -80,17 +69,6 @@ fn bench_fault_sim_large(c: &mut Criterion) {
         |b, _| {
             b.iter(|| {
                 DeductiveSimulator::new(&circuit).run(black_box(&universe), black_box(&patterns))
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("deductive_uncollapsed", universe.len()),
-        &(),
-        |b, _| {
-            b.iter(|| {
-                DeductiveSimulator::new(&circuit)
-                    .with_collapsing(false)
-                    .run(black_box(&universe), black_box(&patterns))
             })
         },
     );

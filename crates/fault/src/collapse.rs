@@ -4,8 +4,10 @@
 //! example, any input of an AND gate stuck at 0 is indistinguishable from the
 //! output stuck at 0).  Collapsing changes the size of the fault universe `N`
 //! and therefore the numerical value of "fault coverage"; the paper's model
-//! is agnostic to the choice as long as it is applied consistently.  The
-//! engines collapse internally and report on the caller's universe.
+//! is agnostic to the choice as long as it is applied consistently.  No
+//! engine collapses: each simulates every fault of the universe it is
+//! handed, so a caller that wants coverage over the collapsed universe hands
+//! over [`CollapseResult::collapsed`].
 
 use crate::model::{Fault, StuckValue};
 use crate::universe::{FaultUniverse, SiteTable};
@@ -163,13 +165,6 @@ mod tests {
     use lsiq_netlist::library;
     use lsiq_sim::pattern::{Pattern, PatternSet};
 
-    /// The deductive oracle with its collapsing off: it simulates every
-    /// requested fault itself, so these tests never lean on the collapsing
-    /// they check.
-    fn uncollapsed(circuit: &Circuit) -> DeductiveSimulator<'_> {
-        DeductiveSimulator::new(circuit).with_collapsing(false)
-    }
-
     #[test]
     fn equivalence_reduces_the_universe() {
         let circuit = library::c17();
@@ -218,7 +213,7 @@ mod tests {
         let circuit = library::c17();
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
         let result = collapse_equivalence(&circuit);
-        let sim = uncollapsed(&circuit);
+        let sim = DeductiveSimulator::new(&circuit);
         let collapsed_list = sim.run(&result.collapsed, &patterns);
         assert_eq!(collapsed_list.detected_count(), result.collapsed.len());
     }
@@ -245,7 +240,7 @@ mod tests {
             let full = FaultUniverse::full(circuit);
             let equivalence = collapse_equivalence(circuit);
             assert!(equivalence.ratio() < 1.0, "{name}: nothing collapsed");
-            let sim = uncollapsed(circuit);
+            let sim = DeductiveSimulator::new(circuit);
             let full_list = sim.run(&full, &patterns);
             let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
             assert_eq!(
@@ -288,7 +283,7 @@ mod tests {
                 .collect();
             let full = FaultUniverse::full(circuit);
             let equivalence = collapse_equivalence(circuit);
-            let sim = uncollapsed(circuit);
+            let sim = DeductiveSimulator::new(circuit);
             let full_list = sim.run(&full, &patterns);
             let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
             for (index, &representative) in equivalence.representative_of.iter().enumerate() {

@@ -6,36 +6,25 @@
 //! appearing in the list of any primary output are detected by the pattern.
 //! The algorithm simulates all faults of a pattern simultaneously and is an
 //! independent oracle the incremental engine is cross-checked against: it
-//! shares nothing with fanout-cone propagation.
+//! shares nothing with fanout-cone propagation.  It simulates every fault of
+//! the universe it is handed, so its differentials also confirm the
+//! equivalence collapsing ([`collapse`](crate::collapse)) rather than lean
+//! on it.
 //!
 //! # List representation
 //!
-//! Signal fault lists are sorted, duplicate-free `u32` index lists stored in
-//! a bump arena ([`ListArena`]); union, intersection, subtraction and the
-//! XOR parity rule are linear merges over sorted slices.  Handles into the
-//! arena are freely shared, so a buffer's output list aliases its input list
-//! and a fanout branch without an own active fault aliases its stem — no
-//! bytes are copied for either.  The arena (and every other buffer of the
+//! Signal fault lists are sorted, duplicate-free `u32` lists of universe
+//! positions stored in a bump arena; union, intersection, subtraction and
+//! the XOR parity rule are linear merges over sorted slices.  Handles into
+//! the arena are freely shared, so a buffer's output list aliases its input
+//! list and a fanout branch without an own active fault aliases its stem —
+//! no bytes are copied for either.  The arena (and every other buffer of the
 //! pass) is reset and reused across patterns, so after the first pattern the
 //! engine allocates nothing.  This replaces a `HashSet<usize>` per gate per
 //! pattern and is roughly an order of magnitude faster.
-//!
-//! # Collapsed-universe simulation
-//!
-//! By default the engine partitions the requested fault universe into
-//! structural equivalence classes
-//! ([`collapse_equivalence`](crate::collapse::collapse_equivalence)) and
-//! propagates
-//! one representative per class; the detection of the representative is then
-//! credited to every member.  Equivalent faults are detected by exactly the
-//! same patterns, so the reported [`FaultList`] is identical to a
-//! full-universe run — the collapsed pass just carries ~60 percent fewer
-//! list entries.  Disable with
-//! [`with_collapsing(false)`](DeductiveSimulator::with_collapsing).
 
-use crate::classes::{simulation_classes, CollapseContext, SimulationClasses};
 use crate::list::{FaultList, ListArena, ListRef};
-use crate::model::{Fault, StuckValue};
+use crate::model::StuckValue;
 use crate::simulator::FaultSimulator;
 use crate::telemetry;
 use crate::universe::{FaultUniverse, SiteTable};
@@ -55,22 +44,15 @@ static PROPAGATE: Span = Span::new("engine.deductive.propagate");
 pub struct DeductiveSimulator<'c> {
     compiled: CompiledCircuit<'c>,
     drop_detected: bool,
-    collapse: bool,
-    /// Lazily built on the first collapsing run and reused afterwards, so
-    /// disabling collapsing never pays for it and suite builders that call
-    /// [`run`](FaultSimulator::run) repeatedly pay for it once.
-    context: std::cell::OnceCell<CollapseContext>,
 }
 
 impl<'c> DeductiveSimulator<'c> {
     /// Prepares a deductive fault simulator for `circuit` with fault dropping
-    /// and equivalence collapsing enabled.
+    /// enabled.
     pub fn new(circuit: &'c Circuit) -> Self {
         DeductiveSimulator {
             compiled: CompiledCircuit::new(circuit),
             drop_detected: true,
-            collapse: true,
-            context: std::cell::OnceCell::new(),
         }
     }
 
@@ -85,31 +67,6 @@ impl<'c> DeductiveSimulator<'c> {
         self.drop_detected = enabled;
         self
     }
-
-    /// Controls equivalence collapsing (enabled by default).
-    ///
-    /// When enabled, only one representative per structural equivalence class
-    /// of the requested universe is propagated and its detections are copied
-    /// to the whole class.  The results are identical either way (enforced by
-    /// `tests/engine_differential.rs`); disabling is useful to benchmark the
-    /// raw propagation or to sidestep the per-run collapsing pass on tiny
-    /// circuits.
-    pub fn with_collapsing(mut self, enabled: bool) -> Self {
-        self.collapse = enabled;
-        self
-    }
-
-    /// Partitions the universe's fault indices into groups that provably
-    /// share their set of detecting patterns (see
-    /// [`classes::simulation_classes`](simulation_classes)).
-    fn simulation_classes(&self, universe: &FaultUniverse) -> SimulationClasses {
-        simulation_classes(
-            self.compiled.circuit(),
-            &self.context,
-            self.collapse,
-            universe,
-        )
-    }
 }
 
 impl FaultSimulator for DeductiveSimulator<'_> {
@@ -122,11 +79,9 @@ impl FaultSimulator for DeductiveSimulator<'_> {
         if universe.is_empty() || patterns.is_empty() {
             return list;
         }
-        let classes = self.simulation_classes(universe);
         telemetry::RUNS.incr();
-        telemetry::FAULTS.add(classes.count() as u64);
-        let mut drops = 0u64;
-        let mut pass = Propagation::new(&self.compiled, universe, &classes);
+        telemetry::FAULTS.add(universe.len() as u64);
+        let mut pass = Propagation::new(&self.compiled, universe);
         let circuit = self.compiled.circuit();
         let input_count = circuit.primary_inputs().len();
         // Good-machine values are computed one single-word chunk (64
@@ -149,18 +104,26 @@ impl FaultSimulator for DeductiveSimulator<'_> {
                 }
                 let pattern_index = chunk * PackedBlock::<1>::PATTERNS + slot;
                 pass.detect_pattern(&values, &mut detected);
-                for &class in &detected {
-                    for &member in classes.members_of(class) {
-                        list.mark_detected(member as usize, pattern_index);
-                    }
+                for &position in &detected {
+                    list.mark_detected(position as usize, pattern_index);
                     if self.drop_detected {
-                        pass.deactivate(class);
-                        drops += 1;
+                        pass.deactivate(position);
                     }
                 }
             }
         }
-        telemetry::DROPS.add(drops);
+        // A fault the universe lists more than once is simulated at its
+        // first position only; every later copy shares its detection.
+        for (index, fault) in universe.iter().enumerate() {
+            if let Some(first) = pass.sites.position(fault) {
+                if let Some(pattern) = list.state(first as usize).first_pattern() {
+                    list.mark_detected(index, pattern);
+                }
+            }
+        }
+        if self.drop_detected {
+            telemetry::DROPS.add(list.detected_count() as u64);
+        }
         list
     }
 }
@@ -175,16 +138,15 @@ fn opposing_slot(good: bool) -> usize {
     }
 }
 
-/// The reusable state of one deductive run: per-site fault-class tables, the
+/// The reusable state of one deductive run: the universe's site table, the
 /// list arena, and the per-gate list handles.  Everything here is allocated
 /// once per [`DeductiveSimulator::run`] and reused for every pattern.
 struct Propagation<'a, 'c> {
     compiled: &'a CompiledCircuit<'c>,
-    /// Class index of each site's stuck faults: a [`SiteTable`] over the
-    /// one-representative-per-class universe, so a site's position *is* its
-    /// class.
+    /// Universe position of each site's stuck faults (the first position of
+    /// a fault listed more than once).
     sites: SiteTable,
-    /// Classes still being simulated (fault dropping clears entries).
+    /// Positions still being simulated (fault dropping clears entries).
     active: Vec<bool>,
     arena: ListArena,
     /// Current fault list of every gate, indexed by gate id.
@@ -194,37 +156,26 @@ struct Propagation<'a, 'c> {
 }
 
 impl<'a, 'c> Propagation<'a, 'c> {
-    fn new(
-        compiled: &'a CompiledCircuit<'c>,
-        universe: &FaultUniverse,
-        classes: &SimulationClasses,
-    ) -> Self {
+    fn new(compiled: &'a CompiledCircuit<'c>, universe: &FaultUniverse) -> Self {
         let circuit = compiled.circuit();
-        let representatives: Vec<Fault> = (0..classes.count() as u32)
-            .map(|class| {
-                *universe
-                    .get(classes.representative(class) as usize)
-                    .expect("class member in range")
-            })
-            .collect();
         Propagation {
             compiled,
-            sites: SiteTable::new(circuit, &FaultUniverse::from_faults(representatives)),
-            active: vec![true; classes.count()],
+            sites: SiteTable::new(circuit, universe),
+            active: vec![true; universe.len()],
             arena: ListArena::new(),
             refs: vec![ListRef::EMPTY; circuit.gate_count()],
             pin_refs: Vec::new(),
         }
     }
 
-    /// Stops propagating a detected class (fault dropping).
-    fn deactivate(&mut self, class: u32) {
-        self.active[class as usize] = false;
+    /// Stops propagating a detected fault (fault dropping).
+    fn deactivate(&mut self, position: u32) {
+        self.active[position as usize] = false;
     }
 
     /// Propagates fault lists for one pattern (whose good-machine `values`
-    /// are indexed by gate id) and writes the detected class indices (sorted,
-    /// duplicate-free) into `detected`.
+    /// are indexed by gate id) and writes the detected universe positions
+    /// (sorted, duplicate-free) into `detected`.
     fn detect_pattern(&mut self, values: &[bool], detected: &mut Vec<u32>) {
         let compiled = self.compiled;
         let circuit = compiled.circuit();
@@ -242,11 +193,11 @@ impl<'a, 'c> Propagation<'a, 'c> {
             // agreeing polarity masks every upstream effect, but it is a
             // different single fault from those in the list, so under the
             // single-fault assumption nothing needs to be removed.
-            if let Some(class) =
+            if let Some(position) =
                 self.sites.output_positions(gate_index)[opposing_slot(values[gate_index])]
             {
-                if self.active[class as usize] {
-                    own = self.arena.insert(own, class);
+                if self.active[position as usize] {
+                    own = self.arena.insert(own, position);
                 }
             }
             self.refs[gate_index] = own;
@@ -270,11 +221,11 @@ impl<'a, 'c> Propagation<'a, 'c> {
         self.pin_refs.clear();
         for (pin, &driver) in gate.fanin().iter().enumerate() {
             let mut seen = self.refs[driver.index()];
-            if let Some(class) =
+            if let Some(position) =
                 self.sites.pin_positions(gate_index, pin)[opposing_slot(values[driver.index()])]
             {
-                if self.active[class as usize] {
-                    seen = self.arena.insert(seen, class);
+                if self.active[position as usize] {
+                    seen = self.arena.insert(seen, position);
                 }
             }
             self.pin_refs.push(seen);
@@ -341,6 +292,8 @@ impl<'a, 'c> Propagation<'a, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collapse::collapse_equivalence;
+    use crate::incremental::IncrementalSimulator;
     use crate::serial::SerialSimulator;
     use lsiq_netlist::generator::{random_circuit, RandomCircuitConfig};
     use lsiq_netlist::library;
@@ -403,6 +356,8 @@ mod tests {
 
     #[test]
     fn collapsing_does_not_change_results() {
+        // A run over `collapse_equivalence`'s one-representative-per-class
+        // universe, credited to every member, is the full-universe run.
         let circuit = random_circuit(&RandomCircuitConfig {
             inputs: 9,
             gates: 70,
@@ -411,17 +366,25 @@ mod tests {
         });
         let universe = FaultUniverse::full(&circuit);
         let patterns = random_patterns(9, 50, 13);
-        let collapsed = DeductiveSimulator::new(&circuit).run(&universe, &patterns);
-        let uncollapsed = DeductiveSimulator::new(&circuit)
-            .with_collapsing(false)
-            .run(&universe, &patterns);
-        assert_eq!(collapsed, uncollapsed);
+        let equivalence = collapse_equivalence(&circuit);
+        let simulator = DeductiveSimulator::new(&circuit);
+        let full = simulator.run(&universe, &patterns);
+        let collapsed = simulator.run(&equivalence.collapsed, &patterns);
+        for (index, &representative) in equivalence.representative_of.iter().enumerate() {
+            assert_eq!(
+                full.state(index),
+                collapsed.state(representative),
+                "fault {}",
+                universe.get(index).expect("valid").describe(&circuit)
+            );
+        }
     }
 
     #[test]
     fn collapsing_handles_the_checkpoint_universe() {
-        // The checkpoint universe is a strict subset of the full universe;
-        // its classes must still simulate and expand correctly.
+        // The checkpoint universe is a strict subset of the full universe:
+        // the oracle must match serial on it, and each checkpoint fault must
+        // share the detection of its equivalence class.
         let circuit = random_circuit(&RandomCircuitConfig {
             inputs: 8,
             gates: 60,
@@ -433,6 +396,44 @@ mod tests {
         let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
         let deductive = DeductiveSimulator::new(&circuit).run(&universe, &patterns);
         assert_identical(&serial, &deductive, &circuit, &universe);
+
+        let full = FaultUniverse::full(&circuit);
+        let equivalence = collapse_equivalence(&circuit);
+        let collapsed = DeductiveSimulator::new(&circuit).run(&equivalence.collapsed, &patterns);
+        for (index, fault) in universe.iter().enumerate() {
+            let position = full
+                .position(fault)
+                .expect("checkpoint faults are in the full universe");
+            assert_eq!(
+                deductive.state(index),
+                collapsed.state(equivalence.representative_of[position]),
+                "fault {}",
+                fault.describe(&circuit)
+            );
+        }
+    }
+
+    #[test]
+    fn a_fault_listed_twice_is_credited_at_every_copy() {
+        // The oracle simulates a fault at its first position only; a later
+        // copy must report the same first detection, as the serial oracle
+        // and the incremental engine do.
+        let circuit = library::c17();
+        let mut faults = FaultUniverse::full(&circuit).faults().to_vec();
+        faults.push(faults[3]);
+        let universe = FaultUniverse::from_faults(faults);
+        let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
+        let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
+        assert_eq!(serial.state(3).first_pattern(), Some(0));
+        assert_eq!(serial.state(universe.len() - 1).first_pattern(), Some(0));
+        let incremental = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
+        assert_eq!(incremental, serial);
+        for dropping in [true, false] {
+            let deductive = DeductiveSimulator::new(&circuit)
+                .with_fault_dropping(dropping)
+                .run(&universe, &patterns);
+            assert_eq!(deductive, serial, "dropping = {dropping}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`model`] — stuck-at faults on gate outputs and input pins,
 //! * [`universe`] — enumeration of the complete fault universe `N`,
-//! * [`collapse`] — structural equivalence collapsing (the deductive
-//!   oracle's, and the classes the tools report),
+//! * [`collapse`] — structural equivalence collapsing (the classes the
+//!   tools report; the engines simulate every fault they are handed),
 //! * [`list`] — fault lists with detection status and coverage accounting,
 //! * [`simulator`] — the [`FaultSimulator`] trait every engine implements,
 //! * [`incremental`] — the production engine: per packed pattern chunk,
@@ -38,7 +38,6 @@
 //! assert!(result.coverage() > 0.99); // exhaustive patterns detect everything
 //! ```
 
-mod classes;
 mod telemetry;
 
 pub mod collapse;
@@ -56,7 +55,7 @@ pub mod universe;
 
 pub use coverage::CoverageCurve;
 pub use incremental::IncrementalSimulator;
-pub use list::{DetectionState, FaultList, ListArena, ListRef};
+pub use list::{DetectionState, FaultList};
 pub use model::{Fault, FaultSite, StuckValue};
 pub use simulator::{BuildEngine, EngineKind, FaultSimulator};
-pub use universe::{FaultUniverse, SiteTable};
+pub use universe::FaultUniverse;

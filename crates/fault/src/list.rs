@@ -10,25 +10,20 @@ use crate::universe::FaultUniverse;
 /// Handles are plain `(offset, length)` pairs into the arena's backing
 /// storage, so copying one is free and two handles may alias the same
 /// storage: a buffer gate's output list *is* its input list, and a pin whose
-/// own stuck fault is absent (the common case on a collapsed universe)
-/// shares its driver's list without copying a single element.
+/// own stuck fault is absent shares its driver's list without copying a
+/// single element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ListRef {
+pub(crate) struct ListRef {
     start: u32,
     len: u32,
 }
 
 impl ListRef {
     /// The canonical empty list (valid in every arena).
-    pub const EMPTY: ListRef = ListRef { start: 0, len: 0 };
-
-    /// Number of fault indices in the list.
-    pub fn len(self) -> usize {
-        self.len as usize
-    }
+    pub(crate) const EMPTY: ListRef = ListRef { start: 0, len: 0 };
 
     /// Returns `true` if the list holds no fault indices.
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.len == 0
     }
 }
@@ -44,40 +39,42 @@ impl ListRef {
 /// result to the arena and returns a new handle — with handle-sharing fast
 /// paths for the empty and identical-operand cases.
 #[derive(Debug, Default, Clone)]
-pub struct ListArena {
+pub(crate) struct ListArena {
     storage: Vec<u32>,
 }
 
 impl ListArena {
     /// Creates an empty arena.
-    pub fn new() -> ListArena {
+    pub(crate) fn new() -> ListArena {
         ListArena::default()
     }
 
     /// Drops every list but keeps the allocated capacity for the next pass.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.storage.clear();
     }
 
-    /// Total number of interned elements (diagnostics and tests).
-    pub fn interned_len(&self) -> usize {
+    /// Total number of interned elements.
+    #[cfg(test)]
+    fn interned_len(&self) -> usize {
         self.storage.len()
     }
 
     /// The sorted fault indices behind `list`.
-    pub fn slice(&self, list: ListRef) -> &[u32] {
+    pub(crate) fn slice(&self, list: ListRef) -> &[u32] {
         &self.storage[list.start as usize..(list.start + list.len) as usize]
     }
 
     /// Interns a one-element list.
-    pub fn singleton(&mut self, value: u32) -> ListRef {
+    pub(crate) fn singleton(&mut self, value: u32) -> ListRef {
         let start = self.storage.len();
         self.storage.push(value);
         self.finish(start)
     }
 
     /// Interns a copy of a sorted, duplicate-free slice.
-    pub fn intern(&mut self, values: &[u32]) -> ListRef {
+    #[cfg(test)]
+    fn intern(&mut self, values: &[u32]) -> ListRef {
         debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
         let start = self.storage.len();
         self.storage.extend_from_slice(values);
@@ -99,7 +96,7 @@ impl ListArena {
 
     /// `a ∪ {value}` — returns `a` unchanged when it already contains
     /// `value`.
-    pub fn insert(&mut self, a: ListRef, value: u32) -> ListRef {
+    pub(crate) fn insert(&mut self, a: ListRef, value: u32) -> ListRef {
         if a.is_empty() {
             return self.singleton(value);
         }
@@ -116,7 +113,7 @@ impl ListArena {
     }
 
     /// `a ∪ b`.
-    pub fn union(&mut self, a: ListRef, b: ListRef) -> ListRef {
+    pub(crate) fn union(&mut self, a: ListRef, b: ListRef) -> ListRef {
         if a.is_empty() || a == b {
             return b;
         }
@@ -143,7 +140,7 @@ impl ListArena {
     }
 
     /// `a ∩ b`.
-    pub fn intersect(&mut self, a: ListRef, b: ListRef) -> ListRef {
+    pub(crate) fn intersect(&mut self, a: ListRef, b: ListRef) -> ListRef {
         if a == b {
             return a;
         }
@@ -169,7 +166,7 @@ impl ListArena {
     }
 
     /// `a ∖ b` — the elements of `a` not in `b`.
-    pub fn subtract(&mut self, a: ListRef, b: ListRef) -> ListRef {
+    pub(crate) fn subtract(&mut self, a: ListRef, b: ListRef) -> ListRef {
         if a.is_empty() || a == b {
             return ListRef::EMPTY;
         }
@@ -197,7 +194,7 @@ impl ListArena {
 
     /// `a △ b` — the elements in exactly one of the two lists (the deductive
     /// XOR parity rule).
-    pub fn symmetric_difference(&mut self, a: ListRef, b: ListRef) -> ListRef {
+    pub(crate) fn symmetric_difference(&mut self, a: ListRef, b: ListRef) -> ListRef {
         if a == b {
             return ListRef::EMPTY;
         }

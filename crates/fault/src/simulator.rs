@@ -29,10 +29,9 @@
 //!   disagreement on a small circuit.
 //! * **Deductive** removes the fault dimension: one topological pass per
 //!   pattern computes every signal's *fault list* (the set of faults that
-//!   would complement it), as sorted `u32` slices in a bump
-//!   [`ListArena`](crate::list::ListArena).  Its algorithm shares nothing
-//!   with event-driven propagation, which makes it the natural oracle for
-//!   differential tests.
+//!   would complement it), as sorted `u32` slices in a bump arena.  Its
+//!   algorithm shares nothing with event-driven propagation, which makes
+//!   it the natural oracle for differential tests.
 
 use crate::coverage::CoverageCurve;
 use crate::deductive::DeductiveSimulator;
@@ -122,8 +121,7 @@ impl Default for EngineOptions<'_> {
 /// ```
 pub trait BuildEngine {
     /// Instantiates the engine for `circuit` with its default settings
-    /// (fault dropping on; collapsing on for the deductive oracle; the
-    /// calling thread).
+    /// (fault dropping on; the calling thread).
     fn build<'c>(self, circuit: &'c Circuit) -> Box<dyn FaultSimulator + 'c>;
 
     /// Instantiates the engine with a full [`EngineOptions`] bundle; engines

@@ -12,13 +12,13 @@ use lsiq_obs::Counter;
 /// Fault-simulation passes: one per `FaultSimulator::run` that had work.
 pub(crate) static RUNS: Counter = Counter::new("engine.runs");
 
-/// Faults entering a run: the universe handed to the engine (the
-/// collapsing deductive oracle counts its simulation classes instead).
+/// Faults entering a run: the size of the universe handed to the engine,
+/// on every engine.
 pub(crate) static FAULTS: Counter = Counter::new("engine.faults");
 
-/// Faults excluded from further simulation after their first detection
-/// (simulation classes for the collapsing deductive oracle).  Zero when
-/// fault dropping is disabled.
+/// Faults excluded from further simulation after their first detection:
+/// the faults a run detects, on every engine.  Zero when fault dropping is
+/// disabled.
 pub(crate) static DROPS: Counter = Counter::new("engine.drops");
 
 /// Good-machine evaluations an engine prepared: packed chunks for the

@@ -25,15 +25,20 @@ impl FaultUniverse {
     /// Builds the uncollapsed fault universe: stuck-at-0 and stuck-at-1 on
     /// every stem (gate or primary-input output) and on every gate input pin.
     pub fn full(circuit: &Circuit) -> FaultUniverse {
-        FaultUniverse {
-            faults: full_faults(circuit).collect(),
+        let mut faults = Vec::new();
+        for (id, gate) in circuit.iter() {
+            if !matches!(gate.kind(), GateKind::Const0 | GateKind::Const1) {
+                for stuck in StuckValue::BOTH {
+                    faults.push(Fault::output(id, stuck));
+                }
+            }
+            for pin in 0..gate.fanin_count() {
+                for stuck in StuckValue::BOTH {
+                    faults.push(Fault::input_pin(id, pin, stuck));
+                }
+            }
         }
-    }
-
-    /// Whether this universe is exactly [`FaultUniverse::full`] of
-    /// `circuit`, in enumeration order — checked without building it.
-    pub(crate) fn is_full(&self, circuit: &Circuit) -> bool {
-        self.faults.iter().copied().eq(full_faults(circuit))
+        FaultUniverse { faults }
     }
 
     /// Builds the checkpoint fault universe: stuck faults on primary inputs
@@ -91,7 +96,7 @@ impl FaultUniverse {
 
     /// The position of `fault` in this universe, if present.
     ///
-    /// This is a linear scan; for repeated lookups build a [`SiteTable`].
+    /// This is a linear scan.
     pub fn position(&self, fault: &Fault) -> Option<usize> {
         self.faults.iter().position(|f| f == fault)
     }
@@ -104,7 +109,7 @@ impl FaultUniverse {
 /// than this flat per-site layout (one slot pair per gate output stem and one
 /// per input pin, addressed through a prefix-sum offset table).
 #[derive(Debug, Clone)]
-pub struct SiteTable {
+pub(crate) struct SiteTable {
     /// Position of each gate's output-stem faults, `[gate][stuck]`.
     output: Vec<[Option<u32>; 2]>,
     /// Start of each gate's pin slots in `pin` (prefix sums of fanin counts).
@@ -116,19 +121,10 @@ pub struct SiteTable {
 impl SiteTable {
     /// Indexes `universe` (which must refer to gates of `circuit`) by site.
     ///
+    /// A fault the universe lists more than once keeps its first position.
     /// Faults of the universe that point outside the circuit are skipped;
     /// [`position`](SiteTable::position) reports `None` for them.
-    pub fn new(circuit: &Circuit, universe: &FaultUniverse) -> SiteTable {
-        SiteTable::from_faults(circuit, universe.iter().copied())
-    }
-
-    /// Indexes [`FaultUniverse::full`] of `circuit` without building it.
-    pub(crate) fn full(circuit: &Circuit) -> SiteTable {
-        SiteTable::from_faults(circuit, full_faults(circuit))
-    }
-
-    /// Indexes `faults`, numbered in iteration order, by site.
-    fn from_faults(circuit: &Circuit, faults: impl Iterator<Item = Fault>) -> SiteTable {
+    pub(crate) fn new(circuit: &Circuit, universe: &FaultUniverse) -> SiteTable {
         let mut pin_offset = Vec::with_capacity(circuit.gate_count() + 1);
         let mut total = 0u32;
         pin_offset.push(0);
@@ -141,10 +137,10 @@ impl SiteTable {
             pin_offset,
             pin: vec![[None; 2]; total as usize],
         };
-        for (index, fault) in faults.enumerate() {
+        for (index, fault) in universe.iter().enumerate() {
             let index = u32::try_from(index).expect("fault universe exceeds u32 index space");
-            if let Some(slot) = table.slot_mut(&fault) {
-                *slot = Some(index);
+            if let Some(slot) = table.slot_mut(fault) {
+                slot.get_or_insert(index);
             }
         }
         table
@@ -169,7 +165,7 @@ impl SiteTable {
     }
 
     /// The universe position of `fault`, if present.
-    pub fn position(&self, fault: &Fault) -> Option<u32> {
+    pub(crate) fn position(&self, fault: &Fault) -> Option<u32> {
         let slot = fault.stuck.index();
         match fault.site {
             crate::model::FaultSite::Output(gate) => self.output.get(gate.index())?[slot],
@@ -191,7 +187,7 @@ impl SiteTable {
     /// # Panics
     ///
     /// Panics if `gate` is out of range for the indexed circuit.
-    pub fn output_positions(&self, gate: usize) -> [Option<u32>; 2] {
+    pub(crate) fn output_positions(&self, gate: usize) -> [Option<u32>; 2] {
         self.output[gate]
     }
 
@@ -202,28 +198,11 @@ impl SiteTable {
     ///
     /// Panics if `gate` is out of range; `pin` must be a valid pin of that
     /// gate (checked in debug builds).
-    pub fn pin_positions(&self, gate: usize, pin: usize) -> [Option<u32>; 2] {
+    pub(crate) fn pin_positions(&self, gate: usize, pin: usize) -> [Option<u32>; 2] {
         let start = self.pin_offset[gate] as usize;
         debug_assert!(pin < (self.pin_offset[gate + 1] as usize - start));
         self.pin[start + pin]
     }
-}
-
-/// The faults of [`FaultUniverse::full`], in enumeration order.
-fn full_faults(circuit: &Circuit) -> impl Iterator<Item = Fault> + '_ {
-    circuit.iter().flat_map(|(id, gate)| {
-        let constant = matches!(gate.kind(), GateKind::Const0 | GateKind::Const1);
-        let stem = StuckValue::BOTH
-            .into_iter()
-            .filter(move |_| !constant)
-            .map(move |stuck| Fault::output(id, stuck));
-        let pins = (0..gate.fanin_count()).flat_map(move |pin| {
-            StuckValue::BOTH
-                .into_iter()
-                .map(move |stuck| Fault::input_pin(id, pin, stuck))
-        });
-        stem.chain(pins)
-    })
 }
 
 impl<'a> IntoIterator for &'a FaultUniverse {
@@ -239,14 +218,14 @@ impl<'a> IntoIterator for &'a FaultUniverse {
 mod tests {
     use super::*;
     use lsiq_netlist::library;
-    use lsiq_netlist::stats::CircuitStats;
 
     #[test]
     fn full_universe_matches_structural_count() {
+        // Two stuck values on each of c17's 11 stems and 12 input pins.
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
-        let stats = CircuitStats::of(&circuit);
-        assert_eq!(universe.len(), stats.uncollapsed_fault_sites());
+        let pins: usize = circuit.iter().map(|(_, gate)| gate.fanin_count()).sum();
+        assert_eq!(universe.len(), 2 * (circuit.gate_count() + pins));
         assert_eq!(universe.len(), 46);
     }
 
@@ -297,7 +276,6 @@ mod tests {
         let checkpoint = FaultUniverse::checkpoint(&circuit);
         for (universe, table) in [
             (&full, SiteTable::new(&circuit, &full)),
-            (&full, SiteTable::full(&circuit)),
             (&checkpoint, SiteTable::new(&circuit, &checkpoint)),
         ] {
             for (index, fault) in universe.iter().enumerate() {

@@ -223,11 +223,6 @@ impl Circuit {
         self.gates.iter().enumerate().map(|(i, g)| (GateId(i), g))
     }
 
-    /// Total number of gate input pins in the circuit.
-    pub fn total_pin_count(&self) -> usize {
-        self.gates.iter().map(|g| g.fanin_count()).sum()
-    }
-
     /// Estimated CMOS transistor count of the whole circuit.
     pub fn transistor_estimate(&self) -> usize {
         self.gates
@@ -261,7 +256,6 @@ mod tests {
         assert_eq!(c.gate_count(), 4);
         assert_eq!(c.primary_inputs().len(), 2);
         assert_eq!(c.primary_outputs().len(), 2);
-        assert_eq!(c.total_pin_count(), 3);
         let y = c.find_signal("y").expect("exists");
         assert_eq!(c.gate(y).kind(), GateKind::Nand);
         assert_eq!(c.signal_name(y), "y");

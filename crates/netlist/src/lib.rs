@@ -9,7 +9,7 @@
 //! * an ISCAS-style `.bench` reader and writer ([`bench_format`]) and a
 //!   combinational BLIF reader and writer ([`blif`]); the format guide is
 //!   `docs/FORMATS.md` at the repository root,
-//! * levelisation and structural analysis ([`levelize`], [`stats`]),
+//! * levelisation ([`levelize`]),
 //! * parameterised circuit generators (adders, multipliers, ALUs, parity and
 //!   multiplexer trees, random logic) in [`generator`], and
 //! * an embedded library of ready-made circuits, including an "LSI-class"
@@ -19,13 +19,10 @@
 //!
 //! ```
 //! use lsiq_netlist::library;
-//! use lsiq_netlist::stats::CircuitStats;
 //!
 //! let c17 = library::c17();
-//! let stats = CircuitStats::of(&c17);
 //! assert_eq!(c17.primary_inputs().len(), 5);
 //! assert_eq!(c17.primary_outputs().len(), 2);
-//! assert!(stats.logic_gates >= 6);
 //! ```
 
 pub mod bench_format;
@@ -38,7 +35,6 @@ pub mod generator;
 pub mod levelize;
 pub mod library;
 pub mod scan;
-pub mod stats;
 
 pub use builder::CircuitBuilder;
 pub use circuit::{Circuit, GateId};

@@ -57,10 +57,9 @@ pub struct TestSuiteBuilder {
     pub podem_backtracks: usize,
     /// Which fault-simulation engine evaluates the patterns (see
     /// [`EngineKind`]; the incremental engine is the default).  The suite
-    /// hands the engine the universe it reports on; the incremental engine
-    /// propagates one stem per fanout-free region for all of the region's
-    /// faults, and the deductive oracle simulates one representative per
-    /// equivalence class.
+    /// hands the engine the universe it reports on, and every engine
+    /// simulates each fault of it; the incremental engine propagates one
+    /// stem per fanout-free region for all of the region's faults.
     pub engine: EngineKind,
     /// Packed lane width for the chunked engine (see [`LaneWidth`]; the
     /// suite is byte-identical at every width, lanes only change
@@ -162,8 +161,7 @@ impl TestSuiteBuilder {
     /// faults of `universe` still undetected (`universe` itself while none
     /// is).  Appending patterns never moves a fault's first detecting
     /// pattern, so the suite is byte-identical to one run over its final
-    /// pattern set.  Whether the engine collapses equivalent faults is its
-    /// own business and never changes the suite.
+    /// pattern set.
     pub fn build_with(
         &self,
         simulator: &dyn FaultSimulator,
@@ -212,9 +210,8 @@ impl TestSuiteBuilder {
 /// are still undetected, and records each detection at its index in
 /// `patterns`.
 ///
-/// While nothing is detected the engine is handed `universe` itself, not a
-/// copy, so the collapsing deductive oracle keeps its full-universe fast
-/// path.
+/// While nothing is detected the engine is handed `universe` itself, which
+/// spares a copy of it.
 fn simulate_appended(
     simulator: &dyn FaultSimulator,
     universe: &FaultUniverse,
@@ -334,31 +331,27 @@ mod tests {
 
     #[test]
     fn engine_collapsing_is_invisible_in_the_built_suite() {
-        // The deductive oracle's collapsing, on or off, must not change a
-        // single reported number against the default (non-collapsing)
-        // incremental engine, on the full universe and on the checkpoint
-        // universe (which the oracle maps onto the full one by site).
+        // The deductive oracle, which once simulated one representative per
+        // equivalence class, now simulates every fault it is handed; handed
+        // to `build_with`, it must not change a single reported number
+        // against the default incremental engine, on the full universe and
+        // on the checkpoint universe.
         let circuit = library::alu4();
-        let oracles = [
-            DeductiveSimulator::new(&circuit),
-            DeductiveSimulator::new(&circuit).with_collapsing(false),
-        ];
+        let oracle = DeductiveSimulator::new(&circuit);
         for universe in [
             FaultUniverse::full(&circuit),
             FaultUniverse::checkpoint(&circuit),
         ] {
             let incremental = TestSuiteBuilder::default().build(&circuit, &universe);
-            for oracle in &oracles {
-                let suite = TestSuiteBuilder::default().build_with(oracle, &circuit, &universe);
-                assert_eq!(incremental.patterns.as_slice(), suite.patterns.as_slice());
-                assert_eq!(incremental.fault_list, suite.fault_list);
-                assert_eq!(incremental.coverage_curve, suite.coverage_curve);
-                assert_eq!(incremental.dictionary, suite.dictionary);
-                assert_eq!(
-                    incremental.deterministic_patterns,
-                    suite.deterministic_patterns
-                );
-            }
+            let suite = TestSuiteBuilder::default().build_with(&oracle, &circuit, &universe);
+            assert_eq!(incremental.patterns.as_slice(), suite.patterns.as_slice());
+            assert_eq!(incremental.fault_list, suite.fault_list);
+            assert_eq!(incremental.coverage_curve, suite.coverage_curve);
+            assert_eq!(incremental.dictionary, suite.dictionary);
+            assert_eq!(
+                incremental.deterministic_patterns,
+                suite.deterministic_patterns
+            );
         }
 
         // The PODEM top-up phase reads the list's undetected indices;
@@ -371,15 +364,13 @@ mod tests {
         };
         let incremental = starved.build(&circuit, &universe);
         assert!(incremental.deterministic_patterns > 0);
-        for oracle in &oracles {
-            let suite = starved.build_with(oracle, &circuit, &universe);
-            assert_eq!(incremental.patterns.as_slice(), suite.patterns.as_slice());
-            assert_eq!(incremental.fault_list, suite.fault_list);
-            assert_eq!(
-                incremental.deterministic_patterns,
-                suite.deterministic_patterns
-            );
-        }
+        let suite = starved.build_with(&oracle, &circuit, &universe);
+        assert_eq!(incremental.patterns.as_slice(), suite.patterns.as_slice());
+        assert_eq!(incremental.fault_list, suite.fault_list);
+        assert_eq!(
+            incremental.deterministic_patterns,
+            suite.deterministic_patterns
+        );
     }
 
     #[test]

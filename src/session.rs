@@ -48,7 +48,6 @@ use lsiq_exec::{
     ConfigError, ExecutionContext, MetricsMode, RunConfig, ScanPlan, TestMode, SCAN_CHAINS_VAR,
 };
 use lsiq_fault::coverage::CoverageCurve;
-use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_manufacturing::experiment::RejectExperiment;
 use lsiq_manufacturing::lot::ModelLotConfig;
@@ -200,13 +199,13 @@ impl Session {
     /// The exact suite builder of the production-line flow
     /// ([`run_production_line`](Self::run_production_line)): the reference
     /// programme seed, 64-pattern chunks, up to 192 random patterns, no
-    /// PODEM top-up — with the session's engine choice resolved for
-    /// `circuit` ([`RunConfig::engine_for_size`]).
+    /// PODEM top-up — with the session's engine and lane choices.  Every
+    /// device gets the same builder; `_circuit` is not read.
     ///
     /// Exposed so out-of-process services (the `lsiq-serve` artifact store)
     /// can rebuild byte-identical line suites.
-    pub fn line_suite_builder(&self, circuit: &Circuit) -> TestSuiteBuilder {
-        let mut builder = TestSuiteBuilder {
+    pub fn line_suite_builder(&self, _circuit: &Circuit) -> TestSuiteBuilder {
+        TestSuiteBuilder {
             seed: PROGRAMME_SEED,
             chunk: 64,
             max_random_patterns: 192,
@@ -214,9 +213,7 @@ impl Session {
             podem_top_up: false,
             ..TestSuiteBuilder::default()
         }
-        .with_run_config(&self.config);
-        builder.engine = self.config.engine_for_size(circuit.gate_count());
-        builder
+        .with_run_config(&self.config)
     }
 
     /// The circuit every production-line reproduction uses: an LSI-class
@@ -318,10 +315,10 @@ impl Session {
             &circuit,
             &universe,
         );
-        let coverage = CoverageCurve::from_fault_list(&suite.fault_list, suite.patterns.len());
         let test_mode = self.config.test_mode();
+        let readout;
         let dictionary = match test_mode {
-            TestMode::Stored => FaultDictionary::from_fault_list(&suite.fault_list),
+            TestMode::Stored => &suite.dictionary,
             TestMode::Bist => {
                 // The self-tested lot is observed only at signature
                 // readouts of the default self-test (64-pattern sessions
@@ -332,7 +329,7 @@ impl Session {
                 // pass packs all the suite's patterns into wider chunks, so
                 // it finds none of them in the session cache.
                 let plan = BistPlan::default();
-                SignatureDictionary::build_sweep_cached(
+                readout = SignatureDictionary::build_sweep_cached(
                     &self.context,
                     &circuit,
                     &universe,
@@ -343,9 +340,11 @@ impl Session {
                     self.config.lanes(),
                     Some(&self.cache),
                 )[0][0]
-                    .readout_dictionary(suite.patterns.len())
+                    .readout_dictionary(suite.patterns.len());
+                &readout
             }
         };
+        let coverage = &suite.coverage_curve;
         let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
         let lot = StreamingLotExecutor::with_context(&self.context).stream_model_lot(
             &ModelLotConfig {
@@ -355,14 +354,14 @@ impl Session {
                 fault_universe_size: universe.len(),
                 seed: lot_seed,
             },
-            &dictionary,
-            &coverage,
+            dictionary,
+            coverage,
             &checkpoints,
         );
         Ok(LineExperiment {
             universe_size: universe.len(),
+            coverage: suite.coverage_curve.clone(),
             suite,
-            coverage,
             experiment: lot.experiment,
             observed_yield: lot.observed_yield,
             observed_n0: lot.observed_n0,

@@ -6,8 +6,7 @@
 //! engines to report *byte-identical* detection results — the full
 //! [`FaultList`], i.e. the first detecting pattern of every fault — with
 //! and without fault dropping, on full, equivalence-collapsed and
-//! checkpoint fault universes, and for the deductive engine additionally
-//! with its internal collapsing disabled.
+//! checkpoint fault universes.
 //!
 //! The case count is 100 in release builds (the CI release-test and
 //! bench-smoke jobs); debug builds run a reduced sweep so plain `cargo test`
@@ -145,13 +144,6 @@ fn assert_engines_identical(case: &Case, universe_name: &str, universe: &FaultUn
                 engine.run(universe, &case.patterns),
             );
         }
-        let uncollapsed = DeductiveSimulator::new(&case.circuit)
-            .with_fault_dropping(fault_dropping)
-            .with_collapsing(false);
-        check(
-            "deductive(uncollapsed)".to_string(),
-            uncollapsed.run(universe, &case.patterns),
-        );
     }
 }
 
@@ -184,11 +176,11 @@ fn engines_agree_on_scan_expanded_sequential_devices() {
     // Time-frame-expanded scan devices: scan insertion turns a sequential
     // circuit into its capture-mode *test view*, where one pattern is one
     // full scan-in/capture/scan-out cycle — a combinational circuit every
-    // engine can simulate unchanged.  All three engines (plus the
-    // uncollapsed deductive variant) must stay byte-identical
-    // on the expanded universes, including a dedicated scan-path universe
-    // of stuck-at faults on the shift/capture multiplexer gates, and the
-    // incremental engine must stay invariant at 1, 2 and 2×cores workers.
+    // engine can simulate unchanged.  All three engines must stay
+    // byte-identical on the expanded universes, including a dedicated
+    // scan-path universe of stuck-at faults on the shift/capture
+    // multiplexer gates, and the incremental engine must stay invariant at
+    // 1, 2 and 2×cores workers.
     let contexts: Vec<ExecutionContext> = [1, 2, 2 * cores()].map(ExecutionContext::new).into();
     let devices: Vec<(&str, Circuit, usize)> = vec![
         ("counter8", binary_counter(8), 1),
@@ -284,9 +276,9 @@ fn incremental_engine_on_explicit_contexts_matches_the_reference() {
 #[test]
 fn incremental_engine_matches_deductive_everywhere() {
     // The incremental engine's dedicated differential block: byte-identical
-    // to the deductive oracle, with and without the oracle's collapsing, on
-    // the full, equivalence-collapsed and checkpoint universes, with and
-    // without fault dropping, and sharded across explicit worker pools.
+    // to the deductive oracle on the full, equivalence-collapsed and
+    // checkpoint universes, with and without fault dropping, and sharded
+    // across explicit worker pools.
     // Deductive is the oracle because its algorithm shares nothing with
     // event-driven cone propagation or fanout-free regions — agreement is
     // two independent derivations of the same answer.
@@ -299,16 +291,6 @@ fn incremental_engine_matches_deductive_everywhere() {
                 let oracle = DeductiveSimulator::new(&case.circuit)
                     .with_fault_dropping(fault_dropping)
                     .run(&universe, &case.patterns);
-                let uncollapsed = DeductiveSimulator::new(&case.circuit)
-                    .with_fault_dropping(fault_dropping)
-                    .with_collapsing(false)
-                    .run(&universe, &case.patterns);
-                assert_eq!(
-                    oracle, uncollapsed,
-                    "{}, {universe_name} universe, dropping={fault_dropping}: \
-                     the oracle's collapsing",
-                    case.label
-                );
                 let list = IncrementalSimulator::new(&case.circuit)
                     .with_fault_dropping(fault_dropping)
                     .run(&universe, &case.patterns);

@@ -199,13 +199,41 @@ fn recording_never_changes_engine_results() {
     // The off pass recorded nothing; the json pass recorded every engine.
     assert_eq!(engine_totals(&silent), [0; 5]);
     assert_eq!(recorded.counter("engine.runs"), 3);
-    assert!(recorded.counter("engine.faults") >= 3 * universe_classes_floor(&universe));
+    assert_eq!(recorded.counter("engine.faults"), 3 * universe.len() as u64);
 }
 
-fn universe_classes_floor(universe: &FaultUniverse) -> u64 {
-    // Collapsing engines count equivalence classes, not raw faults; the
-    // class count is a floor for every engine's per-run contribution.
-    (universe.len() as u64) / 4
+#[test]
+fn every_engine_counts_faults_and_drops_alike() {
+    // `engine.faults` and `engine.drops` count faults on every engine: with
+    // dropping on, a run over one universe adds the universe's size and the
+    // number of faults it detects, whichever engine runs it.
+    let _guard = lock();
+    let circuit = library::alu4();
+    let universe = FaultUniverse::full(&circuit);
+    let patterns = patterns(circuit.primary_inputs().len(), 32);
+    let engines: [Box<dyn FaultSimulator + '_>; 3] = [
+        Box::new(SerialSimulator::new(&circuit)),
+        Box::new(DeductiveSimulator::new(&circuit)),
+        Box::new(IncrementalSimulator::new(&circuit)),
+    ];
+    obs::set_mode(MetricsMode::Json);
+    let mut drops = Vec::new();
+    for engine in &engines {
+        obs::reset();
+        let detected = engine.run(&universe, &patterns).detected_count();
+        let recorded = obs::snapshot();
+        let name = engine.name();
+        assert_eq!(
+            recorded.counter("engine.faults"),
+            universe.len() as u64,
+            "{name}"
+        );
+        assert_eq!(recorded.counter("engine.drops"), detected as u64, "{name}");
+        drops.push(detected);
+    }
+    obs::set_mode(MetricsMode::Off);
+    assert!(drops[0] > 0 && drops[0] < universe.len(), "{drops:?}");
+    assert!(drops.iter().all(|&d| d == drops[0]), "{drops:?}");
 }
 
 fn run_all_engines(

@@ -1,17 +1,16 @@
-//! Golden test for collapsing inside the suite builder's engine.
+//! Golden test for collapsing around the suite builder's engines.
 //!
-//! The deductive oracle partitions the fault universe it is handed into
-//! structural equivalence classes and simulates one representative per
-//! class; the default incremental engine propagates fanout-free-region
-//! stems and collapses nothing.  Because equivalent faults are detected by
+//! No engine collapses: the suite hands its engine the universe it reports
+//! on, and the serial and deductive oracles and the incremental engine each
+//! simulate every fault of it.  Because equivalent faults are detected by
 //! exactly the same patterns, collapsing must be *invisible*: this test
-//! pins the reported coverages to their pre-collapsing golden values and
-//! requires byte-identical suites from the deductive engine with its
-//! collapsing on and off, and from the incremental engine.
+//! pins the reported coverages to their pre-collapsing golden values,
+//! requires byte-identical suites from every engine, and requires every
+//! engine's run over `collapse_equivalence`'s representatives, credited to
+//! each member, to reproduce the suite's fault list.
 
-use lsi_quality::fault::deductive::DeductiveSimulator;
-use lsi_quality::fault::incremental::IncrementalSimulator;
-use lsi_quality::fault::simulator::FaultSimulator;
+use lsi_quality::fault::collapse::collapse_equivalence;
+use lsi_quality::fault::simulator::{BuildEngine, EngineKind};
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::netlist::library;
 use lsi_quality::tpg::suite::TestSuiteBuilder;
@@ -40,26 +39,35 @@ fn collapsed_suite_coverages_match_the_golden_values() {
 fn collapse_on_and_off_agree_on_every_engine() {
     let circuit = library::alu4();
     let builder = TestSuiteBuilder::default();
+    let equivalence = collapse_equivalence(&circuit);
+    let full = FaultUniverse::full(&circuit);
     for universe in [
         FaultUniverse::full(&circuit),
         FaultUniverse::checkpoint(&circuit),
     ] {
-        let raw = builder.build_with(
-            &DeductiveSimulator::new(&circuit).with_collapsing(false),
-            &circuit,
-            &universe,
-        );
-        let engines: [&dyn FaultSimulator; 2] = [
-            &DeductiveSimulator::new(&circuit),
-            &IncrementalSimulator::new(&circuit),
-        ];
-        for engine in engines {
-            let name = engine.name();
-            let suite = builder.build_with(engine, &circuit, &universe);
-            assert_eq!(suite.patterns, raw.patterns, "{name}");
-            assert_eq!(suite.fault_list, raw.fault_list, "{name}");
-            assert_eq!(suite.coverage_curve, raw.coverage_curve, "{name}");
-            assert_eq!(suite.dictionary, raw.dictionary, "{name}");
+        let reference = builder.build(&circuit, &universe);
+        for kind in EngineKind::ALL {
+            let engine = kind.build(&circuit);
+            let suite = builder.build_with(engine.as_ref(), &circuit, &universe);
+            assert_eq!(suite.patterns, reference.patterns, "{kind}");
+            assert_eq!(suite.fault_list, reference.fault_list, "{kind}");
+            assert_eq!(suite.coverage_curve, reference.coverage_curve, "{kind}");
+            assert_eq!(suite.dictionary, reference.dictionary, "{kind}");
+
+            // Collapse on: one run over the representatives, each fault
+            // taking its class's first detection.
+            let collapsed = engine.run(&equivalence.collapsed, &suite.patterns);
+            for (index, fault) in universe.iter().enumerate() {
+                let position = full
+                    .position(fault)
+                    .expect("every fault is in the full universe");
+                assert_eq!(
+                    suite.fault_list.state(index),
+                    collapsed.state(equivalence.representative_of[position]),
+                    "{kind}: fault {}",
+                    fault.describe(&circuit)
+                );
+            }
         }
     }
 }
