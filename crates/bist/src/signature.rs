@@ -282,7 +282,7 @@ impl SignatureDictionary {
         // ranges.
         let faults = universe.faults();
         SWEEP_FAULTS.add(faults.len() as u64);
-        let regions = FanoutRegions::new(&compiled);
+        let regions = FanoutRegions::new(compiled);
         let pass = StemPass::new(&regions, &chunks, faults);
         let groups = pass.groups();
         let sweep = Sweep {

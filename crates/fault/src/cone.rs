@@ -75,6 +75,11 @@
 //!
 //! # Event propagation
 //!
+//! Every evaluation reads the gate's kind and drivers from the
+//! [`CompiledCircuit`]'s flat gate table, the one the good machine
+//! evaluates from, and folds the drivers' words straight into
+//! `eval_chunk` without copying them out.
+//!
 //! Gates are processed in level order through per-level dirty buckets, so
 //! every gate in the cone is evaluated at most once per `(stem, chunk)`:
 //! when a level-`L` gate is popped, all of its disturbed drivers (levels
@@ -84,7 +89,7 @@
 //! first calls.
 
 use crate::model::{Fault, FaultSite};
-use lsiq_netlist::circuit::{Circuit, GateId};
+use lsiq_netlist::circuit::GateId;
 use lsiq_sim::cache::{circuit_fingerprint, GoodMachineCache};
 use lsiq_sim::eval::eval_chunk;
 use lsiq_sim::levelized::CompiledCircuit;
@@ -144,12 +149,13 @@ pub fn good_chunks<const L: usize>(
     chunks
 }
 
-/// A circuit's fanout-free regions and the circuit-only tables the kernel
-/// walks (see the [module docs](self)), built once per circuit and shared
-/// by every shard of every run.
+/// A compiled circuit's fanout-free regions and the circuit-only tables the
+/// kernel walks (see the [module docs](self)), built once per circuit and
+/// shared by every shard of every run.
 #[derive(Debug)]
 pub struct FanoutRegions<'c> {
-    circuit: &'c Circuit,
+    /// The circuit, whose gate table the kernel evaluates from.
+    compiled: CompiledCircuit<'c>,
     /// The stem of every gate's region; a stem is its own.
     stem: Vec<u32>,
     /// For a gate inside a region, its one load and the load's pin it
@@ -174,20 +180,18 @@ pub struct FanoutRegions<'c> {
 }
 
 impl<'c> FanoutRegions<'c> {
-    /// Maps every gate of `compiled`'s circuit to its region's stem.
+    /// Maps every gate of `compiled`'s circuit to its region's stem, and
+    /// keeps `compiled` for the kernel to evaluate from.
     ///
     /// # Panics
     ///
     /// Panics if a gate is listed twice as a primary output, which netlist
-    /// construction never does, or if the circuit has `u32::MAX` gates or
-    /// more.
-    pub fn new(compiled: &CompiledCircuit<'c>) -> FanoutRegions<'c> {
+    /// construction never does.
+    pub fn new(compiled: CompiledCircuit<'c>) -> FanoutRegions<'c> {
+        // `CompiledCircuit::new` has checked that every gate index fits a
+        // `u32` below `NONE`.
         let circuit = compiled.circuit();
         let gate_count = circuit.gate_count();
-        assert!(
-            gate_count < NONE as usize,
-            "circuit exceeds the u32 gate index space"
-        );
         let mut output_position = vec![NONE; gate_count];
         for (position, &out) in circuit.primary_outputs().iter().enumerate() {
             assert_eq!(
@@ -253,22 +257,29 @@ impl<'c> FanoutRegions<'c> {
             interior[*slot as usize] = gate;
             *slot += 1;
         }
+        let level = levelization
+            .levels()
+            .iter()
+            .map(|&level| level as u32)
+            .collect();
+        let depth = levelization.depth();
         FanoutRegions {
-            circuit,
+            compiled,
             stem,
             link,
             interior_start,
             interior,
-            level: levelization
-                .levels()
-                .iter()
-                .map(|&level| level as u32)
-                .collect(),
-            depth: levelization.depth(),
+            level,
+            depth,
             output_position,
             load_start,
             loads,
         }
+    }
+
+    /// The compiled circuit the regions were built from.
+    pub fn compiled(&self) -> &CompiledCircuit<'c> {
+        &self.compiled
     }
 
     /// The stem of `gate`'s region (`gate` itself if it is a stem).
@@ -324,7 +335,7 @@ impl<'c> FanoutRegions<'c> {
     }
 
     /// Evaluates `gate` on the good words with input `pin` replaced by
-    /// `word`; `fanin` is scratch.
+    /// `word`.
     #[inline]
     fn eval_with_pin<const L: usize>(
         &self,
@@ -332,18 +343,18 @@ impl<'c> FanoutRegions<'c> {
         pin: usize,
         word: PackedBlock<L>,
         good: &[PackedBlock<L>],
-        fanin: &mut Vec<PackedBlock<L>>,
     ) -> PackedBlock<L> {
-        let gate = self.circuit.gate(GateId(gate));
-        fanin.clear();
-        fanin.extend(gate.fanin().iter().enumerate().map(|(position, driver)| {
-            if position == pin {
-                word
-            } else {
-                good[driver.index()]
-            }
-        }));
-        eval_chunk(gate.kind(), fanin)
+        let (kind, fanin) = self.compiled.gate(gate);
+        eval_chunk(
+            kind,
+            fanin.iter().enumerate().map(|(position, &driver)| {
+                if position == pin {
+                    word
+                } else {
+                    good[driver as usize]
+                }
+            }),
+        )
     }
 }
 
@@ -392,10 +403,9 @@ impl StemGroups {
 /// use lsiq_sim::pattern::{Pattern, PatternSet};
 ///
 /// let circuit = library::c17();
-/// let compiled = CompiledCircuit::new(&circuit);
-/// let regions = FanoutRegions::new(&compiled);
+/// let regions = FanoutRegions::new(CompiledCircuit::new(&circuit));
 /// let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-/// let chunks = good_chunks::<1>(&compiled, &patterns, None);
+/// let chunks = good_chunks::<1>(regions.compiled(), &patterns, None);
 /// let universe = FaultUniverse::full(&circuit);
 /// let pass = StemPass::new(&regions, &chunks, universe.faults());
 /// let mut shard = pass.shard();
@@ -533,10 +543,9 @@ impl<const L: usize> StemShard<'_, L> {
 /// use lsiq_sim::pattern::{Pattern, PatternSet};
 ///
 /// let circuit = library::half_adder();
-/// let compiled = CompiledCircuit::new(&circuit);
-/// let regions = FanoutRegions::new(&compiled);
+/// let regions = FanoutRegions::new(CompiledCircuit::new(&circuit));
 /// let patterns: PatternSet = (0..4).map(|v| Pattern::from_integer(v, 2)).collect();
-/// let chunks = good_chunks::<1>(&compiled, &patterns, None);
+/// let chunks = good_chunks::<1>(regions.compiled(), &patterns, None);
 /// let carry = circuit.find_signal("carry").expect("exists");
 /// let mut cone = ConePropagator::<1>::new(&regions);
 /// // carry stuck-at-0 shows only at the carry output (position 1), only
@@ -557,7 +566,6 @@ pub struct ConePropagator<'a, const L: usize> {
     value_stamp: Vec<u64>,
     sched_stamp: Vec<u64>,
     buckets: Vec<Vec<u32>>,
-    fanin_words: Vec<PackedBlock<L>>,
     epoch: u64,
     errors: Vec<(u32, PackedBlock<L>)>,
 }
@@ -565,7 +573,7 @@ pub struct ConePropagator<'a, const L: usize> {
 impl<'a, const L: usize> ConePropagator<'a, L> {
     /// Allocates the scratch state for `regions`' circuit.
     pub fn new(regions: &'a FanoutRegions<'a>) -> Self {
-        let gate_count = regions.circuit.gate_count();
+        let gate_count = regions.stem.len();
         ConePropagator {
             regions,
             observability: vec![PackedBlock::ZERO; gate_count],
@@ -573,7 +581,6 @@ impl<'a, const L: usize> ConePropagator<'a, L> {
             value_stamp: vec![0; gate_count],
             sched_stamp: vec![0; gate_count],
             buckets: vec![Vec::new(); regions.depth + 1],
-            fanin_words: Vec::new(),
             epoch: 0,
             errors: Vec::new(),
         }
@@ -593,8 +600,7 @@ impl<'a, const L: usize> ConePropagator<'a, L> {
             self.observability[gate] = if downstream.is_zero() {
                 downstream
             } else {
-                let flipped =
-                    regions.eval_with_pin(load, pin, !good[gate], good, &mut self.fanin_words);
+                let flipped = regions.eval_with_pin(load, pin, !good[gate], good);
                 (flipped ^ good[load]) & downstream
             };
         }
@@ -617,13 +623,9 @@ impl<'a, const L: usize> ConePropagator<'a, L> {
             // fault re-evaluates the gate with that one pin stuck.
             let faulty = match fault.site {
                 FaultSite::Output(_) => stuck,
-                FaultSite::InputPin { pin, .. } => self.regions.eval_with_pin(
-                    site.index(),
-                    pin,
-                    stuck,
-                    good,
-                    &mut self.fanin_words,
-                ),
+                FaultSite::InputPin { pin, .. } => {
+                    self.regions.eval_with_pin(site.index(), pin, stuck, good)
+                }
             };
             (faulty ^ good[site.index()]) & observed
         }
@@ -647,7 +649,7 @@ impl<'a, const L: usize> ConePropagator<'a, L> {
             return &self.errors;
         }
         let regions = self.regions;
-        let circuit = regions.circuit;
+        let compiled = &regions.compiled;
         self.epoch += 1;
         let epoch = self.epoch;
         let site = stem.index();
@@ -667,18 +669,18 @@ impl<'a, const L: usize> ConePropagator<'a, L> {
             for &dirty in &bucket {
                 pending -= 1;
                 let dirty_index = dirty as usize;
-                let gate = circuit.gate(GateId(dirty_index));
-                self.fanin_words.clear();
-                for &driver in gate.fanin() {
-                    let driver_index = driver.index();
-                    self.fanin_words
-                        .push(if self.value_stamp[driver_index] == epoch {
-                            self.faulty[driver_index]
+                let (kind, fanin) = compiled.gate(dirty_index);
+                let word = eval_chunk(
+                    kind,
+                    fanin.iter().map(|&driver| {
+                        let driver = driver as usize;
+                        if self.value_stamp[driver] == epoch {
+                            self.faulty[driver]
                         } else {
-                            good[driver_index]
-                        });
-                }
-                let word = eval_chunk(gate.kind(), &self.fanin_words);
+                            good[driver]
+                        }
+                    }),
+                );
                 let delta = word ^ good[dirty_index];
                 if delta.is_zero() {
                     continue; // event died: the cone re-converged here
@@ -757,6 +759,7 @@ mod tests {
     use crate::inject::{node_values_with_fault, outputs_with_fault};
     use crate::model::StuckValue;
     use crate::universe::FaultUniverse;
+    use lsiq_netlist::circuit::Circuit;
     use lsiq_netlist::generator::{binary_counter, random_circuit, RandomCircuitConfig};
     use lsiq_netlist::scan::insert_scan;
     use lsiq_netlist::{CircuitBuilder, GateKind};
@@ -800,10 +803,10 @@ mod tests {
         universe: &FaultUniverse,
         patterns: &PatternSet,
     ) {
-        let compiled = CompiledCircuit::new(circuit);
-        let regions = FanoutRegions::new(&compiled);
+        let regions = FanoutRegions::new(CompiledCircuit::new(circuit));
+        let compiled = regions.compiled();
         let outputs = circuit.primary_outputs().len();
-        let chunks = good_chunks::<L>(&compiled, patterns, None);
+        let chunks = good_chunks::<L>(compiled, patterns, None);
         assert_eq!(chunks.len(), patterns.chunk_count(L));
         let good: Vec<Vec<bool>> = patterns.iter().map(|p| compiled.outputs(p)).collect();
         let mut cone = ConePropagator::<L>::new(&regions);
@@ -814,7 +817,7 @@ mod tests {
                 for slot in 0..chunk.count {
                     let pattern_index = index * PackedBlock::<L>::PATTERNS + slot;
                     let pattern = patterns.get(pattern_index).expect("valid slot");
-                    let faulty = outputs_with_fault(&compiled, pattern.bits(), fault);
+                    let faulty = outputs_with_fault(compiled, pattern.bits(), fault);
                     for (output, error) in dense.iter().enumerate() {
                         assert_eq!(
                             error.bit(slot),
@@ -837,10 +840,10 @@ mod tests {
         universe: &FaultUniverse,
         patterns: &PatternSet,
     ) {
-        let compiled = CompiledCircuit::new(circuit);
-        let regions = FanoutRegions::new(&compiled);
+        let regions = FanoutRegions::new(CompiledCircuit::new(circuit));
+        let compiled = regions.compiled();
         let outputs = circuit.primary_outputs();
-        let chunks = good_chunks::<L>(&compiled, patterns, None);
+        let chunks = good_chunks::<L>(compiled, patterns, None);
         let pass = StemPass::new(&regions, &chunks, universe.faults());
         let groups = pass.groups();
         let mut shard = pass.shard();
@@ -866,7 +869,7 @@ mod tests {
                         let mut mask = PackedBlock::<L>::ZERO;
                         let mut errors = vec![PackedBlock::<L>::ZERO; outputs.len()];
                         for (slot, (good_nodes, inputs)) in slot_values.iter().enumerate() {
-                            let faulty_nodes = node_values_with_fault(&compiled, inputs, fault);
+                            let faulty_nodes = node_values_with_fault(compiled, inputs, fault);
                             let differs = |gate: GateId| {
                                 faulty_nodes[gate.index()] != good_nodes[gate.index()]
                             };
@@ -983,8 +986,8 @@ mod tests {
     #[test]
     fn regions_end_at_outputs_fanout_flip_flops_and_dangling_gates() {
         let circuit = edge_case_circuit();
-        let compiled = CompiledCircuit::new(&circuit);
-        let regions = FanoutRegions::new(&compiled);
+        let regions = FanoutRegions::new(CompiledCircuit::new(&circuit));
+        let compiled = regions.compiled();
         let gate = |name: &str| circuit.find_signal(name).expect("exists");
         // One load on two pins is two fanout entries: a stem.
         assert_eq!(circuit.fanout(gate("na")).len(), 2);
@@ -1004,7 +1007,7 @@ mod tests {
         let dangling = gate("dangling");
         assert_eq!(regions.stem(dangling), dangling);
         let chunks = good_chunks::<1>(
-            &compiled,
+            compiled,
             &(0..16).map(|v| Pattern::from_integer(v, 4)).collect(),
             None,
         );
@@ -1035,8 +1038,7 @@ mod tests {
         // A flip-flop's D pin ends a region: in the counter, every gate
         // whose one load is a flip-flop is a stem.
         let counter = binary_counter(4);
-        let compiled = CompiledCircuit::new(&counter);
-        let regions = FanoutRegions::new(&compiled);
+        let regions = FanoutRegions::new(CompiledCircuit::new(&counter));
         let mut d_drivers = 0;
         for (id, _) in counter.iter() {
             if let &[load] = counter.fanout(id) {
@@ -1055,10 +1057,10 @@ mod tests {
         // XOR the load's good word, under the load's observability; every
         // mask stays inside the chunk's valid slots.
         let circuit = edge_case_circuit();
-        let compiled = CompiledCircuit::new(&circuit);
-        let regions = FanoutRegions::new(&compiled);
+        let regions = FanoutRegions::new(CompiledCircuit::new(&circuit));
+        let compiled = regions.compiled();
         let patterns: PatternSet = (0..11).map(|v| Pattern::from_integer(v, 4)).collect();
-        let chunk = &good_chunks::<1>(&compiled, &patterns, None)[0];
+        let chunk = &good_chunks::<1>(compiled, &patterns, None)[0];
         let mut cone = ConePropagator::<1>::new(&regions);
         let x2 = circuit.find_signal("x2").expect("exists");
         let x3 = circuit.find_signal("x3").expect("exists");
@@ -1077,7 +1079,7 @@ mod tests {
                     .map(|driver| chunk.words[driver.index()])
                     .collect();
                 fanin[pin] = PackedBlock::splat(stuck.as_bool());
-                let excitation = eval_chunk(GateKind::Xnor, &fanin) ^ chunk.words[x2.index()];
+                let excitation = eval_chunk(GateKind::Xnor, fanin) ^ chunk.words[x2.index()];
                 let mask = cone.fault_mask(&fault, &chunk.words);
                 assert_eq!(mask, excitation & observed, "{fault}");
             }
@@ -1158,8 +1160,7 @@ mod tests {
     #[test]
     fn group_faults_lists_every_fault_once_under_its_stem() {
         let circuit = edge_case_circuit();
-        let compiled = CompiledCircuit::new(&circuit);
-        let regions = FanoutRegions::new(&compiled);
+        let regions = FanoutRegions::new(CompiledCircuit::new(&circuit));
         let universe = FaultUniverse::full(&circuit);
         let groups = regions.group_faults(universe.faults());
         let all = groups.members(0..groups.len());

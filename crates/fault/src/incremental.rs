@@ -46,7 +46,6 @@ use lsiq_sim::cache::GoodMachineCache;
 use lsiq_sim::levelized::CompiledCircuit;
 use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
-use std::cell::OnceCell;
 use std::ops::Range;
 
 static GOOD_MACHINE: Span = Span::new("engine.incremental.good_machine");
@@ -78,14 +77,13 @@ static PROPAGATE: Span = Span::new("engine.incremental.propagate");
 /// ```
 #[derive(Debug)]
 pub struct IncrementalSimulator<'c> {
-    compiled: CompiledCircuit<'c>,
+    /// The compiled circuit and its fanout-free regions, reused by every
+    /// run (a suite build runs once per chunk of new patterns).
+    regions: FanoutRegions<'c>,
     drop_detected: bool,
     context: Option<&'c ExecutionContext>,
     lanes: LaneWidth,
     cache: Option<&'c GoodMachineCache>,
-    /// Built on the first run and reused afterwards (a suite build runs
-    /// once per chunk of new patterns; the regions never change).
-    regions: OnceCell<FanoutRegions<'c>>,
 }
 
 impl<'c> IncrementalSimulator<'c> {
@@ -97,12 +95,11 @@ impl<'c> IncrementalSimulator<'c> {
     /// dropping enabled, running single-threaded.
     pub fn new(circuit: &'c Circuit) -> Self {
         IncrementalSimulator {
-            compiled: CompiledCircuit::new(circuit),
+            regions: FanoutRegions::new(CompiledCircuit::new(circuit)),
             drop_detected: true,
             context: None,
             lanes: LaneWidth::Auto,
             cache: None,
-            regions: OnceCell::new(),
         }
     }
 
@@ -147,12 +144,10 @@ impl<'c> IncrementalSimulator<'c> {
         if universe.is_empty() || patterns.is_empty() {
             return FaultList::new(universe);
         }
-        let regions = self
-            .regions
-            .get_or_init(|| FanoutRegions::new(&self.compiled));
+        let regions = &self.regions;
         let chunks = {
             let _timer = GOOD_MACHINE.start();
-            good_chunks::<L>(&self.compiled, patterns, self.cache)
+            good_chunks::<L>(regions.compiled(), patterns, self.cache)
         };
         let faults = universe.faults();
         telemetry::RUNS.incr();

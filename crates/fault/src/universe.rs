@@ -2,7 +2,7 @@
 
 use crate::model::{Fault, StuckValue};
 use lsiq_netlist::circuit::Circuit;
-use lsiq_netlist::GateKind;
+use lsiq_netlist::{Gate, GateKind};
 
 /// The complete set of candidate faults of a circuit.
 ///
@@ -25,9 +25,16 @@ impl FaultUniverse {
     /// Builds the uncollapsed fault universe: stuck-at-0 and stuck-at-1 on
     /// every stem (gate or primary-input output) and on every gate input pin.
     pub fn full(circuit: &Circuit) -> FaultUniverse {
-        let mut faults = Vec::new();
+        let has_stem_faults =
+            |gate: &Gate| !matches!(gate.kind(), GateKind::Const0 | GateKind::Const1);
+        let sites: usize = circuit
+            .gates()
+            .iter()
+            .map(|gate| usize::from(has_stem_faults(gate)) + gate.fanin_count())
+            .sum();
+        let mut faults = Vec::with_capacity(2 * sites);
         for (id, gate) in circuit.iter() {
-            if !matches!(gate.kind(), GateKind::Const0 | GateKind::Const1) {
+            if has_stem_faults(gate) {
                 for stuck in StuckValue::BOTH {
                     faults.push(Fault::output(id, stuck));
                 }
@@ -38,6 +45,7 @@ impl FaultUniverse {
                 }
             }
         }
+        debug_assert_eq!(faults.len(), 2 * sites);
         FaultUniverse { faults }
     }
 

@@ -368,6 +368,16 @@ y = NOT(a)
     }
 
     #[test]
+    fn cycle_error_names_a_signal_on_the_cycle() {
+        // z reads the cycle x = NOT(y), y = NOT(x) without lying on it.
+        let text = "INPUT(a)\nOUTPUT(z)\nz = AND(a, x)\nx = NOT(y)\ny = NOT(x)\n";
+        let Err(NetlistError::CombinationalCycle { signal }) = parse("downstream", text) else {
+            panic!("expected a combinational cycle");
+        };
+        assert!(signal == "x" || signal == "y", "named `{signal}`");
+    }
+
+    #[test]
     fn dff_parses_and_round_trips() {
         // ISCAS-89 style: a flip-flop in a feedback loop, referenced before
         // it is defined.

@@ -1036,6 +1036,17 @@ z
     }
 
     #[test]
+    fn cycle_error_names_a_signal_on_the_cycle() {
+        // z reads the cycle x = NOT(y), y = NOT(x) without lying on it.
+        let text = ".model m\n.inputs a\n.outputs z\n.names a x z\n11 1\n\
+                    .names y x\n0 1\n.names x y\n0 1\n.end\n";
+        let Err(NetlistError::CombinationalCycle { signal }) = parse("m", text) else {
+            panic!("expected a combinational cycle");
+        };
+        assert!(signal == "x" || signal == "y", "named `{signal}`");
+    }
+
+    #[test]
     fn duplicate_drivers_are_rejected_with_lines() {
         // Two `.names` blocks for one signal.
         let text = ".model m\n.inputs a b\n.outputs z\n.names a z\n1 1\n.names b z\n1 1\n.end\n";

@@ -1,14 +1,15 @@
 //! Incremental circuit construction.
 
-use crate::circuit::{Circuit, GateId};
+use crate::circuit::{Circuit, GateId, NameIndex};
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateKind};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Builds a [`Circuit`] gate by gate.
 ///
-/// Signals are identified by name; the builder checks for duplicate
-/// definitions eagerly and the final [`finish`](CircuitBuilder::finish)
+/// Signals are identified by name.  Names are indexed only once
+/// [`find_signal`](CircuitBuilder::find_signal) is first called, and
+/// [`finish`](CircuitBuilder::finish) checks them for duplicates once, then
 /// validates fanin arities and output presence.
 ///
 /// ```
@@ -32,9 +33,9 @@ pub struct CircuitBuilder {
     name: String,
     gates: Vec<Gate>,
     signal_names: Vec<String>,
+    /// Every marked output, in marking order; `finish` drops repeats.
     outputs: Vec<GateId>,
-    by_name: HashMap<String, GateId>,
-    duplicate: Option<String>,
+    names: NameIndex,
 }
 
 impl CircuitBuilder {
@@ -45,16 +46,13 @@ impl CircuitBuilder {
             gates: Vec::new(),
             signal_names: Vec::new(),
             outputs: Vec::new(),
-            by_name: HashMap::new(),
-            duplicate: None,
+            names: NameIndex::default(),
         }
     }
 
     fn push(&mut self, name: String, gate: Gate) -> GateId {
         let id = GateId(self.gates.len());
-        if self.by_name.insert(name.clone(), id).is_some() && self.duplicate.is_none() {
-            self.duplicate = Some(name.clone());
-        }
+        self.names.insert(&name, id);
         self.gates.push(gate);
         self.signal_names.push(name);
         id
@@ -121,16 +119,20 @@ impl CircuitBuilder {
 
     /// Marks the signal driven by `id` as a primary output.
     ///
-    /// Marking the same gate twice is idempotent.
+    /// Marking the same gate twice is idempotent: the gate is one output,
+    /// declared where it was first marked.
     pub fn mark_output(&mut self, id: GateId) {
-        if !self.outputs.contains(&id) {
-            self.outputs.push(id);
-        }
+        self.outputs.push(id);
     }
 
-    /// Looks up a previously defined signal by name.
+    /// Looks up a previously defined signal by name.  A name defined twice
+    /// finds its later definition.
+    ///
+    /// The first call indexes every name added so far, and the index then
+    /// follows every later addition, so interleaving lookups and additions
+    /// stays linear.
     pub fn find_signal(&self, name: &str) -> Option<GateId> {
-        self.by_name.get(name).copied()
+        self.names.find(&self.signal_names, name)
     }
 
     /// Number of gates added so far.
@@ -143,18 +145,30 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateSignal`] if two gates were given the
-    /// same signal name, [`NetlistError::BadFanin`] for illegal arities,
+    /// same signal name (naming the first name to repeat, in addition
+    /// order), [`NetlistError::BadFanin`] for illegal arities,
     /// [`NetlistError::NoOutputs`] when no output was marked, or
     /// [`NetlistError::CombinationalCycle`] if the gates form a cycle.
     pub fn finish(self) -> Result<Circuit, NetlistError> {
-        if let Some(name) = self.duplicate {
-            return Err(NetlistError::DuplicateSignal { name });
+        if let Some(name) = first_repeat(&self.signal_names) {
+            return Err(NetlistError::DuplicateSignal {
+                name: name.to_owned(),
+            });
         }
         let circuit = Circuit::from_parts(self.name, self.gates, self.signal_names, self.outputs)?;
         // Reject cyclic structures outright: every consumer assumes a DAG.
         crate::levelize::levelize(&circuit)?;
         Ok(circuit)
     }
+}
+
+/// The first name in `names` that an earlier name already used.
+fn first_repeat(names: &[String]) -> Option<&str> {
+    let mut seen = HashSet::with_capacity(names.len());
+    names
+        .iter()
+        .map(String::as_str)
+        .find(|name| !seen.insert(*name))
 }
 
 #[cfg(test)]
@@ -175,13 +189,21 @@ mod tests {
 
     #[test]
     fn duplicate_names_are_rejected() {
+        // `a` is defined again too, but `b` repeats first.
         let mut b = CircuitBuilder::new("dup");
         let a = b.input("a");
-        let _ = b.gate("a", GateKind::Not, &[a]);
-        assert!(matches!(
+        let first_b = b.gate("b", GateKind::Not, &[a]);
+        let second_b = b.gate("b", GateKind::Buf, &[a]);
+        let y = b.gate("a", GateKind::And, &[first_b, second_b]);
+        b.mark_output(y);
+        // A lookup finds the later definition, like a map filled in order.
+        assert_eq!(b.find_signal("b"), Some(second_b));
+        assert_eq!(
             b.finish(),
-            Err(NetlistError::DuplicateSignal { .. })
-        ));
+            Err(NetlistError::DuplicateSignal {
+                name: "b".to_string()
+            })
+        );
     }
 
     #[test]
@@ -207,14 +229,53 @@ mod tests {
     }
 
     #[test]
+    fn cycle_error_names_a_signal_on_the_cycle_not_one_downstream() {
+        // z = AND(a, x) reads the cycle x = NOT(y), y = NOT(x) but is not on
+        // it, and z is the lowest-id gate that never resolves.
+        let mut b = CircuitBuilder::new("downstream");
+        let a = b.input("a");
+        let z = b.gate("z", GateKind::And, &[a, GateId(2)]);
+        let _x = b.gate("x", GateKind::Not, &[GateId(3)]);
+        let _y = b.gate("y", GateKind::Not, &[GateId(2)]);
+        b.mark_output(z);
+        let Err(NetlistError::CombinationalCycle { signal }) = b.finish() else {
+            panic!("expected a combinational cycle");
+        };
+        assert!(signal == "x" || signal == "y", "named `{signal}`");
+    }
+
+    #[test]
     fn mark_output_is_idempotent() {
+        // Repeated marks leave one output per gate, declared where it was
+        // first marked.
         let mut b = CircuitBuilder::new("idem");
         let a = b.input("a");
+        let x = b.gate("x", GateKind::Not, &[a]);
         let y = b.gate("y", GateKind::Buf, &[a]);
-        b.mark_output(y);
-        b.mark_output(y);
+        let z = b.gate("z", GateKind::And, &[x, y]);
+        for id in [z, x, z, y, x] {
+            b.mark_output(id);
+        }
         let circuit = b.finish().expect("valid");
-        assert_eq!(circuit.primary_outputs().len(), 1);
+        assert_eq!(circuit.primary_outputs(), &[z, x, y]);
+        assert!(circuit.is_primary_output(x));
+        assert!(!circuit.is_primary_output(a));
+    }
+
+    #[test]
+    fn out_of_range_output_is_rejected_at_finish() {
+        let mut b = CircuitBuilder::new("range");
+        let a = b.input("a");
+        let y = b.gate("y", GateKind::Not, &[a]);
+        b.mark_output(y);
+        b.mark_output(GateId(9));
+        assert_eq!(
+            b.finish(),
+            Err(NetlistError::InvalidGateId {
+                id: 9,
+                gate_count: 2
+            })
+        );
     }
 
     #[test]
@@ -224,6 +285,12 @@ mod tests {
         assert_eq!(b.find_signal("a"), Some(a));
         assert_eq!(b.find_signal("b"), None);
         assert_eq!(b.gate_count(), 1);
+        // Signals added after the first lookup are found too.
+        let y = b.gate("b", GateKind::Not, &[a]);
+        let q = b.dff_placeholder("q");
+        assert_eq!(b.find_signal("b"), Some(y));
+        assert_eq!(b.find_signal("q"), Some(q));
+        assert_eq!(b.find_signal("a"), Some(a));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateKind};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a gate within a [`Circuit`].
 ///
@@ -25,6 +27,58 @@ impl std::fmt::Display for GateId {
     }
 }
 
+/// A signal-name lookup table, built from the names on the first lookup.
+///
+/// It holds nothing the names do not, so every index compares equal, a
+/// clone starts empty, and `Debug` does not show whether it was built.
+/// Like a `HashMap` filled in id order, a repeated name finds its last
+/// definition.
+#[derive(Default)]
+pub(crate) struct NameIndex(OnceLock<HashMap<String, GateId>>);
+
+impl NameIndex {
+    /// Looks `name` up among `names`, indexing them on the first call.
+    pub(crate) fn find(&self, names: &[String], name: &str) -> Option<GateId> {
+        self.0
+            .get_or_init(|| {
+                names
+                    .iter()
+                    .enumerate()
+                    .map(|(index, signal)| (signal.clone(), GateId(index)))
+                    .collect()
+            })
+            .get(name)
+            .copied()
+    }
+
+    /// Records that `name` now names `id`, if the index has been built.
+    pub(crate) fn insert(&mut self, name: &str, id: GateId) {
+        if let Some(index) = self.0.get_mut() {
+            index.insert(name.to_owned(), id);
+        }
+    }
+}
+
+impl Clone for NameIndex {
+    fn clone(&self) -> Self {
+        NameIndex::default()
+    }
+}
+
+impl PartialEq for NameIndex {
+    fn eq(&self, _: &NameIndex) -> bool {
+        true
+    }
+}
+
+impl Eq for NameIndex {}
+
+impl fmt::Debug for NameIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("NameIndex")
+    }
+}
+
 /// A validated gate-level circuit — combinational logic plus optional D
 /// flip-flop state elements.
 ///
@@ -42,14 +96,20 @@ pub struct Circuit {
     /// the per-gate query does not scan the output list.
     is_output: Vec<bool>,
     state_elements: Vec<GateId>,
-    fanout: Vec<Vec<GateId>>,
-    name_index: HashMap<String, GateId>,
+    /// `fanout[fanout_start[g]..fanout_start[g + 1]]`: the loads of gate
+    /// `g`, each once per pin it drives, in id order.
+    fanout_start: Vec<usize>,
+    fanout: Vec<GateId>,
+    names: NameIndex,
 }
 
 impl Circuit {
     /// Assembles a circuit from its parts, computing fanout and validating
     /// structure.  Intended for use by the builder and parser; library users
     /// should prefer [`CircuitBuilder`](crate::builder::CircuitBuilder).
+    ///
+    /// A gate listed in `primary_outputs` more than once is an output once,
+    /// at its first position.
     ///
     /// # Errors
     ///
@@ -60,12 +120,13 @@ impl Circuit {
         name: String,
         gates: Vec<Gate>,
         signal_names: Vec<String>,
-        primary_outputs: Vec<GateId>,
+        mut primary_outputs: Vec<GateId>,
     ) -> Result<Self, NetlistError> {
         let gate_count = gates.len();
         let mut primary_inputs = Vec::new();
         let mut state_elements = Vec::new();
-        let mut fanout = vec![Vec::new(); gate_count];
+        // Count every driver's loads, then lay them out in one array.
+        let mut fanout_start = vec![0usize; gate_count + 1];
         for (index, gate) in gates.iter().enumerate() {
             let id = GateId(index);
             if !gate.kind().accepts_fanin(gate.fanin_count()) {
@@ -86,7 +147,7 @@ impl Circuit {
                         gate_count,
                     });
                 }
-                fanout[driver.index()].push(id);
+                fanout_start[driver.index() + 1] += 1;
             }
             if gate.kind() == GateKind::Input {
                 primary_inputs.push(id);
@@ -106,11 +167,19 @@ impl Circuit {
                     gate_count,
                 });
             }
-            is_output[out.index()] = true;
         }
-        let mut name_index = HashMap::with_capacity(signal_names.len());
-        for (index, signal) in signal_names.iter().enumerate() {
-            name_index.insert(signal.clone(), GateId(index));
+        primary_outputs.retain(|out| !std::mem::replace(&mut is_output[out.index()], true));
+        for gate in 0..gate_count {
+            fanout_start[gate + 1] += fanout_start[gate];
+        }
+        let mut cursor = fanout_start.clone();
+        let mut fanout = vec![GateId(0); fanout_start[gate_count]];
+        for (index, gate) in gates.iter().enumerate() {
+            for &driver in gate.fanin() {
+                let slot = &mut cursor[driver.index()];
+                fanout[*slot] = GateId(index);
+                *slot += 1;
+            }
         }
         Ok(Circuit {
             name,
@@ -120,8 +189,9 @@ impl Circuit {
             primary_outputs,
             is_output,
             state_elements,
+            fanout_start,
             fanout,
-            name_index,
+            names: NameIndex::default(),
         })
     }
 
@@ -159,8 +229,10 @@ impl Circuit {
     }
 
     /// Looks up a gate by the name of the signal it drives.
+    ///
+    /// The first lookup indexes every name; later ones are hash lookups.
     pub fn find_signal(&self, name: &str) -> Option<GateId> {
-        self.name_index.get(name).copied()
+        self.names.find(&self.signal_names, name)
     }
 
     /// Primary input gates in declaration order.
@@ -190,7 +262,7 @@ impl Circuit {
     ///
     /// Panics if `id` is out of range for this circuit.
     pub fn fanout(&self, id: GateId) -> &[GateId] {
-        &self.fanout[id.index()]
+        &self.fanout[self.fanout_start[id.index()]..self.fanout_start[id.index() + 1]]
     }
 
     /// Number of fanout branches of gate `id`.
@@ -199,7 +271,7 @@ impl Circuit {
     ///
     /// Panics if `id` is out of range for this circuit.
     pub fn fanout_count(&self, id: GateId) -> usize {
-        self.fanout[id.index()].len()
+        self.fanout_start[id.index() + 1] - self.fanout_start[id.index()]
     }
 
     /// Returns `true` if gate `id` is a designated primary output.
@@ -263,6 +335,20 @@ mod tests {
     }
 
     #[test]
+    fn equality_and_clone_do_not_depend_on_the_name_index() {
+        let looked_up = tiny_circuit();
+        assert!(looked_up.find_signal("z").is_some());
+        let fresh = tiny_circuit();
+        assert_eq!(looked_up, fresh);
+        assert_eq!(fresh, looked_up);
+        assert_eq!(format!("{looked_up:?}"), format!("{fresh:?}"));
+        let copy = looked_up.clone();
+        assert_eq!(copy, fresh);
+        assert_eq!(copy.find_signal("y"), fresh.find_signal("y"));
+        assert_eq!(copy.find_signal("missing"), None);
+    }
+
+    #[test]
     fn fanout_is_computed() {
         let c = tiny_circuit();
         let a = c.find_signal("a").expect("exists");
@@ -271,6 +357,17 @@ mod tests {
         assert_eq!(c.fanout(a), &[y]);
         assert_eq!(c.fanout(y), &[z]);
         assert_eq!(c.fanout_count(z), 0);
+        // A load is listed once per pin it takes, loads in id order.
+        let mut b = CircuitBuilder::new("pins");
+        let a = b.input("a");
+        let c = b.input("c");
+        let x = b.gate("x", GateKind::And, &[c, a, a]);
+        let y = b.gate("y", GateKind::Or, &[a, x]);
+        b.mark_output(y);
+        let circuit = b.finish().expect("valid");
+        assert_eq!(circuit.fanout(a), &[x, x, y]);
+        assert_eq!(circuit.fanout_count(a), 3);
+        assert_eq!(circuit.fanout(c), &[x]);
     }
 
     #[test]

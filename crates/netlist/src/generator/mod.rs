@@ -28,6 +28,7 @@ pub use decoder::{decoder, decoder_block};
 pub use multiplier::{array_multiplier, array_multiplier_block};
 pub use mux::{mux_tree, mux_tree_block};
 pub use parity::{parity_tree, parity_tree_block};
+pub(crate) use random::random_block;
 pub use random::{random_circuit, RandomCircuitConfig};
 pub use sequential::{
     binary_counter, binary_counter_block, pipelined_datapath, sequence_detector,

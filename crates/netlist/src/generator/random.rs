@@ -103,13 +103,44 @@ const KIND_WEIGHTS: [(GateKind, f64); 8] = [
 /// The same configuration always produces the same circuit.
 pub fn random_circuit(config: &RandomCircuitConfig) -> Circuit {
     let config = config.normalised();
-    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed);
-    let kind_chooser = Categorical::new(&KIND_WEIGHTS.map(|(_, w)| w)).expect("weights are valid");
     let mut builder = CircuitBuilder::new(format!("rand_{}g_{}", config.gates, config.seed));
-    let mut pool: Vec<GateId> = (0..config.inputs)
+    let inputs: Vec<GateId> = (0..config.inputs)
         .map(|i| builder.input(format!("pi{i}")))
         .collect();
+    // Every signal that drives nothing becomes a primary output; this
+    // includes at least the last generated gate, so the circuit always has
+    // outputs.
+    for id in random_block(&mut builder, &inputs, &config, "") {
+        builder.mark_output(id);
+    }
+    builder
+        .finish()
+        .expect("randomly generated circuits are acyclic by construction")
+}
+
+/// Emits the random logic of `config` into `builder`: the gates
+/// [`random_circuit`] generates, with `sources` in place of its primary
+/// inputs (`config.inputs` of them) and gate `i` named `{prefix}g{i}`.
+///
+/// Returns every source and gate that no gate of the block reads, in that
+/// order: the signals `random_circuit` makes primary outputs.
+pub(crate) fn random_block(
+    builder: &mut CircuitBuilder,
+    sources: &[GateId],
+    config: &RandomCircuitConfig,
+    prefix: &str,
+) -> Vec<GateId> {
+    let config = config.normalised();
+    assert_eq!(sources.len(), config.inputs, "one source per block input");
+    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed);
+    let kind_chooser = Categorical::new(&KIND_WEIGHTS.map(|(_, w)| w)).expect("weights are valid");
+    // Fanin is drawn by position in `pool`: the sources, then the gates in
+    // generation order.
+    let mut pool = Vec::with_capacity(config.inputs + config.gates);
+    pool.extend_from_slice(sources);
     let mut drives_something = vec![false; config.inputs + config.gates];
+    let mut picked = Vec::with_capacity(config.max_fanin);
+    let mut fanin = Vec::with_capacity(config.max_fanin);
 
     for gate_index in 0..config.gates {
         let kind = KIND_WEIGHTS[kind_chooser.sample(&mut rng)].0;
@@ -119,50 +150,43 @@ pub fn random_circuit(config: &RandomCircuitConfig) -> Circuit {
         } else {
             2 + rng.next_index(config.max_fanin - 1)
         };
-        let mut fanin = Vec::with_capacity(fanin_count);
+        picked.clear();
         for _ in 0..fanin_count {
-            let driver = pick_driver(&pool, config.locality, &mut rng, &fanin);
-            drives_something[driver.index()] = true;
-            fanin.push(driver);
+            let position = pick_driver(pool.len(), config.locality, &mut rng, &picked);
+            drives_something[position] = true;
+            picked.push(position);
         }
-        let id = builder.gate(format!("g{gate_index}"), kind, &fanin);
-        pool.push(id);
+        fanin.clear();
+        fanin.extend(picked.iter().map(|&position| pool[position]));
+        pool.push(builder.gate(format!("{prefix}g{gate_index}"), kind, &fanin));
     }
-
-    // Every gate that drives nothing becomes a primary output; this includes
-    // at least the last generated gate, so the circuit always has outputs.
-    for &id in &pool {
-        if !drives_something[id.index()] && builder.gate_count() > id.index() {
-            builder.mark_output(id);
-        }
-    }
-    builder
-        .finish()
-        .expect("randomly generated circuits are acyclic by construction")
+    pool.into_iter()
+        .zip(drives_something)
+        .filter_map(|(id, drives)| (!drives).then_some(id))
+        .collect()
 }
 
-/// Picks a driver from the pool with a bias towards the most recent
-/// `locality` entries, avoiding duplicates already chosen for this gate.
+/// Picks a pool position with a bias towards the most recent `locality`
+/// entries, avoiding positions already chosen for this gate.
 fn pick_driver<R: Rng + ?Sized>(
-    pool: &[GateId],
+    pool_len: usize,
     locality: usize,
     rng: &mut R,
-    already: &[GateId],
-) -> GateId {
+    already: &[usize],
+) -> usize {
     for _ in 0..8 {
-        let candidate = if rng.next_bool(0.75) && pool.len() > locality {
+        let candidate = if rng.next_bool(0.75) && pool_len > locality {
             // Recent window.
-            let start = pool.len() - locality;
-            pool[start + rng.next_index(locality)]
+            pool_len - locality + rng.next_index(locality)
         } else {
-            pool[rng.next_index(pool.len())]
+            rng.next_index(pool_len)
         };
         if !already.contains(&candidate) {
             return candidate;
         }
     }
     // Fall back to any gate; a duplicate fanin pin is legal, just redundant.
-    pool[rng.next_index(pool.len())]
+    rng.next_index(pool_len)
 }
 
 #[cfg(test)]

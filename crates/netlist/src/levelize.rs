@@ -98,12 +98,10 @@ pub fn levelize(circuit: &Circuit) -> Result<Levelization, NetlistError> {
         }
     }
     if order.len() != gate_count {
-        // Some gate never became ready: it lies on (or behind) a cycle.
-        let stuck = (0..gate_count)
-            .find(|&i| pending_fanin[i] > 0)
-            .expect("a gate with unresolved fanin must exist");
         return Err(NetlistError::CombinationalCycle {
-            signal: circuit.signal_name(GateId(stuck)).to_string(),
+            signal: circuit
+                .signal_name(on_cycle(circuit, &pending_fanin))
+                .to_string(),
         });
     }
     let depth = levels.iter().copied().max().unwrap_or(0);
@@ -112,6 +110,30 @@ pub fn levelize(circuit: &Circuit) -> Result<Levelization, NetlistError> {
         levels,
         depth,
     })
+}
+
+/// A gate on a combinational cycle, given the fanin counts Kahn's algorithm
+/// left unresolved.
+///
+/// A gate that never became ready lies on a cycle or downstream of one.
+/// Each such gate has a driver that never became ready either (sources and
+/// flip-flops always do), so walking from driver to unresolved driver must
+/// revisit a gate, and the first gate revisited lies on a cycle.
+fn on_cycle(circuit: &Circuit, pending_fanin: &[usize]) -> GateId {
+    let mut gate = (0..pending_fanin.len())
+        .find(|&i| pending_fanin[i] > 0)
+        .expect("a gate with unresolved fanin must exist");
+    let mut visited = vec![false; pending_fanin.len()];
+    while !std::mem::replace(&mut visited[gate], true) {
+        gate = circuit
+            .gate(GateId(gate))
+            .fanin()
+            .iter()
+            .map(|driver| driver.index())
+            .find(|&driver| pending_fanin[driver] > 0)
+            .expect("an unresolved gate has an unresolved driver");
+    }
+    GateId(gate)
 }
 
 #[cfg(test)]
@@ -202,7 +224,12 @@ mod tests {
         let _na = b.gate("na", GateKind::Not, &[a]);
         b.mark_output(a);
         let err = b.finish().expect_err("combinational cycle");
-        assert!(matches!(err, NetlistError::CombinationalCycle { .. }));
+        assert_eq!(
+            err,
+            NetlistError::CombinationalCycle {
+                signal: "a".to_string()
+            }
+        );
     }
 
     #[test]

@@ -7,11 +7,11 @@
 
 use crate::bench_format;
 use crate::builder::CircuitBuilder;
-use crate::circuit::Circuit;
+use crate::circuit::{Circuit, GateId};
 use crate::generator::{alu, ripple_carry_adder};
 use crate::generator::{
     alu_block, array_multiplier_block, comparator_block, decoder_block, mux_tree_block,
-    parity_tree_block, random_circuit, ripple_carry_adder_block, AluWidth, RandomCircuitConfig,
+    parity_tree_block, random_block, ripple_carry_adder_block, AluWidth, RandomCircuitConfig,
 };
 
 /// The ISCAS-85 `c17` benchmark: 5 inputs, 2 outputs, 6 NAND gates.
@@ -129,7 +129,7 @@ fn lsi_class_impl(config: LsiClassConfig, registered_inputs: bool) -> Circuit {
     // A shared bus of primary inputs that the blocks draw operands from,
     // mimicking an internal data bus.  In the sequential variant each bus
     // and control line is registered before use.
-    let latch = |builder: &mut CircuitBuilder, pin: crate::circuit::GateId, name: String| {
+    let latch = |builder: &mut CircuitBuilder, pin: GateId, name: String| {
         if registered_inputs {
             builder.dff(name, pin)
         } else {
@@ -227,16 +227,29 @@ fn lsi_class_impl(config: LsiClassConfig, registered_inputs: bool) -> Circuit {
                 builder.mark_output(selected);
             }
             _ => {
-                // Random control logic is generated as a standalone circuit
-                // and spliced in by name, driven from the buses.
-                let random = random_circuit(&RandomCircuitConfig {
+                // Random control logic, its inputs taken in turn from the
+                // buses and control lines; every random gate that drives
+                // nothing becomes an output.
+                let random = RandomCircuitConfig {
                     inputs: 24,
                     gates: 600,
                     max_fanin: 4,
                     locality: 48,
                     seed: config.seed.wrapping_add(block_index as u64),
-                });
-                splice(&mut builder, &random, &prefix, &[&bus_a, &bus_b, &control]);
+                };
+                let sources: Vec<GateId> = bus_a
+                    .iter()
+                    .chain(&bus_b)
+                    .chain(&control)
+                    .copied()
+                    .cycle()
+                    .take(random.inputs)
+                    .collect();
+                for id in random_block(&mut builder, &sources, &random, &format!("{prefix}_")) {
+                    if id.index() >= before {
+                        builder.mark_output(id);
+                    }
+                }
             }
         }
         let after = builder.gate_count();
@@ -247,49 +260,6 @@ fn lsi_class_impl(config: LsiClassConfig, registered_inputs: bool) -> Circuit {
     builder
         .finish()
         .expect("composite LSI-class circuit is structurally valid")
-}
-
-/// Copies `donor` into `builder`, renaming its signals with `prefix` and
-/// replacing its primary inputs with signals taken round-robin from the
-/// supplied driver groups.  The donor's primary outputs become outputs of the
-/// composite circuit.
-fn splice(
-    builder: &mut CircuitBuilder,
-    donor: &Circuit,
-    prefix: &str,
-    driver_groups: &[&Vec<crate::circuit::GateId>],
-) {
-    use crate::gate::GateKind;
-    let all_drivers: Vec<crate::circuit::GateId> = driver_groups
-        .iter()
-        .flat_map(|group| group.iter().copied())
-        .collect();
-    let mut mapping = vec![None; donor.gate_count()];
-    let mut input_counter = 0usize;
-    for (id, gate) in donor.iter() {
-        let mapped = if gate.kind() == GateKind::Input {
-            let driver = all_drivers[input_counter % all_drivers.len()];
-            input_counter += 1;
-            driver
-        } else {
-            let fanin: Vec<_> = gate
-                .fanin()
-                .iter()
-                .map(|&d| mapping[d.index()].expect("donor gates are in topological id order"))
-                .collect();
-            builder.gate(
-                format!("{prefix}_{}", donor.signal_name(id)),
-                gate.kind(),
-                &fanin,
-            )
-        };
-        mapping[id.index()] = Some(mapped);
-    }
-    for &out in donor.primary_outputs() {
-        if donor.gate(out).kind() != GateKind::Input {
-            builder.mark_output(mapping[out.index()].expect("mapped above"));
-        }
-    }
 }
 
 /// Estimates transistors contributed by gates added between two builder

@@ -49,27 +49,38 @@ pub fn eval_value3(kind: GateKind, inputs: &[Value3]) -> Value3 {
 }
 
 /// Evaluates a gate over lane-wide packed chunks (`64 × L` patterns per
-/// operand; see [`PackedBlock`]).
+/// operand; see [`PackedBlock`]), its operands in pin order.
 ///
 /// Lane `l` of the result depends only on lane `l` of every input, and bit
 /// `i` of a lane only on bit `i` of every input lane: each pattern slot is
-/// [`eval_bool`] on that slot's operands.  Monomorphized over `L` so the
+/// [`eval_bool`] on that slot's operands.  The operands are read one at a
+/// time, so a simulator evaluates a gate straight from its fanin table
+/// without copying the operands out first.  Monomorphized over `L` so the
 /// folds compile to straight-line vectorizable loops.
+///
+/// # Panics
+///
+/// Panics if a BUF or NOT gets no operand.
 #[inline]
-pub fn eval_chunk<const L: usize>(kind: GateKind, inputs: &[PackedBlock<L>]) -> PackedBlock<L> {
+pub fn eval_chunk<const L: usize>(
+    kind: GateKind,
+    inputs: impl IntoIterator<Item = PackedBlock<L>>,
+) -> PackedBlock<L> {
+    let mut inputs = inputs.into_iter();
+    let mut first = || inputs.next().expect("BUF and NOT take one input");
     match kind {
         GateKind::Input => PackedBlock::ZERO,
         GateKind::Dff => PackedBlock::ZERO,
         GateKind::Const0 => PackedBlock::ZERO,
         GateKind::Const1 => PackedBlock::ONES,
-        GateKind::Buf => inputs[0],
-        GateKind::Not => !inputs[0],
-        GateKind::And => inputs.iter().fold(PackedBlock::ONES, |acc, &v| acc & v),
-        GateKind::Nand => !inputs.iter().fold(PackedBlock::ONES, |acc, &v| acc & v),
-        GateKind::Or => inputs.iter().fold(PackedBlock::ZERO, |acc, &v| acc | v),
-        GateKind::Nor => !inputs.iter().fold(PackedBlock::ZERO, |acc, &v| acc | v),
-        GateKind::Xor => inputs.iter().fold(PackedBlock::ZERO, |acc, &v| acc ^ v),
-        GateKind::Xnor => !inputs.iter().fold(PackedBlock::ZERO, |acc, &v| acc ^ v),
+        GateKind::Buf => first(),
+        GateKind::Not => !first(),
+        GateKind::And => inputs.fold(PackedBlock::ONES, |acc, v| acc & v),
+        GateKind::Nand => !inputs.fold(PackedBlock::ONES, |acc, v| acc & v),
+        GateKind::Or => inputs.fold(PackedBlock::ZERO, |acc, v| acc | v),
+        GateKind::Nor => !inputs.fold(PackedBlock::ZERO, |acc, v| acc | v),
+        GateKind::Xor => inputs.fold(PackedBlock::ZERO, |acc, v| acc ^ v),
+        GateKind::Xnor => !inputs.fold(PackedBlock::ZERO, |acc, v| acc ^ v),
     }
 }
 

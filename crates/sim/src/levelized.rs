@@ -8,8 +8,14 @@ use lsiq_netlist::circuit::{Circuit, GateId};
 use lsiq_netlist::levelize::{levelize, Levelization};
 use lsiq_netlist::GateKind;
 
-/// A circuit prepared for repeated simulation: the topological order is
-/// computed once and reused for every pattern.
+/// A circuit prepared for repeated simulation: the topological order and
+/// a flat gate table are computed once and reused for every pattern.
+///
+/// The table holds every gate's kind and, in one array, every gate's
+/// drivers in pin order as `u32` gate indices
+/// ([`gate`](CompiledCircuit::gate)).  The bit-parallel good machine
+/// evaluates from it, and so does the fault simulators' cone kernel, so
+/// the hot loops read two flat arrays instead of one heap block per gate.
 ///
 /// Three evaluation modes are offered:
 ///
@@ -24,6 +30,12 @@ use lsiq_netlist::GateKind;
 pub struct CompiledCircuit<'c> {
     circuit: &'c Circuit,
     levelization: Levelization,
+    /// Every gate's kind, indexed by gate id.
+    kinds: Vec<GateKind>,
+    /// `fanin[fanin_start[g]..fanin_start[g + 1]]`: gate `g`'s drivers, in
+    /// pin order.
+    fanin_start: Vec<u32>,
+    fanin: Vec<u32>,
 }
 
 impl<'c> CompiledCircuit<'c> {
@@ -32,13 +44,42 @@ impl<'c> CompiledCircuit<'c> {
     /// # Panics
     ///
     /// Panics if the circuit contains a combinational cycle, which validated
-    /// circuits cannot.
+    /// circuits cannot, or if it has `u32::MAX` gates or fanin pins or more.
     pub fn new(circuit: &'c Circuit) -> Self {
         let levelization = levelize(circuit).expect("validated circuits are acyclic");
+        let gates = circuit.gates();
+        let pins: usize = gates.iter().map(|gate| gate.fanin_count()).sum();
+        assert!(
+            gates.len() < u32::MAX as usize && pins < u32::MAX as usize,
+            "circuit exceeds the u32 gate index space"
+        );
+        let mut kinds = Vec::with_capacity(gates.len());
+        let mut fanin_start = Vec::with_capacity(gates.len() + 1);
+        let mut fanin = Vec::with_capacity(pins);
+        fanin_start.push(0);
+        for gate in gates {
+            kinds.push(gate.kind());
+            fanin.extend(gate.fanin().iter().map(|driver| driver.index() as u32));
+            fanin_start.push(fanin.len() as u32);
+        }
         CompiledCircuit {
             circuit,
             levelization,
+            kinds,
+            fanin_start,
+            fanin,
         }
+    }
+
+    /// Gate `gate`'s kind and its drivers' gate indices, in pin order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` is out of range for the circuit.
+    #[inline]
+    pub fn gate(&self, gate: usize) -> (GateKind, &[u32]) {
+        let pins = self.fanin_start[gate] as usize..self.fanin_start[gate + 1] as usize;
+        (self.kinds[gate], &self.fanin[pins])
     }
 
     /// The underlying circuit.
@@ -118,15 +159,12 @@ impl<'c> CompiledCircuit<'c> {
                 .copied()
                 .unwrap_or(PackedBlock::ZERO);
         }
-        let mut fanin_chunks = Vec::new();
         for &id in self.levelization.order() {
-            let gate = self.circuit.gate(id);
-            if gate.kind() == GateKind::Input {
+            let (kind, fanin) = self.gate(id.index());
+            if kind == GateKind::Input {
                 continue;
             }
-            fanin_chunks.clear();
-            fanin_chunks.extend(gate.fanin().iter().map(|&d| chunks[d.index()]));
-            chunks[id.index()] = eval_chunk(gate.kind(), &fanin_chunks);
+            chunks[id.index()] = eval_chunk(kind, fanin.iter().map(|&d| chunks[d as usize]));
         }
     }
 
@@ -248,6 +286,19 @@ mod tests {
         let short = sim.outputs(&Pattern::from_bits([true, true]));
         let padded = sim.outputs(&Pattern::from_bits([true, true, false, false, false]));
         assert_eq!(short, padded);
+    }
+
+    #[test]
+    fn gate_table_matches_the_circuit() {
+        let circuit = library::alu4();
+        let sim = CompiledCircuit::new(&circuit);
+        for (id, gate) in circuit.iter() {
+            let (kind, fanin) = sim.gate(id.index());
+            assert_eq!(kind, gate.kind(), "{id}");
+            let drivers: Vec<usize> = fanin.iter().map(|&d| d as usize).collect();
+            let expected: Vec<usize> = gate.fanin().iter().map(|d| d.index()).collect();
+            assert_eq!(drivers, expected, "{id}");
+        }
     }
 
     #[test]

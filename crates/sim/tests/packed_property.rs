@@ -126,7 +126,7 @@ fn gate_eval_property<const L: usize>(seed: u64) {
             }
         }
         let count = 1 + (rng.next_u64() % PackedBlock::<L>::PATTERNS as u64) as usize;
-        let result = eval_chunk(kind, &inputs);
+        let result = eval_chunk(kind, inputs.iter().copied());
         // Chunk evaluation is exactly per-lane single-word evaluation…
         for lane in 0..L {
             let lane_inputs: Vec<PackedBlock<1>> = inputs
@@ -135,7 +135,7 @@ fn gate_eval_property<const L: usize>(seed: u64) {
                 .collect();
             assert_eq!(
                 result.0[lane],
-                eval_chunk(kind, &lane_inputs).0[0],
+                eval_chunk(kind, lane_inputs).0[0],
                 "L={L} case {case} {kind} lane {lane}"
             );
         }
