@@ -5,11 +5,13 @@
 //! is smaller than the fault simulator reports, because an aliased fault —
 //! detected by the pattern set, masked by the signature compare — ships
 //! exactly like an untested one.  [`AliasingReport`] makes that correction
-//! explicit: it counts the aliased faults of a
-//! [`SignatureDictionary`] exactly, compares the observed aliasing
-//! probability with the classical `2^−k` estimate for a `k`-bit MISR, and
-//! exposes the *effective coverage* that replaces `f` in the defect-level
-//! equations (eq. 7/8) when the test is applied through a compactor.
+//! explicit: it counts the aliased faults of a [`SignatureDictionary`]
+//! exactly (or of a sweep cell, counted straight from the sweep's records
+//! by [`SignatureDictionary::build_sweep_reports`]), compares the observed
+//! aliasing probability with the classical `2^−k` estimate for a `k`-bit
+//! MISR, and exposes the *effective coverage* that replaces `f` in the
+//! defect-level equations (eq. 7/8) when the test is applied through a
+//! compactor.
 
 use crate::signature::SignatureDictionary;
 

@@ -20,7 +20,11 @@
 //! * [`signature`] — [`SignatureDictionary`]: per-fault first-failing
 //!   *session* records built in one fault-simulation pass that propagates
 //!   each fanout-free-region stem once per chunk for all of its unresolved
-//!   faults, sharded across worker threads ([`lsiq_exec::shard_map`]),
+//!   faults, sharded across worker threads ([`lsiq_exec::shard_map`]); a
+//!   test length × signature width sweep counts every cell's
+//!   [`AliasingReport`] straight from that pass's records
+//!   ([`SignatureDictionary::build_sweep_reports`]) and lays out a cell's
+//!   dictionary only on request,
 //! * [`aliasing`] — [`AliasingReport`]: exact aliasing versus the `2^−k`
 //!   estimate, and the effective coverage that replaces `f` in the paper's
 //!   defect-level equations (eq. 7/8) under BIST.

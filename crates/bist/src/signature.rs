@@ -33,7 +33,15 @@
 //! without touching the register, and a fault leaves the fold once every
 //! requested signature width has resolved its first failing session; a
 //! stem whose faults have all left is not propagated again.
+//!
+//! A sweep over a `(test length, signature width)` grid is still one pass.
+//! Its product is one compact record set per fault, kept in the pass's
+//! stem order: [`SignatureDictionary::build_sweep_reports`] counts every
+//! cell's [`AliasingReport`] from it, and
+//! [`SignatureDictionary::build_sweep_cached`] lays every cell's
+//! dictionary out in universe order.
 
+use crate::aliasing::AliasingReport;
 use crate::lfsr::SUPPORTED_DEGREES;
 use crate::span_step::{LaneSpan, SpanStep, MAX_SPAN};
 use lsiq_exec::{shard_map, ExecutionContext, LaneWidth};
@@ -88,9 +96,8 @@ impl Default for BistPlan {
 ///
 /// The BIST analogue of [`FaultDictionary`]: its
 /// [`readout_dictionary`](Self::readout_dictionary) tells a lot tester at
-/// which readout a defective chip first fails, and the
-/// [`AliasingReport`](crate::aliasing::AliasingReport) folds its
-/// aliased-fault count into the effective-coverage figure.
+/// which readout a defective chip first fails, and the [`AliasingReport`]
+/// folds its aliased-fault count into the effective-coverage figure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureDictionary {
     session_len: usize,
@@ -98,8 +105,9 @@ pub struct SignatureDictionary {
     signature_width: u32,
     /// Fault-free signature of each session, in session order.
     good: Vec<u64>,
-    /// Per fault: the first session whose signature differs from `good`.
-    first_fail: Vec<Option<usize>>,
+    /// Per fault: the first session whose signature differs from `good`,
+    /// or [`UNDETECTED`].
+    first_fail: Vec<u32>,
     /// Per fault: whether any output response differs at any applied
     /// pattern (detection by the pattern set, before compaction).
     raw_detected: Vec<bool>,
@@ -150,7 +158,9 @@ impl SignatureDictionary {
     /// boundary.  The result is indexed `[length][width]` (input order) and
     /// each dictionary is byte-identical to what
     /// [`build_in`](SignatureDictionary::build_in) produces for that width
-    /// on the truncated pattern set.
+    /// on the truncated pattern set.  A caller that only counts the cells
+    /// asks [`build_sweep_reports`](SignatureDictionary::build_sweep_reports)
+    /// instead, which lays out no dictionary.
     ///
     /// The packed lane width is selectable (results are byte-identical at
     /// every width) and an optional shared [`GoodMachineCache`] supplies —
@@ -176,44 +186,32 @@ impl SignatureDictionary {
         lanes: LaneWidth,
         cache: Option<&GoodMachineCache>,
     ) -> Vec<Vec<SignatureDictionary>> {
-        match lanes.resolve(patterns.len()) {
-            1 => SignatureDictionary::build_sweep_lanes::<1>(
-                context,
-                circuit,
-                universe,
-                patterns,
-                session_len,
-                widths,
-                lengths,
-                cache,
-            ),
-            4 => SignatureDictionary::build_sweep_lanes::<4>(
-                context,
-                circuit,
-                universe,
-                patterns,
-                session_len,
-                widths,
-                lengths,
-                cache,
-            ),
-            _ => SignatureDictionary::build_sweep_lanes::<8>(
-                context,
-                circuit,
-                universe,
-                patterns,
-                session_len,
-                widths,
-                lengths,
-                cache,
-            ),
+        SweepInput {
+            context,
+            circuit,
+            universe,
+            patterns,
+            session_len,
+            widths,
+            lengths,
+            cache,
         }
+        .run(lanes, |records| records.dictionaries())
     }
 
-    /// One lane-monomorphized sweep (see
-    /// [`build_sweep_cached`](SignatureDictionary::build_sweep_cached)).
+    /// The [`AliasingReport`] of every `(test length, signature width)`
+    /// grid cell, indexed `[length][width]` like
+    /// [`build_sweep_cached`](SignatureDictionary::build_sweep_cached)
+    /// (same arguments, same single pass, same panics), and equal to
+    /// [`AliasingReport::from_dictionary`] of each of its dictionaries.
+    ///
+    /// The cells are counted straight from the pass's per-fault records:
+    /// per width, a histogram of first failing full sessions, and one
+    /// histogram of first response differences, answer every length
+    /// through prefix sums; only a length that ends mid-session reads the
+    /// trailing-session verdicts.  No dictionary is laid out.
     #[allow(clippy::too_many_arguments)]
-    fn build_sweep_lanes<const L: usize>(
+    pub fn build_sweep_reports(
         context: &ExecutionContext,
         circuit: &Circuit,
         universe: &FaultUniverse,
@@ -221,14 +219,277 @@ impl SignatureDictionary {
         session_len: usize,
         widths: &[u32],
         lengths: &[usize],
+        lanes: LaneWidth,
         cache: Option<&GoodMachineCache>,
-    ) -> Vec<Vec<SignatureDictionary>> {
+    ) -> Vec<Vec<AliasingReport>> {
+        SweepInput {
+            context,
+            circuit,
+            universe,
+            patterns,
+            session_len,
+            widths,
+            lengths,
+            cache,
+        }
+        .run(lanes, |records| records.reports())
+    }
+
+    /// Reassembles a dictionary from its recorded parts — the inverse of
+    /// the [`good_signatures`](Self::good_signatures) /
+    /// [`first_failing_sessions`](Self::first_failing_sessions) /
+    /// [`raw_detected_flags`](Self::raw_detected_flags) accessors, used by
+    /// artifact stores that persist dictionaries across processes.
+    ///
+    /// `good` carries one fault-free signature per session (a trailing
+    /// partial session included), so `sessions` is taken from its length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session_len` is 0, `signature_width` is not a supported
+    /// MISR width, the per-fault vectors disagree in length, or a fault's
+    /// first failing session is not one of the `good.len()` sessions,
+    /// belongs to a fault that is not raw-detected (a signature compare
+    /// cannot fail where no response differs), or does not fit the
+    /// dictionary's `u32` record.  Every built dictionary satisfies these,
+    /// so an aliasing count never goes negative.
+    pub fn from_parts(
+        session_len: usize,
+        signature_width: u32,
+        good: Vec<u64>,
+        first_fail: Vec<Option<usize>>,
+        raw_detected: Vec<bool>,
+    ) -> SignatureDictionary {
+        assert!(session_len >= 1, "a session must apply at least 1 pattern");
+        assert!(
+            SUPPORTED_DEGREES.contains(&signature_width),
+            "no built-in MISR polynomial of width {signature_width}"
+        );
+        assert_eq!(
+            first_fail.len(),
+            raw_detected.len(),
+            "per-fault records must agree in length"
+        );
+        let first_fail = first_fail
+            .into_iter()
+            .zip(&raw_detected)
+            .enumerate()
+            .map(|(fault, (fail, &raw))| {
+                let Some(session) = fail else {
+                    return UNDETECTED;
+                };
+                assert!(
+                    session < good.len(),
+                    "fault {fault} first fails at session {session} of {}",
+                    good.len()
+                );
+                assert!(
+                    raw,
+                    "fault {fault} fails session {session} without a response difference"
+                );
+                u32::try_from(session)
+                    .ok()
+                    .filter(|&record| record != UNDETECTED)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "fault {fault}'s first failing session {session} does not fit \
+                             the dictionary's u32 record"
+                        )
+                    })
+            })
+            .collect();
+        SignatureDictionary {
+            session_len,
+            sessions: good.len(),
+            signature_width,
+            good,
+            first_fail,
+            raw_detected,
+        }
+    }
+
+    /// The fault-free signature of every session, in session order.
+    pub fn good_signatures(&self) -> &[u64] {
+        &self.good
+    }
+
+    /// Per fault, in fault-universe order: the first session whose
+    /// signature differs from the fault-free one, or `None` when every
+    /// readout matches.  Together with [`from_parts`](Self::from_parts)
+    /// this round-trips the dictionary exactly.
+    pub fn first_failing_sessions(&self) -> impl ExactSizeIterator<Item = Option<usize>> + '_ {
+        self.first_fail.iter().map(|&record| session_of(record))
+    }
+
+    /// Per fault: whether any output response differs at any applied
+    /// pattern (detection by the pattern set, before compaction).
+    pub fn raw_detected_flags(&self) -> &[bool] {
+        &self.raw_detected
+    }
+
+    /// Number of faults covered by the dictionary.
+    pub fn len(&self) -> usize {
+        self.first_fail.len()
+    }
+
+    /// Returns `true` if the dictionary covers no faults.
+    pub fn is_empty(&self) -> bool {
+        self.first_fail.is_empty()
+    }
+
+    /// Number of test sessions (signature readouts), including a trailing
+    /// partial session.
+    pub fn sessions(&self) -> usize {
+        self.sessions
+    }
+
+    /// Patterns applied per full session.
+    pub fn session_len(&self) -> usize {
+        self.session_len
+    }
+
+    /// The MISR width `k`.
+    pub fn signature_width(&self) -> u32 {
+        self.signature_width
+    }
+
+    /// The first session at which fault `index`'s signature differs from the
+    /// fault-free one, or `None` if every readout matches (the fault is
+    /// undetected — or detected but aliased).
+    pub fn first_failing_session(&self, index: usize) -> Option<usize> {
+        self.first_fail
+            .get(index)
+            .and_then(|&record| session_of(record))
+    }
+
+    /// Whether fault `index` produces any response difference under the
+    /// applied pattern set (detection before compaction).
+    pub fn is_raw_detected(&self, index: usize) -> bool {
+        self.raw_detected.get(index).copied().unwrap_or(false)
+    }
+
+    /// Whether fault `index` is aliased: its responses differ at some
+    /// pattern, yet every session signature equals the fault-free one.
+    fn is_aliased(&self, index: usize) -> bool {
+        self.is_raw_detected(index) && self.first_failing_session(index).is_none()
+    }
+
+    /// Indices of the aliased faults.
+    pub fn aliased_indices(&self) -> Vec<usize> {
+        (0..self.len()).filter(|&i| self.is_aliased(i)).collect()
+    }
+
+    /// Number of faults detected by the pattern set (before compaction).
+    pub fn raw_detected_count(&self) -> usize {
+        self.raw_detected.iter().filter(|&&d| d).count()
+    }
+
+    /// Number of faults the signature compare detects (raw detections minus
+    /// aliased faults).
+    pub fn signature_detected_count(&self) -> usize {
+        self.first_fail
+            .iter()
+            .filter(|&&record| record != UNDETECTED)
+            .count()
+    }
+
+    /// The self-test as a tester observes it over `pattern_count` applied
+    /// patterns: a [`FaultDictionary`] whose record for each fault is the
+    /// pattern at which its first failing session is read out,
+    /// `(s + 1) · session_len − 1`, clamped to the last pattern for a
+    /// trailing partial session.  Undetected and aliased faults have no
+    /// record.
+    ///
+    /// The readout pattern grows with the session, so a chip's earliest
+    /// record over its faults
+    /// ([`FaultDictionary::first_failure_of_chip`]) is the readout of its
+    /// earliest failing session: a lot tested against this dictionary is
+    /// rejected exactly where the signature compare would reject it.
+    pub fn readout_dictionary(&self, pattern_count: usize) -> FaultDictionary {
+        let last = pattern_count.saturating_sub(1);
+        // `session_len >= 1`, so the saturated product is at least 1.
+        let readout = |session: usize| (session + 1).saturating_mul(self.session_len) - 1;
+        FaultDictionary::from_first_patterns(
+            self.first_failing_sessions()
+                .map(|session| session.map(|session| readout(session).min(last))),
+        )
+    }
+}
+
+/// The `u32` record of a fault no readout (or, for a first response
+/// difference, no pattern) catches.  Sessions and patterns are indexed
+/// below it: a sweep refuses a pattern set of `u32::MAX` patterns or more.
+const UNDETECTED: u32 = u32::MAX;
+
+/// The session a `u32` record stands for.
+fn session_of(record: u32) -> Option<usize> {
+    (record != UNDETECTED).then_some(record as usize)
+}
+
+/// The grid-cell rule, which both views of a sweep call.  Given a fault's
+/// first failing full session over the whole pass (`first_full`, or
+/// [`UNDETECTED`]), returns its first failing session in a test of
+/// `full_sessions` full sessions followed by a trailing partial session
+/// whose readout fails when `trailing_fails` (or [`UNDETECTED`]).
+///
+/// A full-session failure inside the prefix is the answer for every
+/// longer length; otherwise the prefix's only remaining readout is its
+/// trailing partial session.
+fn cell_session(first_full: u32, full_sessions: usize, trailing_fails: bool) -> u32 {
+    if (first_full as usize) < full_sessions {
+        first_full
+    } else if trailing_fails {
+        full_sessions as u32
+    } else {
+        UNDETECTED
+    }
+}
+
+/// The arguments of one sweep pass (see
+/// [`SignatureDictionary::build_sweep_cached`]).
+struct SweepInput<'a> {
+    context: &'a ExecutionContext,
+    circuit: &'a Circuit,
+    universe: &'a FaultUniverse,
+    patterns: &'a PatternSet,
+    session_len: usize,
+    widths: &'a [u32],
+    lengths: &'a [usize],
+    cache: Option<&'a GoodMachineCache>,
+}
+
+impl SweepInput<'_> {
+    /// Runs the pass at `lanes` and hands its records to `view`.
+    fn run<R>(&self, lanes: LaneWidth, view: impl FnOnce(&SweepRecords<'_>) -> R) -> R {
+        match lanes.resolve(self.patterns.len()) {
+            1 => self.run_lanes::<1, R>(view),
+            4 => self.run_lanes::<4, R>(view),
+            _ => self.run_lanes::<8, R>(view),
+        }
+    }
+
+    /// One lane-monomorphized pass.
+    fn run_lanes<const L: usize, R>(&self, view: impl FnOnce(&SweepRecords<'_>) -> R) -> R {
+        let SweepInput {
+            context,
+            circuit,
+            universe,
+            patterns,
+            session_len,
+            widths,
+            lengths,
+            cache,
+        } = *self;
         assert!(session_len >= 1, "a session must apply at least 1 pattern");
         assert!(!widths.is_empty(), "at least one signature width required");
         assert!(!lengths.is_empty(), "at least one test length required");
         assert!(
             lengths.iter().all(|&length| length <= patterns.len()),
             "test lengths cannot exceed the pattern set"
+        );
+        assert!(
+            patterns.len() < UNDETECTED as usize,
+            "a sweep's pattern indices must fit its u32 records"
         );
         SWEEPS.incr();
         SWEEP_CELLS.add((widths.len() * lengths.len()) as u64);
@@ -279,7 +540,8 @@ impl SignatureDictionary {
         drop(good_timer);
 
         // Group the faults by stem, and shard the stems in contiguous
-        // ranges.
+        // ranges.  The shards come back in stem order, and their records
+        // stay in it; only a dictionary view reorders them.
         let faults = universe.faults();
         SWEEP_FAULTS.add(faults.len() as u64);
         let regions = FanoutRegions::new(compiled);
@@ -292,70 +554,165 @@ impl SignatureDictionary {
             folds: &folds,
             cuts: &cuts,
         };
-        let results = shard_map(Some(context), groups.len(), MIN_STEMS_PER_SHARD, |range| {
+        let shards = shard_map(Some(context), groups.len(), MIN_STEMS_PER_SHARD, |range| {
             sweep.simulate_shard(range)
         });
+        view(&SweepRecords {
+            session_len,
+            patterns: patterns.len(),
+            widths,
+            lengths,
+            cuts: &cuts,
+            good_full,
+            good_partial,
+            members: groups.members(0..groups.len()),
+            shards,
+        })
+    }
+}
 
-        // Scatter the shards, which come back in stem order, into universe
-        // fault order.
-        let stride = widths.len();
-        let records = stride * cuts.len();
-        let mut first_error: Vec<Option<usize>> = vec![None; faults.len()];
-        let mut first_fail: Vec<Option<usize>> = vec![None; faults.len() * stride];
-        let mut partial_fail: Vec<bool> = vec![false; faults.len() * records];
-        let mut done = 0;
-        for shard in results {
-            let members = &groups.members(0..groups.len())[done..done + shard.first_error.len()];
-            done += members.len();
-            for (local, &fault) in members.iter().enumerate() {
-                let fault = fault as usize;
-                first_error[fault] = shard.first_error[local];
-                first_fail[fault * stride..(fault + 1) * stride]
-                    .copy_from_slice(&shard.first_fail[local * stride..(local + 1) * stride]);
-                partial_fail[fault * records..(fault + 1) * records]
-                    .copy_from_slice(&shard.partial_fail[local * records..(local + 1) * records]);
+/// One sweep pass's product: the fault-free signatures, and every fault's
+/// compact records in the pass's stem order, shard after shard.
+///
+/// Both views of the grid read these records through
+/// [`cell_session`]: [`reports`](Self::reports) counts every cell, and
+/// [`dictionaries`](Self::dictionaries) lays every cell out in universe
+/// order through the pass's member permutation.
+struct SweepRecords<'a> {
+    session_len: usize,
+    /// Patterns the pass applied.
+    patterns: usize,
+    widths: &'a [u32],
+    lengths: &'a [usize],
+    /// Mid-session test lengths, ascending.
+    cuts: &'a [usize],
+    /// `[width][session]`: the fault-free signature of each full session.
+    good_full: Vec<Vec<u64>>,
+    /// `[width][cut]`: the fault-free register as the pass crosses a cut.
+    good_partial: Vec<Vec<u64>>,
+    /// The universe index of every fault, in stem order.
+    members: &'a [u32],
+    shards: Vec<ShardRecords>,
+}
+
+impl SweepRecords<'_> {
+    /// A test of `length` patterns: its full sessions, and the cut its
+    /// trailing partial session ends on, if it has one.
+    fn cell(&self, length: usize) -> (usize, Option<usize>) {
+        let cut = (length % self.session_len != 0).then(|| {
+            self.cuts
+                .binary_search(&length)
+                .expect("every mid-session length is a cut")
+        });
+        (length / self.session_len, cut)
+    }
+
+    /// Every cell's [`AliasingReport`], `[length][width]`, counted from the
+    /// records (see [`SignatureDictionary::build_sweep_reports`]).
+    fn reports(&self) -> Vec<Vec<AliasingReport>> {
+        let widths = self.widths.len();
+        let cuts = self.cuts.len();
+        let full_max = self.patterns / self.session_len;
+        // Shifted histograms: entry `i + 1` counts the records equal to
+        // `i`, so after the prefix sums entry `n` counts those below `n`.
+        let mut first_errors = vec![0usize; self.patterns + 1];
+        let mut first_fails = vec![0usize; widths * (full_max + 1)];
+        // `[width * cuts + cut]`: faults only the trailing partial session
+        // of the test ending at that cut catches.
+        let mut trailing = vec![0usize; widths * cuts];
+        for shard in &self.shards {
+            for &error in &shard.first_error {
+                if error != UNDETECTED {
+                    first_errors[error as usize + 1] += 1;
+                }
+            }
+            for (record, &session) in shard.first_fail.iter().enumerate() {
+                let which = record % widths;
+                if session != UNDETECTED {
+                    first_fails[which * (full_max + 1) + session as usize + 1] += 1;
+                }
+                for (cut, &length) in self.cuts.iter().enumerate() {
+                    let full_sessions = length / self.session_len;
+                    if shard.partial_fails(record * cuts + cut)
+                        && cell_session(session, full_sessions, true) as usize == full_sessions
+                    {
+                        trailing[which * cuts + cut] += 1;
+                    }
+                }
             }
         }
-
-        // Derive every (length, width) dictionary from the one pass.
-        lengths
+        prefix_sums(&mut first_errors);
+        for histogram in first_fails.chunks_mut(full_max + 1) {
+            prefix_sums(histogram);
+        }
+        self.lengths
             .iter()
             .map(|&length| {
-                let full_sessions = length / session_len;
-                let cut = (length % session_len != 0).then(|| {
-                    cuts.binary_search(&length)
-                        .expect("every mid-session length is a cut")
-                });
-                let raw_detected: Vec<bool> = first_error
-                    .iter()
-                    .map(|error| error.is_some_and(|pattern| pattern < length))
-                    .collect();
-                widths
+                let (full_sessions, cut) = self.cell(length);
+                let raw_detected = first_errors[length];
+                self.widths
                     .iter()
                     .enumerate()
                     .map(|(which, &width)| {
-                        let mut good = good_full[which][..full_sessions].to_vec();
-                        if let Some(cut) = cut {
-                            good.push(good_partial[which][cut]);
+                        let signature_detected = first_fails
+                            [which * (full_max + 1) + full_sessions]
+                            + cut.map_or(0, |cut| trailing[which * cuts + cut]);
+                        AliasingReport {
+                            universe_size: self.members.len(),
+                            raw_detected,
+                            signature_detected,
+                            aliased: raw_detected - signature_detected,
+                            signature_width: width,
+                            sessions: length.div_ceil(self.session_len),
                         }
-                        let first_fail: Vec<Option<usize>> = (0..faults.len())
-                            .map(|fault| {
-                                let record = fault * stride + which;
-                                match first_fail[record] {
-                                    // A full-session failure inside the prefix
-                                    // is the answer for every longer length.
-                                    Some(session) if session < full_sessions => Some(session),
-                                    // Otherwise the prefix's only remaining
-                                    // readout is its trailing partial session.
-                                    _ => cut
-                                        .filter(|&cut| partial_fail[record * cuts.len() + cut])
-                                        .map(|_| full_sessions),
-                                }
-                            })
-                            .collect();
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every cell's dictionary, `[length][width]`, in universe fault order
+    /// (see [`SignatureDictionary::build_sweep_cached`]).
+    fn dictionaries(&self) -> Vec<Vec<SignatureDictionary>> {
+        let widths = self.widths.len();
+        let cuts = self.cuts.len();
+        let faults = self.members.len();
+        // Every fault's shard and shard-local index, with its universe
+        // index.
+        let records = || {
+            self.shards
+                .iter()
+                .flat_map(|shard| (0..shard.first_error.len()).map(move |local| (shard, local)))
+                .zip(self.members)
+        };
+        self.lengths
+            .iter()
+            .map(|&length| {
+                let (full_sessions, cut) = self.cell(length);
+                let mut raw_detected = vec![false; faults];
+                for ((shard, local), &fault) in records() {
+                    raw_detected[fault as usize] = (shard.first_error[local] as usize) < length;
+                }
+                self.widths
+                    .iter()
+                    .enumerate()
+                    .map(|(which, &width)| {
+                        let mut good = self.good_full[which][..full_sessions].to_vec();
+                        if let Some(cut) = cut {
+                            good.push(self.good_partial[which][cut]);
+                        }
+                        let mut first_fail = vec![UNDETECTED; faults];
+                        for ((shard, local), &fault) in records() {
+                            let record = local * widths + which;
+                            first_fail[fault as usize] = cell_session(
+                                shard.first_fail[record],
+                                full_sessions,
+                                cut.is_some_and(|cut| shard.partial_fails(record * cuts + cut)),
+                            );
+                        }
                         SignatureDictionary {
-                            session_len,
-                            sessions: length.div_ceil(session_len),
+                            session_len: self.session_len,
+                            sessions: length.div_ceil(self.session_len),
                             signature_width: width,
                             good,
                             first_fail,
@@ -366,163 +723,14 @@ impl SignatureDictionary {
             })
             .collect()
     }
+}
 
-    /// Reassembles a dictionary from its recorded parts — the inverse of
-    /// the [`good_signatures`](Self::good_signatures) /
-    /// [`first_failing_sessions`](Self::first_failing_sessions) /
-    /// [`raw_detected_flags`](Self::raw_detected_flags) accessors, used by
-    /// artifact stores that persist dictionaries across processes.
-    ///
-    /// `good` carries one fault-free signature per session (a trailing
-    /// partial session included), so `sessions` is taken from its length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session_len` is 0, `signature_width` is not a supported
-    /// MISR width, the per-fault vectors disagree in length, or a fault's
-    /// first failing session is not one of the `good.len()` sessions or
-    /// belongs to a fault that is not raw-detected (a signature compare
-    /// cannot fail where no response differs).  Every built dictionary
-    /// satisfies these, so an aliasing count never goes negative.
-    pub fn from_parts(
-        session_len: usize,
-        signature_width: u32,
-        good: Vec<u64>,
-        first_fail: Vec<Option<usize>>,
-        raw_detected: Vec<bool>,
-    ) -> SignatureDictionary {
-        assert!(session_len >= 1, "a session must apply at least 1 pattern");
-        assert!(
-            SUPPORTED_DEGREES.contains(&signature_width),
-            "no built-in MISR polynomial of width {signature_width}"
-        );
-        assert_eq!(
-            first_fail.len(),
-            raw_detected.len(),
-            "per-fault records must agree in length"
-        );
-        for (fault, (&fail, &raw)) in first_fail.iter().zip(&raw_detected).enumerate() {
-            if let Some(session) = fail {
-                assert!(
-                    session < good.len(),
-                    "fault {fault} first fails at session {session} of {}",
-                    good.len()
-                );
-                assert!(
-                    raw,
-                    "fault {fault} fails session {session} without a response difference"
-                );
-            }
-        }
-        SignatureDictionary {
-            session_len,
-            sessions: good.len(),
-            signature_width,
-            good,
-            first_fail,
-            raw_detected,
-        }
-    }
-
-    /// The fault-free signature of every session, in session order.
-    pub fn good_signatures(&self) -> &[u64] {
-        &self.good
-    }
-
-    /// Per fault: the first session whose signature differs from the
-    /// fault-free one.
-    pub fn first_failing_sessions(&self) -> &[Option<usize>] {
-        &self.first_fail
-    }
-
-    /// Per fault: whether any output response differs at any applied
-    /// pattern (detection by the pattern set, before compaction).
-    pub fn raw_detected_flags(&self) -> &[bool] {
-        &self.raw_detected
-    }
-
-    /// Number of faults covered by the dictionary.
-    pub fn len(&self) -> usize {
-        self.first_fail.len()
-    }
-
-    /// Returns `true` if the dictionary covers no faults.
-    pub fn is_empty(&self) -> bool {
-        self.first_fail.is_empty()
-    }
-
-    /// Number of test sessions (signature readouts), including a trailing
-    /// partial session.
-    pub fn sessions(&self) -> usize {
-        self.sessions
-    }
-
-    /// Patterns applied per full session.
-    pub fn session_len(&self) -> usize {
-        self.session_len
-    }
-
-    /// The MISR width `k`.
-    pub fn signature_width(&self) -> u32 {
-        self.signature_width
-    }
-
-    /// The first session at which fault `index`'s signature differs from the
-    /// fault-free one, or `None` if every readout matches (the fault is
-    /// undetected — or detected but aliased).
-    pub fn first_failing_session(&self, index: usize) -> Option<usize> {
-        self.first_fail.get(index).copied().flatten()
-    }
-
-    /// Whether fault `index` produces any response difference under the
-    /// applied pattern set (detection before compaction).
-    pub fn is_raw_detected(&self, index: usize) -> bool {
-        self.raw_detected.get(index).copied().unwrap_or(false)
-    }
-
-    /// Whether fault `index` is aliased: its responses differ at some
-    /// pattern, yet every session signature equals the fault-free one.
-    fn is_aliased(&self, index: usize) -> bool {
-        self.is_raw_detected(index) && self.first_failing_session(index).is_none()
-    }
-
-    /// Indices of the aliased faults.
-    pub fn aliased_indices(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.is_aliased(i)).collect()
-    }
-
-    /// Number of faults detected by the pattern set (before compaction).
-    pub fn raw_detected_count(&self) -> usize {
-        self.raw_detected.iter().filter(|&&d| d).count()
-    }
-
-    /// Number of faults the signature compare detects (raw detections minus
-    /// aliased faults).
-    pub fn signature_detected_count(&self) -> usize {
-        self.first_fail.iter().filter(|f| f.is_some()).count()
-    }
-
-    /// The self-test as a tester observes it over `pattern_count` applied
-    /// patterns: a [`FaultDictionary`] whose record for each fault is the
-    /// pattern at which its first failing session is read out,
-    /// `(s + 1) · session_len − 1`, clamped to the last pattern for a
-    /// trailing partial session.  Undetected and aliased faults have no
-    /// record.
-    ///
-    /// The readout pattern grows with the session, so a chip's earliest
-    /// record over its faults
-    /// ([`FaultDictionary::first_failure_of_chip`]) is the readout of its
-    /// earliest failing session: a lot tested against this dictionary is
-    /// rejected exactly where the signature compare would reject it.
-    pub fn readout_dictionary(&self, pattern_count: usize) -> FaultDictionary {
-        let last = pattern_count.saturating_sub(1);
-        // `session_len >= 1`, so the saturated product is at least 1.
-        let readout = |session: usize| (session + 1).saturating_mul(self.session_len) - 1;
-        FaultDictionary::from_first_patterns(
-            self.first_fail
-                .iter()
-                .map(|session| session.map(|session| readout(session).min(last))),
-        )
+/// Turns counts into running totals, in place.
+fn prefix_sums(counts: &mut [usize]) {
+    let mut total = 0;
+    for count in counts {
+        total += *count;
+        *count = total;
     }
 }
 
@@ -643,19 +851,27 @@ impl Iterator for Spans<'_, '_> {
     }
 }
 
-/// One shard's per-fault results, in the shard's grouped fault order, each
-/// in one flat buffer.
-struct ShardResult {
-    /// `[fault * widths + width]` first failing *full* session.
-    first_fail: Vec<Option<usize>>,
-    /// `[(fault * widths + width) * cuts + cut]` whether the error register
-    /// was non-zero when the pass crossed that cut — the trailing
+/// One shard's per-fault records, in the shard's stem order, each in one
+/// flat buffer.
+struct ShardRecords {
+    /// `[fault * widths + width]` first failing *full* session, or
+    /// [`UNDETECTED`].
+    first_fail: Vec<u32>,
+    /// Bit `(fault * widths + width) * cuts + cut`: whether the error
+    /// register was non-zero when the pass crossed that cut — the trailing
     /// partial-session verdict of the test ending there.
-    partial_fail: Vec<bool>,
+    partial_fail: Vec<u64>,
     /// `[fault]` index of the first pattern whose response differs, or
-    /// `None` if no response ever does.  `first_error < length` is the raw
-    /// (pre-compaction) detection verdict of every prefix at once.
-    first_error: Vec<Option<usize>>,
+    /// [`UNDETECTED`] if no response ever does.  `first_error < length` is
+    /// the raw (pre-compaction) detection verdict of every prefix at once.
+    first_error: Vec<u32>,
+}
+
+impl ShardRecords {
+    /// The partial-session verdict bit `bit`.
+    fn partial_fails(&self, bit: usize) -> bool {
+        self.partial_fail[bit / 64] >> (bit % 64) & 1 == 1
+    }
 }
 
 /// Everything a sweep's shards share.
@@ -677,17 +893,16 @@ impl<const L: usize> Sweep<'_, L> {
     /// unresolved width, and each such fault folds its masked copy of the
     /// stem's list.  A fault whose every width has resolved gets no mask,
     /// so the group stops once all of its faults have resolved.
-    fn simulate_shard(&self, range: std::ops::Range<usize>) -> ShardResult {
+    fn simulate_shard(&self, range: std::ops::Range<usize>) -> ShardRecords {
         let _timer = PROPAGATE.start();
         let cuts = self.cuts;
         let widths = self.folds.len();
-        let records = widths * cuts.len();
         let groups = self.pass.groups();
         let shard_faults = groups.members(range.clone()).len();
-        let mut result = ShardResult {
-            first_fail: vec![None; shard_faults * widths],
-            partial_fail: vec![false; shard_faults * records],
-            first_error: vec![None; shard_faults],
+        let mut result = ShardRecords {
+            first_fail: vec![UNDETECTED; shard_faults * widths],
+            partial_fail: vec![0; (shard_faults * widths * cuts.len()).div_ceil(64)],
+            first_error: vec![UNDETECTED; shard_faults],
         };
         let mut shard = self.pass.shard();
         // Per fault of the group: one register per width, and how many
@@ -730,22 +945,22 @@ impl<const L: usize> Sweep<'_, L> {
                         }));
                     }
                     let first_error = &mut result.first_error[fault];
-                    if first_error.is_none() {
+                    if *first_error == UNDETECTED {
                         let union = errors
                             .iter()
                             .fold(PackedBlock::<L>::ZERO, |union, &(_, error)| union | error);
-                        *first_error = union.first_set_slot().map(|slot| consumed + slot);
+                        if let Some(slot) = union.first_set_slot() {
+                            *first_error = (consumed + slot) as u32;
+                        }
                     }
                     let states = &mut states[member * widths..(member + 1) * widths];
                     if errors.is_empty() && states.iter().all(|&state| state == 0) {
                         // A quiet chunk cannot move a zero register: each
                         // readout and each cut in it trivially passes
-                        // (`partial_fail` is already `false`).
+                        // (its `partial_fail` bit is already clear).
                         continue;
                     }
                     let first_fail = &mut result.first_fail[fault * widths..(fault + 1) * widths];
-                    let partial_fail =
-                        &mut result.partial_fail[fault * records..(fault + 1) * records];
                     for &(lane, span, end) in &spans {
                         for ((fold, state), fail) in
                             self.folds.iter().zip(&mut *states).zip(&*first_fail)
@@ -753,7 +968,7 @@ impl<const L: usize> Sweep<'_, L> {
                             // A resolved width's register was reset at its
                             // failing readout and is never read again; skip
                             // its steps.
-                            if fail.is_some() {
+                            if *fail != UNDETECTED {
                                 continue;
                             }
                             let mut z = span.carry(*state);
@@ -770,13 +985,16 @@ impl<const L: usize> Sweep<'_, L> {
                             // ongoing fold.  (A resolved width's register is
                             // zero and its snapshot is unused.)
                             for (which, &state) in states.iter().enumerate() {
-                                partial_fail[which * cuts.len() + cut] = state != 0;
+                                if state != 0 {
+                                    let bit = ((fault * widths + which) * cuts.len()) + cut;
+                                    result.partial_fail[bit / 64] |= 1 << (bit % 64);
+                                }
                             }
                         }
                         if let Some(session) = end.readout {
                             for (state, fail) in states.iter_mut().zip(first_fail.iter_mut()) {
-                                if fail.is_none() && *state != 0 {
-                                    *fail = Some(session);
+                                if *fail == UNDETECTED && *state != 0 {
+                                    *fail = session as u32;
                                     unresolved[member] -= 1;
                                 }
                                 *state = 0;
@@ -971,7 +1189,8 @@ mod tests {
     /// — the full pattern set, a length 37 patterns shorter, and the empty
     /// test — and checks every dictionary against the brute-force
     /// reference: exact fault-free signatures, first failing sessions and
-    /// raw detection flags, fault by fault.
+    /// raw detection flags, fault by fault.  The counted reports of the
+    /// same sweep must equal each dictionary's report.
     fn assert_matches_brute_force(
         circuit: &lsiq_netlist::circuit::Circuit,
         patterns: &PatternSet,
@@ -1018,6 +1237,22 @@ mod tests {
                     lanes,
                     None,
                 );
+                let reports = SignatureDictionary::build_sweep_reports(
+                    &context,
+                    circuit,
+                    &universe,
+                    patterns,
+                    session_len,
+                    &SUPPORTED_DEGREES,
+                    &lengths,
+                    lanes,
+                    None,
+                );
+                let counted: Vec<Vec<AliasingReport>> = grid
+                    .iter()
+                    .map(|row| row.iter().map(AliasingReport::from_dictionary).collect())
+                    .collect();
+                assert_eq!(reports, counted, "session_len {session_len}, lanes {lanes}");
                 for (((row, reference), raw), &length) in
                     grid.iter().zip(&references).zip(&raw).zip(&lengths)
                 {
@@ -1029,7 +1264,7 @@ mod tests {
                         assert_eq!(dictionary.sessions(), good.len(), "{plan}");
                         assert_same(dictionary.good_signatures(), good, "session", &plan);
                         assert_same(
-                            dictionary.first_failing_sessions(),
+                            &dictionary.first_failing_sessions().collect::<Vec<_>>(),
                             first_fail,
                             "fault",
                             &plan,
@@ -1103,11 +1338,38 @@ mod tests {
             &patterns,
             &plan,
         );
+        // The counted reports, mid-session cut included, add up the same
+        // records across shards.
+        let lengths = [40, 96];
+        let counted: Vec<Vec<AliasingReport>> = sweep(
+            &ExecutionContext::new(1),
+            &circuit,
+            &universe,
+            &patterns,
+            plan.session_len,
+            &[plan.signature_width],
+            &lengths,
+        )
+        .iter()
+        .map(|row| row.iter().map(AliasingReport::from_dictionary).collect())
+        .collect();
         for workers in [2, 3, 8] {
             let context = ExecutionContext::new(workers);
             let dictionary =
                 SignatureDictionary::build_in(&context, &circuit, &universe, &patterns, &plan);
             assert_eq!(reference, dictionary, "workers = {workers}");
+            let reports = SignatureDictionary::build_sweep_reports(
+                &context,
+                &circuit,
+                &universe,
+                &patterns,
+                plan.session_len,
+                &[plan.signature_width],
+                &lengths,
+                LaneWidth::Auto,
+                None,
+            );
+            assert_eq!(counted, reports, "workers = {workers}");
         }
     }
 

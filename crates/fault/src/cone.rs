@@ -201,7 +201,7 @@ impl<'c> FanoutRegions<'c> {
             );
             output_position[out.index()] = position as u32;
         }
-        let levelization = compiled.levelization();
+        let levelization = compiled.circuit().levelization();
         let mut load_start = Vec::with_capacity(gate_count + 1);
         let mut loads = Vec::new();
         load_start.push(0);

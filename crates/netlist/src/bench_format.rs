@@ -34,14 +34,13 @@ use std::collections::HashMap;
 /// outputs or cycles.
 pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
     // First pass: record definitions in order, plus declared outputs.
-    struct PendingGate {
-        signal: String,
+    struct PendingGate<'t> {
+        signal: &'t str,
         kind: GateKind,
-        fanin_names: Vec<String>,
-        line: usize,
+        fanin_names: Vec<&'t str>,
     }
-    let mut pending: Vec<PendingGate> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
+    let mut pending: Vec<PendingGate<'_>> = Vec::new();
+    let mut output_names: Vec<&str> = Vec::new();
 
     for (line_index, raw_line) in text.lines().enumerate() {
         let line_number = line_index + 1;
@@ -55,12 +54,11 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
                 signal,
                 kind: GateKind::Input,
                 fanin_names: Vec::new(),
-                line: line_number,
             });
         } else if let Some(rest) = parse_directive(line, "OUTPUT") {
             output_names.push(parse_single_name(rest, line_number)?);
         } else if let Some(eq_pos) = line.find('=') {
-            let signal = line[..eq_pos].trim().to_string();
+            let signal = line[..eq_pos].trim();
             if signal.is_empty() {
                 return Err(NetlistError::Parse {
                     line: line_number,
@@ -94,10 +92,10 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
                 });
             }
             let args = rhs[open + 1..close].trim();
-            let fanin_names: Vec<String> = if args.is_empty() {
+            let fanin_names: Vec<&str> = if args.is_empty() {
                 Vec::new()
             } else {
-                args.split(',').map(|s| s.trim().to_string()).collect()
+                args.split(',').map(str::trim).collect()
             };
             if fanin_names.iter().any(|n| n.is_empty()) {
                 return Err(NetlistError::Parse {
@@ -109,7 +107,6 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
                 signal,
                 kind,
                 fanin_names,
-                line: line_number,
             });
         } else {
             return Err(NetlistError::Parse {
@@ -119,50 +116,40 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
         }
     }
 
-    // Second pass: create gates in definition order, then resolve fanin.
+    // Second pass: a gate's id is its definition index, so every
+    // reference resolves through one map of the borrowed names (a name
+    // defined twice resolves to its later definition; `finish` then
+    // rejects the repeat).
+    let ids: HashMap<&str, GateId> = pending
+        .iter()
+        .enumerate()
+        .map(|(index, gate)| (gate.signal, GateId(index)))
+        .collect();
+    let resolve = |signal: &str| {
+        ids.get(signal)
+            .copied()
+            .ok_or_else(|| NetlistError::UnknownSignal {
+                name: signal.to_string(),
+            })
+    };
     let mut builder = CircuitBuilder::new(name);
-    let mut ids: HashMap<String, GateId> = HashMap::new();
+    let mut fanin = Vec::new();
     for gate in &pending {
-        let id = match gate.kind {
-            GateKind::Input => builder.input(gate.signal.clone()),
-            kind => builder.gate(gate.signal.clone(), kind, &[]),
-        };
-        ids.insert(gate.signal.clone(), id);
-    }
-    // The builder stores gates in push order; rebuild with resolved fanin.
-    // We cannot mutate fanin in place through the builder API, so assemble a
-    // fresh builder now that every name has a known id.
-    let mut resolved = CircuitBuilder::new(name);
-    let mut final_ids: HashMap<String, GateId> = HashMap::new();
-    for gate in &pending {
-        let id = match gate.kind {
-            GateKind::Input => resolved.input(gate.signal.clone()),
+        match gate.kind {
+            GateKind::Input => builder.input(gate.signal),
             kind => {
-                let mut fanin = Vec::with_capacity(gate.fanin_names.len());
-                for input_name in &gate.fanin_names {
-                    let driver = ids.get(input_name).ok_or_else(|| {
-                        // Attribute the unknown signal to the defining line.
-                        let _ = gate.line;
-                        NetlistError::UnknownSignal {
-                            name: input_name.clone(),
-                        }
-                    })?;
-                    fanin.push(*driver);
+                fanin.clear();
+                for &input_name in &gate.fanin_names {
+                    fanin.push(resolve(input_name)?);
                 }
-                resolved.gate(gate.signal.clone(), kind, &fanin)
+                builder.gate(gate.signal, kind, &fanin)
             }
         };
-        final_ids.insert(gate.signal.clone(), id);
     }
-    for output in &output_names {
-        let id = final_ids
-            .get(output)
-            .ok_or_else(|| NetlistError::UnknownSignal {
-                name: output.clone(),
-            })?;
-        resolved.mark_output(*id);
+    for &output in &output_names {
+        builder.mark_output(resolve(output)?);
     }
-    resolved.finish()
+    builder.finish()
 }
 
 /// Serialises a circuit to `.bench` text.
@@ -219,7 +206,7 @@ fn parse_directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
     }
 }
 
-fn parse_single_name(rest: &str, line: usize) -> Result<String, NetlistError> {
+fn parse_single_name(rest: &str, line: usize) -> Result<&str, NetlistError> {
     let rest = rest.trim();
     if !rest.starts_with('(') || !rest.ends_with(')') {
         return Err(NetlistError::Parse {
@@ -234,7 +221,7 @@ fn parse_single_name(rest: &str, line: usize) -> Result<String, NetlistError> {
             message: "expected exactly one signal name".to_string(),
         });
     }
-    Ok(name.to_string())
+    Ok(name)
 }
 
 #[cfg(test)]
@@ -333,6 +320,44 @@ y = NOT(a)
             Err(NetlistError::UnknownSignal { name }) => assert_eq!(name, "ghost"),
             other => panic!("expected unknown signal, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unknown_signal_is_reported_before_a_duplicate_name() {
+        // `y` is defined twice and reads a signal never defined: references
+        // resolve before the circuit is finished, so the unknown signal is
+        // the error, wherever the repeat lies.
+        for text in [
+            "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\ny = NOT(a)\n",
+            "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = AND(a, ghost)\n",
+            "INPUT(a)\nINPUT(a)\nOUTPUT(ghost)\ny = NOT(a)\n",
+        ] {
+            assert_eq!(
+                parse("bad", text),
+                Err(NetlistError::UnknownSignal {
+                    name: "ghost".to_string()
+                }),
+                "{text}"
+            );
+        }
+        // The first unknown reference, in definition order, is named, and
+        // a gate's references come before the output list.
+        let text = "INPUT(a)\nOUTPUT(lost)\nz = AND(a, first)\nz = AND(a, second)\n";
+        assert_eq!(
+            parse("bad", text),
+            Err(NetlistError::UnknownSignal {
+                name: "first".to_string()
+            })
+        );
+        // With every reference resolved, the duplicate is the error, and a
+        // reference to a repeated name is not an unknown signal.
+        let text = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUF(y)\n";
+        assert_eq!(
+            parse("bad", text),
+            Err(NetlistError::DuplicateSignal {
+                name: "y".to_string()
+            })
+        );
     }
 
     #[test]

@@ -155,10 +155,7 @@ impl CircuitBuilder {
                 name: name.to_owned(),
             });
         }
-        let circuit = Circuit::from_parts(self.name, self.gates, self.signal_names, self.outputs)?;
-        // Reject cyclic structures outright: every consumer assumes a DAG.
-        crate::levelize::levelize(&circuit)?;
-        Ok(circuit)
+        Circuit::from_parts(self.name, self.gates, self.signal_names, self.outputs)
     }
 }
 

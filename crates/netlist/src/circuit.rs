@@ -2,6 +2,7 @@
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateKind};
+use crate::levelize::{levelize, Levelization};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -100,13 +101,17 @@ pub struct Circuit {
     /// `g`, each once per pin it drives, in id order.
     fanout_start: Vec<usize>,
     fanout: Vec<GateId>,
+    /// The topological order and levels, computed once when the circuit is
+    /// assembled (a circuit is never mutated afterwards).
+    levelization: Levelization,
     names: NameIndex,
 }
 
 impl Circuit {
-    /// Assembles a circuit from its parts, computing fanout and validating
-    /// structure.  Intended for use by the builder and parser; library users
-    /// should prefer [`CircuitBuilder`](crate::builder::CircuitBuilder).
+    /// Assembles a circuit from its parts, computing fanout and levels and
+    /// validating structure.  Intended for use by the builder and parser;
+    /// library users should prefer
+    /// [`CircuitBuilder`](crate::builder::CircuitBuilder).
     ///
     /// A gate listed in `primary_outputs` more than once is an output once,
     /// at its first position.
@@ -114,8 +119,8 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns an error if a gate's fanin arity is illegal for its kind, if a
-    /// fanin reference is out of range, or if the circuit has no primary
-    /// outputs.
+    /// fanin reference is out of range, if the circuit has no primary
+    /// outputs, or if its gates form a combinational cycle.
     pub(crate) fn from_parts(
         name: String,
         gates: Vec<Gate>,
@@ -181,7 +186,7 @@ impl Circuit {
                 *slot += 1;
             }
         }
-        Ok(Circuit {
+        let mut circuit = Circuit {
             name,
             gates,
             signal_names,
@@ -191,8 +196,12 @@ impl Circuit {
             state_elements,
             fanout_start,
             fanout,
+            levelization: Levelization::default(),
             names: NameIndex::default(),
-        })
+        };
+        // Reject cyclic structures outright: every consumer assumes a DAG.
+        circuit.levelization = levelize(&circuit)?;
+        Ok(circuit)
     }
 
     /// The circuit's name.
@@ -288,6 +297,12 @@ impl Circuit {
     pub fn is_fanout_stem(&self, id: GateId) -> bool {
         let branches = self.fanout_count(id) + usize::from(self.is_primary_output(id));
         branches > 1
+    }
+
+    /// The circuit's topological order and per-gate levels, computed once
+    /// when it was built.
+    pub fn levelization(&self) -> &Levelization {
+        &self.levelization
     }
 
     /// Iterates over `(GateId, &Gate)` pairs in id order.

@@ -9,7 +9,11 @@ use crate::circuit::{Circuit, GateId};
 use crate::error::NetlistError;
 
 /// The result of levelising a circuit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every [`Circuit`] keeps its own ([`Circuit::levelization`]), computed
+/// once when it is built; the default is the levelisation of a circuit
+/// without gates.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Levelization {
     /// Gates in a valid topological order (drivers before loads).
     order: Vec<GateId>,

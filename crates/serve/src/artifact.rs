@@ -473,7 +473,7 @@ pub fn encode_signature_dictionary(dictionary: &SignatureDictionary) -> Vec<u8> 
     }
     let first_fail = dictionary.first_failing_sessions();
     writer.put_u64(first_fail.len() as u64);
-    for &session in first_fail {
+    for session in first_fail {
         writer.put_opt_index(session);
     }
     for &raw in dictionary.raw_detected_flags() {

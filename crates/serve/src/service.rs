@@ -21,6 +21,7 @@ use crate::codec::Fnv1a;
 use crate::json::{number, object, string, JsonValue};
 use crate::request::{BistParams, LotParams, ModelInputs, Request};
 use lsi_quality::{BistSweepRow, Session, PROGRAMME_SEED};
+use lsiq_bist::aliasing::AliasingReport;
 use lsiq_bist::misr::Misr;
 use lsiq_bist::signature::SignatureDictionary;
 use lsiq_bist::stumps::{StumpsConfig, StumpsGenerator};
@@ -566,7 +567,11 @@ impl QueryService {
                 .insert(key, dictionary.clone());
             dictionary
         };
-        let row = BistSweepRow::new(params.test_length, &dictionary, &model);
+        let row = BistSweepRow::new(
+            params.test_length,
+            &AliasingReport::from_dictionary(&dictionary),
+            &model,
+        );
         Ok(object(vec![
             ("circuit", string(&params.circuit)),
             ("universe_size", number(compiled.universe.len() as u64)),

@@ -229,7 +229,7 @@ fn a_sigdict_artifact_that_disagrees_with_the_request_is_rebuilt() {
     let built = decode_signature_dictionary(&payload).expect("decodes");
     assert_eq!((built.sessions(), built.len()), (4, 46));
     let good = built.good_signatures().to_vec();
-    let first_fail = built.first_failing_sessions().to_vec();
+    let first_fail: Vec<_> = built.first_failing_sessions().collect();
     let raw = built.raw_detected_flags().to_vec();
     let parts = |session_len, width, sessions: usize, faults: usize| {
         let first_fail = first_fail[..faults]

@@ -5,11 +5,11 @@ use crate::logic::Value3;
 use crate::packed::PackedBlock;
 use crate::pattern::Pattern;
 use lsiq_netlist::circuit::{Circuit, GateId};
-use lsiq_netlist::levelize::{levelize, Levelization};
 use lsiq_netlist::GateKind;
 
-/// A circuit prepared for repeated simulation: the topological order and
-/// a flat gate table are computed once and reused for every pattern.
+/// A circuit prepared for repeated simulation: a flat gate table, computed
+/// once and reused for every pattern, evaluated in the circuit's own
+/// topological order ([`Circuit::levelization`]).
 ///
 /// The table holds every gate's kind and, in one array, every gate's
 /// drivers in pin order as `u32` gate indices
@@ -29,7 +29,6 @@ use lsiq_netlist::GateKind;
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit<'c> {
     circuit: &'c Circuit,
-    levelization: Levelization,
     /// Every gate's kind, indexed by gate id.
     kinds: Vec<GateKind>,
     /// `fanin[fanin_start[g]..fanin_start[g + 1]]`: gate `g`'s drivers, in
@@ -43,10 +42,8 @@ impl<'c> CompiledCircuit<'c> {
     ///
     /// # Panics
     ///
-    /// Panics if the circuit contains a combinational cycle, which validated
-    /// circuits cannot, or if it has `u32::MAX` gates or fanin pins or more.
+    /// Panics if the circuit has `u32::MAX` gates or fanin pins or more.
     pub fn new(circuit: &'c Circuit) -> Self {
-        let levelization = levelize(circuit).expect("validated circuits are acyclic");
         let gates = circuit.gates();
         let pins: usize = gates.iter().map(|gate| gate.fanin_count()).sum();
         assert!(
@@ -64,7 +61,6 @@ impl<'c> CompiledCircuit<'c> {
         }
         CompiledCircuit {
             circuit,
-            levelization,
             kinds,
             fanin_start,
             fanin,
@@ -88,13 +84,8 @@ impl<'c> CompiledCircuit<'c> {
     }
 
     /// Gates in the topological evaluation order.
-    pub fn order(&self) -> &[GateId] {
-        self.levelization.order()
-    }
-
-    /// The levelisation computed at construction.
-    pub fn levelization(&self) -> &Levelization {
-        &self.levelization
+    pub fn order(&self) -> &'c [GateId] {
+        self.circuit.levelization().order()
     }
 
     /// Simulates one pattern and returns the value of every gate, indexed by
@@ -106,7 +97,7 @@ impl<'c> CompiledCircuit<'c> {
             values[input.index()] = position < pattern.width() && pattern.bit(position);
         }
         let mut fanin_values = Vec::new();
-        for &id in self.levelization.order() {
+        for &id in self.order() {
             let gate = self.circuit.gate(id);
             if gate.kind() == GateKind::Input {
                 continue;
@@ -159,7 +150,7 @@ impl<'c> CompiledCircuit<'c> {
                 .copied()
                 .unwrap_or(PackedBlock::ZERO);
         }
-        for &id in self.levelization.order() {
+        for &id in self.order() {
             let (kind, fanin) = self.gate(id.index());
             if kind == GateKind::Input {
                 continue;
@@ -178,7 +169,7 @@ impl<'c> CompiledCircuit<'c> {
             values[input.index()] = assignment.get(position).copied().unwrap_or(Value3::Unknown);
         }
         let mut fanin_values = Vec::new();
-        for &id in self.levelization.order() {
+        for &id in self.order() {
             let gate = self.circuit.gate(id);
             if gate.kind() == GateKind::Input {
                 continue;
@@ -307,6 +298,6 @@ mod tests {
         let sim = CompiledCircuit::new(&circuit);
         assert_eq!(sim.order().len(), circuit.gate_count());
         assert_eq!(sim.circuit().name(), "c17");
-        assert_eq!(sim.levelization().depth(), 3);
+        assert_eq!(sim.circuit().levelization().depth(), 3);
     }
 }

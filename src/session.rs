@@ -379,8 +379,9 @@ impl Session {
     /// (the `LSIQ_SEED` knob, defaulting to the historical 1981); per-fault
     /// signatures are computed across the session's workers in exactly one
     /// fault-simulation pass at the maximum length, shared across every
-    /// test length *and* signature width of the grid
-    /// ([`SignatureDictionary::build_sweep_cached`]).
+    /// test length *and* signature width of the grid, and each cell's
+    /// aliasing report is counted straight from that pass's per-fault
+    /// records ([`SignatureDictionary::build_sweep_reports`]).
     ///
     /// With scan chains configured the sweep runs the full-scan BIST flow
     /// on the sequential reproduction device's capture-mode test view, scan
@@ -456,12 +457,12 @@ impl Session {
         })?;
         let all_patterns = generator.generate(max_length);
         // One fault-simulation pass at the maximum length serves the whole
-        // grid: shorter lengths are derived from recorded first-failure
-        // patterns and partial-session snapshots, byte-identical to a fresh
-        // per-length build.  The session's lane width and good-machine
-        // cache apply; a repeated sweep over the same patterns replays the
-        // fault-free simulation from the cache.
-        let grid = SignatureDictionary::build_sweep_cached(
+        // grid: shorter lengths are counted from recorded first-failure
+        // patterns and partial-session verdicts, equal to the reports of a
+        // fresh per-length build.  The session's lane width and
+        // good-machine cache apply; a repeated sweep over the same patterns
+        // replays the fault-free simulation from the cache.
+        let grid = SignatureDictionary::build_sweep_reports(
             &self.context,
             circuit,
             &universe,
@@ -473,9 +474,9 @@ impl Session {
             Some(&self.cache),
         );
         let mut rows = Vec::with_capacity(spec.test_lengths.len() * spec.signature_widths.len());
-        for (dictionaries, &test_length) in grid.iter().zip(&spec.test_lengths) {
-            for dictionary in dictionaries {
-                rows.push(BistSweepRow::new(test_length, dictionary, &params));
+        for (reports, &test_length) in grid.iter().zip(&spec.test_lengths) {
+            for report in reports {
+                rows.push(BistSweepRow::new(test_length, report, &params));
             }
         }
         Ok(BistSweep {
@@ -554,15 +555,10 @@ pub struct BistSweepRow {
 
 impl BistSweepRow {
     /// The row of a `test_length`-pattern self-test summarised by
-    /// `dictionary`: its raw and aliasing-corrected coverages and the eq. 8
+    /// `report`: its raw and aliasing-corrected coverages and the eq. 8
     /// defect level at each under `params` (coverages clamped into
     /// `[0, 1]`).
-    pub fn new(
-        test_length: usize,
-        dictionary: &SignatureDictionary,
-        params: &ModelParams,
-    ) -> BistSweepRow {
-        let report = AliasingReport::from_dictionary(dictionary);
+    pub fn new(test_length: usize, report: &AliasingReport, params: &ModelParams) -> BistSweepRow {
         let defect_level = |coverage: f64| {
             field_reject_rate(
                 params,
@@ -572,8 +568,8 @@ impl BistSweepRow {
         };
         BistSweepRow {
             test_length,
-            signature_width: dictionary.signature_width(),
-            sessions: dictionary.sessions(),
+            signature_width: report.signature_width,
+            sessions: report.sessions,
             raw_coverage: report.raw_coverage(),
             effective_coverage: report.effective_coverage(),
             aliased: report.aliased,

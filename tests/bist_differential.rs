@@ -8,20 +8,26 @@
 //!   `ParallelLotRunner::test_lot` at the same worker ladder,
 //! * a suite-driven BIST line on alu4 across all three engines (the suite,
 //!   and therefore every signature, must not depend on the engine), and
+//! * the sweep rows `Session::run_bist_sweep_on` counts from its one pass's
+//!   records against the reports of the dictionaries `build_sweep_cached`
+//!   lays out, cell by cell, at every worker count and lane width, and
 //! * (release builds) whole `Session::run_production_line` passes in BIST
 //!   mode across engines and worker counts on the reproduction device.
 
+use lsi_quality::bist::aliasing::AliasingReport;
 use lsi_quality::bist::signature::{BistPlan, SignatureDictionary};
 use lsi_quality::bist::stumps::{StumpsConfig, StumpsGenerator};
-use lsi_quality::exec::{EngineKind, ExecutionContext, RunConfig, TestMode};
+use lsi_quality::exec::{EngineKind, ExecutionContext, LaneWidth, RunConfig, TestMode};
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::manufacturing::lot::ModelLotConfig;
 use lsi_quality::manufacturing::pipeline::ParallelLotRunner;
+use lsi_quality::netlist::circuit::Circuit;
 use lsi_quality::netlist::generator::pipelined_datapath;
-use lsi_quality::netlist::library;
+use lsi_quality::netlist::library::{self, sequential_lsi_class, LsiClassConfig};
 use lsi_quality::netlist::scan::insert_scan;
+use lsi_quality::quality::params::{ModelParams, Yield};
 use lsi_quality::tpg::suite::TestSuiteBuilder;
-use lsi_quality::{BistSweepSpec, LineSpec, Session};
+use lsi_quality::{BistSweepRow, BistSweepSpec, LineSpec, Session, PROGRAMME_SEED};
 
 fn cores() -> usize {
     std::thread::available_parallelism()
@@ -259,6 +265,88 @@ fn scan_bist_sweep_is_one_pass_and_worker_invariant() {
             assert_eq!(reference.universe_size, sweep.universe_size);
         }
     }
+}
+
+/// Asserts, at every worker count and lane width, that the rows
+/// `run_bist_sweep_on` counts from its pass's records equal the rows of the
+/// reports of every dictionary `build_sweep_cached` lays out over the same
+/// patterns, cell by cell.
+fn assert_counted_rows_match_dictionaries(circuit: &Circuit) {
+    // Lengths 0, mid-session (1, 63, 65, 200) and whole sessions (64,
+    // 256), out of order, over 64-pattern sessions.
+    let spec = BistSweepSpec {
+        test_lengths: vec![0, 1, 63, 64, 65, 200, 256],
+        signature_widths: vec![4, 8, 16, 32],
+        ..BistSweepSpec::reference()
+    };
+    let params = ModelParams::new(
+        Yield::new(spec.yield_fraction).expect("a yield fraction"),
+        spec.n0,
+    )
+    .expect("a valid n0");
+    let universe = FaultUniverse::full(circuit);
+    let patterns = StumpsGenerator::try_new(&StumpsConfig {
+        width: circuit.primary_inputs().len(),
+        channels: spec.channels,
+        degree: 64,
+        seed: PROGRAMME_SEED,
+    })
+    .expect("the reference STUMPS geometry is valid")
+    .generate(256);
+    for workers in [1, 2, 3] {
+        for lanes in LaneWidth::EXPLICIT {
+            let session =
+                Session::new(RunConfig::default().with_workers(workers).with_lanes(lanes));
+            let sweep = session
+                .run_bist_sweep_on(circuit, &spec)
+                .expect("valid sweep spec");
+            assert_eq!(sweep.universe_size, universe.len());
+            let grid = SignatureDictionary::build_sweep_cached(
+                session.context(),
+                circuit,
+                &universe,
+                &patterns,
+                spec.session_len,
+                &spec.signature_widths,
+                &spec.test_lengths,
+                lanes,
+                None,
+            );
+            let cells = grid
+                .iter()
+                .zip(&spec.test_lengths)
+                .flat_map(|(row, &length)| row.iter().map(move |dictionary| (length, dictionary)));
+            assert_eq!(sweep.rows.len(), grid.len() * spec.signature_widths.len());
+            for (row, (length, dictionary)) in sweep.rows.iter().zip(cells) {
+                let expected = BistSweepRow::new(
+                    length,
+                    &AliasingReport::from_dictionary(dictionary),
+                    &params,
+                );
+                assert_eq!(
+                    *row,
+                    expected,
+                    "{}: workers = {workers}, lanes = {lanes}",
+                    circuit.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn counted_sweep_rows_match_the_dictionaries_on_the_reproduction_device() {
+    assert_counted_rows_match_dictionaries(&Session::reproduction_circuit(false));
+}
+
+#[test]
+fn counted_sweep_rows_match_the_dictionaries_on_the_scan_view() {
+    let sequential = sequential_lsi_class(LsiClassConfig {
+        target_transistors: 10_000,
+        seed: PROGRAMME_SEED,
+    });
+    let scan = insert_scan(&sequential, 4).expect("4 chains fit the device's flip-flops");
+    assert_counted_rows_match_dictionaries(scan.test_view());
 }
 
 #[test]
