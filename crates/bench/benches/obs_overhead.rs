@@ -5,7 +5,7 @@
 //! acceptance bar is <1% regression on `fault_sim` alu4, i.e. `off` must
 //! be indistinguishable from the pre-instrumentation numbers for this
 //! group's workloads.  The `json` entries document the price of recording
-//! (registry shard writes plus one `Instant` pair per span).
+//! (registry atomic writes plus one `Instant` pair per span).
 //!
 //! The mode is process-global, so this group sets it explicitly around
 //! each measurement instead of relying on `LSIQ_METRICS`.

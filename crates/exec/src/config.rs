@@ -14,7 +14,8 @@
 use std::env;
 use std::error::Error;
 use std::fmt;
-use std::str::FromStr;
+
+use crate::pool::ExecutionContext;
 
 pub use lsiq_obs::MetricsMode;
 
@@ -100,18 +101,6 @@ impl fmt::Display for EngineKind {
     }
 }
 
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        EngineKind::from_name(s).ok_or_else(|| {
-            format!(
-                "unknown fault-simulation engine {s:?} (expected serial, deductive or incremental)"
-            )
-        })
-    }
-}
-
 /// How the wafer tester observes a chip: per-pattern stored responses, or
 /// per-session BIST signatures.
 ///
@@ -156,15 +145,6 @@ impl TestMode {
 impl fmt::Display for TestMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for TestMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        TestMode::from_name(s)
-            .ok_or_else(|| format!("unknown test mode {s:?} (expected stored or bist)"))
     }
 }
 
@@ -259,15 +239,6 @@ impl fmt::Display for LaneWidth {
     }
 }
 
-impl FromStr for LaneWidth {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        LaneWidth::from_name(s)
-            .ok_or_else(|| format!("unknown lane width {s:?} (expected auto, 1, 4 or 8)"))
-    }
-}
-
 /// A malformed run-configuration value: which variable, what it held, and
 /// what it should have held.
 ///
@@ -293,27 +264,23 @@ pub struct ConfigError {
 }
 
 impl ConfigError {
-    fn new(variable: &'static str, value: impl Into<String>, expected: &'static str) -> Self {
-        ConfigError {
-            variable,
-            value: value.into(),
-            expected,
-        }
-    }
-
     /// Builds a configuration error for `variable` holding `value` where
     /// `expected` describes the accepted grammar.
     ///
-    /// This is the constructor for validation sites *outside* this crate
-    /// (BIST geometry, scan plans, sweep specifications) that want their
-    /// failures to render in the same actionable shape as the `LSIQ_*`
-    /// parser's.
+    /// The `LSIQ_*` parser builds its errors with it, and so do validation
+    /// sites outside this crate (BIST geometry, scan plans, sweep
+    /// specifications), so every failure renders in the same actionable
+    /// shape.
     pub fn invalid_value(
         variable: &'static str,
         value: impl Into<String>,
         expected: &'static str,
     ) -> Self {
-        ConfigError::new(variable, value, expected)
+        ConfigError {
+            variable,
+            value: value.into(),
+            expected,
+        }
     }
 
     /// The environment variable (or configuration field) at fault.
@@ -404,7 +371,6 @@ impl fmt::Display for ScanPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunConfig {
     engine: EngineKind,
-    engine_auto: bool,
     workers: Option<usize>,
     base_seed: Option<u64>,
     test_mode: TestMode,
@@ -414,12 +380,6 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A configuration with every field at its default: the incremental
-    /// engine, automatic worker count, base seed [`DEFAULT_BASE_SEED`].
-    pub fn new() -> RunConfig {
-        RunConfig::default()
-    }
-
     /// Reads the configuration from the environment — the **only**
     /// `LSIQ_*`-parsing site in the workspace.
     ///
@@ -430,17 +390,18 @@ impl RunConfig {
     pub fn from_env() -> Result<RunConfig, ConfigError> {
         let mut config = RunConfig::default();
         if let Some(value) = read_var(ENGINE_VAR)? {
-            if value.trim().eq_ignore_ascii_case("auto") {
-                config = config.with_engine_auto();
+            // `auto` is another spelling of the default engine.
+            config.engine = if value.trim().eq_ignore_ascii_case("auto") {
+                EngineKind::default()
             } else {
-                config.engine = EngineKind::from_name(&value).ok_or_else(|| {
-                    ConfigError::new(
+                EngineKind::from_name(&value).ok_or_else(|| {
+                    ConfigError::invalid_value(
                         ENGINE_VAR,
                         value.clone(),
                         "one of auto, serial, deductive or incremental",
                     )
-                })?;
-            }
+                })?
+            };
         }
         if let Some(value) = read_var(WORKERS_VAR)? {
             let workers = value
@@ -449,7 +410,7 @@ impl RunConfig {
                 .ok()
                 .filter(|&workers| workers > 0 && workers <= MAX_WORKERS)
                 .ok_or_else(|| {
-                    ConfigError::new(
+                    ConfigError::invalid_value(
                         WORKERS_VAR,
                         value.clone(),
                         "a worker count between 1 and 1024",
@@ -459,25 +420,29 @@ impl RunConfig {
         }
         if let Some(value) = read_var(SEED_VAR)? {
             let seed = value.trim().parse::<u64>().map_err(|_| {
-                ConfigError::new(SEED_VAR, value.clone(), "an unsigned 64-bit integer seed")
+                ConfigError::invalid_value(
+                    SEED_VAR,
+                    value.clone(),
+                    "an unsigned 64-bit integer seed",
+                )
             })?;
             config.base_seed = Some(seed);
         }
         if let Some(value) = read_var(TEST_MODE_VAR)? {
             config.test_mode = TestMode::from_name(&value).ok_or_else(|| {
-                ConfigError::new(TEST_MODE_VAR, value.clone(), "one of stored or bist")
+                ConfigError::invalid_value(TEST_MODE_VAR, value.clone(), "one of stored or bist")
             })?;
         }
         if let Some(value) = read_var(SCAN_CHAINS_VAR)? {
             let chains = value.trim().parse::<usize>().map_err(|_| {
-                ConfigError::new(
+                ConfigError::invalid_value(
                     SCAN_CHAINS_VAR,
                     value.clone(),
                     "a scan-chain count between 1 and 4096",
                 )
             })?;
             config.scan = Some(ScanPlan::new(chains).map_err(|_| {
-                ConfigError::new(
+                ConfigError::invalid_value(
                     SCAN_CHAINS_VAR,
                     value.clone(),
                     "a scan-chain count between 1 and 4096",
@@ -486,33 +451,27 @@ impl RunConfig {
         }
         if let Some(value) = read_var(LANES_VAR)? {
             config.lanes = LaneWidth::from_name(&value).ok_or_else(|| {
-                ConfigError::new(LANES_VAR, value.clone(), "one of auto, 1, 4 or 8")
+                ConfigError::invalid_value(LANES_VAR, value.clone(), "one of auto, 1, 4 or 8")
             })?;
         }
         if let Some(value) = read_var(METRICS_VAR)? {
             config.metrics = MetricsMode::from_name(value.trim()).ok_or_else(|| {
-                ConfigError::new(METRICS_VAR, value.clone(), "one of off, json or tree")
+                ConfigError::invalid_value(METRICS_VAR, value.clone(), "one of off, json or tree")
             })?;
         }
         Ok(config)
     }
 
-    /// Selects the fault-simulation engine (and clears any `auto`
-    /// selection — an explicit choice wins).
+    /// Selects the fault-simulation engine.
     pub fn with_engine(mut self, engine: EngineKind) -> RunConfig {
         self.engine = engine;
-        self.engine_auto = false;
         self
     }
 
-    /// Selects the `auto` engine (the `LSIQ_ENGINE=auto` knob): the
-    /// production default, [`EngineKind::Incremental`], whatever the
-    /// circuit.  The selection is kept for display, so a configuration line
-    /// still reads `engine = auto`.
-    pub fn with_engine_auto(mut self) -> RunConfig {
-        self.engine = EngineKind::default();
-        self.engine_auto = true;
-        self
+    /// Selects the default engine, [`EngineKind::Incremental`] (the
+    /// `LSIQ_ENGINE=auto` spelling).
+    pub fn with_engine_auto(self) -> RunConfig {
+        self.with_engine(EngineKind::default())
     }
 
     /// Sets an explicit worker-thread count (`workers >= 1`).
@@ -556,21 +515,13 @@ impl RunConfig {
         self
     }
 
-    /// The configured fault-simulation engine (`auto` resolves to the
-    /// default).
+    /// The configured fault-simulation engine.
     pub fn engine(self) -> EngineKind {
         self.engine
     }
 
-    /// Whether the engine was selected as `auto` (`LSIQ_ENGINE=auto` /
-    /// [`RunConfig::with_engine_auto`]).
-    pub fn engine_is_auto(self) -> bool {
-        self.engine_auto
-    }
-
     /// The engine a run over a circuit of `gate_count` gates uses: the
-    /// configured engine, whatever the size (an `auto` selection is the
-    /// incremental engine on every device).
+    /// configured engine, whatever the size.
     pub fn engine_for_size(self, _gate_count: usize) -> EngineKind {
         self.engine
     }
@@ -601,16 +552,6 @@ impl RunConfig {
         self.workers
     }
 
-    /// The worker count a context built from this configuration will use:
-    /// the explicit override, or the available hardware parallelism.
-    pub fn effective_workers(self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    }
-
     /// The run's base seed: the explicit choice, or [`DEFAULT_BASE_SEED`].
     pub fn base_seed(self) -> u64 {
         self.base_seed.unwrap_or(DEFAULT_BASE_SEED)
@@ -627,14 +568,10 @@ impl RunConfig {
 
 impl fmt::Display for RunConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.engine_auto {
-            write!(f, "engine = auto, workers = ")?;
-        } else {
-            write!(f, "engine = {}, workers = ", self.engine)?;
-        }
+        write!(f, "engine = {}, workers = ", self.engine)?;
         match self.workers {
             Some(workers) => write!(f, "{workers}")?,
-            None => write!(f, "auto({})", self.effective_workers())?,
+            None => write!(f, "auto({})", ExecutionContext::new(0).workers())?,
         }
         write!(
             f,
@@ -657,7 +594,7 @@ fn read_var(name: &'static str) -> Result<Option<String>, ConfigError> {
     match env::var(name) {
         Ok(value) => Ok(Some(value)),
         Err(env::VarError::NotPresent) => Ok(None),
-        Err(env::VarError::NotUnicode(raw)) => Err(ConfigError::new(
+        Err(env::VarError::NotUnicode(raw)) => Err(ConfigError::invalid_value(
             name,
             raw.to_string_lossy().into_owned(),
             "a valid Unicode value",
@@ -673,7 +610,10 @@ mod tests {
     fn engine_kind_parses_names_round_trip() {
         for kind in EngineKind::ALL {
             assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.name().to_uppercase().parse::<EngineKind>(), Ok(kind));
+            assert_eq!(
+                EngineKind::from_name(&kind.name().to_uppercase()),
+                Some(kind)
+            );
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(
@@ -681,7 +621,6 @@ mod tests {
             Some(EngineKind::Deductive)
         );
         assert!(EngineKind::from_name("concurrent").is_none());
-        assert!("concurrent".parse::<EngineKind>().is_err());
         assert_eq!(EngineKind::default(), EngineKind::Incremental);
         // The retired engines are no longer accepted names.
         for retired in ["ppsfp", "parallel"] {
@@ -696,16 +635,13 @@ mod tests {
         let auto = RunConfig::default()
             .with_engine(EngineKind::Serial)
             .with_engine_auto();
-        assert!(auto.engine_is_auto());
-        assert_eq!(auto.engine(), EngineKind::Incremental);
+        assert_eq!(auto, RunConfig::default());
         for gates in [0, 100, 1_839, 10_000, 50_000] {
             assert_eq!(auto.engine_for_size(gates), EngineKind::Incremental);
         }
-        assert!(auto.to_string().contains("engine = auto"), "{auto}");
+        assert!(auto.to_string().contains("engine = incremental"), "{auto}");
         let explicit = auto.with_engine(EngineKind::Serial);
-        assert!(!explicit.engine_is_auto());
         assert_eq!(explicit.engine_for_size(50_000), EngineKind::Serial);
-        assert!(!RunConfig::default().engine_is_auto());
         assert_eq!(
             RunConfig::default().engine_for_size(50_000),
             EngineKind::Incremental
@@ -716,12 +652,11 @@ mod tests {
     fn test_mode_parses_names_round_trip() {
         for mode in TestMode::ALL {
             assert_eq!(TestMode::from_name(mode.name()), Some(mode));
-            assert_eq!(mode.name().to_uppercase().parse::<TestMode>(), Ok(mode));
+            assert_eq!(TestMode::from_name(&mode.name().to_uppercase()), Some(mode));
             assert_eq!(mode.to_string(), mode.name());
         }
         assert_eq!(TestMode::from_name("  Bist "), Some(TestMode::Bist));
         assert!(TestMode::from_name("scan").is_none());
-        assert!("scan".parse::<TestMode>().is_err());
         assert_eq!(TestMode::default(), TestMode::Stored);
     }
 
@@ -729,12 +664,15 @@ mod tests {
     fn lane_width_parses_names_round_trip() {
         for width in LaneWidth::ALL {
             assert_eq!(LaneWidth::from_name(width.name()), Some(width));
-            assert_eq!(width.name().to_uppercase().parse::<LaneWidth>(), Ok(width));
+            assert_eq!(
+                LaneWidth::from_name(&width.name().to_uppercase()),
+                Some(width)
+            );
             assert_eq!(width.to_string(), width.name());
         }
         assert_eq!(LaneWidth::from_name("  Auto "), Some(LaneWidth::Auto));
         assert!(LaneWidth::from_name("2").is_none());
-        assert!("16".parse::<LaneWidth>().is_err());
+        assert!(LaneWidth::from_name("16").is_none());
         assert_eq!(LaneWidth::default(), LaneWidth::Auto);
         assert_eq!(LaneWidth::Auto.lanes(), None);
         assert_eq!(LaneWidth::X1.lanes(), Some(1));
@@ -769,7 +707,7 @@ mod tests {
 
     #[test]
     fn builder_and_accessors_round_trip() {
-        let config = RunConfig::new()
+        let config = RunConfig::default()
             .with_engine(EngineKind::Serial)
             .with_workers(3)
             .with_base_seed(1981)
@@ -781,7 +719,6 @@ mod tests {
         assert_eq!(config.lanes(), LaneWidth::X4);
         assert_eq!(config.metrics(), MetricsMode::Tree);
         assert_eq!(config.workers(), Some(3));
-        assert_eq!(config.effective_workers(), 3);
         assert_eq!(config.base_seed(), 1981);
         assert_eq!(config.seed_or(7), 1981);
 
@@ -789,7 +726,6 @@ mod tests {
         assert_eq!(default.engine(), EngineKind::Incremental);
         assert_eq!(default.test_mode(), TestMode::Stored);
         assert_eq!(default.workers(), None);
-        assert!(default.effective_workers() >= 1);
         assert_eq!(default.base_seed(), DEFAULT_BASE_SEED);
         assert_eq!(default.seed_or(7), 7);
         assert_eq!(default.lanes(), LaneWidth::Auto);
@@ -800,19 +736,19 @@ mod tests {
 
     #[test]
     fn display_names_every_field() {
-        let config = RunConfig::new().with_workers(2);
+        let config = RunConfig::default().with_workers(2);
         let rendered = config.to_string();
         assert!(rendered.contains("engine = incremental"), "{rendered}");
         assert!(rendered.contains("workers = 2"), "{rendered}");
         assert!(rendered.contains("base seed = 42"), "{rendered}");
         assert!(rendered.contains("test mode = stored"), "{rendered}");
         assert!(rendered.contains("lanes = auto"), "{rendered}");
-        assert!(RunConfig::new().to_string().contains("auto("));
-        assert!(RunConfig::new()
+        assert!(RunConfig::default().to_string().contains("auto("));
+        assert!(RunConfig::default()
             .with_lanes(LaneWidth::X8)
             .to_string()
             .contains("lanes = 8"));
-        assert!(RunConfig::new()
+        assert!(RunConfig::default()
             .with_test_mode(TestMode::Bist)
             .to_string()
             .contains("test mode = bist"));
@@ -856,11 +792,13 @@ mod tests {
         );
         env::remove_var(LANES_VAR);
 
+        // `auto` is another spelling of the default engine.
+        clear();
         env::set_var(ENGINE_VAR, " AUTO ");
-        let config = RunConfig::from_env().expect("auto engine");
-        assert!(config.engine_is_auto());
-        assert_eq!(config.engine(), EngineKind::Incremental);
-        assert_eq!(config.engine_for_size(100), EngineKind::Incremental);
+        assert_eq!(
+            RunConfig::from_env(),
+            Ok(RunConfig::default().with_engine(EngineKind::Incremental))
+        );
 
         env::set_var(ENGINE_VAR, "warp");
         let error = RunConfig::from_env().expect_err("invalid engine");
@@ -963,7 +901,7 @@ mod tests {
         let error = ScanPlan::new(0).expect_err("zero chains");
         assert_eq!(error.variable(), SCAN_CHAINS_VAR);
 
-        let config = RunConfig::new().with_scan(Some(plan));
+        let config = RunConfig::default().with_scan(Some(plan));
         assert_eq!(config.scan(), Some(plan));
         assert!(config.to_string().contains("scan = 4 chain(s)"));
         assert_eq!(config.with_scan(None).scan(), None);

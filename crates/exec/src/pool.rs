@@ -150,12 +150,7 @@ where
                 let shard = range.clone();
                 thread::Builder::new()
                     .name(format!("lsiq-exec-{}", index + 1))
-                    .spawn_scoped(scope, move || {
-                        // Its own counter shard, so concurrent shards never
-                        // record on one cache line (slot 0 is the caller).
-                        lsiq_obs::set_worker_slot(index + 1);
-                        work(shard)
-                    })
+                    .spawn_scoped(scope, move || work(shard))
                     .map_err(|_| range)
             })
             .collect();

@@ -14,11 +14,11 @@
 //! DFF(d)`, the ISCAS-89 convention); sequential circuits are tested
 //! through scan insertion ([`crate::scan`]), so the clock stays implicit.
 
-use crate::builder::CircuitBuilder;
-use crate::circuit::{Circuit, GateId};
+use crate::builder::{build_named, NamedGate};
+use crate::circuit::Circuit;
 use crate::error::NetlistError;
 use crate::gate::GateKind;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// Parses a `.bench` description into a [`Circuit`].
 ///
@@ -33,13 +33,8 @@ use std::collections::HashMap;
 /// and the usual structural errors for duplicate names, bad arities, missing
 /// outputs or cycles.
 pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
-    // First pass: record definitions in order, plus declared outputs.
-    struct PendingGate<'t> {
-        signal: &'t str,
-        kind: GateKind,
-        fanin_names: Vec<&'t str>,
-    }
-    let mut pending: Vec<PendingGate<'_>> = Vec::new();
+    // Record definitions in order, plus declared outputs.
+    let mut gates: Vec<NamedGate<'_>> = Vec::new();
     let mut output_names: Vec<&str> = Vec::new();
 
     for (line_index, raw_line) in text.lines().enumerate() {
@@ -49,11 +44,10 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
             continue;
         }
         if let Some(rest) = parse_directive(line, "INPUT") {
-            let signal = parse_single_name(rest, line_number)?;
-            pending.push(PendingGate {
-                signal,
+            gates.push(NamedGate {
+                signal: Cow::Borrowed(parse_single_name(rest, line_number)?),
                 kind: GateKind::Input,
-                fanin_names: Vec::new(),
+                fanin: Vec::new(),
             });
         } else if let Some(rest) = parse_directive(line, "OUTPUT") {
             output_names.push(parse_single_name(rest, line_number)?);
@@ -92,21 +86,23 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
                 });
             }
             let args = rhs[open + 1..close].trim();
-            let fanin_names: Vec<&str> = if args.is_empty() {
+            let fanin: Vec<Cow<'_, str>> = if args.is_empty() {
                 Vec::new()
             } else {
-                args.split(',').map(str::trim).collect()
+                args.split(',')
+                    .map(|arg| Cow::Borrowed(arg.trim()))
+                    .collect()
             };
-            if fanin_names.iter().any(|n| n.is_empty()) {
+            if fanin.iter().any(|n| n.is_empty()) {
                 return Err(NetlistError::Parse {
                     line: line_number,
                     message: "empty argument in gate input list".to_string(),
                 });
             }
-            pending.push(PendingGate {
-                signal,
+            gates.push(NamedGate {
+                signal: Cow::Borrowed(signal),
                 kind,
-                fanin_names,
+                fanin,
             });
         } else {
             return Err(NetlistError::Parse {
@@ -116,40 +112,7 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
         }
     }
 
-    // Second pass: a gate's id is its definition index, so every
-    // reference resolves through one map of the borrowed names (a name
-    // defined twice resolves to its later definition; `finish` then
-    // rejects the repeat).
-    let ids: HashMap<&str, GateId> = pending
-        .iter()
-        .enumerate()
-        .map(|(index, gate)| (gate.signal, GateId(index)))
-        .collect();
-    let resolve = |signal: &str| {
-        ids.get(signal)
-            .copied()
-            .ok_or_else(|| NetlistError::UnknownSignal {
-                name: signal.to_string(),
-            })
-    };
-    let mut builder = CircuitBuilder::new(name);
-    let mut fanin = Vec::new();
-    for gate in &pending {
-        match gate.kind {
-            GateKind::Input => builder.input(gate.signal),
-            kind => {
-                fanin.clear();
-                for &input_name in &gate.fanin_names {
-                    fanin.push(resolve(input_name)?);
-                }
-                builder.gate(gate.signal, kind, &fanin)
-            }
-        };
-    }
-    for &output in &output_names {
-        builder.mark_output(resolve(output)?);
-    }
-    builder.finish()
+    build_named(name.to_string(), &gates, &output_names)
 }
 
 /// Serialises a circuit to `.bench` text.
@@ -197,13 +160,13 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
+/// The text after `keyword` when `line` is that directive: the keyword in
+/// any case, then `(` after optional spaces.  Anything else (`output1 =
+/// NOT(a)`, `inputs = BUF(a)`) is not a directive.
 fn parse_directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let upper = line.to_ascii_uppercase();
-    if upper.starts_with(keyword) {
-        Some(line[keyword.len()..].trim())
-    } else {
-        None
-    }
+    let head = line.get(..keyword.len())?;
+    let rest = line[keyword.len()..].trim_start();
+    (head.eq_ignore_ascii_case(keyword) && rest.starts_with('(')).then_some(rest)
 }
 
 fn parse_single_name(rest: &str, line: usize) -> Result<&str, NetlistError> {
@@ -380,6 +343,24 @@ y = NOT(a)
             "z = AND a, b\n",
         ] {
             assert!(parse("bad", text).is_err(), "should reject: {text}");
+        }
+    }
+
+    #[test]
+    fn gate_names_may_start_with_a_directive_keyword() {
+        // A directive is its keyword, in any case, then `(`.
+        let text = "INPUT(a)\ninput (b)\nOUTPUT(y)\noutput1 = NOT(a)\n\
+                    inputs = BUF(b)\nINPUT = AND(output1, inputs)\ny = BUF(INPUT)\n";
+        let circuit = parse("keywords", text).expect("parses");
+        assert_eq!(circuit.primary_inputs().len(), 2);
+        for (signal, kind) in [
+            ("output1", GateKind::Not),
+            ("inputs", GateKind::Buf),
+            ("INPUT", GateKind::And),
+            ("y", GateKind::Buf),
+        ] {
+            let id = circuit.find_signal(signal).expect("exists");
+            assert_eq!(circuit.gate(id).kind(), kind, "{signal}");
         }
     }
 

@@ -52,13 +52,14 @@
 //! blocks, a `.latch` colliding with a `.names`, or a driver for a declared
 //! `.inputs` signal); references to never-defined signals surface as
 //! [`NetlistError::UnknownSignal`], and the remaining structural errors
-//! (missing outputs, cycles) come from [`CircuitBuilder`].
+//! (missing outputs, cycles) come from [`crate::CircuitBuilder`].
 //! See `docs/FORMATS.md` for the full ingestion guide.
 
-use crate::builder::CircuitBuilder;
-use crate::circuit::{Circuit, GateId};
+use crate::builder::{build_named, NamedGate};
+use crate::circuit::Circuit;
 use crate::error::NetlistError;
 use crate::gate::GateKind;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// One `.names` block: the signal list (inputs first, output last) and the
@@ -282,49 +283,32 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, NetlistError> {
         }
     }
 
-    let circuit_name = model_name.unwrap_or_else(|| name.to_string());
-    let plans: Vec<Option<Plan>> = elements
+    // Expand every element into its gates, the synthesised helpers
+    // included; a gate's id is its position in emission order.
+    let mut gates: Vec<NamedGate<'_>> = inputs
         .iter()
-        .map(|element| match element {
-            Element::Names(block) => plan_block(block).map(Some),
-            Element::Latch { .. } => Ok(None),
+        .map(|input| NamedGate {
+            signal: Cow::Borrowed(input),
+            kind: GateKind::Input,
+            fanin: Vec::new(),
         })
-        .collect::<Result<_, _>>()?;
+        .collect();
+    for element in &elements {
+        match element {
+            Element::Names(block) => expand_block(block, &mut gates)?,
+            Element::Latch { input, output, .. } => gates.push(NamedGate {
+                signal: Cow::Borrowed(output),
+                kind: GateKind::Dff,
+                fanin: vec![Cow::Borrowed(input)],
+            }),
+        }
+    }
 
-    // First pass: create every gate (including the synthesised NOT/AND
-    // helpers) with placeholder fanin, purely to assign ids to names; both
-    // passes emit the same gate sequence, so the ids agree.
-    let mut index = CircuitBuilder::new(circuit_name.clone());
-    for input in &inputs {
-        index.input(input.clone());
-    }
-    for (element, plan) in elements.iter().zip(plans.iter()) {
-        emit_element(&mut index, element, plan.as_ref(), &mut |_| Ok(GateId(0)))?;
-    }
-
-    // Second pass: emit again with fanin resolved through the first pass.
-    let mut builder = CircuitBuilder::new(circuit_name);
-    for input in &inputs {
-        builder.input(input.clone());
-    }
-    for (element, plan) in elements.iter().zip(plans.iter()) {
-        emit_element(&mut builder, element, plan.as_ref(), &mut |signal| {
-            index
-                .find_signal(signal)
-                .ok_or_else(|| NetlistError::UnknownSignal {
-                    name: signal.to_string(),
-                })
-        })?;
-    }
-    for output in &outputs {
-        let id = builder
-            .find_signal(output)
-            .ok_or_else(|| NetlistError::UnknownSignal {
-                name: output.clone(),
-            })?;
-        builder.mark_output(id);
-    }
-    builder.finish()
+    build_named(
+        model_name.unwrap_or_else(|| name.to_string()),
+        &gates,
+        &outputs,
+    )
 }
 
 /// Joins `\`-continued lines and strips `#` comments, yielding
@@ -447,145 +431,110 @@ fn plan_block(block: &NamesBlock) -> Result<Plan, NetlistError> {
     Ok(Plan::Sop { cubes, phase })
 }
 
-/// Emits one parsed element: a `.latch` becomes a single DFF gate, a
-/// `.names` block goes through [`emit_block`].
-fn emit_element(
-    builder: &mut CircuitBuilder,
-    element: &Element,
-    plan: Option<&Plan>,
-    resolve: &mut dyn FnMut(&str) -> Result<GateId, NetlistError>,
+/// Appends the gates of one `.names` block in emission order: any `$n`
+/// helpers (one shared NOT per negated block input, on first use) and `$c`
+/// helpers (one AND per multi-literal cube of a general cover), then the
+/// gate driving the block's output.
+fn expand_block<'a>(
+    block: &'a NamesBlock,
+    gates: &mut Vec<NamedGate<'a>>,
 ) -> Result<(), NetlistError> {
-    match element {
-        Element::Names(block) => {
-            let plan = plan.expect("names elements carry a plan");
-            emit_block(builder, block, plan, resolve)
-        }
-        Element::Latch { input, output, .. } => {
-            let driver = resolve(input)?;
-            builder.dff(output.clone(), driver);
-            Ok(())
-        }
-    }
-}
-
-/// Emits the gates of one planned `.names` block.
-///
-/// `resolve` maps a referenced signal name to its gate id; the first parse
-/// pass supplies a placeholder (only the emission *sequence* matters there),
-/// the second the real ids.  Both passes run this same function, so the
-/// sequences cannot diverge.
-fn emit_block(
-    builder: &mut CircuitBuilder,
-    block: &NamesBlock,
-    plan: &Plan,
-    resolve: &mut dyn FnMut(&str) -> Result<GateId, NetlistError>,
-) -> Result<(), NetlistError> {
-    let output = block.signals.last().expect("validated non-empty").clone();
-    let input_names = &block.signals[..block.signals.len() - 1];
-    let (cubes, phase) = match plan {
-        Plan::Const(false) => {
-            builder.gate(output, GateKind::Const0, &[]);
-            return Ok(());
-        }
-        Plan::Const(true) => {
-            builder.gate(output, GateKind::Const1, &[]);
-            return Ok(());
-        }
-        Plan::Sop { cubes, phase } => (cubes, *phase),
-    };
-
-    // One shared NOT per negated block input, created on first use.
-    let mut negations: HashMap<usize, GateId> = HashMap::new();
-    let mut negated = |builder: &mut CircuitBuilder,
-                       resolve: &mut dyn FnMut(&str) -> Result<GateId, NetlistError>,
-                       position: usize|
-     -> Result<GateId, NetlistError> {
-        if let Some(&id) = negations.get(&position) {
-            return Ok(id);
-        }
-        let driver = resolve(&input_names[position])?;
-        let id = builder.gate(format!("{output}$n{position}"), GateKind::Not, &[driver]);
-        negations.insert(position, id);
-        Ok(id)
-    };
-
-    if let [cube] = cubes.as_slice() {
-        // Single cube: fold the polarity into the gate kind when uniform.
-        if let [term] = cube.as_slice() {
-            let (position, positive) = match *term {
-                Term::Pos(position) => (position, true),
-                Term::Neg(position) => (position, false),
+    let (output, input_names) = block.signals.split_last().expect("validated non-empty");
+    let plain = |position: usize| Cow::Borrowed(input_names[position].as_str());
+    let (cubes, phase) = match plan_block(block)? {
+        Plan::Const(value) => {
+            let kind = if value {
+                GateKind::Const1
+            } else {
+                GateKind::Const0
             };
-            let driver = resolve(&input_names[position])?;
-            let kind = if positive == phase {
+            gates.push(NamedGate {
+                signal: Cow::Borrowed(output),
+                kind,
+                fanin: Vec::new(),
+            });
+            return Ok(());
+        }
+        Plan::Sop { cubes, phase } => (cubes, phase),
+    };
+
+    let mut negated = vec![false; input_names.len()];
+    let mut literal = |gates: &mut Vec<NamedGate<'a>>, term: Term| match term {
+        Term::Pos(position) => plain(position),
+        Term::Neg(position) => {
+            let name = format!("{output}$n{position}");
+            if !negated[position] {
+                negated[position] = true;
+                gates.push(NamedGate {
+                    signal: Cow::Owned(name.clone()),
+                    kind: GateKind::Not,
+                    fanin: vec![plain(position)],
+                });
+            }
+            Cow::Owned(name)
+        }
+    };
+
+    let (kind, fanin) = if let [cube] = cubes.as_slice() {
+        // Single cube: fold the polarity into the gate kind when uniform.
+        let position = |term: &Term| match *term {
+            Term::Pos(position) | Term::Neg(position) => position,
+        };
+        if let [term] = cube.as_slice() {
+            let kind = if matches!(term, Term::Pos(_)) == phase {
                 GateKind::Buf
             } else {
                 GateKind::Not
             };
-            builder.gate(output, kind, &[driver]);
+            (kind, vec![plain(position(term))])
         } else if cube.iter().all(|term| matches!(term, Term::Pos(_))) {
-            let fanin = resolve_terms(cube, input_names, resolve)?;
             let kind = if phase { GateKind::And } else { GateKind::Nand };
-            builder.gate(output, kind, &fanin);
+            (
+                kind,
+                cube.iter().map(|term| plain(position(term))).collect(),
+            )
         } else if cube.iter().all(|term| matches!(term, Term::Neg(_))) {
             // AND of complements is NOR of the plain signals (De Morgan).
-            let fanin = resolve_terms(cube, input_names, resolve)?;
             let kind = if phase { GateKind::Nor } else { GateKind::Or };
-            builder.gate(output, kind, &fanin);
+            (
+                kind,
+                cube.iter().map(|term| plain(position(term))).collect(),
+            )
         } else {
-            let mut fanin = Vec::with_capacity(cube.len());
-            for &term in cube {
-                fanin.push(match term {
-                    Term::Pos(position) => resolve(&input_names[position])?,
-                    Term::Neg(position) => negated(builder, resolve, position)?,
-                });
-            }
             let kind = if phase { GateKind::And } else { GateKind::Nand };
-            builder.gate(output, kind, &fanin);
+            (
+                kind,
+                cube.iter().map(|&term| literal(gates, term)).collect(),
+            )
         }
-        return Ok(());
-    }
-
-    // General sum of products: one AND per multi-literal cube, then the
-    // OR (NOR for phase 0) over the cube terms.
-    let mut cube_terms = Vec::with_capacity(cubes.len());
-    for (cube_index, cube) in cubes.iter().enumerate() {
-        let term = if let [term] = cube.as_slice() {
-            match *term {
-                Term::Pos(position) => resolve(&input_names[position])?,
-                Term::Neg(position) => negated(builder, resolve, position)?,
-            }
-        } else {
-            let mut fanin = Vec::with_capacity(cube.len());
-            for &term in cube {
-                fanin.push(match term {
-                    Term::Pos(position) => resolve(&input_names[position])?,
-                    Term::Neg(position) => negated(builder, resolve, position)?,
+    } else {
+        // General sum of products: one AND per multi-literal cube, then the
+        // OR (NOR for phase 0) over the cube terms.
+        let mut cube_terms = Vec::with_capacity(cubes.len());
+        for (cube_index, cube) in cubes.iter().enumerate() {
+            let term = if let [term] = cube.as_slice() {
+                literal(gates, *term)
+            } else {
+                let fanin = cube.iter().map(|&term| literal(gates, term)).collect();
+                let name = format!("{output}$c{cube_index}");
+                gates.push(NamedGate {
+                    signal: Cow::Owned(name.clone()),
+                    kind: GateKind::And,
+                    fanin,
                 });
-            }
-            builder.gate(format!("{output}$c{cube_index}"), GateKind::And, &fanin)
-        };
-        cube_terms.push(term);
-    }
-    let kind = if phase { GateKind::Or } else { GateKind::Nor };
-    builder.gate(output, kind, &cube_terms);
-    Ok(())
-}
-
-/// Resolves every literal of a uniform-polarity cube to its plain driver.
-fn resolve_terms(
-    cube: &[Term],
-    input_names: &[String],
-    resolve: &mut dyn FnMut(&str) -> Result<GateId, NetlistError>,
-) -> Result<Vec<GateId>, NetlistError> {
-    cube.iter()
-        .map(|&term| {
-            let position = match term {
-                Term::Pos(position) | Term::Neg(position) => position,
+                Cow::Owned(name)
             };
-            resolve(&input_names[position])
-        })
-        .collect()
+            cube_terms.push(term);
+        }
+        let kind = if phase { GateKind::Or } else { GateKind::Nor };
+        (kind, cube_terms)
+    };
+    gates.push(NamedGate {
+        signal: Cow::Borrowed(output),
+        kind,
+        fanin,
+    });
+    Ok(())
 }
 
 /// Serialises a circuit to BLIF text.
@@ -674,6 +623,7 @@ pub fn write(circuit: &Circuit) -> String {
 mod tests {
     use super::*;
     use crate::library;
+    use crate::{CircuitBuilder, GateId};
 
     const C17_BLIF: &str = "\
 .model c17

@@ -3,7 +3,8 @@
 use crate::circuit::{Circuit, GateId, NameIndex};
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateKind};
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
 /// Builds a [`Circuit`] gate by gate.
 ///
@@ -157,6 +158,56 @@ impl CircuitBuilder {
         }
         Circuit::from_parts(self.name, self.gates, self.signal_names, self.outputs)
     }
+}
+
+/// One gate of a parsed netlist: the signal it drives, its kind and its
+/// fanin by signal name (names a reader synthesises are owned).
+pub(crate) struct NamedGate<'a> {
+    pub(crate) signal: Cow<'a, str>,
+    pub(crate) kind: GateKind,
+    pub(crate) fanin: Vec<Cow<'a, str>>,
+}
+
+/// Builds the circuit `name` from `gates` in order, each gate's id its
+/// position, with every fanin and output reference resolved through one
+/// map of the gate names (a name defined twice resolves to its later
+/// definition, and [`CircuitBuilder::finish`] then rejects the repeat).
+///
+/// # Errors
+///
+/// [`NetlistError::UnknownSignal`] for the first reference, in gate order
+/// and then output order, that names no gate; then whatever
+/// [`CircuitBuilder::finish`] reports.
+pub(crate) fn build_named(
+    name: String,
+    gates: &[NamedGate<'_>],
+    outputs: &[impl AsRef<str>],
+) -> Result<Circuit, NetlistError> {
+    let ids: HashMap<&str, GateId> = gates
+        .iter()
+        .enumerate()
+        .map(|(index, gate)| (gate.signal.as_ref(), GateId(index)))
+        .collect();
+    let resolve = |signal: &str| {
+        ids.get(signal)
+            .copied()
+            .ok_or_else(|| NetlistError::UnknownSignal {
+                name: signal.to_string(),
+            })
+    };
+    let mut builder = CircuitBuilder::new(name);
+    let mut fanin = Vec::new();
+    for gate in gates {
+        fanin.clear();
+        for signal in &gate.fanin {
+            fanin.push(resolve(signal)?);
+        }
+        builder.gate(gate.signal.as_ref(), gate.kind, &fanin);
+    }
+    for output in outputs {
+        builder.mark_output(resolve(output.as_ref())?);
+    }
+    builder.finish()
 }
 
 /// The first name in `names` that an earlier name already used.

@@ -11,14 +11,15 @@
 //! 2. **Recording never changes results.**  Telemetry only *observes*;
 //!    every numeric output of the stack is byte-identical with metrics on
 //!    or off, at every worker count (enforced by the differential suites).
-//! 3. **Totals are worker-count invariant.**  Counters are sharded across
-//!    cache-line-padded cells indexed by a per-thread worker slot (set by
-//!    `lsiq_exec::shard_map`), so concurrent increments never contend on one
-//!    line; a snapshot merges the shards, and because addition commutes
-//!    the merged totals are identical at any worker count for counters
-//!    placed at semantically invariant points (per fault, per chunk, per
-//!    drop).  Pool-shape counters (`pool.jobs`, `pool.join_wait_ns`, …)
-//!    legitimately vary with the ladder and are documented as such.
+//! 3. **Totals are worker-count invariant.**  Each counter and span stat
+//!    is one atomic that every thread adds to; no site records more often
+//!    than once per engine run, shard, sweep, lot, fork-join, cache lookup
+//!    or query (the single-threaded oracles once per pattern), so threads
+//!    rarely meet on one.  Because addition commutes, the totals are
+//!    identical at any worker count for counters placed at semantically
+//!    invariant points (per fault, per chunk, per drop).  Pool-shape
+//!    counters (`pool.jobs`, `pool.join_wait_ns`, …) legitimately vary
+//!    with the ladder and are documented as such.
 //!
 //! Series are registered lazily on first use from `static` handles:
 //!
@@ -142,14 +143,6 @@ pub fn snapshot() -> Snapshot {
 /// for tests that compare totals across configurations in one process.
 pub fn reset() {
     registry::reset()
-}
-
-/// Binds the calling thread to a counter shard.  `lsiq_exec::shard_map`
-/// assigns slot `i` to the thread it spawns for shard `i` (slot 0 is every
-/// unbound thread, including the caller running shard 0), so concurrent
-/// shards increment disjoint cache lines.
-pub fn set_worker_slot(slot: usize) {
-    registry::set_worker_slot(slot)
 }
 
 #[cfg(test)]

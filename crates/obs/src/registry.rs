@@ -2,76 +2,25 @@
 //!
 //! Series are interned by `&'static str` name on first use and live for
 //! the process lifetime (the cells are leaked once, never per call).
-//! Counters and span stats are sharded over [`SHARDS`]
-//! cache-line-padded atomic cells indexed by the calling thread's worker
-//! slot, so concurrent shards never contend on one line; a [`crate::snapshot`] merges
-//! the shards, and because addition commutes the merged totals do not
-//! depend on which thread recorded what.
+//! Every counter total and span stat is one relaxed atomic.  Recording
+//! sites fire once per engine run, shard, sweep, lot, fork-join, cache
+//! lookup or query (only the single-threaded oracles record per pattern),
+//! so threads rarely meet on one series, and because addition commutes
+//! the totals do not depend on which thread recorded what.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Counter/span shard count.  A power of two; worker slots beyond it wrap
-/// (sharing a line again, which is merely slower, never wrong).
-pub const SHARDS: usize = 16;
-
 /// Histogram bucket count: bucket 0 counts zero values, bucket `i >= 1`
 /// counts values in `[2^(i-1), 2^i)`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-thread_local! {
-    static WORKER_SLOT: Cell<usize> = const { Cell::new(0) };
-}
-
-pub(crate) fn set_worker_slot(slot: usize) {
-    WORKER_SLOT.with(|cell| cell.set(slot & (SHARDS - 1)));
-}
-
-#[inline]
-fn shard_index() -> usize {
-    WORKER_SLOT.with(|cell| cell.get())
-}
-
-/// One cache line holding one shard's total.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedCell(AtomicU64);
-
-/// Sharded monotonic total (counters, span counts, span nanoseconds).
-#[derive(Default)]
-struct ShardedTotal {
-    shards: [PaddedCell; SHARDS],
-}
-
-impl ShardedTotal {
-    #[inline]
-    fn add(&self, value: u64) {
-        self.shards[shard_index()]
-            .0
-            .fetch_add(value, Ordering::Relaxed);
-    }
-
-    fn sum(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|cell| cell.0.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn reset(&self) {
-        for cell in &self.shards {
-            cell.0.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 #[derive(Default)]
 pub(crate) struct CounterCell {
-    total: ShardedTotal,
+    total: AtomicU64,
 }
 
 #[derive(Default)]
@@ -93,15 +42,16 @@ impl Default for HistogramCell {
 
 #[derive(Default)]
 pub(crate) struct SpanCell {
-    count: ShardedTotal,
-    total_ns: ShardedTotal,
+    count: AtomicU64,
+    total_ns: AtomicU64,
 }
 
 impl SpanCell {
     #[inline]
     pub(crate) fn record(&self, elapsed: Duration) {
-        self.count.add(1);
-        self.total_ns.add(elapsed.as_nanos() as u64);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.total_ns
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -164,7 +114,7 @@ impl Counter {
     #[inline]
     pub fn add(&self, value: u64) {
         if crate::enabled() && value != 0 {
-            self.cell().total.add(value);
+            self.cell().total.fetch_add(value, Ordering::Relaxed);
         }
     }
 
@@ -174,9 +124,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The merged total so far (readable regardless of mode).
+    /// The total so far (readable regardless of mode).
     pub fn value(&self) -> u64 {
-        self.cell().total.sum()
+        self.cell().total.load(Ordering::Relaxed)
     }
 }
 
@@ -262,7 +212,7 @@ pub(crate) fn span_cell(name: &'static str) -> &'static SpanCell {
     intern(|r| &mut r.spans, name)
 }
 
-/// The merged statistics of one span name: how many times it ran and the
+/// The statistics of one span name: how many times it ran and the
 /// total wall time across all runs (summed over every recording thread,
 /// so nested parallel phases can exceed their parent's wall time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -276,7 +226,7 @@ pub struct SpanStat {
 /// A deterministic, name-sorted copy of the registry at one instant.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// `(name, merged total)`, sorted by name.
+    /// `(name, total)`, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)`, sorted by name.
     pub gauges: Vec<(String, u64)>,
@@ -390,7 +340,7 @@ pub(crate) fn snapshot() -> Snapshot {
         counters: registry
             .counters
             .iter()
-            .map(|(name, cell)| (name.to_string(), cell.total.sum()))
+            .map(|(name, cell)| (name.to_string(), cell.total.load(Ordering::Relaxed)))
             .collect(),
         gauges: registry
             .gauges
@@ -420,8 +370,8 @@ pub(crate) fn snapshot() -> Snapshot {
                 (
                     name.to_string(),
                     SpanStat {
-                        count: cell.count.sum(),
-                        total_ns: cell.total_ns.sum(),
+                        count: cell.count.load(Ordering::Relaxed),
+                        total_ns: cell.total_ns.load(Ordering::Relaxed),
                     },
                 )
             })
@@ -437,7 +387,7 @@ pub(crate) fn snapshot() -> Snapshot {
 pub(crate) fn reset() {
     with_registry(|registry| {
         for (_, cell) in &registry.counters {
-            cell.total.reset();
+            cell.total.store(0, Ordering::Relaxed);
         }
         for (_, cell) in &registry.gauges {
             cell.value.store(0, Ordering::Relaxed);
@@ -448,8 +398,8 @@ pub(crate) fn reset() {
             }
         }
         for (_, cell) in &registry.spans {
-            cell.count.reset();
-            cell.total_ns.reset();
+            cell.count.store(0, Ordering::Relaxed);
+            cell.total_ns.store(0, Ordering::Relaxed);
         }
     })
 }
@@ -487,13 +437,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn counters_merge_across_shards_and_threads() {
-        static TOTAL: Counter = Counter::new("test.registry.sharded");
+    fn counters_sum_across_threads() {
+        static TOTAL: Counter = Counter::new("test.registry.threads");
         recording(|| {
             std::thread::scope(|scope| {
-                for slot in 0..4 {
-                    scope.spawn(move || {
-                        crate::set_worker_slot(slot);
+                for _ in 0..4 {
+                    scope.spawn(|| {
                         for _ in 0..1000 {
                             TOTAL.incr();
                         }

@@ -44,7 +44,6 @@ use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::Counter;
-use lsiq_sim::pattern::{Pattern, PatternSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -62,7 +61,7 @@ pub const ARTIFACT_DIR_VAR: &str = "LSIQ_ARTIFACT_DIR";
 pub const MAGIC: &[u8; 8] = b"LSIQART1";
 
 /// Bumped whenever any payload codec changes shape.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A version-stable structural fingerprint of a circuit.
 ///
@@ -281,17 +280,14 @@ fn validate_container(bytes: &[u8], fingerprint: u64) -> Option<Vec<u8>> {
     Some(payload.to_vec())
 }
 
-/// A persisted line test suite: the ordered patterns and the two derived
-/// tables the production line consults (the first-failing-pattern
-/// dictionary and the cumulative coverage curve).
+/// A persisted line test suite: the two tables the production line
+/// consults (the first-failing-pattern dictionary and the cumulative
+/// coverage curve) and the deterministic-pattern count.  The suite's
+/// pattern count is the coverage curve's length.
 ///
 /// Loading one answers a line query without touching a fault simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteArtifact {
-    /// Width (primary-input count) of every pattern.
-    pub pattern_width: usize,
-    /// The ordered patterns, bit-packed rows of `pattern_width` bits.
-    pub patterns: Vec<Vec<u8>>,
     /// Patterns contributed by the deterministic top-up phase.
     pub deterministic_patterns: usize,
     /// Per-fault first-failing-pattern records.
@@ -302,47 +298,19 @@ pub struct SuiteArtifact {
     pub universe_size: usize,
 }
 
-fn pack_bits(bits: &[bool]) -> Vec<u8> {
-    let mut packed = vec![0u8; bits.len().div_ceil(8)];
-    for (index, &bit) in bits.iter().enumerate() {
-        if bit {
-            packed[index / 8] |= 1 << (index % 8);
-        }
-    }
-    packed
-}
-
-fn unpack_bits(packed: &[u8], width: usize) -> Vec<bool> {
-    (0..width)
-        .map(|index| packed[index / 8] & (1 << (index % 8)) != 0)
-        .collect()
-}
-
 impl SuiteArtifact {
     /// Captures a built suite's persistent parts.
     pub fn from_parts(
-        patterns: &PatternSet,
         deterministic_patterns: usize,
         dictionary: &FaultDictionary,
         coverage: &CoverageCurve,
     ) -> SuiteArtifact {
-        let pattern_width = patterns.iter().next().map_or(0, Pattern::width);
         SuiteArtifact {
-            pattern_width,
-            patterns: patterns.iter().map(|p| pack_bits(p.bits())).collect(),
             deterministic_patterns,
             first_patterns: dictionary.first_patterns().collect(),
             cumulative: coverage.cumulative().to_vec(),
             universe_size: coverage.universe_size(),
         }
-    }
-
-    /// The ordered patterns.
-    pub fn pattern_set(&self) -> PatternSet {
-        self.patterns
-            .iter()
-            .map(|packed| Pattern::from_bits(unpack_bits(packed, self.pattern_width)))
-            .collect()
     }
 
     /// The first-failing-pattern dictionary.
@@ -355,22 +323,19 @@ impl SuiteArtifact {
         CoverageCurve::from_cumulative(self.cumulative.clone(), self.universe_size)
     }
 
-    /// Encodes the artifact payload.
+    /// Encodes the artifact payload: the deterministic-pattern count, the
+    /// coverage curve (one point per pattern), the dictionary (one record
+    /// per fault) and the universe size.
     pub fn encode(&self) -> Vec<u8> {
         let mut writer = ByteWriter::new();
-        writer.put_u64(self.pattern_width as u64);
-        writer.put_u64(self.patterns.len() as u64);
-        for packed in &self.patterns {
-            writer.bytes_of_pattern(packed);
-        }
         writer.put_u64(self.deterministic_patterns as u64);
-        writer.put_u64(self.first_patterns.len() as u64);
-        for &first in &self.first_patterns {
-            writer.put_opt_index(first);
-        }
         writer.put_u64(self.cumulative.len() as u64);
         for &coverage in &self.cumulative {
             writer.put_f64(coverage);
+        }
+        writer.put_u64(self.first_patterns.len() as u64);
+        for &first in &self.first_patterns {
+            writer.put_opt_index(first);
         }
         writer.put_u64(self.universe_size as u64);
         writer.into_bytes()
@@ -379,11 +344,11 @@ impl SuiteArtifact {
     /// Decodes an artifact payload.
     ///
     /// The counts are checked against each other and against the payload
-    /// before anything is allocated for them: every pattern needs its
-    /// packed row and one coverage point, so a pattern count the bytes
-    /// left cannot hold is refused; the coverage curve must have one point
-    /// per pattern, the dictionary one record per fault of the universe,
-    /// and every first-failing pattern must be one of the suite's.
+    /// before anything is allocated for them: every pattern needs one
+    /// coverage point, so a pattern count the bytes left cannot hold is
+    /// refused; the dictionary must hold one record per fault of the
+    /// universe, and every first-failing pattern must be one of the
+    /// suite's.
     ///
     /// # Errors
     ///
@@ -391,28 +356,21 @@ impl SuiteArtifact {
     /// malformed field or counts that disagree.
     pub fn decode(bytes: &[u8]) -> Result<SuiteArtifact, CodecError> {
         let mut reader = ByteReader::new(bytes);
-        let pattern_width = reader.get_len()?;
+        let deterministic_patterns = reader.get_len()?;
         let pattern_count = reader.get_len()?;
-        let row_len = pattern_width.div_ceil(8);
-        let needed = row_len
-            .checked_add(8)
-            .and_then(|per_pattern| per_pattern.checked_mul(pattern_count));
-        if needed.map_or(true, |needed| needed > reader.remaining()) {
+        if pattern_count
+            .checked_mul(8)
+            .map_or(true, |needed| needed > reader.remaining())
+        {
             return Err(CodecError(format!(
-                "{pattern_count} patterns of {row_len} bytes and a coverage point each \
-                 exceed the {} bytes left",
+                "{pattern_count} coverage points exceed the {} bytes left",
                 reader.remaining()
             )));
         }
-        let mut patterns = Vec::with_capacity(pattern_count);
+        let mut cumulative = Vec::with_capacity(pattern_count);
         for _ in 0..pattern_count {
-            let mut row = Vec::with_capacity(row_len);
-            for _ in 0..row_len {
-                row.push(reader.get_u8()?);
-            }
-            patterns.push(row);
+            cumulative.push(reader.get_f64()?);
         }
-        let deterministic_patterns = reader.get_len()?;
         let fault_count = reader.get_len()?;
         let mut first_patterns = Vec::with_capacity(fault_count.min(1 << 24));
         for fault in 0..fault_count {
@@ -425,16 +383,6 @@ impl SuiteArtifact {
             }
             first_patterns.push(first);
         }
-        let point_count = reader.get_len()?;
-        if point_count != pattern_count {
-            return Err(CodecError(format!(
-                "{point_count} coverage points for {pattern_count} patterns"
-            )));
-        }
-        let mut cumulative = Vec::with_capacity(point_count);
-        for _ in 0..point_count {
-            cumulative.push(reader.get_f64()?);
-        }
         let universe_size = reader.get_len()?;
         if universe_size != fault_count {
             return Err(CodecError(format!(
@@ -443,21 +391,11 @@ impl SuiteArtifact {
         }
         reader.finish()?;
         Ok(SuiteArtifact {
-            pattern_width,
-            patterns,
             deterministic_patterns,
             first_patterns,
             cumulative,
             universe_size,
         })
-    }
-}
-
-impl ByteWriter {
-    fn bytes_of_pattern(&mut self, packed: &[u8]) {
-        for &byte in packed {
-            self.put_u8(byte);
-        }
     }
 }
 
@@ -556,13 +494,5 @@ mod tests {
         // be bumped, because every existing artifact silently invalidates.
         let pinned = stable_fingerprint(&c17);
         assert_eq!(pinned, stable_fingerprint(&library::c17()));
-    }
-
-    #[test]
-    fn pack_unpack_round_trips_odd_widths() {
-        for width in [0usize, 1, 5, 8, 9, 63, 64, 65] {
-            let bits: Vec<bool> = (0..width).map(|i| i % 3 == 0).collect();
-            assert_eq!(unpack_bits(&pack_bits(&bits), width), bits);
-        }
     }
 }

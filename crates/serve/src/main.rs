@@ -7,7 +7,8 @@
 //!
 //! `INPUT`/`OUTPUT` default to `-` (stdin/stdout).  Configuration comes
 //! from the `LSIQ_*` environment (`LSIQ_ARTIFACT_DIR` enables the on-disk
-//! artifact cache; `LSIQ_ENGINE` defaults to `auto`).  Invalid
+//! artifact cache).  `LSIQ_TEST_MODE=bist` and `LSIQ_SCAN_CHAINS` are refused:
+//! the service tests stored patterns on combinational devices.  Invalid
 //! configuration and malformed (non-JSON) request lines exit with status 2
 //! after printing a diagnostic; semantically invalid queries produce
 //! per-line error responses and do not stop the stream.

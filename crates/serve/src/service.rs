@@ -28,7 +28,8 @@ use lsiq_bist::stumps::{StumpsConfig, StumpsGenerator};
 use lsiq_core::coverage_requirement::required_fault_coverage;
 use lsiq_core::params::{FaultCoverage, ModelParams, RejectRate, Yield};
 use lsiq_core::reject::field_reject_rate;
-use lsiq_exec::{ConfigError, MetricsMode, RunConfig, ENGINE_VAR};
+use lsiq_exec::config::TEST_MODE_VAR;
+use lsiq_exec::{ConfigError, MetricsMode, RunConfig, TestMode, SCAN_CHAINS_VAR};
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::universe::FaultUniverse;
@@ -163,17 +164,29 @@ impl QueryService {
 
     /// Opens a service from the environment: the `LSIQ_*` knobs through
     /// [`RunConfig::from_env`], the artifact directory through
-    /// `LSIQ_ARTIFACT_DIR`.  When `LSIQ_ENGINE` is unset the service
-    /// selects the `auto` engine, which resolves to the production
-    /// (incremental) engine on every device it compiles.
+    /// `LSIQ_ARTIFACT_DIR`.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when any knob is set to an invalid value.
+    /// Returns a [`ConfigError`] when any knob is set to an invalid value,
+    /// and when `LSIQ_TEST_MODE` names a mode other than `stored` or
+    /// `LSIQ_SCAN_CHAINS` is set at all: the service tests stored patterns
+    /// on its named combinational devices, so it would ignore either knob.
     pub fn from_env() -> Result<QueryService, ConfigError> {
-        let mut config = RunConfig::from_env()?;
-        if std::env::var_os(ENGINE_VAR).is_none() {
-            config = config.with_engine_auto();
+        let config = RunConfig::from_env()?;
+        if config.test_mode() != TestMode::Stored {
+            return Err(ConfigError::invalid_value(
+                TEST_MODE_VAR,
+                config.test_mode().name(),
+                "stored (lsiq-serve tests stored patterns only)",
+            ));
+        }
+        if let Some(scan) = config.scan() {
+            return Err(ConfigError::invalid_value(
+                SCAN_CHAINS_VAR,
+                scan.chains().to_string(),
+                "no value (lsiq-serve tests its combinational devices without scan)",
+            ));
         }
         Ok(QueryService::new(
             Session::new(config),
@@ -472,7 +485,6 @@ impl QueryService {
                 &compiled.universe,
             );
         let artifact = SuiteArtifact::from_parts(
-            &built.patterns,
             built.deterministic_patterns,
             &built.dictionary,
             &built.coverage_curve,

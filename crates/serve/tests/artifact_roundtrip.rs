@@ -42,7 +42,6 @@ fn c17_suite_artifact() -> (SuiteArtifact, u64) {
     };
     let suite = builder.build(&circuit, &universe);
     let artifact = SuiteArtifact::from_parts(
-        &suite.patterns,
         suite.deterministic_patterns,
         &suite.dictionary,
         &suite.coverage_curve,
@@ -56,7 +55,6 @@ fn suite_artifact_round_trips_byte_exactly() {
     let decoded = SuiteArtifact::decode(&artifact.encode()).expect("decodes");
     assert_eq!(decoded, artifact);
     // The reconstructed working objects match the originals field-for-field.
-    assert_eq!(decoded.pattern_set().len(), artifact.patterns.len());
     assert!(decoded
         .dictionary()
         .first_patterns()
@@ -70,8 +68,6 @@ fn suite_artifact_round_trips_byte_exactly() {
 /// A one-pattern, one-fault suite whose fault first fails at `first`.
 fn one_pattern_suite(first: Option<usize>) -> SuiteArtifact {
     SuiteArtifact {
-        pattern_width: 5,
-        patterns: vec![vec![0b1_0110]],
         deterministic_patterns: 0,
         first_patterns: vec![first],
         cumulative: vec![1.0],
@@ -99,18 +95,6 @@ fn a_first_failing_pattern_beyond_the_suite_is_refused() {
 }
 
 #[test]
-fn a_coverage_curve_of_another_length_is_refused() {
-    for points in [vec![], vec![0.5, 1.0]] {
-        let artifact = SuiteArtifact {
-            cumulative: points,
-            ..one_pattern_suite(Some(0))
-        };
-        let error = decode_error(&artifact);
-        assert!(error.contains("coverage points for 1 patterns"), "{error}");
-    }
-}
-
-#[test]
 fn a_dictionary_of_another_universe_is_refused() {
     for universe_size in [0, 2] {
         let artifact = SuiteArtifact {
@@ -130,19 +114,20 @@ fn a_dictionary_of_another_universe_is_refused() {
 #[test]
 fn a_pattern_count_the_payload_cannot_hold_is_refused_before_allocating() {
     use lsiq_serve::codec::ByteWriter;
-    // 48 bytes: zero-width patterns, a huge pattern count, then empty
-    // dictionary and coverage sections and a zero universe.
-    for pattern_count in [10_000_000u64, 1 << 40, u64::MAX] {
+    // 32 bytes: no deterministic patterns, a huge pattern (coverage-point)
+    // count, then an empty dictionary and a zero universe.  One point more
+    // than the 16 bytes left can hold is refused too.
+    for pattern_count in [3u64, 10_000_000, 1 << 40, 1 << 61, u64::MAX] {
         let mut writer = ByteWriter::new();
-        for value in [0, pattern_count, 0, 0, 0, 0] {
+        for value in [0, pattern_count, 0, 0] {
             writer.put_u64(value);
         }
         let payload = writer.into_bytes();
-        assert_eq!(payload.len(), 48);
+        assert_eq!(payload.len(), 32);
         let error = SuiteArtifact::decode(&payload)
-            .expect_err("rows the payload cannot hold")
+            .expect_err("points the payload cannot hold")
             .to_string();
-        assert!(error.contains("exceed the 32 bytes left"), "{error}");
+        assert!(error.contains("exceed the 16 bytes left"), "{error}");
     }
 }
 
@@ -431,5 +416,35 @@ fn seeded_container_corruptions_are_misses_or_the_same_answer() {
         }
         assert!(misses > 250, "{kind}: only {misses} of 300 were misses");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A suite container of format version 1 (written while the suite payload
+/// still carried pattern rows) is a miss: the next query rebuilds the
+/// suite and rewrites the file at the current version, byte-identical to a
+/// cold build, and the process after that reads it.
+#[test]
+fn a_version_1_suite_container_is_rebuilt_once() {
+    let dir = scratch_dir("version1");
+    let query = r#"{"op":"line","circuit":"c17","chips":10}"#;
+    let (cold, _) = replay(&dir, query);
+    let path = std::fs::read_dir(&dir)
+        .expect("readable dir")
+        .map(|entry| entry.expect("entry").path())
+        .find(|path| path.to_string_lossy().contains("suite-"))
+        .expect("the cold query stored its suite");
+    let pristine = std::fs::read(&path).expect("stored file");
+    let mut version_1 = pristine.clone();
+    // Bytes 8..12 are the little-endian format version.
+    version_1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &version_1).expect("writable file");
+
+    let (answer, hit) = replay(&dir, query);
+    assert_eq!(answer, cold);
+    assert!(!hit, "a version-1 file must not be read");
+    assert_eq!(std::fs::read(&path).expect("rewritten file"), pristine);
+    let (answer, hit) = replay(&dir, query);
+    assert_eq!(answer, cold);
+    assert!(hit, "the rebuilt file is read");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -167,6 +167,24 @@ fn bad_artifact_dir_exits_2_gracefully() {
 }
 
 #[test]
+fn bist_test_mode_and_scan_chains_exit_2_naming_the_variable() {
+    // The service tests stored patterns on its combinational devices, so
+    // it refuses the two knobs it would otherwise ignore; `stored` is the
+    // default and stays accepted.
+    let query = "{\"op\":\"forward\",\"yield\":0.07,\"n0\":8,\"coverage\":0.9}\n";
+    for (variable, value) in [("LSIQ_TEST_MODE", "bist"), ("LSIQ_SCAN_CHAINS", "4")] {
+        let output = serve(query, &[(variable, value)]);
+        assert_eq!(output.status.code(), Some(2), "{variable}: {output:?}");
+        assert!(output.stdout.is_empty(), "{variable}: {output:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(stderr.contains(variable), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let output = serve(query, &[("LSIQ_TEST_MODE", "stored")]);
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+}
+
+#[test]
 fn cold_and_warm_binary_runs_are_byte_identical_after_stripping_timing() {
     let dir = scratch_dir("cold-warm");
     let input = concat!(

@@ -17,6 +17,9 @@ use lsiq_netlist::circuit::Circuit;
 use lsiq_sim::cache::GoodMachineCache;
 use lsiq_sim::pattern::PatternSet;
 
+/// Backtrack limit handed to PODEM in the top-up phase.
+const PODEM_BACKTRACKS: usize = 200;
+
 /// Configuration for building an ordered test suite: random patterns up to
 /// a target coverage, optionally topped up by PODEM for the faults the
 /// random phase missed.
@@ -53,8 +56,6 @@ pub struct TestSuiteBuilder {
     pub target_coverage: f64,
     /// Whether to run PODEM for faults the random phase missed.
     pub podem_top_up: bool,
-    /// Backtrack limit handed to PODEM.
-    pub podem_backtracks: usize,
     /// Which fault-simulation engine evaluates the patterns (see
     /// [`EngineKind`]; the incremental engine is the default).  The suite
     /// hands the engine the universe it reports on, and every engine
@@ -75,7 +76,6 @@ impl Default for TestSuiteBuilder {
             max_random_patterns: 512,
             target_coverage: 0.95,
             podem_top_up: true,
-            podem_backtracks: 200,
             engine: EngineKind::Incremental,
             lanes: LaneWidth::Auto,
         }
@@ -185,7 +185,7 @@ impl TestSuiteBuilder {
         // Deterministic phase: target whatever the random phase missed.
         let random_patterns = patterns.len();
         if self.podem_top_up {
-            let podem = Podem::new(circuit).with_max_backtracks(self.podem_backtracks);
+            let podem = Podem::new(circuit).with_max_backtracks(PODEM_BACKTRACKS);
             for fault_index in list.undetected_indices() {
                 if let TestOutcome::Test(pattern) = podem.generate_test(list.fault(fault_index)) {
                     patterns.push(pattern);
