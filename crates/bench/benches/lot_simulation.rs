@@ -1,10 +1,11 @@
 //! Criterion benchmarks for the production-line Monte-Carlo: physical lot
-//! generation, and model-lot generation and wafer testing by the lot runner
+//! generation, model-lot generation and wafer testing by the lot runner
 //! on the calling thread against the same runner on a pool, on identical
-//! inputs.
+//! inputs, and one streamed lot folded against the Table 1 dictionary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lsiq_exec::ExecutionContext;
+use lsi_quality::Session;
+use lsiq_exec::{ExecutionContext, RunConfig};
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::incremental::IncrementalSimulator;
 use lsiq_fault::simulator::FaultSimulator;
@@ -12,6 +13,7 @@ use lsiq_fault::universe::FaultUniverse;
 use lsiq_manufacturing::defect::DefectModel;
 use lsiq_manufacturing::lot::{ModelLotConfig, PhysicalLotConfig};
 use lsiq_manufacturing::pipeline::ParallelLotRunner;
+use lsiq_manufacturing::streaming::StreamingLotExecutor;
 use lsiq_netlist::library;
 use lsiq_sim::pattern::{Pattern, PatternSet};
 use std::hint::black_box;
@@ -64,6 +66,31 @@ fn bench_lot_simulation(c: &mut Criterion) {
     });
     c.bench_function("wafer_test_10k_chips_parallel", |b| {
         b.iter(|| parallel_runner.test_lot(&dictionary, black_box(&big_lot)))
+    });
+
+    // One lot of the serve grid streamed on the calling thread: 250,000
+    // chips at (0.07, 8.0), each drawn and folded against the Table 1
+    // suite's 12,114-fault dictionary without a chip record.
+    let table1 = Session::new(RunConfig::default())
+        .reproduce_table1()
+        .expect("no scan plan is configured");
+    let streamed_config = ModelLotConfig {
+        chips: 250_000,
+        yield_fraction: 0.07,
+        n0: 8.0,
+        fault_universe_size: table1.universe_size,
+        seed: 1,
+    };
+    let checkpoints = [table1.coverage.pattern_count()];
+    c.bench_function("streamed_lot_250k_chips_table1_dictionary", |b| {
+        b.iter(|| {
+            StreamingLotExecutor::default().stream_model_lot(
+                black_box(&streamed_config),
+                &table1.suite.dictionary,
+                &table1.coverage,
+                &checkpoints,
+            )
+        })
     });
 }
 

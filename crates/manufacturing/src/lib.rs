@@ -29,10 +29,10 @@
 //! * [`streaming`] — the memory-bounded counterpart:
 //!   [`StreamingLotExecutor`] draws, tests and folds each model chip into
 //!   running integer statistics without building a chip record, so
-//!   billion-chip lots run in `O(workers × (patterns + faults / 64))`
-//!   memory with byte-identical results to a generated, tested and
-//!   tabulated lot.  A session's production line and every sweep point
-//!   evaluate their lots this way.
+//!   billion-chip lots run in `O(workers × (patterns + faults))` memory
+//!   (one `u32` stamp per fault and worker) with byte-identical results
+//!   to a generated, tested and tabulated lot.  A session's production
+//!   line and every sweep point evaluate their lots this way.
 //!
 //! The chips of a lot are testable against any pattern suite summarised by a
 //! [`FaultDictionary`](lsiq_fault::dictionary::FaultDictionary) — typically

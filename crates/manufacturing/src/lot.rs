@@ -55,7 +55,9 @@ pub struct PhysicalLotConfig {
 /// The lot-wide set-up of model-chip draws: the validated configuration
 /// and its fault-count Poisson, built once per lot.  Both paths that draw
 /// model chips (the runner's generated lot and the streamed fold) go
-/// through [`faults`](Self::faults) with one [`IndexSampler`] per worker.
+/// through [`faults`](Self::faults) with one [`IndexSampler`] per worker:
+/// the generated lot collects each chip's faults, the streamed fold keeps
+/// only their count and earliest first-failing pattern.
 #[derive(Debug)]
 pub(crate) struct ModelDraw {
     config: ModelLotConfig,
@@ -97,20 +99,23 @@ impl ModelDraw {
         IndexSampler::new(self.config.fault_universe_size)
     }
 
-    /// The faults of chip `id`, in draw order, drawn from the chip's own
-    /// RNG stream into `sampler`.  The chip is good (no faults) with
-    /// probability `y`; otherwise it carries `1 + Poisson(n0 - 1)` distinct
-    /// faults, at most the whole universe.
-    pub(crate) fn faults<'s>(&self, id: usize, sampler: &'s mut IndexSampler) -> &'s [usize] {
+    /// Draws the faults of chip `id` from the chip's own RNG stream with
+    /// `sampler`, passing each to `visit` in draw order.  The chip is good
+    /// (`visit` is never called) with probability `y`; otherwise it carries
+    /// `1 + Poisson(n0 - 1)` distinct faults, at most the whole universe.
+    // Inlined into each lot's chip loop, like `IndexSampler::sample`, so
+    // the streamed fold's running count and minimum live in registers.
+    #[inline]
+    pub(crate) fn faults(&self, id: usize, sampler: &mut IndexSampler, visit: impl FnMut(usize)) {
         let mut rng = Xoshiro256StarStar::stream(self.config.seed, id as u64);
         if rng.next_bool(self.config.yield_fraction) {
-            return &[];
+            return;
         }
         let extra = self
             .extra_faults
             .map_or(0, |poisson| poisson.sample(&mut rng) as usize);
         let count = (1 + extra).min(self.config.fault_universe_size);
-        sampler.sample(count, &mut rng)
+        sampler.sample(count, &mut rng, visit);
     }
 }
 

@@ -140,8 +140,15 @@ impl<'ctx> ParallelLotRunner<'ctx> {
         let draw = ModelDraw::new(config);
         let chips = self.sharded(config.chips, |range| {
             let mut sampler = draw.sampler();
+            // One growing buffer per shard, copied out at its exact length,
+            // so each chip costs one allocation however many faults it has.
+            let mut picks = Vec::new();
             range
-                .map(|id| Chip::new(id, draw.faults(id, &mut sampler).to_vec(), 0))
+                .map(|id| {
+                    picks.clear();
+                    draw.faults(id, &mut sampler, |fault| picks.push(fault));
+                    Chip::new(id, picks.clone(), 0)
+                })
                 .collect()
         });
         ChipLot::from_chips(chips, config.fault_universe_size)

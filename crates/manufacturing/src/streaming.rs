@@ -9,13 +9,14 @@
 //! worker generates every chip of its shard from the chip's own RNG
 //! stream, wafer-tests it against the fault dictionary and immediately
 //! folds it into running integer accumulators — a first-fail counting-sort
-//! histogram, good/defective/fault-count tallies and the field-outcome
-//! counters.  No chip outlives its fold: each worker draws its chips'
-//! faults into one reusable [`IndexSampler`](lsiq_stats::rng::IndexSampler),
-//! a `⌈N / 64⌉`-word membership bitset over the `N`-fault universe plus its
-//! picks, and folds them without building a chip record.  Peak memory is
-//! therefore `O(workers × (patterns + N / 64))` words regardless of lot
-//! size.
+//! histogram of `patterns + 1` slots and the good-chip and fault-count
+//! tallies.  No chip outlives its fold: each worker draws its chips'
+//! faults with one reusable [`IndexSampler`](lsiq_stats::rng::IndexSampler),
+//! one `u32` membership stamp per fault of the `N`-fault universe, and
+//! folds each fault's first failing pattern into the chip's running
+//! minimum as it is drawn, without a pick list or a chip record.  Peak
+//! memory is therefore `O(workers × (patterns + N))` words (`4 · N` bytes
+//! of stamps per worker) regardless of lot size.
 //!
 //! Every accumulator is an integer sum, and integer addition is associative
 //! and commutative, so the worker sharding is invisible in the output: the
@@ -68,53 +69,41 @@ pub struct StreamedLot {
 ///
 /// Everything here is a plain sum over chips, so shard results merge by
 /// element-wise addition in any order without changing the totals.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LotFold {
     good: usize,
-    defective: usize,
     total_faults: usize,
-    shipped: usize,
-    escapes: usize,
-    /// `fail_counts[p]`: chips whose first failing pattern is exactly `p`.
+    /// `fail_counts[p]` for `p` below the dictionary's pattern count: chips
+    /// whose first failing pattern is exactly `p`.  The last slot counts
+    /// the chips that pass every pattern.
     fail_counts: Vec<usize>,
 }
 
 impl LotFold {
-    /// Folds one chip, given by its faults, and its wafer test into the
-    /// accumulators.
-    fn absorb(&mut self, faults: &[usize], dictionary: &FaultDictionary) {
-        if faults.is_empty() {
-            self.good += 1;
-        } else {
-            self.defective += 1;
-            self.total_faults += faults.len();
-        }
-        match dictionary.first_failure_of_chip(faults) {
-            None => {
-                self.shipped += 1;
-                if !faults.is_empty() {
-                    self.escapes += 1;
-                }
-            }
-            Some(first) => {
-                if first >= self.fail_counts.len() {
-                    self.fail_counts.resize(first + 1, 0);
-                }
-                self.fail_counts[first] += 1;
-            }
+    /// An empty fold over a dictionary whose records all fall below
+    /// `patterns`.
+    fn new(patterns: usize) -> LotFold {
+        LotFold {
+            good: 0,
+            total_faults: 0,
+            fail_counts: vec![0; patterns + 1],
         }
     }
 
-    /// Merges another fold into this one (element-wise integer addition).
+    /// Folds one chip, given by its fault count and its first failing
+    /// pattern (`usize::MAX` when it passes every pattern).
+    fn absorb(&mut self, faults: usize, first_fail: usize) {
+        self.good += usize::from(faults == 0);
+        self.total_faults += faults;
+        let passed = self.fail_counts.len() - 1;
+        self.fail_counts[first_fail.min(passed)] += 1;
+    }
+
+    /// Merges another fold over the same dictionary into this one
+    /// (element-wise integer addition).
     fn merge(&mut self, other: LotFold) {
         self.good += other.good;
-        self.defective += other.defective;
         self.total_faults += other.total_faults;
-        self.shipped += other.shipped;
-        self.escapes += other.escapes;
-        if other.fail_counts.len() > self.fail_counts.len() {
-            self.fail_counts.resize(other.fail_counts.len(), 0);
-        }
         for (total, count) in self.fail_counts.iter_mut().zip(other.fail_counts) {
             *total += count;
         }
@@ -185,7 +174,7 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
     /// The returned statistics are byte-identical to generating the whole
     /// lot, testing it and tabulating in memory — at any worker count —
     /// while peak memory stays
-    /// `O(workers × (patterns + N / 64))` for an `N`-fault universe.
+    /// `O(workers × (patterns + N))` for an `N`-fault universe.
     ///
     /// # Panics
     ///
@@ -199,6 +188,11 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
         checkpoints: &[usize],
     ) -> StreamedLot {
         let draw = ModelDraw::new(config);
+        let patterns = dictionary
+            .first_patterns()
+            .flatten()
+            .max()
+            .map_or(0, |last| last + 1);
         CHIPS.add(config.chips as u64);
         let _timer = LOT_SPAN.start();
         let shard_folds = shard_map(
@@ -207,14 +201,23 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
             ParallelLotRunner::MIN_ITEMS_PER_SHARD,
             |range| {
                 let mut sampler = draw.sampler();
-                let mut shard = LotFold::default();
+                let mut shard = LotFold::new(patterns);
                 for chip in range {
-                    shard.absorb(draw.faults(chip, &mut sampler), dictionary);
+                    // A chip fails at the earliest first-failing pattern
+                    // over its faults, as `first_failure_of_chip` decides.
+                    let mut faults = 0;
+                    let mut first_fail = usize::MAX;
+                    draw.faults(chip, &mut sampler, |fault| {
+                        faults += 1;
+                        let first = dictionary.first_failing_pattern(fault);
+                        first_fail = first_fail.min(first.unwrap_or(usize::MAX));
+                    });
+                    shard.absorb(faults, first_fail);
                 }
                 shard
             },
         );
-        let mut fold = LotFold::default();
+        let mut fold = LotFold::new(patterns);
         for shard in shard_folds {
             fold.merge(shard);
         }
@@ -229,8 +232,10 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
         coverage: &CoverageCurve,
         checkpoints: &[usize],
     ) -> StreamedLot {
-        let experiment =
-            RejectExperiment::from_fail_counts(&fold.fail_counts, chips, coverage, checkpoints);
+        let (passed, failed) = fold.fail_counts.split_last().expect("a passed slot");
+        let experiment = RejectExperiment::from_fail_counts(failed, chips, coverage, checkpoints);
+        // Good chips pass every pattern; every other passer is an escape.
+        let (shipped, defective) = (*passed, chips - fold.good);
         StreamedLot {
             chips,
             observed_yield: if chips == 0 {
@@ -238,10 +243,10 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
             } else {
                 fold.good as f64 / chips as f64
             },
-            observed_n0: if fold.defective == 0 {
+            observed_n0: if defective == 0 {
                 0.0
             } else {
-                fold.total_faults as f64 / fold.defective as f64
+                fold.total_faults as f64 / defective as f64
             },
             observed_nav: if chips == 0 {
                 0.0
@@ -249,9 +254,9 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
                 fold.total_faults as f64 / chips as f64
             },
             outcome: FieldOutcome {
-                shipped: fold.shipped,
-                escapes: fold.escapes,
-                rejected: chips - fold.shipped,
+                shipped,
+                escapes: shipped - fold.good,
+                rejected: chips - shipped,
                 total: chips,
             },
             experiment,

@@ -537,6 +537,11 @@ fn expand_block<'a>(
     Ok(())
 }
 
+/// The widest XOR/XNOR gate [`write`] emits.  A parity gate's cover lists
+/// every input assignment of the right parity, `2^(n − 1)` rows for `n`
+/// inputs: 32,768 rows at this limit.
+const MAX_PARITY_FANIN: usize = 16;
+
 /// Serialises a circuit to BLIF text.
 ///
 /// Every logic gate becomes one `.names` block with a canonical cover and
@@ -545,7 +550,13 @@ fn expand_block<'a>(
 /// circuit with the same signal names and equivalent logic (XOR/XNOR covers
 /// are exponential in fanin and re-synthesise as sum-of-products networks,
 /// all other kinds round-trip structurally).
-pub fn write(circuit: &Circuit) -> String {
+///
+/// # Errors
+///
+/// Returns [`NetlistError::ParityTooWide`], naming the gate, for an XOR or
+/// XNOR gate with more than 16 inputs: its cover would have `2^(n − 1)`
+/// rows (over 65,000 at 17 inputs).
+pub fn write(circuit: &Circuit) -> Result<String, NetlistError> {
     let mut out = String::new();
     out.push_str(&format!(".model {}\n", circuit.name()));
     if !circuit.primary_inputs().is_empty() {
@@ -576,6 +587,15 @@ pub fn write(circuit: &Circuit) -> String {
             ));
             continue;
         }
+        let fanin = gate.fanin().len();
+        if matches!(gate.kind(), GateKind::Xor | GateKind::Xnor) && fanin > MAX_PARITY_FANIN {
+            return Err(NetlistError::ParityTooWide {
+                signal: circuit.signal_name(id).to_string(),
+                kind: gate.kind().name(),
+                fanin,
+                limit: MAX_PARITY_FANIN,
+            });
+        }
         out.push_str(".names");
         for &driver in gate.fanin() {
             out.push(' ');
@@ -584,7 +604,6 @@ pub fn write(circuit: &Circuit) -> String {
         out.push(' ');
         out.push_str(circuit.signal_name(id));
         out.push('\n');
-        let fanin = gate.fanin().len();
         match gate.kind() {
             GateKind::Input | GateKind::Dff => unreachable!("handled above"),
             GateKind::Const0 => {}
@@ -616,7 +635,7 @@ pub fn write(circuit: &Circuit) -> String {
         }
     }
     out.push_str(".end\n");
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1039,7 +1058,7 @@ z
         b.mark_output(a);
         b.mark_output(z);
         let original = b.finish().expect("valid");
-        let text = write(&original);
+        let text = write(&original).expect("writes");
         let reparsed = parse("passthrough", &text).expect("round trips");
         assert_eq!(reparsed.primary_outputs().len(), 2);
         let a = reparsed.find_signal("a").expect("exists");
@@ -1055,7 +1074,7 @@ z
         b.mark_output(zero);
         b.mark_output(one);
         let original = b.finish().expect("valid");
-        let text = write(&original);
+        let text = write(&original).expect("writes");
         let reparsed = parse("consts", &text).expect("round trips");
         let zero = reparsed.find_signal("zero").expect("exists");
         let one = reparsed.find_signal("one").expect("exists");
@@ -1074,7 +1093,7 @@ z
         let out = b.gate("out", GateKind::And, &[q0, q1]);
         b.mark_output(out);
         let original = b.finish().expect("valid");
-        let text = write(&original);
+        let text = write(&original).expect("writes");
         assert!(text.contains(".latch q0 q1 2"), "{text}");
         assert!(text.contains(".latch nq1 q0 2"), "{text}");
         let reparsed = parse("twist", &text).expect("round trips");
@@ -1092,7 +1111,7 @@ z
     #[test]
     fn round_trip_preserves_structure_without_xor() {
         let original = library::c17();
-        let text = write(&original);
+        let text = write(&original).expect("writes");
         let reparsed = parse(original.name(), &text).expect("round trips");
         assert_eq!(reparsed.gate_count(), original.gate_count());
         assert_eq!(reparsed.name(), original.name());
@@ -1120,7 +1139,7 @@ z
         // XOR covers re-synthesise as SOP networks: structure changes,
         // function must not.
         let original = library::full_adder();
-        let text = write(&original);
+        let text = write(&original).expect("writes");
         let reparsed = parse(original.name(), &text).expect("round trips");
         for pattern in 0u64..8 {
             let assignment: Vec<bool> = (0..3).map(|bit| (pattern >> bit) & 1 == 1).collect();
@@ -1128,6 +1147,58 @@ z
                 evaluate(&original, &assignment),
                 evaluate(&reparsed, &assignment),
                 "pattern {pattern}"
+            );
+        }
+    }
+
+    /// A circuit of one `kind` gate `z` over `fanin` inputs.
+    fn parity_gate(kind: GateKind, fanin: usize) -> Circuit {
+        let mut b = CircuitBuilder::new("parity");
+        let inputs: Vec<GateId> = (0..fanin).map(|i| b.input(format!("i{i}"))).collect();
+        let z = b.gate("z", kind, &inputs);
+        b.mark_output(z);
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn parity_gate_at_the_fanin_limit_round_trips() {
+        let original = parity_gate(GateKind::Xor, MAX_PARITY_FANIN);
+        let text = write(&original).expect("a 16-input XOR writes");
+        assert_eq!(
+            text.lines().filter(|line| line.ends_with(" 1")).count(),
+            1 << (MAX_PARITY_FANIN - 1)
+        );
+        let reparsed = parse("parity", &text).expect("round trips");
+        // All zeros, every single one, all ones, and a few mixed words.
+        let mut words: Vec<u64> = vec![0, 0xFFFF, 0x5A5A, 0x8001, 0x7FFE];
+        words.extend((0..MAX_PARITY_FANIN).map(|bit| 1 << bit));
+        for word in words {
+            let assignment: Vec<bool> = (0..MAX_PARITY_FANIN)
+                .map(|bit| (word >> bit) & 1 == 1)
+                .collect();
+            let expected = word.count_ones() % 2 == 1;
+            assert_eq!(evaluate(&original, &assignment), [expected], "{word:#x}");
+            assert_eq!(evaluate(&reparsed, &assignment), [expected], "{word:#x}");
+        }
+    }
+
+    #[test]
+    fn parity_gate_above_the_fanin_limit_is_refused() {
+        for (kind, fanin) in [
+            (GateKind::Xnor, MAX_PARITY_FANIN + 1),
+            (GateKind::Xor, 20),
+            (GateKind::Xor, 64),
+            (GateKind::Xnor, 65),
+        ] {
+            assert_eq!(
+                write(&parity_gate(kind, fanin)),
+                Err(NetlistError::ParityTooWide {
+                    signal: "z".into(),
+                    kind: kind.name(),
+                    fanin,
+                    limit: MAX_PARITY_FANIN,
+                }),
+                "{kind} with {fanin} inputs"
             );
         }
     }

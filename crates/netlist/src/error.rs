@@ -50,6 +50,18 @@ pub enum NetlistError {
         /// Description of the problem.
         message: String,
     },
+    /// An XOR/XNOR gate too wide for the BLIF writer: its cover would list
+    /// `2^(fanin − 1)` rows.
+    ParityTooWide {
+        /// The gate's output signal.
+        signal: String,
+        /// The gate kind (`XOR` or `XNOR`).
+        kind: &'static str,
+        /// The gate's number of inputs.
+        fanin: usize,
+        /// The widest parity gate the writer emits.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -75,6 +87,15 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::NoOutputs => write!(f, "circuit has no primary outputs"),
             NetlistError::Scan { message } => write!(f, "scan insertion failed: {message}"),
+            NetlistError::ParityTooWide {
+                signal,
+                kind,
+                fanin,
+                limit,
+            } => write!(
+                f,
+                "{kind} gate `{signal}` has {fanin} inputs; a BLIF parity cover is written for at most {limit}"
+            ),
             NetlistError::InvalidGateId { id, gate_count } => {
                 write!(
                     f,
@@ -130,6 +151,15 @@ mod tests {
                     message: "no flip-flops".into(),
                 },
                 "no flip-flops",
+            ),
+            (
+                NetlistError::ParityTooWide {
+                    signal: "wide".into(),
+                    kind: "XOR",
+                    fanin: 17,
+                    limit: 16,
+                },
+                "`wide` has 17 inputs",
             ),
         ];
         for (err, needle) in cases {

@@ -83,7 +83,7 @@ fn bench_reader_survives_seeded_mutations() {
 #[test]
 fn blif_reader_survives_seeded_mutations() {
     for (circuit, seed) in [(library::c17(), 0xB1_0C17), (library::alu4(), 0xB1_A1D4)] {
-        let text = blif::write(&circuit);
+        let text = blif::write(&circuit).expect("library circuits write to BLIF");
         survive_mutations(circuit.name(), &text, blif::parse, seed);
     }
 }

@@ -30,8 +30,8 @@
 //!
 //! Lot queries of any size run through the streaming executor
 //! (`lsiq_manufacturing::streaming`), so a billion-chip lot needs
-//! `O(workers × (patterns + faults / 64))` memory and returns statistics
-//! byte-identical to the in-memory pipeline.
+//! `O(workers × (patterns + faults))` memory (one `u32` stamp per fault and
+//! worker) and returns statistics byte-identical to the in-memory pipeline.
 //!
 //! The `lsiq-serve` binary speaks the same protocol over stdin/stdout or
 //! files; `docs/SERVICE.md` documents the schema, the cache layout and the

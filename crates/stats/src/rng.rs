@@ -46,22 +46,28 @@ pub trait Rng {
 
     /// Returns a uniformly distributed integer in `[0, bound)`.
     ///
-    /// Uses Lemire's multiply-shift rejection method to avoid modulo bias.
+    /// Uses Lemire's nearly divisionless multiply-shift rejection method:
+    /// the high word of `x · bound` is the draw, and a draw whose low word
+    /// falls below `2^64 mod bound` is rejected to remove modulo bias.  That
+    /// threshold is below `bound`, so it is computed (one 64-bit division)
+    /// only when the low word is below `bound`, with probability
+    /// `bound / 2^64`.  Every draw is accepted or rejected exactly as a
+    /// loop that computes the threshold first would decide, so the values
+    /// and the generator's advance do not depend on which path ran.
     ///
     /// # Panics
     ///
     /// Panics if `bound` is zero.
     fn next_bounded(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "next_bounded requires a non-zero bound");
-        // Rejection sampling over the top of the 64-bit range.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let (hi, lo) = widening_mul(x, bound);
-            if lo >= threshold {
-                return hi;
+        let (mut hi, mut lo) = widening_mul(self.next_u64(), bound);
+        if lo < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while lo < threshold {
+                (hi, lo) = widening_mul(self.next_u64(), bound);
             }
         }
+        hi
     }
 
     /// Returns a uniformly distributed `usize` index in `[0, len)`.
@@ -242,10 +248,14 @@ impl Rng for Xoshiro256StarStar {
 /// Draws sets of distinct indices from `[0, len)` with Floyd's algorithm,
 /// reusing its scratch from one draw to the next.
 ///
-/// Membership lives in a `⌈len / 64⌉`-word bitset and the picks in one
-/// output buffer, so once that buffer has grown to the largest count drawn
-/// a draw allocates nothing.  A draw clears only the bits it set, so it
-/// costs `O(count)` at any population size.  Keep one sampler per worker.
+/// Membership lives in one `u32` stamp per index.  Each draw takes a new
+/// epoch and stamps its picks with it, so the stamps an earlier draw left
+/// never match and no draw clears anything; only when the epoch wraps,
+/// once in `2^32 − 1` draws, is the array reset.  The sampler keeps no
+/// pick list: it hands each pick to the caller as it is drawn.  A draw
+/// therefore costs `O(count)` and allocates nothing at any population
+/// size, and the sampler holds `4 · len` bytes.  Keep one sampler per
+/// worker.
 ///
 /// A draw of `count` indices consumes exactly `rng.next_index(j + 1)` for
 /// `j` in `len - count .. len`, in that order, and picks the same set as
@@ -256,7 +266,8 @@ impl Rng for Xoshiro256StarStar {
 ///
 /// let mut sampler = IndexSampler::new(100);
 /// let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-/// let mut picks = sampler.sample(20, &mut rng).to_vec();
+/// let mut picks = Vec::new();
+/// sampler.sample(20, &mut rng, |index| picks.push(index));
 /// picks.sort_unstable();
 /// picks.dedup();
 /// assert_eq!(picks.len(), 20);
@@ -264,50 +275,57 @@ impl Rng for Xoshiro256StarStar {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexSampler {
-    len: usize,
-    members: Vec<u64>,
-    picks: Vec<usize>,
+    /// `stamps[i] == epoch` exactly when the current draw has picked `i`.
+    stamps: Vec<u32>,
+    /// The current draw's stamp; 0 before the first draw, and no stamp
+    /// outside a draw equals the next epoch.
+    epoch: u32,
 }
 
 impl IndexSampler {
     /// A sampler over the population `[0, len)`.
     pub fn new(len: usize) -> IndexSampler {
         IndexSampler {
-            len,
-            members: vec![0; len.div_ceil(64)],
-            picks: Vec::new(),
+            stamps: vec![0; len],
+            epoch: 0,
         }
     }
 
     /// Draws `count` distinct indices from `[0, len)`, every such set
-    /// equally likely.  The picks come back in draw order, not sorted.
+    /// equally likely, and passes each to `visit` in draw order, not
+    /// sorted.
     ///
     /// # Panics
     ///
     /// Panics if `count > len`.
-    pub fn sample<R: Rng + ?Sized>(&mut self, count: usize, rng: &mut R) -> &[usize] {
-        assert!(
-            count <= self.len,
-            "cannot sample {count} items from {}",
-            self.len
-        );
-        self.picks.clear();
-        for j in (self.len - count)..self.len {
+    // Inlined so the generator's state and whatever `visit` updates stay
+    // in registers across the picks instead of going through memory.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(
+        &mut self,
+        count: usize,
+        rng: &mut R,
+        mut visit: impl FnMut(usize),
+    ) {
+        let len = self.stamps.len();
+        assert!(count <= len, "cannot sample {count} items from {len}");
+        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+            self.stamps.fill(0);
+            1
+        });
+        let epoch = self.epoch;
+        for j in (len - count)..len {
             let drawn = rng.next_index(j + 1);
             // Every earlier pick is below `j`, so `j` is free whenever
             // `drawn` is taken.
-            let pick = if self.members[drawn / 64] & (1 << (drawn % 64)) == 0 {
-                drawn
-            } else {
+            let pick = if self.stamps[drawn] == epoch {
                 j
+            } else {
+                drawn
             };
-            self.members[pick / 64] |= 1 << (pick % 64);
-            self.picks.push(pick);
+            self.stamps[pick] = epoch;
+            visit(pick);
         }
-        for &pick in &self.picks {
-            self.members[pick / 64] &= !(1 << (pick % 64));
-        }
-        &self.picks
     }
 }
 
@@ -399,12 +417,19 @@ mod tests {
         assert!((frac - 0.3).abs() < 0.01, "observed {frac}");
     }
 
+    /// The picks of one draw, in draw order.
+    fn draw<R: Rng>(sampler: &mut IndexSampler, count: usize, rng: &mut R) -> Vec<usize> {
+        let mut picks = Vec::new();
+        sampler.sample(count, rng, |pick| picks.push(pick));
+        picks
+    }
+
     #[test]
     fn index_sampler_picks_are_distinct_and_in_range() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(31);
         let mut sampler = IndexSampler::new(100);
         for _ in 0..50 {
-            let mut sample = sampler.sample(20, &mut rng).to_vec();
+            let mut sample = draw(&mut sampler, 20, &mut rng);
             sample.sort_unstable();
             assert_eq!(sample.len(), 20);
             assert!(sample.windows(2).all(|w| w[0] < w[1]));
@@ -416,9 +441,44 @@ mod tests {
     fn index_sampler_full_population() {
         let mut rng = SplitMix64::seed_from_u64(1);
         let mut sampler = IndexSampler::new(10);
-        let mut sample = sampler.sample(10, &mut rng).to_vec();
+        let mut sample = draw(&mut sampler, 10, &mut rng);
         sample.sort_unstable();
         assert_eq!(sample, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn index_sampler_draws_across_an_epoch_wrap() {
+        // Floyd's algorithm over a `BTreeSet`, drawing from the same RNG.
+        fn reference(len: usize, count: usize, rng: &mut Xoshiro256StarStar) -> Vec<usize> {
+            let mut chosen = std::collections::BTreeSet::new();
+            for j in (len - count)..len {
+                if !chosen.insert(rng.next_index(j + 1)) {
+                    chosen.insert(j);
+                }
+            }
+            chosen.into_iter().collect()
+        }
+        let (len, count) = (64, 48);
+        let mut sampler = IndexSampler::new(len);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+        // The first draws leave stamps 1, 2 and 3 behind: after the wrap
+        // they would read as picks of the new epochs unless it reset them.
+        for _ in 0..3 {
+            draw(&mut sampler, count, &mut rng);
+        }
+        sampler.epoch = u32::MAX - 2;
+        for step in 0..6 {
+            let mut reference_rng = rng.clone();
+            let mut ours = draw(&mut sampler, count, &mut rng);
+            ours.sort_unstable();
+            assert_eq!(
+                ours,
+                reference(len, count, &mut reference_rng),
+                "draw {step}"
+            );
+            assert_eq!(rng, reference_rng, "draw {step}: RNG state");
+        }
+        assert_eq!(sampler.epoch, 4, "the epoch wrapped to 1 and went on");
     }
 
     #[test]

@@ -1,11 +1,37 @@
-//! Reference checks for the model-lot draws: the reusable
-//! [`IndexSampler`] and the set-up-once [`Poisson`] must consume the same
-//! random numbers and return the same values as the straightforward
-//! implementations they replaced, which are kept here as test-local copies.
+//! Reference checks for the model-lot draws: the nearly divisionless
+//! [`Rng::next_bounded`], the reusable [`IndexSampler`] and the set-up-once
+//! [`Poisson`] must consume the same random numbers and return the same
+//! values as the straightforward implementations they replaced, which are
+//! kept here as test-local copies.
 
 use lsiq_stats::dist::{Poisson, Sample};
 use lsiq_stats::rng::{IndexSampler, Rng, Xoshiro256StarStar};
 use std::collections::BTreeSet;
+
+/// A generator that counts the 64-bit words drawn from it.
+struct Counting {
+    rng: Xoshiro256StarStar,
+    words: u64,
+}
+
+impl Rng for Counting {
+    fn next_u64(&mut self) -> u64 {
+        self.words += 1;
+        self.rng.next_u64()
+    }
+}
+
+/// Lemire's multiply-shift rejection with the threshold `2^64 mod bound`
+/// computed before every draw.
+fn reference_bounded(bound: u64, rng: &mut Counting) -> u64 {
+    let threshold = bound.wrapping_neg() % bound;
+    loop {
+        let wide = u128::from(rng.next_u64()) * u128::from(bound);
+        if wide as u64 >= threshold {
+            return (wide >> 64) as u64;
+        }
+    }
+}
 
 /// Floyd's algorithm over a `BTreeSet`.
 fn reference_floyd(len: usize, count: usize, rng: &mut Xoshiro256StarStar) -> BTreeSet<usize> {
@@ -47,6 +73,46 @@ fn reference_poisson(mean: f64, rng: &mut Xoshiro256StarStar) -> u64 {
 }
 
 #[test]
+fn bounded_draws_match_the_threshold_first_reference() {
+    // The last three bounds put the low word below the bound on about half
+    // (2^63, 2^63 + 1) or nearly all (u64::MAX) draws, so the path that
+    // computes the threshold runs; 2^63 + 1 rejects nearly half its draws.
+    let bounds = [
+        1,
+        2,
+        3,
+        12_114,
+        (1 << 32) - 1,
+        (1 << 32) + 1,
+        1 << 63,
+        (1 << 63) + 1,
+        u64::MAX,
+    ];
+    for bound in bounds {
+        let mut ours_rng = Xoshiro256StarStar::seed_from_u64(bound);
+        let mut reference = Counting {
+            rng: ours_rng.clone(),
+            words: 0,
+        };
+        for draw in 0..10_000 {
+            assert_eq!(
+                ours_rng.next_bounded(bound),
+                reference_bounded(bound, &mut reference),
+                "bound {bound}, draw {draw}"
+            );
+        }
+        assert_eq!(ours_rng, reference.rng, "bound {bound}: RNG state");
+        if bound == (1 << 63) + 1 {
+            assert!(
+                reference.words > 15_000,
+                "bound {bound}: {} words for 10,000 draws",
+                reference.words
+            );
+        }
+    }
+}
+
+#[test]
 fn index_sampler_picks_the_reference_floyd_set() {
     for len in [1usize, 5, 63, 64, 65, 12_114] {
         // Every count from 0 to 2 and from `len - 2` to `len`, plus the
@@ -61,7 +127,7 @@ fn index_sampler_picks_the_reference_floyd_set() {
         counts.sort_unstable();
         counts.dedup();
         // One sampler per population, reused across every draw: a draw
-        // must leave no membership bit behind for the next one.
+        // must leave no membership mark behind for the next one.
         let mut sampler = IndexSampler::new(len);
         let mut marked = vec![false; len];
         for &count in &counts {
@@ -73,13 +139,14 @@ fn index_sampler_picks_the_reference_floyd_set() {
                 let case = format!("len {len}, count {count}, seed {seed}");
                 let mut ours_rng = Xoshiro256StarStar::stream(seed, len as u64);
                 let mut reference_rng = ours_rng.clone();
-                let ours = sampler.sample(count, &mut ours_rng);
+                let mut ours = Vec::new();
+                sampler.sample(count, &mut ours_rng, |index| ours.push(index));
                 let reference = reference_floyd(len, count, &mut reference_rng);
                 assert_eq!(ours.len(), reference.len(), "{case}");
                 for &index in &reference {
                     marked[index] = true;
                 }
-                for &index in ours {
+                for &index in &ours {
                     assert!(std::mem::take(&mut marked[index]), "{case}: {index}");
                 }
                 assert_eq!(ours_rng, reference_rng, "{case}: RNG state");

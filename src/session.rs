@@ -810,8 +810,9 @@ mod tests {
         let reduced = Session::reproduction_circuit(false);
         let scan = Session::scan_reproduction_circuit(false, ScanPlan::new(4).expect("valid"))
             .expect("plan fits");
-        let round_trip = lsiq_netlist::blif::parse("reduced", &lsiq_netlist::blif::write(&reduced))
-            .expect("a written netlist parses");
+        let text = lsiq_netlist::blif::write(&reduced).expect("the device writes to BLIF");
+        let round_trip =
+            lsiq_netlist::blif::parse("reduced", &text).expect("a written netlist parses");
         for circuit in [
             &library::c17(),
             &library::alu4(),

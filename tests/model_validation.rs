@@ -41,8 +41,8 @@ fn simulate(
         // The chip fails the tests when at least one of its faults falls in
         // the covered part of the universe.  Covered faults are, without loss
         // of generality, the indices below `covered`.
-        let faults = sampler.sample(fault_count, &mut rng);
-        let detected = faults.iter().any(|&index| index < covered);
+        let mut detected = false;
+        sampler.sample(fault_count, &mut rng, |index| detected |= index < covered);
         if detected {
             rejected += 1;
         } else {
@@ -107,8 +107,9 @@ fn hypergeometric_escape_matches_urn_simulation() {
         let trials = 40_000;
         let mut escapes = 0usize;
         for _ in 0..trials {
-            let faults = sampler.sample(present, &mut rng);
-            if faults.iter().all(|&index| index >= covered) {
+            let mut escaped = true;
+            sampler.sample(present, &mut rng, |index| escaped &= index >= covered);
+            if escaped {
                 escapes += 1;
             }
         }
